@@ -41,7 +41,6 @@ class AgentProfile:
     share_total: int = 0
     follower_count: int = 0
     history_summary: str = ""
-    exposure_counts: dict = field(default_factory=dict)  # content_id -> receipts
 
     @property
     def is_bot(self) -> bool:
@@ -72,14 +71,9 @@ def normalize_histogram(histogram) -> tuple:
     return tuple(v / total for v in histogram)
 
 
-def activation_probability(profile: AgentProfile, t: int, schedule=None) -> float:
-    """Chance the agent is active at step t.
-
-    Regular agents read their hour-of-day bucket ((t-1) mod 24); bots are
-    active exactly on their scheduled steps.
-    """
-    if profile.is_bot:
-        return 1.0 if schedule is not None and t in schedule else 0.0
+def activation_probability(profile: AgentProfile, t: int) -> float:
+    """Chance a regular agent is active at step t: its hour-of-day bucket
+    ((t-1) mod 24). Bots act on the engine's bot schedules instead."""
     return profile.activation_probs[(t - 1) % HOURS_PER_DAY]
 
 

@@ -3,8 +3,7 @@
 Trust moves through saturating exponential enhancement/decay terms so
 repeated exposure shows diminishing marginal effect, and never leaves
 [0, 1]. Discernment is affine in plausibility. Belief realizes discernment
-as a seeded Bernoulli draw, which keeps the core engine deterministic; a
-remote evaluator may substitute its own belief check.
+as a seeded Bernoulli draw, which keeps the core engine deterministic.
 """
 
 from __future__ import annotations

@@ -19,8 +19,12 @@ Semantics, fixed for determinism:
   pass the item on with a disputing stance, which receivers experience as
   corrective pressure - the spontaneous-debunker channel that operates
   even in control runs.
-* Every agent's randomness comes from (seed, purpose, agent, step)
-  substreams, so agent processing order cannot perturb results.
+* Every draw is keyed by (seed, purpose, agent[, item]), never by the
+  order agents are processed in. Each regular agent owns one "act" stream,
+  drawn once per run as a (steps, 3) block of activation, share and
+  repost/quote uniforms; step t reads row t-1. Each (receiver, item) pair
+  owns one "belief" and one "accept" stream, and its k-th judgment of that
+  kind takes the stream's k-th uniform.
 
 Bots are instruments: only bots homed in the run topic's community act,
 malicious ones broadcasting the disinformation item on their schedule and
@@ -32,13 +36,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from . import rng as rngmod
 from .attributes import (
     KIND_LBOT,
     KIND_MBOT,
     KIND_REGULAR,
     AgentProfile,
-    activation_probability,
+    activation_probability,  # noqa: F401 - the scalar rule active_agents vectorizes
     dissemination_tendency,
 )
 from .content import (
@@ -60,7 +66,7 @@ from .evaluator import Evaluator
 from .network import PropagationNetwork
 from .powerlaw import PowerLawFit, fit_truncated_power_law
 from .report import RatioRecord, RunReport, TrustRecord, population_stats
-from .scenario import Scenario
+from .scenario import HOURS_PER_DAY, Scenario
 
 STATUS_SUSCEPTIBLE = "susceptible"
 STATUS_EXPOSED = "exposed"
@@ -90,7 +96,7 @@ class AgentState:
     trust: dict = field(default_factory=dict)  # community -> current threshold
     believes: dict = field(default_factory=dict)  # content_id -> bool
     exposure_counts: dict = field(default_factory=dict)  # content_id -> receipts
-    judgment_counts: dict = field(default_factory=dict)  # content_id -> belief redraws
+    judgment_streams: dict = field(default_factory=dict)  # (purpose, content_id) -> Generator
     inbox: list = field(default_factory=list)
     outbox: list = field(default_factory=list)  # (step, content_id, stance, mode)
     pending: list = field(default_factory=list)  # receipts since last activation
@@ -166,6 +172,32 @@ def build_bot_schedules(
             steps = rng.choice(window_len, size=count, replace=False) + w_lo
             schedules[profile.agent_id] = frozenset(int(s) for s in steps)
     return schedules
+
+
+def activation_draws(seed: int, agent_ids, total_steps: int) -> np.ndarray:
+    """The per-step uniforms of these agents, drawn as one block.
+
+    ``draws[i]`` is agent_ids[i]'s "act" stream drawn as
+    ``(total_steps, 3)``. Step t reads ``draws[i, t-1]``: column 0 decides
+    activation, column 1 dissemination and column 2 repost versus quote.
+    ``draws[i]`` depends only on (seed, agent_ids[i]), never on which other
+    agents are in the block.
+    """
+    draws = np.empty((len(agent_ids), total_steps, 3))
+    for i, agent_id in enumerate(agent_ids):
+        draws[i] = rngmod.substream(seed, "act", agent_id).random((total_steps, 3))
+    return draws
+
+
+def active_agents(draws: np.ndarray, probs: np.ndarray, t: int) -> list:
+    """Ascending row indices of the agents active at step t.
+
+    ``probs`` holds one row of hour-of-day activation probabilities per
+    agent; agent i is active when its step-t activation uniform falls below
+    ``activation_probability(profile_i, t)``, i.e. ``probs[i, (t-1) % 24]``.
+    """
+    hour = (t - 1) % HOURS_PER_DAY
+    return np.flatnonzero(draws[:, t - 1, 0] < probs[:, hour]).tolist()
 
 
 def _sender_influence(profile: AgentProfile, community: str) -> float:
@@ -245,6 +277,13 @@ def run(
                 profile=profile, trust=dict(profile.trust_thresholds)
             )
 
+    regular_ids = sorted(state.agents)
+    regulars = [state.agents[agent_id] for agent_id in regular_ids]
+    draws = activation_draws(seed, regular_ids, params.total_steps)
+    probs = np.array(
+        [agent.profile.activation_probs for agent in regulars], dtype=float
+    ).reshape(len(regulars), HOURS_PER_DAY)
+
     active_bots = [
         p
         for p in profiles
@@ -312,11 +351,10 @@ def run(
                 for neighbor in network.neighbors(bot.agent_id):
                     outgoing.append((neighbor, message))
 
-            for agent_id in sorted(state.agents):
-                agent = state.agents[agent_id]
-                act_rng = rngmod.substream(seed, "act", agent_id, t)
-                if act_rng.random() >= activation_probability(agent.profile, t):
-                    continue
+            for i in active_agents(draws, probs, t):
+                agent_id = regular_ids[i]
+                agent = regulars[i]
+                _, share_u, mode_u = draws[i, t - 1]
                 _apply_trust_update(agent, by_id, evaluator, params, topic)
                 agent.last_activation = t
                 if not agent.inbox:
@@ -328,14 +366,14 @@ def run(
                 dt = dissemination_tendency(
                     agent.profile, topic, fit, params, prior_receipts
                 )
-                if act_rng.random() >= dt:
+                if share_u >= dt:
                     continue
                 if latest.item.kind == "disinformation":
                     believes = agent.believes.get(latest.item.content_id, False)
                     stance = STANCE_ENDORSE if believes else STANCE_DISPUTE
                 else:
                     stance = STANCE_ENDORSE
-                mode = "repost" if act_rng.random() < params.repost_probability else "quote"
+                mode = "repost" if mode_u < params.repost_probability else "quote"
                 message = Message(
                     item=latest.item,
                     stance=stance,
@@ -439,12 +477,10 @@ def _deliver(state, outgoing, seed, t, topic, disinfo) -> None:
                     plausibility=message.item.plausibility,
                 )
             )
-            # draws are keyed by the judgment's ordinal for this (agent, item)
-            # so plans sharing a seed see aligned randomness until their
-            # histories actually diverge
-            k = agent.judgment_counts.get(item_id, 0)
-            agent.judgment_counts[item_id] = k + 1
-            rng = rngmod.substream(seed, "belief", receiver, item_id, k)
+            # the k-th judgment of this (agent, item) takes the k-th draw of
+            # its own stream, so plans sharing a seed see aligned randomness
+            # until their histories actually diverge
+            rng = _judgment_stream(agent, seed, "belief", receiver, item_id)
             agent.believes[item_id] = believe_disinformation(da, rng)
         elif agent.status == STATUS_EXPOSED and agent.believes.get(
             disinfo.content_id, False
@@ -459,10 +495,7 @@ def _deliver(state, outgoing, seed, t, topic, disinfo) -> None:
                     plausibility=disinfo.plausibility,
                 )
             )
-            key = "accept:" + disinfo.content_id
-            k = agent.judgment_counts.get(key, 0)
-            agent.judgment_counts[key] = k + 1
-            rng = rngmod.substream(seed, "accept", receiver, disinfo.content_id, k)
+            rng = _judgment_stream(agent, seed, "accept", receiver, disinfo.content_id)
             if rng.random() < da:
                 agent.believes[disinfo.content_id] = False
         else:
@@ -473,6 +506,17 @@ def _deliver(state, outgoing, seed, t, topic, disinfo) -> None:
                 if agent.believes.get(disinfo.content_id, False)
                 else SPREADER_UNINFECTED
             )
+
+
+def _judgment_stream(agent, seed, purpose: str, receiver: str, item_id: str):
+    """The agent's (seed, purpose, receiver, item) stream, built on first use."""
+    key = (purpose, item_id)
+    stream = agent.judgment_streams.get(key)
+    if stream is None:
+        stream = agent.judgment_streams[key] = rngmod.substream(
+            seed, purpose, receiver, item_id
+        )
+    return stream
 
 
 def _final_states(state: SimulationState) -> dict:

@@ -23,8 +23,3 @@ def substream(seed: int, *labels: object) -> np.random.Generator:
     """Generator for the substream named by ``labels`` under ``seed``."""
     entropy = [int(seed) & 0xFFFFFFFFFFFFFFFF] + _label_words(*labels)
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
-
-
-def digest_uniform(seed: int, *labels: object) -> float:
-    """One deterministic uniform in [0, 1) keyed by seed and labels."""
-    return float(substream(seed, *labels).random())

@@ -5,7 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from madd.attributes import (
-    KIND_LBOT,
     KIND_MBOT,
     KIND_REGULAR,
     AgentProfile,
@@ -137,12 +136,6 @@ class TestActivationProbability:
 
     def test_all_zero_histogram_uniform(self):
         assert normalize_histogram([0] * 24) == tuple([1 / 24] * 24)
-
-    def test_bots_follow_schedule(self):
-        bot = AgentProfile(agent_id="m", kind=KIND_LBOT, interest_scores={"a": 10.0})
-        assert activation_probability(bot, 5, schedule={5, 9}) == 1.0
-        assert activation_probability(bot, 6, schedule={5, 9}) == 0.0
-        assert activation_probability(bot, 5, schedule=None) == 0.0
 
 
 class TestDeriveProfiles:

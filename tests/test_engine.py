@@ -1,3 +1,6 @@
+import hashlib
+
+import numpy as np
 import pytest
 
 from madd import engine
@@ -6,6 +9,7 @@ from madd.attributes import (
     KIND_MBOT,
     KIND_REGULAR,
     AgentProfile,
+    activation_probability,
 )
 from madd.content import CONTROL_PLAN, make_plan
 from madd.errors import EvaluatorFailure, ScheduleConflict, WindowTooSmall
@@ -357,26 +361,26 @@ class TestRunInvariants:
 def test_evaluator_failure_yields_incomplete_report(small_world):
     scenario, profiles, _, network, fit = small_world
 
-    class FailsLater(SyntheticEvaluator):
-        def __init__(self, seed):
-            super().__init__(seed)
-            self.count = 0
+    class FailsOnPersuasiveness(SyntheticEvaluator):
+        failed = False
 
         def evaluate(self, request):
-            self.count += 1
-            if self.count > 40:
+            if request.kind == "persuasiveness":
+                self.failed = True
                 raise EvaluatorFailure("remote fell over")
             return super().evaluate(request)
 
+    evaluator = FailsOnPersuasiveness(seed=scenario.params.rng_seed)
     report = engine.run(
         scenario,
         network,
         profiles,
         CONTROL_PLAN,
-        FailsLater(seed=scenario.params.rng_seed),
+        evaluator,
         seed=13,
         fit=fit,
     )
+    assert evaluator.failed
     assert report.complete is False
 
 
@@ -438,3 +442,76 @@ def test_legitimate_bots_only_act_inside_window(small_world):
         if sender.startswith("lbot"):
             assert lo <= step <= hi
             assert content_id.startswith("fact_")
+
+
+class TestGoldenDigests:
+    """sha256 of RunReport.to_json() for reference runs.
+
+    These move only when realized trajectories move: re-pin deliberately
+    and declare the old and new values.
+    """
+
+    def test_small_world_control(self, small_world):
+        scenario, profiles, _, network, fit = small_world
+        report = engine.run(
+            scenario,
+            network,
+            profiles,
+            CONTROL_PLAN,
+            make_evaluator(scenario.evaluator_config, scenario.params.rng_seed),
+            seed=13,
+            fit=fit,
+        )
+        assert hashlib.sha256(report.to_json().encode()).hexdigest() == (
+            "cec1b41d6c58179878968b1343d6ba741588a7a1a368020a95588b62cb59d162"
+        )
+
+    def test_paper_world_canonical_control(self, paper_world):
+        scenario, profiles, _, network, fit = paper_world
+        report = engine.run(
+            scenario,
+            network,
+            profiles,
+            CONTROL_PLAN,
+            make_evaluator(scenario.evaluator_config, scenario.params.rng_seed),
+            seed=42,
+            topic="politics",
+            fit=fit,
+            collect_trajectories=True,
+        )
+        assert hashlib.sha256(report.to_json().encode()).hexdigest() == (
+            "38e60f43f0276d7aa4aa57a01af6202c83437dbf2e34068dd9b4de3954f5f34c"
+        )
+
+
+class TestActivationKeying:
+    def regulars(self, small_world):
+        _, profiles, _, _, _ = small_world
+        return [p for p in profiles if p.kind == KIND_REGULAR]
+
+    def test_agent_row_independent_of_population(self, small_world):
+        ids = [p.agent_id for p in self.regulars(small_world)]
+        block = engine.activation_draws(13, ids, 24)
+        assert block.shape == (len(ids), 24, 3)
+        for i in (0, len(ids) // 2, len(ids) - 1):
+            alone = engine.activation_draws(13, [ids[i]], 24)
+            assert np.array_equal(block[i], alone[0])
+        reversed_block = engine.activation_draws(13, ids[::-1], 24)
+        assert np.array_equal(block, reversed_block[::-1])
+
+    def test_vectorized_active_set_matches_scalar_rule(self, small_world):
+        scenario, _, _, _, _ = small_world
+        regulars = self.regulars(small_world)
+        total = scenario.params.total_steps
+        draws = engine.activation_draws(13, [p.agent_id for p in regulars], total)
+        probs = np.array([p.activation_probs for p in regulars])
+        fired = 0
+        for t in range(1, total + 1):
+            expected = [
+                i
+                for i, profile in enumerate(regulars)
+                if draws[i, t - 1, 0] < activation_probability(profile, t)
+            ]
+            assert engine.active_agents(draws, probs, t) == expected
+            fired += len(expected)
+        assert fired > 0
