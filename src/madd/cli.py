@@ -24,7 +24,7 @@ from .evaluator import make_evaluator
 from .network import assign_communities, build_network
 from .powerlaw import fit_truncated_power_law
 from .report import compare_interventions
-from .scenario import defaults_as_json, load_scenario, validate_params, with_seed
+from .scenario import defaults_as_json, load_scenario, with_seed
 
 _STRATEGY_BY_FLAG = {"fact": "fact_based", "narrative": "narrative_based"}
 
@@ -162,12 +162,7 @@ def _dump_optional(writer, args, profiles, net) -> None:
 
 
 def _cmd_validate(args) -> int:
-    scenario = _load(args)
-    violations = validate_params(scenario.params)
-    if violations:
-        for v in violations:
-            sys.stderr.write(f"violation: {v}\n")
-        return 1
+    scenario = _load(args)  # loading raises on the first violation
     print(
         f"OK: {len(scenario.users)} users, {len(scenario.communities)} communities, "
         f"{len(scenario.content_catalog)} content items, digest {scenario.digest()[:12]}"

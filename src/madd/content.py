@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NoCorrectionAvailable, RangeViolation
+from .errors import MissingField, NoCorrectionAvailable, RangeViolation
 from .evaluator import EvaluationRequest, Evaluator
 
 CONTENT_KINDS = ("disinformation", "correction")
@@ -39,7 +39,9 @@ class ContentItem:
             raise RangeViolation("strategy", self.strategy, "disinformation carries no strategy")
         if self.kind == "correction" and self.plausibility is not None:
             raise RangeViolation("plausibility", self.plausibility, "only disinformation is scored")
-        if self.plausibility is not None and not 0.0 <= self.plausibility <= 1.0:
+        if self.plausibility is not None and not (
+            isinstance(self.plausibility, (int, float)) and 0.0 <= self.plausibility <= 1.0
+        ):
             raise RangeViolation("plausibility", self.plausibility, "[0, 1]")
 
     def to_dict(self) -> dict:
@@ -55,15 +57,26 @@ class ContentItem:
         return out
 
     @classmethod
-    def from_dict(cls, data: dict) -> "ContentItem":
-        return cls(
-            content_id=data["content_id"],
-            topic=data["topic"],
-            kind=data["kind"],
-            strategy=data.get("strategy", "none"),
-            text=data.get("text", ""),
-            plausibility=data.get("plausibility"),
-        )
+    def from_dict(cls, data) -> "ContentItem":
+        if not isinstance(data, dict):
+            raise RangeViolation("content item", data, "a JSON object")
+        where = f"content item {data['content_id']!r}" if "content_id" in data else "content item"
+        for name in ("content_id", "topic", "kind"):
+            if name not in data:
+                raise MissingField(name, where)
+        try:
+            return cls(
+                content_id=data["content_id"],
+                topic=data["topic"],
+                kind=data["kind"],
+                strategy=data.get("strategy", "none"),
+                text=data.get("text", ""),
+                plausibility=data.get("plausibility"),
+            )
+        except RangeViolation as exc:
+            raise RangeViolation(
+                f"{exc.field}({data['content_id']})", exc.value, exc.constraint
+            ) from exc
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,10 @@ Semantics, fixed for determinism:
 * Synchronous rounds: everything sent during step t (bot broadcasts and
   regular shares alike) is delivered when t ends, so an agent activated at
   t reads only messages delivered at steps <= t-1.
-* Delivery is where exposure happens: receipts land in the inbox, bump the
-  per-item exposure counter, and (for disinformation) flip susceptible
-  agents to exposed and re-draw belief at the receiver's current trust.
+* Delivery is where exposure happens: a receipt becomes the agent's latest
+  message, bumps the per-item exposure counter, and (for disinformation)
+  flips a susceptible agent to exposed and re-draws belief at the
+  receiver's current trust.
   A corrective receipt makes an already-exposed receiver re-judge the
   run's claim the same way; belief is re-evaluated on every exposure, so
   infected and uninfected spreader states stay revisitable.
@@ -97,15 +98,13 @@ class AgentState:
     believes: dict = field(default_factory=dict)  # content_id -> bool
     exposure_counts: dict = field(default_factory=dict)  # content_id -> receipts
     judgment_streams: dict = field(default_factory=dict)  # (purpose, content_id) -> Generator
-    inbox: list = field(default_factory=list)
+    latest: Message | None = None  # the most recent receipt
     outbox: list = field(default_factory=list)  # (step, content_id, stance, mode)
     pending: list = field(default_factory=list)  # receipts since last activation
-    last_activation: int = 0
 
 
 @dataclass
 class SimulationState:
-    step: int = 0
     agents: dict = field(default_factory=dict)  # agent_id -> AgentState (regular only)
     community_regulars: dict = field(default_factory=dict)  # community -> member ids
     delivery_log: list = field(default_factory=list)  # (step, sender, receiver, content_id, stance)
@@ -332,7 +331,6 @@ def run(
     record(0)
     try:
         for t in range(1, params.total_steps + 1):
-            state.step = t
             outgoing: list[tuple[str, Message]] = []
 
             for bot in active_bots:
@@ -356,10 +354,9 @@ def run(
                 agent = regulars[i]
                 _, share_u, mode_u = draws[i, t - 1]
                 _apply_trust_update(agent, by_id, evaluator, params, topic)
-                agent.last_activation = t
-                if not agent.inbox:
+                latest = agent.latest
+                if latest is None:
                     continue
-                latest = agent.inbox[-1]
                 prior_receipts = max(
                     0, agent.exposure_counts.get(latest.item.content_id, 1) - 1
                 )
@@ -456,9 +453,9 @@ def _apply_trust_update(agent, by_id, evaluator, params, topic: str) -> None:
 def _deliver(state, outgoing, seed, t, topic, disinfo) -> None:
     for receiver, message in outgoing:
         agent = state.agents.get(receiver)
-        if agent is None:  # bots ignore their inboxes
+        if agent is None:  # bots ignore what they receive
             continue
-        agent.inbox.append(message)
+        agent.latest = message
         agent.pending.append(message)
         item_id = message.item.content_id
         agent.exposure_counts[item_id] = agent.exposure_counts.get(item_id, 0) + 1

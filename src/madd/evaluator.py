@@ -21,7 +21,7 @@ import json
 import math
 import threading
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import rng as rngmod
 from .errors import MalformedEvaluatorResponse, RemoteUnavailable, ScenarioError
@@ -31,7 +31,6 @@ KINDS = (
     "trust_threshold",
     "plausibility",
     "persuasiveness",
-    "belief_check",
 )
 
 # score range per request kind
@@ -40,7 +39,6 @@ _RANGES = {
     "trust_threshold": (0.0, 1.0),
     "plausibility": (0.0, 1.0),
     "persuasiveness": (0.0, 1.0),
-    "belief_check": (0.0, 1.0),
 }
 
 GLOBAL_BUCKET = "global"
@@ -157,22 +155,6 @@ class EvaluatorConfig:
     api_key_env: str = "MADD_LLM_API_KEY"
     timeout: float = 60.0
     max_in_flight: int = 4
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EvaluatorConfig":
-        data = dict(data)
-        synth = data.pop("synthetic", None)
-        cfg = cls(**data)
-        if synth:
-            synth = dict(synth)
-            for key in ("fact_shape", "narrative_shape", "disinfo_shape", "dispute_shape"):
-                if key in synth:
-                    synth[key] = tuple(synth[key])
-            cfg = replace(cfg, synthetic=SyntheticParams(**synth))
-        return cfg
 
 
 _CITATION_MARKERS = (
@@ -346,11 +328,6 @@ class SyntheticEvaluator(Evaluator):
             value -= p.citation_bonus / 2.0
         return {"score": min(1.0, max(0.0, value))}
 
-    def _eval_belief_check(self, request: EvaluationRequest) -> dict:
-        discernment = float(request.context.get("discernment", 0.5))
-        draw = float(self._rng(request).random())
-        return {"believes": 1.0 if draw < (1.0 - discernment) else 0.0}
-
 
 class RemoteEvaluator(Evaluator):
     """Chat-completion client enforcing the strict JSON output contract."""
@@ -472,11 +449,6 @@ class RemoteEvaluator(Evaluator):
         if kind == "persuasiveness":
             value = _coerce_score(body.get("Score"), kind)
             return {"score": self._check_range(kind, "score", value)}, body.get("Reasoning")
-        if kind == "belief_check":
-            value = body.get("Believes")
-            if isinstance(value, bool):
-                return {"believes": 1.0 if value else 0.0}, body.get("Reasoning")
-            raise MalformedEvaluatorResponse(f"bad 'Believes' value: {value!r}")
         raise MalformedEvaluatorResponse(f"no parser for kind {kind!r}")
 
 
@@ -506,7 +478,6 @@ _TEMPLATE_FILES = {
     "trust_threshold": "trust_threshold.txt",
     "plausibility": "plausibility.txt",
     "persuasiveness": "persuasiveness.txt",
-    "belief_check": "belief_check.txt",
 }
 
 
@@ -530,7 +501,6 @@ def render_prompt(request: EvaluationRequest) -> str:
         "description": ctx.get("description", ""),
         "follower_count": ctx.get("follower_count", ""),
         "following_count": ctx.get("following_count", ""),
-        "discernment": ctx.get("discernment", ""),
     }
     return template.format(**values)
 

@@ -54,9 +54,6 @@ class PropagationNetwork:
         self._adjacency[a].add(b)
         self._adjacency[b].add(a)
 
-    def has_edge(self, a: str, b: str) -> bool:
-        return ((a, b) if a < b else (b, a)) in self.edges
-
     def neighbors(self, agent_id: str) -> list:
         return sorted(self._adjacency.get(agent_id, ()))
 
@@ -67,14 +64,16 @@ class PropagationNetwork:
         return sorted(self.edges)
 
     def to_dict(self) -> dict:
+        memberships: dict[str, set] = {}
+        for community, members in self.community_index.items():
+            for agent_id in members:
+                memberships.setdefault(agent_id, set()).add(community)
         return {
             "nodes": [
                 {
                     "agent_id": agent_id,
                     "kind": self.kinds[agent_id],
-                    "communities": sorted(
-                        c for c, members in self.community_index.items() if agent_id in set(members)
-                    ),
+                    "communities": sorted(memberships.get(agent_id, ())),
                 }
                 for agent_id in self.nodes
             ],

@@ -139,11 +139,6 @@ class PowerLawFit:
             self._cache["z"] = z
         return z
 
-    def pmf(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        out = np.where(x >= self.x_min, x**-self.alpha * np.exp(-self.lam * x), 0.0)
-        return out / self.normalization
-
     def cdf(self, x):
         """P(X <= x); 0 below x_min, where the fit is not considered valid."""
         x_arr = np.asarray(x, dtype=np.float64)

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 from .content import ContentItem
 from .errors import (
@@ -27,35 +29,15 @@ from .evaluator import EvaluatorConfig
 
 HOURS_PER_DAY = 24
 
-# Defaults for every tunable the simulation consumes. Ranges MF/LF are the
-# per-bot activation-count draws; intervention windows are inclusive step
-# ranges per stage.
-PARAM_DEFAULTS: dict = {
-    "theta": 0.5,
-    "xi": 0.1,
-    "gamma": 0.5,
-    "beta": 0.5,
-    "delta": 0.5,
-    "tau": 8.0,
-    "m0": 5,
-    "m": 2,
-    "total_steps": 72,
-    "malicious_ratio": 0.15,
-    "legitimate_ratio": 0.05,
-    "malicious_freq_range": (1, 18),
-    "legitimate_freq_range": (1, 12),
-    "intervention_windows": {
-        "early": (12, 72),
-        "mid": (36, 72),
-        "late": (48, 72),
-    },
-    "repost_probability": 0.7,
-    "rng_seed": 0,
-}
-
 
 @dataclass(frozen=True)
 class SimulationParams:
+    """Every tunable the simulation consumes, with its default.
+
+    Ranges MF/LF are the per-bot activation-count draws; intervention
+    windows are inclusive step ranges per stage.
+    """
+
     theta: float = 0.5
     xi: float = 0.1
     gamma: float = 0.5
@@ -69,45 +51,52 @@ class SimulationParams:
     legitimate_ratio: float = 0.05
     malicious_freq_range: tuple[int, int] = (1, 18)
     legitimate_freq_range: tuple[int, int] = (1, 12)
-    intervention_windows: dict = field(
-        default_factory=lambda: {k: tuple(v) for k, v in PARAM_DEFAULTS["intervention_windows"].items()}
+    intervention_windows: dict[str, tuple[int, int]] = field(
+        default_factory=lambda: {"early": (12, 72), "mid": (36, 72), "late": (48, 72)}
     )
     repost_probability: float = 0.7
     rng_seed: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "theta": self.theta,
-            "xi": self.xi,
-            "gamma": self.gamma,
-            "beta": self.beta,
-            "delta": self.delta,
-            "tau": self.tau,
-            "m0": self.m0,
-            "m": self.m,
-            "total_steps": self.total_steps,
-            "malicious_ratio": self.malicious_ratio,
-            "legitimate_ratio": self.legitimate_ratio,
-            "malicious_freq_range": list(self.malicious_freq_range),
-            "legitimate_freq_range": list(self.legitimate_freq_range),
-            "intervention_windows": {k: list(v) for k, v in self.intervention_windows.items()},
-            "repost_probability": self.repost_probability,
-            "rng_seed": self.rng_seed,
-        }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "SimulationParams":
-        known = set(PARAM_DEFAULTS)
-        unknown = set(data) - known
-        if unknown:
-            raise ScenarioError(f"unknown parameter(s): {sorted(unknown)}")
-        merged = {**PARAM_DEFAULTS, **data}
-        merged["malicious_freq_range"] = tuple(merged["malicious_freq_range"])
-        merged["legitimate_freq_range"] = tuple(merged["legitimate_freq_range"])
-        merged["intervention_windows"] = {
-            k: tuple(v) for k, v in merged["intervention_windows"].items()
-        }
-        return cls(**merged)
+def config_from_dict(cls, data, where: str):
+    """Config dataclass ``cls`` built from its JSON object ``data``.
+
+    Keys must be fields of ``cls``; absent ones take the field default.
+    Every value must match the field's annotation: an int field takes an
+    integer (never a bool or a float), a float field an integer or a float
+    (never a bool), a tuple field a list of that length, and a nested
+    config dataclass an object, decoded the same way.
+    """
+    if not isinstance(data, dict):
+        raise RangeViolation(where, data, "a JSON object")
+    hints = get_type_hints(cls)
+    unknown = sorted(set(data) - set(hints))
+    if unknown:
+        raise ScenarioError(f"unknown parameter(s) in {where}: {unknown}")
+    return cls(**{
+        name: _typed(value, hints[name], f"{where}.{name}") for name, value in data.items()
+    })
+
+
+def _typed(value, hint, where: str):
+    """``value`` checked against ``hint``; lists become tuples where it says tuple."""
+    if is_dataclass(hint):
+        return config_from_dict(hint, value, where)
+    origin = get_origin(hint)
+    if origin is tuple:
+        args = get_args(hint)
+        if isinstance(value, list) and len(value) == len(args):
+            return tuple(_typed(v, arg, where) for v, arg in zip(value, args))
+    elif origin is dict:
+        _, value_hint = get_args(hint)
+        if isinstance(value, dict):
+            return {
+                key: _typed(v, value_hint, f"{where}[{key}]") for key, v in value.items()
+            }
+    elif type(value) is hint or (hint is float and type(value) is int):
+        return value
+    name = str(hint) if origin else hint.__name__
+    raise RangeViolation(where, value, f"type {name}")
 
 
 @dataclass(frozen=True)
@@ -203,25 +192,45 @@ class UserRecord:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "UserRecord":
+    def from_dict(cls, data) -> "UserRecord":
+        """Record from a JSON object (or a CSV row's cells), coercing leniently:
+        counts may arrive as numeric strings or floats ("12" -> 12)."""
+        if not isinstance(data, dict):
+            raise RangeViolation("user record", data, "a JSON object")
         if "user_id" not in data:
             raise MissingField("user_id", "user record")
+        user_id = str(data["user_id"])
         if "follower_count" not in data:
-            raise MissingField("follower_count", f"user record {data['user_id']!r}")
-        texts = tuple(
-            (str(kind), str(text)) for kind, text in data.get("historical_texts", ())
-        )
-        histogram = tuple(int(v) for v in data.get("activity_histogram", [1] * HOURS_PER_DAY))
+            raise MissingField("follower_count", f"user record {user_id!r}")
+
+        def coerce(name, convert, default, expected):
+            value = data.get(name, default)
+            try:
+                return convert(value)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise RangeViolation(f"{name}({user_id})", value, expected) from exc
+
+        counts = {
+            name: coerce(name, int, 0, "an integer")
+            for name in ("follower_count", "following_count", "post_count",
+                         "retweet_count", "quote_count")
+        }
         return cls(
-            user_id=str(data["user_id"]),
-            follower_count=int(data["follower_count"]),
-            following_count=int(data.get("following_count", 0)),
+            user_id=user_id,
             description=str(data.get("description", "")),
-            post_count=int(data.get("post_count", 0)),
-            retweet_count=int(data.get("retweet_count", 0)),
-            quote_count=int(data.get("quote_count", 0)),
-            historical_texts=texts,
-            activity_histogram=histogram,
+            historical_texts=coerce(
+                "historical_texts",
+                lambda v: tuple((str(kind), str(text)) for kind, text in v),
+                (),
+                "a list of [kind, text] pairs",
+            ),
+            activity_histogram=coerce(
+                "activity_histogram",
+                lambda v: tuple(int(count) for count in v),
+                [1] * HOURS_PER_DAY,
+                "a list of integer counts",
+            ),
+            **counts,
         )
 
 
@@ -240,11 +249,11 @@ class Scenario:
     def to_dict(self) -> dict:
         return {
             "version": 1,
-            "params": self.params.to_dict(),
+            "params": asdict(self.params),
             "communities": list(self.communities),
             "users": [u.to_dict() for u in self.users],
             "content_catalog": [c.to_dict() for c in self.content_catalog],
-            "evaluator": self.evaluator_config.to_dict(),
+            "evaluator": asdict(self.evaluator_config),
         }
 
     def disinformation_for(self, topic: str) -> ContentItem:
@@ -306,37 +315,60 @@ def make_scenario(
     return _validate_scenario(scenario)
 
 
-def scenario_from_dict(data: dict, base_dir: Path | None = None) -> Scenario:
+def scenario_from_dict(data, base_dir: Path | None = None) -> Scenario:
+    if not isinstance(data, dict):
+        raise RangeViolation("scenario", data, "a JSON object")
     if data.get("version") != 1:
         raise MissingField("version", "scenario (expected version: 1)")
     if "communities" not in data:
         raise MissingField("communities")
-    params = SimulationParams.from_dict(data.get("params", {}))
+    communities = data["communities"]
+    if not isinstance(communities, list) or not all(isinstance(c, str) for c in communities):
+        raise RangeViolation("communities", communities, "a JSON array of names")
+    params = config_from_dict(SimulationParams, data.get("params", {}), "params")
 
     if "users" in data:
-        users = tuple(UserRecord.from_dict(u) for u in data["users"])
+        users = _records(data["users"], "users", UserRecord.from_dict)
     elif "users_file" in data:
         if base_dir is None:
             raise ScenarioError("users_file reference requires a scenario path")
+        if not isinstance(data["users_file"], str):
+            raise RangeViolation("users_file", data["users_file"], "a file name")
         users = _load_user_sidecar(base_dir / data["users_file"])
     else:
         raise MissingField("users")
 
-    catalog = tuple(ContentItem.from_dict(c) for c in data.get("content_catalog", ()))
-    evaluator_config = EvaluatorConfig.from_dict(data.get("evaluator", {}))
-    return make_scenario(params, users, tuple(data["communities"]), catalog, evaluator_config)
+    catalog = _records(data.get("content_catalog", []), "content_catalog", ContentItem.from_dict)
+    evaluator_config = config_from_dict(EvaluatorConfig, data.get("evaluator", {}), "evaluator")
+    return make_scenario(params, users, communities, catalog, evaluator_config)
+
+
+def _records(rows, where: str, build) -> tuple:
+    if not isinstance(rows, list):
+        raise RangeViolation(where, rows, "a JSON array")
+    return tuple(build(row) for row in rows)
+
+
+def _read_json(path: Path, what: str):
+    """Parsed JSON file; unreadable or malformed files are ScenarioErrors."""
+    try:
+        return json.loads(_read_text(path, what))
+    except json.JSONDecodeError as exc:
+        raise ScenarioError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+def _read_text(path: Path, what: str) -> str:
+    """File text without newline translation (CSV quoting needs raw line ends)."""
+    try:
+        return path.read_bytes().decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioError(f"cannot read {what} {path}: {exc}") from exc
 
 
 def load_scenario(path) -> Scenario:
     """Load, default-fill and validate a scenario JSON file."""
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"scenario file {path} is not valid JSON: {exc}") from exc
-    return scenario_from_dict(raw, base_dir=path.parent)
+    return scenario_from_dict(_read_json(path, "scenario file"), base_dir=path.parent)
 
 
 def save_scenario(scenario: Scenario, path) -> None:
@@ -345,53 +377,44 @@ def save_scenario(scenario: Scenario, path) -> None:
     )
 
 
+_CSV_COLUMNS = ("user_id", "follower_count", "following_count", "description",
+                "post_count", "retweet_count", "quote_count")
+
+
 def _load_user_sidecar(path: Path) -> tuple:
-    if not path.exists():
-        raise ScenarioError(f"users_file {path} does not exist")
-    if path.suffix.lower() == ".json":
-        rows = json.loads(path.read_text(encoding="utf-8"))
-        return tuple(UserRecord.from_dict(r) for r in rows)
-    if path.suffix.lower() == ".csv":
-        with path.open(newline="", encoding="utf-8") as handle:
-            reader = csv.DictReader(handle)
-            records = []
-            for row in reader:
-                histogram = _parse_histogram_cell(row.get("activity_histogram", ""))
-                records.append(
-                    UserRecord.from_dict(
-                        {
-                            "user_id": row["user_id"],
-                            "follower_count": int(row["follower_count"]),
-                            "following_count": int(row.get("following_count", 0) or 0),
-                            "description": row.get("description", ""),
-                            "post_count": int(row.get("post_count", 0) or 0),
-                            "retweet_count": int(row.get("retweet_count", 0) or 0),
-                            "quote_count": int(row.get("quote_count", 0) or 0),
-                            "activity_histogram": histogram,
-                        }
-                    )
-                )
-        return tuple(records)
-    raise ScenarioError(f"unsupported users_file extension: {path.suffix!r}")
+    suffix = path.suffix.lower()
+    if suffix == ".json":
+        return _records(_read_json(path, "users_file"), "users_file", UserRecord.from_dict)
+    if suffix != ".csv":
+        raise ScenarioError(f"unsupported users_file extension: {path.suffix!r}")
+    reader = csv.DictReader(io.StringIO(_read_text(path, "users_file"), newline=""))
+    return tuple(UserRecord.from_dict(_csv_cells(row)) for row in reader)
 
 
-def _parse_histogram_cell(cell: str) -> list[int]:
+def _csv_cells(row: dict) -> dict:
+    """A CSV row as a user record's fields; an empty count cell reads as an
+    absent column, so its default applies."""
+    cells = {
+        key: value for key, value in row.items()
+        if key in _CSV_COLUMNS and (value or key in ("user_id", "description"))
+    }
+    cells["activity_histogram"] = _parse_histogram_cell(row.get("activity_histogram"))
+    return cells
+
+
+def _parse_histogram_cell(cell: str | None) -> list:
     """Histogram cell: a bracketed array of 24 integers, comma-free so the
-    CSV stays unquoted ("[0 1 2 ...]"); commas are tolerated anyway."""
-    cell = cell.strip()
+    CSV stays unquoted ("[0 1 2 ...]"); commas are tolerated anyway. The
+    tokens are converted to counts with the rest of the record."""
+    cell = (cell or "").strip()
     if not cell:
         return [1] * HOURS_PER_DAY
-    cell = cell.strip("[]").replace(",", " ")
-    return [int(tok) for tok in cell.split()]
-
-
-def default_params() -> SimulationParams:
-    return SimulationParams()
+    return cell.strip("[]").replace(",", " ").split()
 
 
 def defaults_as_json() -> str:
     """The numeric defaults, exactly as configured, for --print-defaults."""
-    return json.dumps(SimulationParams().to_dict(), indent=2, sort_keys=True)
+    return json.dumps(asdict(SimulationParams()), indent=2, sort_keys=True)
 
 
 def with_seed(scenario: Scenario, seed: int) -> Scenario:

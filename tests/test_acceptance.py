@@ -206,7 +206,7 @@ def test_criterion_06_simulation_invariants_at_scale(paper_world, canonical_run)
     for series in report.trajectories.values():
         assert all(0.0 <= tt <= 1.0 for _, tt in series)
     for agent in state.agents.values():
-        received = {m.item.content_id for m in agent.inbox}
+        received = set(agent.exposure_counts)
         shared = {content_id for _, content_id, _, _ in agent.outbox}
         assert shared <= received
 
@@ -342,7 +342,7 @@ def test_criterion_10_long_run_smoke():
     for series in report.trajectories.values():
         assert all(0.0 <= tt <= 1.0 for _, tt in series)
     for agent in states[0].agents.values():
-        received = {m.item.content_id for m in agent.inbox}
+        received = set(agent.exposure_counts)
         assert {cid for _, cid, _, _ in agent.outbox} <= received
     assert elapsed < 30.0
     report_line(

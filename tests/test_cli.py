@@ -1,9 +1,20 @@
+import contextlib
+import copy
+import io
 import json
+import tempfile
+from dataclasses import fields
+from functools import lru_cache
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from madd.cli import main
-from madd.scenario import save_scenario
+from madd.content import ContentItem
+from madd.evaluator import EvaluatorConfig, SyntheticParams
+from madd.scenario import SimulationParams, UserRecord, save_scenario
 from madd.synthdata import build_synthetic_scenario
 
 
@@ -150,3 +161,98 @@ def test_profiles_subcommand(scenario_path, tmp_path):
     payload = json.loads((out / "profiles.json").read_text())
     kinds = {p["kind"] for p in payload}
     assert kinds == {"regular", "malicious_bot", "legitimate_bot"}
+
+
+# -- malformed input: validation failures exit 1, never "unexpected error" ---
+
+DELETE = object()
+
+
+@lru_cache(maxsize=1)
+def _valid_scenario_json() -> str:
+    scenario = build_synthetic_scenario(n_users=60, communities=("alpha",), seed=3)
+    return json.dumps(scenario.to_dict())
+
+
+def _replaced(path: tuple, value) -> dict:
+    """A valid scenario dict with the entry at ``path`` set to ``value``
+    (or removed, for DELETE)."""
+    data = json.loads(_valid_scenario_json())
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = copy.deepcopy(value)
+    return data
+
+
+def _validate(data: dict) -> tuple:
+    """(exit code, stderr) of ``madd validate`` on ``data``."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.json"
+        path.write_text(json.dumps(data))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["validate", "--scenario", str(path)])
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("evaluator",), {"bogus": 1}),
+        (("evaluator", "synthetic"), {"bogus": 1}),
+        (("evaluator", "timeout"), "x"),
+        (("params", "theta"), "x"),
+        (("params", "intervention_windows"), [1, 2]),
+        (("users", 0, "follower_count"), "many"),
+        (("users", 0, "activity_histogram"), "abc"),
+        (("users",), 5),
+        (("content_catalog", 0, "content_id"), DELETE),
+        (("params", "total_steps"), 72.0),
+    ],
+    ids=[
+        "evaluator-unknown-key", "synthetic-unknown-key", "evaluator-timeout-string",
+        "theta-string", "windows-list", "follower-count-word", "histogram-string",
+        "users-number", "item-without-id", "total-steps-float",
+    ],
+)
+def test_malformed_input_exits_1(path, value):
+    code, err = _validate(_replaced(path, value))
+    assert code == 1, err
+    assert err.startswith("error:") and "unexpected error" not in err
+
+
+def _field_paths() -> list:
+    sections = {
+        ("params",): SimulationParams,
+        ("evaluator",): EvaluatorConfig,
+        ("evaluator", "synthetic"): SyntheticParams,
+        ("users", 0): UserRecord,
+        ("content_catalog", 0): ContentItem,
+    }
+    paths = list(sections)
+    for prefix, cls in sections.items():
+        paths += [prefix + (f.name,) for f in fields(cls)]
+    return paths
+
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(path=st.sampled_from(_field_paths()), value=JSON_VALUES)
+def test_any_field_value_keeps_exit_code_contract(path, value):
+    code, err = _validate(_replaced(path, value))
+    assert code in (0, 1), err
+    assert "unexpected error" not in err

@@ -305,7 +305,7 @@ class TestRunInvariants:
     def test_no_share_without_receipt(self, run_outputs):
         _, _, _, _, state = run_outputs
         for agent in state.agents.values():
-            received = {m.item.content_id for m in agent.inbox}
+            received = set(agent.exposure_counts)
             shared = {content_id for _, content_id, _, _ in agent.outbox}
             assert shared <= received
 

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -13,6 +14,7 @@ from madd.evaluator import (
     make_evaluator,
     render_prompt,
 )
+from madd.scenario import config_from_dict
 
 COMMUNITIES = ["business", "education", "entertainment", "politics", "sports", "technology"]
 
@@ -116,36 +118,9 @@ class TestSynthetic:
         assert sum(fact) / len(fact) > sum(dis) / len(dis) + 0.2
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            EvaluationRequest(kind="mood", subject_texts=(), context={})
-
-    def test_belief_check_binary_and_deterministic(self):
-        evaluator = SyntheticEvaluator(seed=11)
-        request = EvaluationRequest(
-            kind="belief_check",
-            subject_texts=("claim",),
-            context={"discernment": 0.6, "history": "h"},
-        )
-        a = evaluator.evaluate(request).scores["believes"]
-        b = evaluator.evaluate(request).scores["believes"]
-        assert a == b and a in (0.0, 1.0)
-
-    def test_belief_check_tracks_discernment(self):
-        evaluator = SyntheticEvaluator(seed=11)
-
-        def rate(discernment):
-            hits = 0
-            for i in range(400):
-                request = EvaluationRequest(
-                    kind="belief_check",
-                    subject_texts=(f"claim {i}",),
-                    context={"discernment": discernment},
-                )
-                hits += evaluator.evaluate(request).scores["believes"]
-            return hits / 400
-
-        assert rate(0.9) < 0.2
-        assert rate(0.1) > 0.8
+        for kind in ("mood", "belief_check"):
+            with pytest.raises(ValueError):
+                EvaluationRequest(kind=kind, subject_texts=(), context={})
 
 
 class TestLedger:
@@ -278,7 +253,8 @@ class TestBackendSelection:
 
     def test_config_round_trip(self):
         config = EvaluatorConfig(backend="remote", endpoint="https://x", model="m")
-        assert EvaluatorConfig.from_dict(config.to_dict()) == config
+        data = json.loads(json.dumps(asdict(config)))
+        assert config_from_dict(EvaluatorConfig, data, "evaluator") == config
 
 
 def test_templates_render_for_every_kind():
@@ -288,11 +264,6 @@ def test_templates_render_for_every_kind():
         EvaluationRequest(kind="plausibility", subject_texts=("claim",), context={}),
         EvaluationRequest(
             kind="persuasiveness", subject_texts=("text",), context={"history": "h"}
-        ),
-        EvaluationRequest(
-            kind="belief_check",
-            subject_texts=("text",),
-            context={"history": "h", "discernment": 0.5},
         ),
     ):
         prompt = render_prompt(request)

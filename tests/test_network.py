@@ -150,6 +150,15 @@ class TestDegreeDistribution:
         assert 2.2 <= fit.alpha <= 3.5
 
 
+def test_to_dict_lists_every_community_of_a_node_sorted():
+    network = PropagationNetwork()
+    for agent_id in ("u1", "u2", "u3"):
+        network.add_node(agent_id, KIND_REGULAR)
+    network.community_index = {"zeta": ["u1", "u2"], "alpha": ["u1", "u3"]}
+    nodes = {node["agent_id"]: node["communities"] for node in network.to_dict()["nodes"]}
+    assert nodes == {"u1": ["alpha", "zeta"], "u2": ["zeta"], "u3": ["alpha"]}
+
+
 class TestOverlapMatrix:
     def test_disjoint_communities_diagonal_only(self):
         index = {"a": ["u1", "u2"], "b": ["u3"]}

@@ -94,6 +94,17 @@ class TestLoading:
         with pytest.raises(ScenarioError, match="unknown parameter"):
             scenario_from_dict(minimal_scenario_dict(thetta=0.4))
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("m0", True), ("m0", 5.0), ("theta", False), ("malicious_freq_range", [1, 2, 3])],
+    )
+    def test_parameter_types_checked(self, name, value):
+        with pytest.raises(RangeViolation, match=f"params.{name}"):
+            scenario_from_dict(minimal_scenario_dict(**{name: value}))
+
+    def test_float_parameter_takes_an_integer(self):
+        assert scenario_from_dict(minimal_scenario_dict(tau=8)).params.tau == 8
+
     def test_bad_histogram_rejected(self):
         data = minimal_scenario_dict()
         data["users"][0]["activity_histogram"] = [1] * 23
@@ -151,6 +162,17 @@ class TestSidecarUsers:
         scenario = load_scenario(tmp_path / "scenario.json")
         assert scenario.users[0].activity_histogram == tuple([2] * 24)
         assert scenario.users[0].share_total == 6
+
+
+    def test_csv_bad_count_names_the_user(self, tmp_path):
+        data = minimal_scenario_dict()
+        data.pop("users")
+        data["users_file"] = "users.csv"
+        rows = ["user_id,follower_count", "u0,100", "u1,many"]
+        (tmp_path / "users.csv").write_text("\n".join(rows))
+        (tmp_path / "scenario.json").write_text(json.dumps(data))
+        with pytest.raises(RangeViolation, match=r"follower_count\(u1\)"):
+            load_scenario(tmp_path / "scenario.json")
 
 
 class TestValidateParams:
