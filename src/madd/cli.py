@@ -136,16 +136,19 @@ def _progress_printer(payload: dict) -> None:
 
 
 def _prepare(scenario):
-    """Profiles, community index, network and share-count fit for a scenario."""
+    """Profiles and propagation network for a scenario."""
     seed = scenario.params.rng_seed
     evaluator = make_evaluator(scenario.evaluator_config, seed)
     profiles = derive_profiles(scenario, evaluator)
     index = assign_communities(profiles, scenario.params.tau, scenario.communities)
-    net = build_network(profiles, index, scenario.params, seed)
-    fit = fit_truncated_power_law(
+    return profiles, build_network(profiles, index, scenario.params, seed)
+
+
+def _share_fit(profiles):
+    """Power-law fit of the regular users' share counts, for the engine."""
+    return fit_truncated_power_law(
         [p.share_total for p in profiles if not p.is_bot and p.share_total >= 1]
     )
-    return profiles, index, net, fit
 
 
 def _dump_optional(writer, args, profiles, net) -> None:
@@ -187,7 +190,7 @@ def _cmd_profiles(args) -> int:
 def _cmd_network(args) -> int:
     scenario = _load(args)
     writer = ArtifactWriter(Path(args.out))
-    profiles, index, net, _ = _prepare(scenario)
+    profiles, net = _prepare(scenario)
     writer.write_text("edges.txt", net.edge_text())
     writer.write_text(
         "network.json", json.dumps(net.to_dict(), indent=2, sort_keys=True) + "\n"
@@ -207,7 +210,8 @@ def _cmd_run(args) -> int:
         else CONTROL_PLAN
     )
     writer = ArtifactWriter(Path(args.out))
-    profiles, index, net, fit = _prepare(scenario)
+    profiles, net = _prepare(scenario)
+    fit = _share_fit(profiles)
     run_evaluator = make_evaluator(scenario.evaluator_config, scenario.params.rng_seed)
     report = engine.run(
         scenario,
@@ -244,7 +248,8 @@ def _cmd_experiment(args) -> int:
         else [_STRATEGY_BY_FLAG[args.strategy]]
     )
     writer = ArtifactWriter(Path(args.out))
-    profiles, index, net, fit = _prepare(scenario)
+    profiles, net = _prepare(scenario)
+    fit = _share_fit(profiles)
 
     plans = [("control", CONTROL_PLAN)]
     for strategy in strategies:

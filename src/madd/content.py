@@ -29,6 +29,9 @@ class ContentItem:
     plausibility: float | None = None
 
     def __post_init__(self):
+        for name in ("content_id", "topic", "kind", "strategy", "text"):
+            if not isinstance(getattr(self, name), str):
+                raise RangeViolation(name, getattr(self, name), "a string")
         if self.kind not in CONTENT_KINDS:
             raise RangeViolation("kind", self.kind, f"one of {CONTENT_KINDS}")
         if self.strategy not in STRATEGIES:
@@ -40,7 +43,9 @@ class ContentItem:
         if self.kind == "correction" and self.plausibility is not None:
             raise RangeViolation("plausibility", self.plausibility, "only disinformation is scored")
         if self.plausibility is not None and not (
-            isinstance(self.plausibility, (int, float)) and 0.0 <= self.plausibility <= 1.0
+            isinstance(self.plausibility, (int, float))
+            and not isinstance(self.plausibility, bool)
+            and 0.0 <= self.plausibility <= 1.0
         ):
             raise RangeViolation("plausibility", self.plausibility, "[0, 1]")
 

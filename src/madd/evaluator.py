@@ -237,16 +237,30 @@ class SyntheticEvaluator(Evaluator):
         super().__init__()
         self.seed = int(seed)
         self.params = params or SyntheticParams()
+        # persuasiveness is re-requested on every activation; a score is a
+        # pure function of (seed, request bytes), so repeats are looked up
+        self._persuasiveness_memo: dict[bytes, tuple[dict, Usage]] = {}
 
-    def _rng(self, request: EvaluationRequest, *extra: object):
-        return rngmod.substream(self.seed, "evaluator", request.canonical_bytes(), *extra)
+    def _rng(self, key: bytes, *extra: object):
+        return rngmod.substream(self.seed, "evaluator", key, *extra)
 
     def evaluate(self, request: EvaluationRequest) -> EvaluationResponse:
+        key = request.canonical_bytes()
+        if request.kind != "persuasiveness":
+            scores, usage = self._score(request, key)
+        else:
+            if key not in self._persuasiveness_memo:
+                self._persuasiveness_memo[key] = self._score(request, key)
+            scores, usage = self._persuasiveness_memo[key]
+        self._record(request, usage)
+        return EvaluationResponse(scores=dict(scores), reasoning=None, usage=usage)
+
+    def _score(self, request: EvaluationRequest, key: bytes) -> tuple[dict, Usage]:
+        """Range-checked scores and usage for a request whose bytes are ``key``."""
         handler = getattr(self, f"_eval_{request.kind}")
-        scores = handler(request)
         scores = {
-            key: self._check_range(request.kind, key, value)
-            for key, value in scores.items()
+            name: self._check_range(request.kind, name, value)
+            for name, value in handler(request, key).items()
         }
         usage = Usage(
             calls=1,
@@ -255,8 +269,7 @@ class SyntheticEvaluator(Evaluator):
             latency=0.0,  # keeps reports byte-identical across replays
             approximate=True,
         )
-        self._record(request, usage)
-        return EvaluationResponse(scores=scores, reasoning=None, usage=usage)
+        return scores, usage
 
     # -- per-kind handlers ---------------------------------------------------
 
@@ -268,12 +281,12 @@ class SyntheticEvaluator(Evaluator):
         )
         return communities[int(pick)]
 
-    def _eval_interest_community(self, request: EvaluationRequest) -> dict:
+    def _eval_interest_community(self, request: EvaluationRequest, key: bytes) -> dict:
         p = self.params
         home = self._home_community(request)
         scores = {}
         for community in request.context["communities"]:
-            rng = self._rng(request, community)
+            rng = self._rng(key, community)
             if community == home:
                 value = rng.normal(p.ic_home_mean, p.ic_home_std)
             elif rng.random() < p.ic_cross_prob:
@@ -283,16 +296,16 @@ class SyntheticEvaluator(Evaluator):
             scores[community] = min(10.0, max(1.0, float(value)))
         return scores
 
-    def _eval_trust_threshold(self, request: EvaluationRequest) -> dict:
+    def _eval_trust_threshold(self, request: EvaluationRequest, key: bytes) -> dict:
         p = self.params
         scores = {}
         for community in request.context["communities"]:
-            rng = self._rng(request, community)
+            rng = self._rng(key, community)
             value = rng.normal(p.tt_mean, p.tt_std)
             scores[community] = min(1.0, max(0.0, float(value)))
         return scores
 
-    def _eval_plausibility(self, request: EvaluationRequest) -> dict:
+    def _eval_plausibility(self, request: EvaluationRequest, key: bytes) -> dict:
         p = self.params
         text = request.subject_texts[0] if request.subject_texts else ""
         if not text.strip():
@@ -304,10 +317,10 @@ class SyntheticEvaluator(Evaluator):
         value -= min(0.15, exclaim)
         caps = sum(1 for w in text.split() if len(w) > 2 and w.isupper())
         value -= min(0.1, 0.02 * caps)
-        value += float(self._rng(request).uniform(-p.plausibility_noise, p.plausibility_noise))
+        value += float(self._rng(key).uniform(-p.plausibility_noise, p.plausibility_noise))
         return {"score": min(0.95, max(0.05, value))}
 
-    def _eval_persuasiveness(self, request: EvaluationRequest) -> dict:
+    def _eval_persuasiveness(self, request: EvaluationRequest, key: bytes) -> dict:
         p = self.params
         text = request.subject_texts[0] if request.subject_texts else ""
         if not text.strip():
@@ -321,7 +334,7 @@ class SyntheticEvaluator(Evaluator):
             shape = p.dispute_shape
         else:
             shape = p.disinfo_shape
-        value = float(self._rng(request).beta(*shape))
+        value = float(self._rng(key).beta(*shape))
         if _has_citation_markers(text):
             value += p.citation_bonus
         else:

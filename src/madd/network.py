@@ -13,6 +13,7 @@ arises solely from users who belong to several communities.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -128,10 +129,9 @@ def build_network(
         members = community_index[community]
         if len(members) < params.m0:
             raise CommunityTooSmall(community, len(members), params.m0)
-        order = sorted(
-            members,
-            key=lambda a: (-by_id[a].social_influence.get(community, 0.0), a),
-        )
+        influence = {a: by_id[a].social_influence.get(community, 0.0) for a in members}
+        order = sorted(members, key=lambda a: (-influence[a], a))
+        weights = np.array([influence[a] for a in order], dtype=np.float64)
         rng = rngmod.substream(seed, "network", community)
 
         seeds = order[: params.m0]
@@ -139,34 +139,37 @@ def build_network(
             for b in seeds[i + 1 :]:
                 network.add_edge(a, b)
 
-        present = list(seeds)
-        weights = [by_id[a].social_influence.get(community, 0.0) for a in present]
-        for agent_id in order[params.m0 :]:
-            targets = _draw_without_replacement(
-                rng, present, weights, min(params.m, len(present))
-            )
-            for target in targets:
-                network.add_edge(target, agent_id)
-            present.append(agent_id)
-            weights.append(by_id[agent_id].social_influence.get(community, 0.0))
+        for k in range(params.m0, len(order)):
+            # members present on arrival k are order[:k], weighted by weights[:k]
+            for target in _draw_without_replacement(rng, order, weights[:k], min(params.m, k)):
+                network.add_edge(target, order[k])
     return network
 
 
-def _draw_without_replacement(rng, items: list, weights: list, count: int) -> list:
-    """Sequential weighted draws with renormalization after each pick."""
-    available = list(range(len(items)))
-    w = np.asarray(weights, dtype=np.float64)
+def _draw_without_replacement(rng, items: list, weights: np.ndarray, count: int) -> list:
+    """Sequential weighted draws with renormalization after each pick.
+
+    ``weights[i]`` weighs ``items[i]``. Each pick is deleted from the
+    weights, so every ``rng.choice`` sees the remaining weights in their
+    original order, normalized by their own sum.
+    """
+    taken: list[int] = []  # positions in ``items`` picked so far, ascending
     picks = []
-    for _ in range(count):
-        sub = w[available]
-        total = sub.sum()
+    for draw in range(count):
+        total = weights.sum()
         if total <= 0.0:
-            probs = np.full(len(available), 1.0 / len(available))
+            probs = np.full(len(weights), 1.0 / len(weights))
         else:
-            probs = sub / total
-        choice = int(rng.choice(len(available), p=probs))
-        picks.append(items[available[choice]])
-        available.pop(choice)
+            probs = weights / total
+        choice = int(rng.choice(len(weights), p=probs))
+        position = choice  # index among the remaining -> index in ``items``
+        for earlier in taken:
+            if earlier <= position:
+                position += 1
+        bisect.insort(taken, position)
+        picks.append(items[position])
+        if draw + 1 < count:
+            weights = np.delete(weights, choice)
     return picks
 
 

@@ -161,6 +161,29 @@ def validate_params(params: SimulationParams) -> list[Violation]:
     return out
 
 
+def validate_evaluator_config(config: EvaluatorConfig) -> list[Violation]:
+    """Range check of the evaluator settings, like :func:`validate_params`."""
+    synthetic = config.synthetic
+    out = [
+        Violation(f"evaluator.synthetic.{name}", getattr(synthetic, name), ">= 0")
+        for name in ("tt_std", "ic_home_std", "ic_cross_std", "ic_other_scale",
+                     "plausibility_noise")
+        if not getattr(synthetic, name) >= 0.0
+    ]
+    out += [
+        Violation(f"evaluator.synthetic.{name}", getattr(synthetic, name),
+                  "positive beta shapes (a, b)")
+        for name in ("fact_shape", "narrative_shape", "disinfo_shape", "dispute_shape")
+        if not all(v > 0.0 for v in getattr(synthetic, name))
+    ]
+    if not 0.0 <= synthetic.ic_cross_prob <= 1.0:
+        out.append(Violation("evaluator.synthetic.ic_cross_prob", synthetic.ic_cross_prob,
+                             "within [0, 1]"))
+    if config.max_in_flight < 1:
+        out.append(Violation("evaluator.max_in_flight", config.max_in_flight, ">= 1"))
+    return out
+
+
 @dataclass(frozen=True)
 class UserRecord:
     user_id: str
@@ -264,7 +287,9 @@ class Scenario:
 
 
 def _validate_scenario(scenario: Scenario) -> Scenario:
-    violations = validate_params(scenario.params)
+    violations = validate_params(scenario.params) + validate_evaluator_config(
+        scenario.evaluator_config
+    )
     if violations:
         v = violations[0]
         raise RangeViolation(v.field, v.value, v.constraint)

@@ -212,17 +212,55 @@ def _validate(data: dict) -> tuple:
         (("users",), 5),
         (("content_catalog", 0, "content_id"), DELETE),
         (("params", "total_steps"), 72.0),
+        (("content_catalog", 0, "content_id"), [1]),
+        (("content_catalog", 0, "text"), 5),
+        (("content_catalog", 0, "topic"), 5),
+        (("content_catalog", 0, "kind"), ["disinformation"]),
+        (("content_catalog", 0, "strategy"), None),
+        (("content_catalog", 0, "plausibility"), True),
+        (("evaluator", "synthetic", "tt_std"), -1.0),
+        (("evaluator", "synthetic", "ic_home_std"), -0.5),
+        (("evaluator", "synthetic", "ic_cross_std"), -1),
+        (("evaluator", "synthetic", "ic_other_scale"), -0.1),
+        (("evaluator", "synthetic", "plausibility_noise"), -0.05),
+        (("evaluator", "synthetic", "fact_shape"), [-1, 3]),
+        (("evaluator", "synthetic", "narrative_shape"), [4, 0]),
+        (("evaluator", "synthetic", "disinfo_shape"), [0.0, 7.0]),
+        (("evaluator", "synthetic", "dispute_shape"), [7, -2]),
+        (("evaluator", "synthetic", "ic_cross_prob"), 2.0),
+        (("evaluator", "synthetic", "ic_cross_prob"), -0.1),
+        (("evaluator", "max_in_flight"), 0),
     ],
     ids=[
         "evaluator-unknown-key", "synthetic-unknown-key", "evaluator-timeout-string",
         "theta-string", "windows-list", "follower-count-word", "histogram-string",
         "users-number", "item-without-id", "total-steps-float",
+        "item-id-list", "item-text-number", "item-topic-number", "item-kind-list",
+        "item-strategy-null", "item-plausibility-bool", "tt-std-negative",
+        "ic-home-std-negative", "ic-cross-std-negative", "ic-other-scale-negative",
+        "plausibility-noise-negative", "fact-shape-negative", "narrative-shape-zero",
+        "disinfo-shape-zero", "dispute-shape-negative", "ic-cross-prob-above-1",
+        "ic-cross-prob-below-0", "max-in-flight-zero",
     ],
 )
 def test_malformed_input_exits_1(path, value):
     code, err = _validate(_replaced(path, value))
     assert code == 1, err
     assert err.startswith("error:") and "unexpected error" not in err
+
+
+def test_network_subcommand_needs_no_share_fit(tmp_path):
+    """30 users have too few sharers for the power-law fit, which only the
+    engine uses; building the network does not need it."""
+    path = tmp_path / "scenario.json"
+    save_scenario(build_synthetic_scenario(n_users=30, seed=3), path)
+    out = tmp_path / "net"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["network", "--scenario", str(path), "--out", str(out)]) == 0
+    assert (out / "edges.txt").read_text().strip()
+    assert set(json.loads((out / "manifest.json").read_text())["files"]) == {
+        "edges.txt", "network.json",
+    }
 
 
 def _field_paths() -> list:

@@ -40,6 +40,13 @@ class TestContentItem:
         item = ContentItem("d", "politics", "disinformation", text="t", plausibility=0.4)
         assert ContentItem.from_dict(item.to_dict()) == item
 
+    @pytest.mark.parametrize("name", ["topic", "kind", "strategy", "text"])
+    def test_non_string_field_rejected_naming_the_item(self, name):
+        data = {"content_id": "d7", "topic": "politics", "kind": "disinformation",
+                "strategy": "none", "text": "t", name: 5}
+        with pytest.raises(RangeViolation, match=rf"^{name}\(d7\) = 5 violates a string"):
+            ContentItem.from_dict(data)
+
 
 class TestCorrectionLookup:
     def test_fact_based_selected(self):

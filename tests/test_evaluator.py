@@ -3,6 +3,7 @@ from dataclasses import asdict
 
 import pytest
 
+from madd import rng as rngmod
 from madd.errors import MalformedEvaluatorResponse, RemoteUnavailable, ScenarioError
 from madd.evaluator import (
     EvaluationRequest,
@@ -116,6 +117,30 @@ class TestSynthetic:
                 )
             )
         assert sum(fact) / len(fact) > sum(dis) / len(dis) + 0.2
+
+    def test_repeated_persuasiveness_scored_once_and_metered_every_call(self, monkeypatch):
+        built = []
+        real_substream = rngmod.substream
+
+        def counting_substream(*args):
+            built.append(args)
+            return real_substream(*args)
+
+        monkeypatch.setattr(rngmod, "substream", counting_substream)
+        evaluator = SyntheticEvaluator(seed=11)
+        request = EvaluationRequest(
+            kind="persuasiveness",
+            subject_texts=("the 2023 audit found no fraud",),
+            context={"content_kind": "correction", "strategy": "fact_based",
+                     "stance": "endorse", "history": "h", "community": "politics"},
+        )
+        responses = [evaluator.evaluate(request) for _ in range(5)]
+        assert all(r.scores == responses[0].scores for r in responses)
+        assert all(r.usage == responses[0].usage for r in responses)
+        assert len(built) == 1
+        assert evaluator.ledger_snapshot()["totals"]["llm_calls"] == 5
+        fresh = SyntheticEvaluator(seed=11).evaluate(request)
+        assert fresh.scores == responses[0].scores
 
     def test_unknown_kind_rejected(self):
         for kind in ("mood", "belief_check"):

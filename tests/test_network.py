@@ -7,11 +7,13 @@ from madd.attributes import AgentProfile, KIND_REGULAR
 from madd.errors import CommunityTooSmall
 from madd.network import (
     PropagationNetwork,
+    _draw_without_replacement,
     assign_communities,
     build_network,
     community_overlap_matrix,
     degree_distribution,
 )
+from madd.rng import substream
 from madd.scenario import SimulationParams
 
 
@@ -118,6 +120,42 @@ class TestBuildNetwork:
             if top not in median_cut:
                 failures += 1
         assert failures <= 2
+
+
+def _list_draw_oracle(rng, items: list, weights: list, count: int) -> list:
+    """The list-based draw that the array version replaced, kept as its oracle."""
+    available = list(range(len(items)))
+    w = np.asarray(weights, dtype=np.float64)
+    picks = []
+    for _ in range(count):
+        sub = w[available]
+        total = sub.sum()
+        if total <= 0.0:
+            probs = np.full(len(available), 1.0 / len(available))
+        else:
+            probs = sub / total
+        choice = int(rng.choice(len(available), p=probs))
+        picks.append(items[available[choice]])
+        available.pop(choice)
+    return picks
+
+
+class TestDrawWithoutReplacement:
+    @pytest.mark.parametrize("pool", ["with-zeros", "all-zero", "count-equals-pool"])
+    def test_same_picks_as_list_oracle(self, pool):
+        for seed in range(60):
+            gen = np.random.default_rng(seed)
+            n = int(gen.integers(1, 300))
+            weights = gen.pareto(1.5, size=n + 7)  # build_network passes a prefix
+            weights[gen.random(n + 7) < 0.3] = 0.0
+            if pool == "all-zero":
+                weights[:] = 0.0
+            count = n if pool == "count-equals-pool" else int(gen.integers(1, min(n, 8) + 1))
+            items = [f"a{k}" for k in range(n + 7)]
+            expected_rng, rng = substream(seed, "draw"), substream(seed, "draw")
+            expected = _list_draw_oracle(expected_rng, items[:n], list(weights[:n]), count)
+            assert _draw_without_replacement(rng, items, weights[:n], count) == expected
+            assert rng.random() == expected_rng.random()  # same number of draws used
 
 
 class TestDegreeDistribution:
