@@ -4,7 +4,8 @@ Subcommands: validate, defaults, profiles, network, run, experiment.
 Data artifacts land under --out together with a manifest.json naming every
 file written (with content digests), the scenario digest and the seed, so
 reruns can be compared byte-for-byte. Diagnostics go to stderr; exit codes:
-0 success, 1 validation failure, 2 runtime failure.
+0 success, 1 validation failure, 2 runtime failure. A run that an evaluator
+failure cut short still writes its artifacts, then exits 2.
 """
 
 from __future__ import annotations
@@ -151,6 +152,22 @@ def _share_fit(profiles):
     )
 
 
+def _finish(reports, message: str) -> int:
+    """Exit 0 with ``message``, or 2 naming each arm an evaluator failure cut short."""
+    cut = [
+        r.plan_stage if r.plan_stage == "control" else f"{r.plan_stage}:{r.plan_strategy}"
+        for r in reports
+        if not r.complete
+    ]
+    if cut:
+        sys.stderr.write(
+            f"runtime error: evaluator failed mid-run, incomplete arm(s): {', '.join(cut)}\n"
+        )
+        return 2
+    print(message)
+    return 0
+
+
 def _dump_optional(writer, args, profiles, net) -> None:
     if getattr(args, "dump_profiles", False):
         writer.write_text(
@@ -236,8 +253,7 @@ def _cmd_run(args) -> int:
             f"final {community}: SR={record.sr:.3f} ER={record.er:.3f} "
             f"IR={record.ir:.3f} UR={record.ur:.3f}\n"
         )
-    print(f"run complete: {args.out}/report.json")
-    return 0
+    return _finish([report], f"run complete: {args.out}/report.json")
 
 
 def _cmd_experiment(args) -> int:
@@ -278,8 +294,7 @@ def _cmd_experiment(args) -> int:
     writer.write_text("comparison.json", comparison.to_json() + "\n")
     _dump_optional(writer, args, profiles, net)
     writer.write_manifest(scenario.digest(), scenario.params.rng_seed)
-    print(f"experiment complete: {len(reports)} runs -> {args.out}")
-    return 0
+    return _finish(reports, f"experiment complete: {len(reports)} runs -> {args.out}")
 
 
 def main(argv=None) -> int:

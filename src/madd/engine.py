@@ -62,10 +62,10 @@ from .dynamics import (
     discernment,
     update_trust,
 )
-from .errors import EvaluatorFailure, ScheduleConflict, WindowTooSmall
+from .errors import EvaluatorFailure, RangeViolation, ScheduleConflict, WindowTooSmall
 from .evaluator import Evaluator
 from .network import PropagationNetwork
-from .powerlaw import PowerLawFit, fit_truncated_power_law
+from .powerlaw import PowerLawFit
 from .report import RatioRecord, RunReport, TrustRecord, population_stats
 from .scenario import HOURS_PER_DAY, Scenario
 
@@ -85,22 +85,26 @@ class Message:
     item: ContentItem
     stance: str
     sender: str
-    mode: str  # broadcast | repost | quote
-    sent_step: int
 
 
 @dataclass
 class AgentState:
     profile: AgentProfile
     status: str = STATUS_SUSCEPTIBLE
-    spreader: str | None = None
-    trust: dict = field(default_factory=dict)  # community -> current threshold
-    believes: dict = field(default_factory=dict)  # content_id -> bool
+    spreading: bool = False  # has shared while exposed
+    trust: float = 0.0  # current threshold toward the run topic
+    believes: bool = False  # believes the run's disinformation
     exposure_counts: dict = field(default_factory=dict)  # content_id -> receipts
     judgment_streams: dict = field(default_factory=dict)  # (purpose, content_id) -> Generator
     latest: Message | None = None  # the most recent receipt
     outbox: list = field(default_factory=list)  # (step, content_id, stance, mode)
-    pending: list = field(default_factory=list)  # receipts since last activation
+    pending: dict = field(default_factory=dict)  # sender -> latest receipt since last activation
+
+    @property
+    def spreader(self) -> str | None:
+        if not self.spreading:
+            return None
+        return SPREADER_INFECTED if self.believes else SPREADER_UNINFECTED
 
 
 @dataclass
@@ -214,13 +218,13 @@ def run(
     profiles,
     plan: InterventionPlan,
     evaluator: Evaluator,
-    seed: int | None = None,
+    seed: int,
     *,
+    fit: PowerLawFit,
     topic: str | None = None,
     record_cadence: int = DEFAULT_RECORD_CADENCE,
     collect_trajectories: bool = False,
     progress=None,
-    fit: PowerLawFit | None = None,
     schedules: dict | None = None,
     state_out: list | None = None,
 ) -> RunReport:
@@ -232,9 +236,9 @@ def run(
     ``state_out`` to receive the final SimulationState (appended), for
     inspection and invariant checks.
     """
+    if record_cadence < 1:
+        raise RangeViolation("record_cadence", record_cadence, ">= 1")
     params = scenario.params
-    if seed is None:
-        seed = params.rng_seed
     profiles = sorted(profiles, key=lambda p: p.agent_id)
     by_id = {p.agent_id: p for p in profiles}
 
@@ -259,12 +263,6 @@ def run(
                     f"legitimate bot {profile.agent_id} has activations under a control plan"
                 )
 
-    if fit is None:
-        # non-sharers carry no information about the share-count distribution
-        fit = fit_truncated_power_law(
-            [p.share_total for p in profiles if p.kind == KIND_REGULAR and p.share_total >= 1]
-        )
-
     state = SimulationState()
     state.community_regulars = {
         community: [m for m in members if by_id[m].kind == KIND_REGULAR]
@@ -273,7 +271,7 @@ def run(
     for profile in profiles:
         if profile.kind == KIND_REGULAR:
             state.agents[profile.agent_id] = AgentState(
-                profile=profile, trust=dict(profile.trust_thresholds)
+                profile=profile, trust=profile.trust_thresholds[topic]
             )
 
     regular_ids = sorted(state.agents)
@@ -288,6 +286,18 @@ def run(
         for p in profiles
         if p.is_bot and p.home_community() == topic and schedules.get(p.agent_id)
     ]
+    # per-run sender tables: weight toward the topic in the trust update, and
+    # the (receiver id, state) pairs a send reaches, in sorted-neighbour order
+    senders = active_bots + [agent.profile for agent in regulars]
+    weight = {p.agent_id: _sender_influence(p, topic) for p in senders}
+    audience = {
+        p.agent_id: [
+            (n, state.agents[n])
+            for n in network.neighbors(p.agent_id)
+            if n in state.agents  # bots ignore what they receive
+        ]
+        for p in senders
+    }
 
     report = RunReport(
         scenario_digest=scenario.digest(),
@@ -306,17 +316,12 @@ def run(
         for community in network.community_index:
             sr, er, ir, ur = snapshot_ratios(state, community)
             report.ratios[community].append(RatioRecord(step, sr, er, ir, ur))
-            values = [
-                state.agents[m].trust[topic]
-                for m in state.community_regulars[community]
-            ]
+            values = [state.agents[m].trust for m in state.community_regulars[community]]
             mean, std = population_stats(values)
             report.trust[community].append(TrustRecord(step, mean, std))
         if collect_trajectories:
             for agent_id, agent in state.agents.items():
-                report.trajectories.setdefault(agent_id, []).append(
-                    (step, agent.trust[topic])
-                )
+                report.trajectories.setdefault(agent_id, []).append((step, agent.trust))
         if progress is not None:
             progress(
                 {
@@ -331,7 +336,7 @@ def run(
     record(0)
     try:
         for t in range(1, params.total_steps + 1):
-            outgoing: list[tuple[str, Message]] = []
+            outgoing: list[tuple[list, Message]] = []
 
             for bot in active_bots:
                 if t not in schedules[bot.agent_id]:
@@ -339,56 +344,34 @@ def run(
                 if bot.kind == KIND_LBOT and not is_intervention_active(plan, t):
                     continue
                 payload = disinfo if bot.kind == KIND_MBOT else correction
-                message = Message(
-                    item=payload,
-                    stance=STANCE_ENDORSE,
-                    sender=bot.agent_id,
-                    mode="broadcast",
-                    sent_step=t,
-                )
-                for neighbor in network.neighbors(bot.agent_id):
-                    outgoing.append((neighbor, message))
+                message = Message(payload, STANCE_ENDORSE, bot.agent_id)
+                outgoing.append((audience[bot.agent_id], message))
 
             for i in active_agents(draws, probs, t):
                 agent_id = regular_ids[i]
                 agent = regulars[i]
                 _, share_u, mode_u = draws[i, t - 1]
-                _apply_trust_update(agent, by_id, evaluator, params, topic)
+                _apply_trust_update(agent, weight, evaluator, params, topic)
                 latest = agent.latest
                 if latest is None:
                     continue
-                prior_receipts = max(
-                    0, agent.exposure_counts.get(latest.item.content_id, 1) - 1
-                )
+                prior_receipts = agent.exposure_counts[latest.item.content_id] - 1
                 dt = dissemination_tendency(
                     agent.profile, topic, fit, params, prior_receipts
                 )
                 if share_u >= dt:
                     continue
-                if latest.item.kind == "disinformation":
-                    believes = agent.believes.get(latest.item.content_id, False)
-                    stance = STANCE_ENDORSE if believes else STANCE_DISPUTE
+                if latest.item.kind == "disinformation" and not agent.believes:
+                    stance = STANCE_DISPUTE
                 else:
                     stance = STANCE_ENDORSE
                 mode = "repost" if mode_u < params.repost_probability else "quote"
-                message = Message(
-                    item=latest.item,
-                    stance=stance,
-                    sender=agent_id,
-                    mode=mode,
-                    sent_step=t,
-                )
-                for neighbor in network.neighbors(agent_id):
-                    outgoing.append((neighbor, message))
+                outgoing.append((audience[agent_id], Message(latest.item, stance, agent_id)))
                 agent.outbox.append((t, latest.item.content_id, stance, mode))
                 if agent.status == STATUS_EXPOSED:
-                    agent.spreader = (
-                        SPREADER_INFECTED
-                        if agent.believes.get(disinfo.content_id, False)
-                        else SPREADER_UNINFECTED
-                    )
+                    agent.spreading = True
 
-            _deliver(state, outgoing, seed, t, topic, disinfo)
+            _deliver(state, outgoing, seed, t, disinfo)
 
             if t % record_cadence == 0 or t == params.total_steps:
                 if not report.ratios[topic] or report.ratios[topic][-1].step != t:
@@ -411,20 +394,16 @@ def _default_topic(scenario: Scenario) -> str:
     raise ValueError("scenario catalog holds no disinformation item")
 
 
-def _apply_trust_update(agent, by_id, evaluator, params, topic: str) -> None:
+def _apply_trust_update(agent, weight, evaluator, params, topic: str) -> None:
     if not agent.pending:
         return
     # the enhancement/decay sums run over neighbors, not messages: a sender
     # re-delivering since the last activation counts once, through the most
     # recent thing it pushed
-    latest_by_sender: dict[str, Message] = {}
-    for msg in agent.pending:
-        latest_by_sender[msg.sender] = msg
     corr = []
     dis = []
-    for sender in sorted(latest_by_sender):
-        msg = latest_by_sender[sender]
-        si = _sender_influence(by_id[sender], topic)
+    for sender in sorted(agent.pending):
+        msg = agent.pending[sender]
         strength = evaluator.persuasiveness(
             msg.item.text,
             content_kind=msg.item.kind,
@@ -434,12 +413,12 @@ def _apply_trust_update(agent, by_id, evaluator, params, topic: str) -> None:
             community=topic,
         )
         if msg.item.kind == "correction" or msg.stance == STANCE_DISPUTE:
-            corr.append((si, strength))
+            corr.append((weight[sender], strength))
         else:
-            dis.append((si, strength))
-    agent.trust[topic] = update_trust(
+            dis.append((weight[sender], strength))
+    agent.trust = update_trust(
         TrustUpdateInputs(
-            current_tt=agent.trust[topic],
+            current_tt=agent.trust,
             corr_neighbors=tuple(corr),
             dis_neighbors=tuple(dis),
             gamma=params.gamma,
@@ -450,59 +429,46 @@ def _apply_trust_update(agent, by_id, evaluator, params, topic: str) -> None:
     agent.pending.clear()
 
 
-def _deliver(state, outgoing, seed, t, topic, disinfo) -> None:
-    for receiver, message in outgoing:
-        agent = state.agents.get(receiver)
-        if agent is None:  # bots ignore what they receive
-            continue
-        agent.latest = message
-        agent.pending.append(message)
+def _deliver(state, outgoing, seed, t, disinfo) -> None:
+    claim_id = disinfo.content_id
+    for receivers, message in outgoing:
         item_id = message.item.content_id
-        agent.exposure_counts[item_id] = agent.exposure_counts.get(item_id, 0) + 1
-        state.delivery_log.append((t, message.sender, receiver, item_id, message.stance))
-        fresh_claim = message.item.kind == "disinformation" and (
-            message.stance == STANCE_ENDORSE or agent.status == STATUS_SUSCEPTIBLE
-        )
-        if fresh_claim:
-            # seeing the claim pushed at face value (or for the first time,
-            # even inside a disputing quote) re-draws belief both ways
-            if agent.status == STATUS_SUSCEPTIBLE:
+        claim = message.item.kind == "disinformation"
+        endorsed = message.stance == STANCE_ENDORSE
+        for receiver, agent in receivers:
+            agent.latest = message
+            agent.pending[message.sender] = message
+            agent.exposure_counts[item_id] = agent.exposure_counts.get(item_id, 0) + 1
+            state.delivery_log.append((t, message.sender, receiver, item_id, message.stance))
+            if claim and (endorsed or agent.status == STATUS_SUSCEPTIBLE):
+                # seeing the claim pushed at face value (or for the first time,
+                # even inside a disputing quote) re-draws belief both ways
                 agent.status = STATUS_EXPOSED
-            da = discernment(
-                DiscernmentInputs(
-                    updated_tt=agent.trust[topic],
-                    plausibility=message.item.plausibility,
+                da = discernment(
+                    DiscernmentInputs(
+                        updated_tt=agent.trust,
+                        plausibility=message.item.plausibility,
+                    )
                 )
-            )
-            # the k-th judgment of this (agent, item) takes the k-th draw of
-            # its own stream, so plans sharing a seed see aligned randomness
-            # until their histories actually diverge
-            rng = _judgment_stream(agent, seed, "belief", receiver, item_id)
-            agent.believes[item_id] = believe_disinformation(da, rng)
-        elif agent.status == STATUS_EXPOSED and agent.believes.get(
-            disinfo.content_id, False
-        ):
-            # corrective pressure (a correction item, or a disputing quote of
-            # a claim already seen) flips a believer on a successful
-            # discernment event (probability DA); when it fails to land,
-            # belief is unchanged - a rejected debunk never creates a believer
-            da = discernment(
-                DiscernmentInputs(
-                    updated_tt=agent.trust[topic],
-                    plausibility=disinfo.plausibility,
+                # the k-th judgment of this (agent, item) takes the k-th draw of
+                # its own stream, so plans sharing a seed see aligned randomness
+                # until their histories actually diverge
+                rng = _judgment_stream(agent, seed, "belief", receiver, claim_id)
+                agent.believes = believe_disinformation(da, rng)
+            elif agent.believes:  # only an exposed agent can believe
+                # corrective pressure (a correction item, or a disputing quote of
+                # a claim already seen) flips a believer on a successful
+                # discernment event (probability DA); when it fails to land,
+                # belief is unchanged - a rejected debunk never creates a believer
+                da = discernment(
+                    DiscernmentInputs(
+                        updated_tt=agent.trust,
+                        plausibility=disinfo.plausibility,
+                    )
                 )
-            )
-            rng = _judgment_stream(agent, seed, "accept", receiver, disinfo.content_id)
-            if rng.random() < da:
-                agent.believes[disinfo.content_id] = False
-        else:
-            continue
-        if agent.spreader is not None:
-            agent.spreader = (
-                SPREADER_INFECTED
-                if agent.believes.get(disinfo.content_id, False)
-                else SPREADER_UNINFECTED
-            )
+                rng = _judgment_stream(agent, seed, "accept", receiver, claim_id)
+                if rng.random() < da:
+                    agent.believes = False
 
 
 def _judgment_stream(agent, seed, purpose: str, receiver: str, item_id: str):

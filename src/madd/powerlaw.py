@@ -15,10 +15,6 @@ function. Fitting proceeds in two documented stages:
 2. lam and alpha refinement: with x_min frozen, coordinate ascent
    alternates a bounded one-dimensional likelihood search for lam in
    [0, 1] with a re-fit of alpha, until the log-likelihood stops improving.
-
-The reported normalization constant uses the continuous closed form
-c = (alpha - 1) / x_min**(1 - alpha), which is the constant the rest of the
-attribute pipeline expects alongside the fitted (alpha, lam, x_min).
 """
 
 from __future__ import annotations
@@ -109,7 +105,6 @@ class PowerLawFit:
 
     alpha: float
     lam: float
-    c: float
     x_min: int
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -120,16 +115,6 @@ class PowerLawFit:
             raise ValueError(f"lam must be non-negative, got {self.lam}")
         if self.x_min < 1:
             raise ValueError(f"x_min must be >= 1, got {self.x_min}")
-
-    @staticmethod
-    def closed_form_c(alpha: float, x_min: int) -> float:
-        if x_min < 1:
-            raise ValueError(f"x_min must be >= 1, got {x_min}")
-        return (alpha - 1.0) / x_min ** (1.0 - alpha)
-
-    @classmethod
-    def from_params(cls, alpha: float, lam: float, x_min: int) -> "PowerLawFit":
-        return cls(alpha=alpha, lam=lam, c=cls.closed_form_c(alpha, x_min), x_min=x_min)
 
     @property
     def normalization(self) -> float:
@@ -249,12 +234,12 @@ def fit_truncated_power_law(
             alpha = float(np.clip(res.x[0], *ALPHA_BOUNDS))
             lam = float(np.clip(res.x[1], *LAMBDA_BOUNDS))
 
-    return PowerLawFit.from_params(alpha=float(alpha), lam=float(lam), x_min=int(x_min))
+    return PowerLawFit(alpha=float(alpha), lam=float(lam), x_min=int(x_min))
 
 
 def _ks_distance(tail_sorted: np.ndarray, alpha: float, lam: float, x_min: int) -> float:
     values, counts = np.unique(tail_sorted, return_counts=True)
     ecdf = np.cumsum(counts) / tail_sorted.size
-    fit = PowerLawFit.from_params(alpha, lam, x_min)
+    fit = PowerLawFit(alpha, lam, x_min)
     model = fit.cdf(values)
     return float(np.max(np.abs(ecdf - model)))

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from madd.cli import main
 from madd.content import ContentItem
-from madd.evaluator import EvaluatorConfig, SyntheticParams
+from madd.errors import EvaluatorFailure
+from madd.evaluator import EvaluatorConfig, SyntheticEvaluator, SyntheticParams
 from madd.scenario import SimulationParams, UserRecord, save_scenario
 from madd.synthdata import build_synthetic_scenario
 
@@ -76,6 +77,50 @@ def test_bad_arguments_do_not_crash():
     assert main(["run", "--scenario"]) == 1
     assert main([]) == 1
     assert main(["frobnicate"]) == 1
+
+
+@pytest.mark.parametrize("cadence", ["0", "-5"])
+def test_record_cadence_below_one_exits_1(scenario_path, tmp_path, capsys, cadence):
+    out = tmp_path / "run"
+    args = ["--scenario", str(scenario_path), "--seed", "13", "--out", str(out)]
+    assert main(["run", *args, "--record-cadence", cadence]) == 1
+    assert main(["experiment", *args, "--stage", "early", "--record-cadence", cadence]) == 1
+    assert "record_cadence" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+class _FailsPersuasiveness(SyntheticEvaluator):
+    def evaluate(self, request):
+        if request.kind == "persuasiveness":
+            raise EvaluatorFailure("backend down")
+        return super().evaluate(request)
+
+
+@pytest.mark.parametrize("command", ["run", "experiment"])
+def test_incomplete_run_writes_artifacts_then_exits_2(
+    scenario_path, tmp_path, monkeypatch, capsys, command
+):
+    monkeypatch.setattr(
+        "madd.cli.make_evaluator",
+        lambda config, seed: _FailsPersuasiveness(seed=seed, params=config.synthetic),
+    )
+    out = tmp_path / command
+    args = [command, "--scenario", str(scenario_path), "--seed", "13", "--out", str(out)]
+    if command == "experiment":
+        args += ["--stage", "early"]
+    assert main(args) == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert all((out / relpath).exists() for relpath in manifest["files"])
+    reports = [
+        json.loads((out / relpath).read_text())
+        for relpath in manifest["files"]
+        if relpath.endswith("report.json")
+    ]
+    assert len(reports) == (1 if command == "run" else 3)
+    assert all(report["complete"] is False for report in reports)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "runtime error: evaluator failed mid-run, incomplete arm(s): control" in captured.err
 
 
 def test_run_writes_report_and_manifest(scenario_path, tmp_path, capsys):

@@ -90,7 +90,7 @@ def path_world(total_steps=4):
     network.add_edge("mbot", "a_user")
     network.add_edge("a_user", "b_user")
     network.community_index = {"alpha": sorted(p.agent_id for p in profiles)}
-    fit = PowerLawFit.from_params(alpha=1.5, lam=0.01, x_min=10)
+    fit = PowerLawFit(alpha=1.5, lam=0.01, x_min=10)
     return scenario, profiles, network, fit
 
 
@@ -238,7 +238,12 @@ class TestSnapshotRatios:
         state = engine.SimulationState()
         state.community_regulars = {"alpha": sorted(statuses)}
         for agent_id, (status, spreader) in statuses.items():
-            agent = engine.AgentState(profile=None, status=status, spreader=spreader)
+            agent = engine.AgentState(
+                profile=None,
+                status=status,
+                spreading=spreader is not None,
+                believes=spreader == engine.SPREADER_INFECTED,
+            )
             state.agents[agent_id] = agent
         return state
 
@@ -300,7 +305,7 @@ class TestRunInvariants:
         for series in report.trajectories.values():
             assert all(0.0 <= tt <= 1.0 for _, tt in series)
         for agent in state.agents.values():
-            assert all(0.0 <= v <= 1.0 for v in agent.trust.values())
+            assert 0.0 <= agent.trust <= 1.0
 
     def test_no_share_without_receipt(self, run_outputs):
         _, _, _, _, state = run_outputs
@@ -451,20 +456,37 @@ class TestGoldenDigests:
     and declare the old and new values.
     """
 
-    def test_small_world_control(self, small_world):
+    @staticmethod
+    def small_world_digest(small_world, plan):
         scenario, profiles, _, network, fit = small_world
         report = engine.run(
             scenario,
             network,
             profiles,
-            CONTROL_PLAN,
+            plan,
             make_evaluator(scenario.evaluator_config, scenario.params.rng_seed),
             seed=13,
             fit=fit,
         )
-        assert hashlib.sha256(report.to_json().encode()).hexdigest() == (
+        return hashlib.sha256(report.to_json().encode()).hexdigest()
+
+    def test_small_world_control(self, small_world):
+        assert self.small_world_digest(small_world, CONTROL_PLAN) == (
             "cec1b41d6c58179878968b1343d6ba741588a7a1a368020a95588b62cb59d162"
         )
+
+    @pytest.mark.parametrize(
+        "strategy, digest",
+        [
+            ("fact_based", "240b4f7160306d59d541c40bb5dde91d5905d8bc79f29515fb5db5c28c8707a6"),
+            ("narrative_based", "88497435ce7d00b5ede5e5af4e2e27678c73d439a7453ecdca06e241bf1b8c30"),
+        ],
+        ids=["fact_based", "narrative_based"],
+    )
+    def test_small_world_early_correction(self, small_world, strategy, digest):
+        # pins the legitimate-bot broadcasts and the accept draws they cause
+        plan = make_plan(small_world[0].params, "early", strategy)
+        assert self.small_world_digest(small_world, plan) == digest
 
     def test_paper_world_canonical_control(self, paper_world):
         scenario, profiles, _, network, fit = paper_world
