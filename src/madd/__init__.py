@@ -49,14 +49,11 @@ from .report import (
     ComparisonReport,
     RunReport,
     compare_interventions,
-    export,
-    trust_trajectory_stats,
 )
 from .scenario import (
     Scenario,
     SimulationParams,
     UserRecord,
-    Violation,
     load_scenario,
     make_scenario,
     save_scenario,

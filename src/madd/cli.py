@@ -23,7 +23,7 @@ from .content import CONTROL_PLAN, make_plan
 from .errors import MaddError, ScenarioError
 from .evaluator import make_evaluator
 from .network import assign_communities, build_network
-from .powerlaw import fit_truncated_power_law
+from .powerlaw import MIN_DISTINCT, MIN_SAMPLES, fit_truncated_power_law
 from .report import compare_interventions
 from .scenario import defaults_as_json, load_scenario, with_seed
 
@@ -68,6 +68,13 @@ class ArtifactWriter:
         return path
 
 
+def _record_cadence(text: str) -> int:
+    """--record-cadence, checked while parsing so a bad value writes nothing."""
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"record_cadence = {text} violates >= 1")
+    return int(text)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="madd", description=__doc__)
     parser.add_argument("--print-defaults", action="store_true",
@@ -94,29 +101,28 @@ def _build_parser() -> _Parser:
     add_common(p)
     p.add_argument("--out", required=True)
 
+    def add_engine_run(p):
+        add_common(p, seed_required=True)
+        p.add_argument("--out", required=True)
+        p.add_argument("--topic", help="disinformation topic (default: first in catalog)")
+        p.add_argument("--record-cadence", type=_record_cadence,
+                       default=engine.DEFAULT_RECORD_CADENCE)
+        p.add_argument("--dump-profiles", action="store_true")
+        p.add_argument("--dump-network", action="store_true")
+
     p = sub.add_parser("run", help="run one simulation")
-    add_common(p, seed_required=True)
-    p.add_argument("--out", required=True)
+    add_engine_run(p)
     p.add_argument("--stage", choices=["early", "mid", "late"],
                    help="intervention stage (omit for a control run)")
     p.add_argument("--strategy", choices=["fact", "narrative"],
                    help="correction strategy (requires --stage)")
-    p.add_argument("--topic", help="disinformation topic (default: first in catalog)")
-    p.add_argument("--record-cadence", type=int, default=engine.DEFAULT_RECORD_CADENCE)
-    p.add_argument("--dump-profiles", action="store_true")
-    p.add_argument("--dump-network", action="store_true")
     p.add_argument("--trajectories", action="store_true",
                    help="record per-agent trust trajectories")
 
     p = sub.add_parser("experiment", help="control + strategy runs + comparison")
-    add_common(p, seed_required=True)
-    p.add_argument("--out", required=True)
+    add_engine_run(p)
     p.add_argument("--stage", choices=["early", "mid", "late"], required=True)
     p.add_argument("--strategy", choices=["fact", "narrative", "both"], default="both")
-    p.add_argument("--topic")
-    p.add_argument("--record-cadence", type=int, default=engine.DEFAULT_RECORD_CADENCE)
-    p.add_argument("--dump-profiles", action="store_true")
-    p.add_argument("--dump-network", action="store_true")
     return parser
 
 
@@ -145,11 +151,14 @@ def _prepare(scenario):
     return profiles, build_network(profiles, index, scenario.params, seed)
 
 
+def _share_counts(agents) -> list:
+    """The power-law fit's input: share counts of the agents that shared."""
+    return [a.share_total for a in agents if a.share_total >= 1]
+
+
 def _share_fit(profiles):
     """Power-law fit of the regular users' share counts, for the engine."""
-    return fit_truncated_power_law(
-        [p.share_total for p in profiles if not p.is_bot and p.share_total >= 1]
-    )
+    return fit_truncated_power_law(_share_counts(p for p in profiles if not p.is_bot))
 
 
 def _finish(reports, message: str) -> int:
@@ -168,21 +177,27 @@ def _finish(reports, message: str) -> int:
     return 0
 
 
-def _dump_optional(writer, args, profiles, net) -> None:
-    if getattr(args, "dump_profiles", False):
-        writer.write_text(
-            "profiles.json",
-            json.dumps([p.to_dict() for p in profiles], indent=2, sort_keys=True) + "\n",
-        )
-    if getattr(args, "dump_network", False):
-        writer.write_text("edges.txt", net.edge_text())
-        writer.write_text(
-            "network.json", json.dumps(net.to_dict(), indent=2, sort_keys=True) + "\n"
-        )
+def _write_profiles(writer, profiles) -> None:
+    writer.write_text(
+        "profiles.json",
+        json.dumps([p.to_dict() for p in profiles], indent=2, sort_keys=True) + "\n",
+    )
+
+
+def _write_network(writer, net) -> None:
+    writer.write_text("edges.txt", net.edge_text())
+    writer.write_text("network.json", json.dumps(net.to_dict(), indent=2, sort_keys=True) + "\n")
 
 
 def _cmd_validate(args) -> int:
     scenario = _load(args)  # loading raises on the first violation
+    shares = _share_counts(scenario.users)  # the users are the regular agents
+    distinct = len(set(shares))
+    if len(shares) < MIN_SAMPLES or distinct < MIN_DISTINCT:
+        raise _CliError(
+            f"the share-count fit needs >= {MIN_SAMPLES} users who shared, with >= "
+            f"{MIN_DISTINCT} distinct counts; got {len(shares)} users / {distinct} distinct"
+        )
     print(
         f"OK: {len(scenario.users)} users, {len(scenario.communities)} communities, "
         f"{len(scenario.content_catalog)} content items, digest {scenario.digest()[:12]}"
@@ -195,10 +210,7 @@ def _cmd_profiles(args) -> int:
     writer = ArtifactWriter(Path(args.out))
     evaluator = make_evaluator(scenario.evaluator_config, scenario.params.rng_seed)
     profiles = derive_profiles(scenario, evaluator)
-    writer.write_text(
-        "profiles.json",
-        json.dumps([p.to_dict() for p in profiles], indent=2, sort_keys=True) + "\n",
-    )
+    _write_profiles(writer, profiles)
     writer.write_manifest(scenario.digest(), scenario.params.rng_seed)
     print(f"wrote {len(profiles)} profiles to {args.out}")
     return 0
@@ -207,14 +219,42 @@ def _cmd_profiles(args) -> int:
 def _cmd_network(args) -> int:
     scenario = _load(args)
     writer = ArtifactWriter(Path(args.out))
-    profiles, net = _prepare(scenario)
-    writer.write_text("edges.txt", net.edge_text())
-    writer.write_text(
-        "network.json", json.dumps(net.to_dict(), indent=2, sort_keys=True) + "\n"
-    )
+    _, net = _prepare(scenario)
+    _write_network(writer, net)
     writer.write_manifest(scenario.digest(), scenario.params.rng_seed)
     print(f"network: {len(net.nodes)} nodes, {len(net.edges)} edges -> {args.out}")
     return 0
+
+
+def _simulate(args, scenario, plans: dict, trajectories: bool = False):
+    """Setup, then one engine run per plan, each report written under the
+    path prefix that keys its plan; returns the writer and the reports."""
+    writer = ArtifactWriter(Path(args.out))
+    profiles, net = _prepare(scenario)
+    fit = _share_fit(profiles)
+    reports = []
+    for prefix, plan in plans.items():
+        report = engine.run(
+            scenario,
+            net,
+            profiles,
+            plan,
+            make_evaluator(scenario.evaluator_config, scenario.params.rng_seed),
+            seed=scenario.params.rng_seed,
+            topic=args.topic,
+            record_cadence=args.record_cadence,
+            collect_trajectories=trajectories,
+            progress=_progress_printer,
+            fit=fit,
+        )
+        writer.write_text(f"{prefix}report.json", report.to_json() + "\n")
+        writer.write_text(f"{prefix}report.csv", report.to_csv())
+        reports.append(report)
+    if args.dump_profiles:
+        _write_profiles(writer, profiles)
+    if args.dump_network:
+        _write_network(writer, net)
+    return writer, reports
 
 
 def _cmd_run(args) -> int:
@@ -226,26 +266,7 @@ def _cmd_run(args) -> int:
         if args.stage and args.strategy
         else CONTROL_PLAN
     )
-    writer = ArtifactWriter(Path(args.out))
-    profiles, net = _prepare(scenario)
-    fit = _share_fit(profiles)
-    run_evaluator = make_evaluator(scenario.evaluator_config, scenario.params.rng_seed)
-    report = engine.run(
-        scenario,
-        net,
-        profiles,
-        plan,
-        run_evaluator,
-        seed=scenario.params.rng_seed,
-        topic=args.topic,
-        record_cadence=args.record_cadence,
-        collect_trajectories=args.trajectories,
-        progress=_progress_printer,
-        fit=fit,
-    )
-    writer.write_text("report.json", report.to_json() + "\n")
-    writer.write_text("report.csv", report.to_csv())
-    _dump_optional(writer, args, profiles, net)
+    writer, (report,) = _simulate(args, scenario, {"": plan}, args.trajectories)
     writer.write_manifest(scenario.digest(), scenario.params.rng_seed)
     final = {c: report.ratios[c][-1] for c in sorted(report.ratios)}
     for community, record in final.items():
@@ -263,36 +284,12 @@ def _cmd_experiment(args) -> int:
         if args.strategy == "both"
         else [_STRATEGY_BY_FLAG[args.strategy]]
     )
-    writer = ArtifactWriter(Path(args.out))
-    profiles, net = _prepare(scenario)
-    fit = _share_fit(profiles)
-
-    plans = [("control", CONTROL_PLAN)]
+    plans = {"control/": CONTROL_PLAN}
     for strategy in strategies:
-        plans.append((strategy, make_plan(scenario.params, args.stage, strategy)))
-
-    reports = []
-    for label, plan in plans:
-        run_evaluator = make_evaluator(scenario.evaluator_config, scenario.params.rng_seed)
-        report = engine.run(
-            scenario,
-            net,
-            profiles,
-            plan,
-            run_evaluator,
-            seed=scenario.params.rng_seed,
-            topic=args.topic,
-            record_cadence=args.record_cadence,
-            progress=_progress_printer,
-            fit=fit,
-        )
-        writer.write_text(f"{label}/report.json", report.to_json() + "\n")
-        writer.write_text(f"{label}/report.csv", report.to_csv())
-        reports.append(report)
-
+        plans[f"{strategy}/"] = make_plan(scenario.params, args.stage, strategy)
+    writer, reports = _simulate(args, scenario, plans)
     comparison = compare_interventions(reports)
     writer.write_text("comparison.json", comparison.to_json() + "\n")
-    _dump_optional(writer, args, profiles, net)
     writer.write_manifest(scenario.digest(), scenario.params.rng_seed)
     return _finish(reports, f"experiment complete: {len(reports)} runs -> {args.out}")
 

@@ -85,7 +85,3 @@ class ScheduleConflict(MaddError):
 
 class MismatchedRuns(MaddError):
     """Reports being compared do not share a scenario digest and seed."""
-
-
-class IoFailure(MaddError):
-    """Wraps OS-level errors raised while exporting artifacts."""

@@ -486,20 +486,10 @@ def _coerce_score(value, kind: str) -> float:
     raise MalformedEvaluatorResponse(f"non-numeric score {value!r}")
 
 
-_TEMPLATE_FILES = {
-    "interest_community": "interest_community.txt",
-    "trust_threshold": "trust_threshold.txt",
-    "plausibility": "plausibility.txt",
-    "persuasiveness": "persuasiveness.txt",
-}
-
-
 def load_template(kind: str) -> str:
     from importlib import resources
 
-    return (
-        resources.files("madd").joinpath("prompts", _TEMPLATE_FILES[kind]).read_text("utf-8")
-    )
+    return resources.files("madd").joinpath("prompts", f"{kind}.txt").read_text("utf-8")
 
 
 def render_prompt(request: EvaluationRequest) -> str:

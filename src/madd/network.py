@@ -86,13 +86,10 @@ class PropagationNetwork:
         return "\n".join(f"{a}\t{b}" for a, b in self.edge_list()) + "\n"
 
 
-def assign_communities(profiles, tau: float, communities=None) -> dict:
+def assign_communities(profiles, tau: float, communities) -> dict:
     """Threshold rule: u joins every community whose interest score clears
     tau; users clearing none join their top-interest community (ties go to
     the earliest community in the configured order)."""
-    profiles = list(profiles)
-    if communities is None:
-        communities = list(profiles[0].interest_scores) if profiles else []
     index: dict[str, list] = {c: [] for c in communities}
     for profile in profiles:
         hits = [c for c in communities if profile.interest_scores[c] >= tau]
@@ -109,15 +106,13 @@ def build_network(
     profiles,
     community_index: dict,
     params: "SimulationParams",
-    seed: int | None = None,
+    seed: int,
 ) -> PropagationNetwork:
     """Grow the network community by community (deterministic under seed).
 
     Arrival order within a community is descending influence, ties by
     agent_id: influential accounts predate their followers.
     """
-    if seed is None:
-        seed = params.rng_seed
     by_id = {p.agent_id: p for p in profiles}
     network = PropagationNetwork()
     for community, members in community_index.items():

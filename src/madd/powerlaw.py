@@ -8,7 +8,8 @@ whose pure power-law limit (lam = 0) normalizes through the Hurwitz zeta
 function. Fitting proceeds in two documented stages:
 
 1. x_min and alpha: for every candidate x_min (the sorted unique sample
-   values that leave at least ``min_tail`` samples in the tail), alpha is
+   values that leave at least ``MIN_TAIL`` samples in the tail, thinned
+   evenly to at most ``MAX_CANDIDATES``), alpha is
    estimated by discrete maximum likelihood and a coarse cutoff search is
    run; the candidate minimizing the Kolmogorov-Smirnov distance between
    the empirical and fitted tail CDFs wins (ties go to the smallest x_min).
@@ -29,6 +30,10 @@ from .errors import DegenerateSamples, InsufficientData
 
 ALPHA_BOUNDS = (1.001, 8.0)
 LAMBDA_BOUNDS = (0.0, 1.0)
+MIN_SAMPLES = 50
+MIN_DISTINCT = 10
+MIN_TAIL = 50
+MAX_CANDIDATES = 40
 # Coarse cutoff grid used during x_min selection; stage 2 refines around the
 # best coarse value. 0 is included so pure power-law data stays exact.
 _COARSE_LAMBDAS = (0.0,) + tuple(np.logspace(-4, 0, 13))
@@ -54,18 +59,25 @@ def _norm_constant(alpha: float, lam: float, x_min: int) -> float:
         chunk = min(chunk * 2, 1 << 22)
 
 
-def _log_likelihood(
-    alpha: float, lam: float, x_min: int, n: int, sum_log: float, sum_x: float
-) -> float:
-    z = _norm_constant(alpha, lam, x_min)
-    if not np.isfinite(z) or z <= 0.0:
-        return -np.inf
-    return -alpha * sum_log - lam * sum_x - n * np.log(z)
+def _tail_likelihood(x_sorted: np.ndarray, log_sorted: np.ndarray, x_min: int):
+    """``loglik(alpha, lam)`` of the samples >= x_min; the tail sums are taken once."""
+    start = int(np.searchsorted(x_sorted, x_min, side="left"))
+    n = x_sorted.size - start
+    sum_log = float(log_sorted[start:].sum())
+    sum_x = float(x_sorted[start:].sum())
+
+    def loglik(alpha: float, lam: float) -> float:
+        z = _norm_constant(alpha, lam, x_min)
+        if not np.isfinite(z) or z <= 0.0:
+            return -np.inf
+        return -alpha * sum_log - lam * sum_x - n * np.log(z)
+
+    return loglik
 
 
-def _fit_alpha(lam: float, x_min: int, n: int, sum_log: float, sum_x: float) -> float:
+def _fit_alpha(loglik, lam: float) -> float:
     res = minimize_scalar(
-        lambda a: -_log_likelihood(a, lam, x_min, n, sum_log, sum_x),
+        lambda a: -loglik(a, lam),
         bounds=ALPHA_BOUNDS,
         method="bounded",
         options={"xatol": 1e-6},
@@ -73,28 +85,28 @@ def _fit_alpha(lam: float, x_min: int, n: int, sum_log: float, sum_x: float) -> 
     return float(res.x)
 
 
-def _coarse_lambda(alpha: float, x_min: int, n: int, sum_log: float, sum_x: float) -> float:
+def _coarse_lambda(loglik, alpha: float) -> float:
     best_lam, best_ll = 0.0, -np.inf
     for lam in _COARSE_LAMBDAS:
-        ll = _log_likelihood(alpha, lam, x_min, n, sum_log, sum_x)
+        ll = loglik(alpha, lam)
         if ll > best_ll:
             best_ll, best_lam = ll, lam
     return best_lam
 
 
-def _fit_lambda(alpha: float, x_min: int, n: int, sum_log: float, sum_x: float) -> float:
-    best_lam = _coarse_lambda(alpha, x_min, n, sum_log, sum_x)
+def _fit_lambda(loglik, alpha: float) -> float:
+    best_lam = _coarse_lambda(loglik, alpha)
     if best_lam == 0.0:
         return 0.0
-    best_ll = _log_likelihood(alpha, best_lam, x_min, n, sum_log, sum_x)
+    best_ll = loglik(alpha, best_lam)
     res = minimize_scalar(
-        lambda lam: -_log_likelihood(alpha, lam, x_min, n, sum_log, sum_x),
+        lambda lam: -loglik(alpha, lam),
         bounds=(best_lam / 4.0, min(best_lam * 4.0, LAMBDA_BOUNDS[1])),
         method="bounded",
         options={"xatol": 1e-7},
     )
     refined = float(res.x)
-    if _log_likelihood(alpha, refined, x_min, n, sum_log, sum_x) >= best_ll:
+    if loglik(alpha, refined) >= best_ll:
         return refined
     return best_lam
 
@@ -157,17 +169,12 @@ class PowerLawFit:
         return table
 
 
-def fit_truncated_power_law(
-    samples,
-    *,
-    min_tail: int = 50,
-    max_candidates: int = 40,
-) -> PowerLawFit:
+def fit_truncated_power_law(samples) -> PowerLawFit:
     """Fit (alpha, lam, x_min) to positive-integer samples by MLE.
 
-    Raises InsufficientData for fewer than 50 samples or fewer than 10
-    distinct values, and DegenerateSamples when every value is equal.
-    Deterministic for a fixed input order.
+    Raises InsufficientData for fewer than MIN_SAMPLES samples or fewer than
+    MIN_DISTINCT distinct values, and DegenerateSamples when every value is
+    equal. Deterministic for a fixed input order.
     """
     x = np.asarray(list(samples), dtype=np.int64)
     if x.size and x.min() < 1:
@@ -175,54 +182,44 @@ def fit_truncated_power_law(
     uniq = np.unique(x)
     if uniq.size == 1:
         raise DegenerateSamples(f"all {x.size} samples equal {int(uniq[0])}")
-    if x.size < 50 or uniq.size < 10:
+    if x.size < MIN_SAMPLES or uniq.size < MIN_DISTINCT:
         raise InsufficientData(
-            f"need >= 50 samples with >= 10 distinct values, "
+            f"need >= {MIN_SAMPLES} samples with >= {MIN_DISTINCT} distinct values, "
             f"got {x.size} samples / {uniq.size} distinct"
         )
 
     x_sorted = np.sort(x)
     log_sorted = np.log(x_sorted.astype(np.float64))
-    # Candidates: unique values that keep at least min_tail samples above them.
+    # Candidates: unique values that keep at least MIN_TAIL samples above them.
     tail_counts = x.size - np.searchsorted(x_sorted, uniq, side="left")
-    candidates = uniq[tail_counts >= min_tail]
+    candidates = uniq[tail_counts >= MIN_TAIL]
     if candidates.size == 0:
         candidates = uniq[:1]
-    if candidates.size > max_candidates:
-        idx = np.linspace(0, candidates.size - 1, max_candidates).round().astype(int)
+    if candidates.size > MAX_CANDIDATES:
+        idx = np.linspace(0, candidates.size - 1, MAX_CANDIDATES).round().astype(int)
         candidates = candidates[np.unique(idx)]
 
-    best = None  # (ks, x_min, alpha, lam)
+    best = None  # (ks, x_min, alpha, lam, loglik)
     for x_min in candidates.tolist():
-        start = int(np.searchsorted(x_sorted, x_min, side="left"))
-        tail = x_sorted[start:]
-        n = tail.size
-        sum_log = float(log_sorted[start:].sum())
-        sum_x = float(tail.sum())
-        alpha = _fit_alpha(0.0, x_min, n, sum_log, sum_x)
-        lam = _coarse_lambda(alpha, x_min, n, sum_log, sum_x)
+        loglik = _tail_likelihood(x_sorted, log_sorted, x_min)
+        alpha = _fit_alpha(loglik, 0.0)
+        lam = _coarse_lambda(loglik, alpha)
         if lam > 0.0:
-            alpha = _fit_alpha(lam, x_min, n, sum_log, sum_x)
-        ks = _ks_distance(tail, alpha, lam, x_min)
+            alpha = _fit_alpha(loglik, lam)
+        ks = _ks_distance(x_sorted, alpha, lam, x_min)
         if best is None or ks < best[0] - 1e-12:
-            best = (ks, x_min, alpha, lam)
+            best = (ks, x_min, alpha, lam, loglik)
 
-    _, x_min, alpha, lam = best
-    start = int(np.searchsorted(x_sorted, x_min, side="left"))
-    tail = x_sorted[start:]
-    n = tail.size
-    sum_log = float(log_sorted[start:].sum())
-    sum_x = float(tail.sum())
-
-    lam = _fit_lambda(alpha, x_min, n, sum_log, sum_x)
-    alpha = _fit_alpha(lam, x_min, n, sum_log, sum_x)
+    _, x_min, alpha, lam, loglik = best
+    lam = _fit_lambda(loglik, alpha)
+    alpha = _fit_alpha(loglik, lam)
     if lam > 0.0:
         # The likelihood surface has a narrow (alpha, lam) ridge; a joint
         # simplex polish converges where coordinate ascent crawls.
         def neg_ll(p):
             a = float(np.clip(p[0], *ALPHA_BOUNDS))
             l = float(np.clip(p[1], *LAMBDA_BOUNDS))
-            return -_log_likelihood(a, l, x_min, n, sum_log, sum_x)
+            return -loglik(a, l)
 
         res = minimize(
             neg_ll,
@@ -230,16 +227,17 @@ def fit_truncated_power_law(
             method="Nelder-Mead",
             options={"xatol": 1e-7, "fatol": 1e-9, "maxiter": 500},
         )
-        if -res.fun >= _log_likelihood(alpha, lam, x_min, n, sum_log, sum_x):
+        if -res.fun >= loglik(alpha, lam):
             alpha = float(np.clip(res.x[0], *ALPHA_BOUNDS))
             lam = float(np.clip(res.x[1], *LAMBDA_BOUNDS))
 
     return PowerLawFit(alpha=float(alpha), lam=float(lam), x_min=int(x_min))
 
 
-def _ks_distance(tail_sorted: np.ndarray, alpha: float, lam: float, x_min: int) -> float:
-    values, counts = np.unique(tail_sorted, return_counts=True)
-    ecdf = np.cumsum(counts) / tail_sorted.size
+def _ks_distance(x_sorted: np.ndarray, alpha: float, lam: float, x_min: int) -> float:
+    tail = x_sorted[np.searchsorted(x_sorted, x_min, side="left"):]
+    values, counts = np.unique(tail, return_counts=True)
+    ecdf = np.cumsum(counts) / tail.size
     fit = PowerLawFit(alpha, lam, x_min)
     model = fit.cdf(values)
     return float(np.max(np.abs(ecdf - model)))

@@ -1,4 +1,4 @@
-"""Run reports, intervention comparisons and exports.
+"""Run reports and intervention comparisons.
 
 A RunReport carries the recorded per-community ratio series, trust
 trajectory statistics, final state sets and the resource ledger for one
@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
-from .errors import IoFailure, MismatchedRuns, UnknownCommunity
+from .errors import MismatchedRuns, UnknownCommunity
 
 CSV_HEADER = "step,community,SR,ER,IR,UR,tt_mean,tt_std"
 
@@ -54,11 +54,6 @@ class RunReport:
     final_states: dict = field(default_factory=dict)  # status -> sorted agent ids
     resource_ledger: dict = field(default_factory=dict)
     complete: bool = True
-
-    def recorded_steps(self) -> list:
-        for series in self.ratios.values():
-            return [r.step for r in series]
-        return []
 
     def ir_series(self, community: str) -> list:
         if community not in self.ratios:
@@ -163,13 +158,6 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
 
-def trust_trajectory_stats(report: RunReport, community: str) -> list:
-    """(step, mean, population std) series for one community."""
-    if community not in report.trust:
-        raise UnknownCommunity(community, "report trust series")
-    return [(r.step, r.mean, r.std) for r in report.trust[community]]
-
-
 def population_stats(values) -> tuple:
     """Mean and population (not sample) standard deviation."""
     values = list(values)
@@ -189,18 +177,8 @@ class ComparisonReport:
     final_step_deltas: dict = field(default_factory=dict)  # strategy -> community -> float
     peak_ir_deltas: dict = field(default_factory=dict)  # strategy -> community -> float
 
-    def to_dict(self) -> dict:
-        return {
-            "scenario_digest": self.scenario_digest,
-            "seed": self.seed,
-            "control_stage": self.control_stage,
-            "deltas": self.deltas,
-            "final_step_deltas": self.final_step_deltas,
-            "peak_ir_deltas": self.peak_ir_deltas,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
 
 
 def compare_interventions(reports) -> ComparisonReport:
@@ -251,24 +229,3 @@ def compare_interventions(reports) -> ComparisonReport:
         comparison.peak_ir_deltas[label] = peaks
     return comparison
 
-
-def export(report, fmt: str, path) -> None:
-    """Write a report as csv or json; output bytes are stable per report."""
-    if fmt not in ("csv", "json"):
-        raise ValueError(f"format must be csv or json, got {fmt!r}")
-    if fmt == "csv" and not isinstance(report, RunReport):
-        raise ValueError("csv export applies to RunReport only")
-    try:
-        if fmt == "json":
-            payload = report.to_json() + "\n"
-        else:
-            payload = report.to_csv()
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(payload)
-    except OSError as exc:
-        raise IoFailure(f"writing {path}: {exc}") from exc
-
-
-def load_report(path) -> RunReport:
-    with open(path, encoding="utf-8") as handle:
-        return RunReport.from_dict(json.load(handle))

@@ -99,23 +99,12 @@ def _typed(value, hint, where: str):
     raise RangeViolation(where, value, f"type {name}")
 
 
-@dataclass(frozen=True)
-class Violation:
-    field: str
-    value: object
-    constraint: str
-
-    def __str__(self) -> str:
-        return f"{self.field} = {self.value!r} violates: {self.constraint}"
-
-
-def validate_params(params: SimulationParams) -> list[Violation]:
-    """Constraint check; returns one Violation per breach, empty when clean."""
-    out: list[Violation] = []
+def validate_params(params: SimulationParams) -> None:
+    """Constraint check; raises RangeViolation at the first breach."""
 
     def check(cond: bool, field_name: str, value, constraint: str):
         if not cond:
-            out.append(Violation(field_name, value, constraint))
+            raise RangeViolation(field_name, value, constraint)
 
     for name in ("theta", "gamma", "beta", "delta"):
         value = getattr(params, name)
@@ -158,30 +147,24 @@ def validate_params(params: SimulationParams) -> list[Violation]:
         params.repost_probability,
         "within [0, 1]",
     )
-    return out
 
 
-def validate_evaluator_config(config: EvaluatorConfig) -> list[Violation]:
+def validate_evaluator_config(config: EvaluatorConfig) -> None:
     """Range check of the evaluator settings, like :func:`validate_params`."""
     synthetic = config.synthetic
-    out = [
-        Violation(f"evaluator.synthetic.{name}", getattr(synthetic, name), ">= 0")
-        for name in ("tt_std", "ic_home_std", "ic_cross_std", "ic_other_scale",
-                     "plausibility_noise")
-        if not getattr(synthetic, name) >= 0.0
-    ]
-    out += [
-        Violation(f"evaluator.synthetic.{name}", getattr(synthetic, name),
-                  "positive beta shapes (a, b)")
-        for name in ("fact_shape", "narrative_shape", "disinfo_shape", "dispute_shape")
-        if not all(v > 0.0 for v in getattr(synthetic, name))
-    ]
+    for name in ("tt_std", "ic_home_std", "ic_cross_std", "ic_other_scale",
+                 "plausibility_noise"):
+        if not getattr(synthetic, name) >= 0.0:
+            raise RangeViolation(f"evaluator.synthetic.{name}", getattr(synthetic, name), ">= 0")
+    for name in ("fact_shape", "narrative_shape", "disinfo_shape", "dispute_shape"):
+        if not all(v > 0.0 for v in getattr(synthetic, name)):
+            raise RangeViolation(f"evaluator.synthetic.{name}", getattr(synthetic, name),
+                                 "positive beta shapes (a, b)")
     if not 0.0 <= synthetic.ic_cross_prob <= 1.0:
-        out.append(Violation("evaluator.synthetic.ic_cross_prob", synthetic.ic_cross_prob,
-                             "within [0, 1]"))
+        raise RangeViolation("evaluator.synthetic.ic_cross_prob", synthetic.ic_cross_prob,
+                             "within [0, 1]")
     if config.max_in_flight < 1:
-        out.append(Violation("evaluator.max_in_flight", config.max_in_flight, ">= 1"))
-    return out
+        raise RangeViolation("evaluator.max_in_flight", config.max_in_flight, ">= 1")
 
 
 @dataclass(frozen=True)
@@ -287,12 +270,8 @@ class Scenario:
 
 
 def _validate_scenario(scenario: Scenario) -> Scenario:
-    violations = validate_params(scenario.params) + validate_evaluator_config(
-        scenario.evaluator_config
-    )
-    if violations:
-        v = violations[0]
-        raise RangeViolation(v.field, v.value, v.constraint)
+    validate_params(scenario.params)
+    validate_evaluator_config(scenario.evaluator_config)
     if len(scenario.communities) < 1:
         raise MissingField("communities")
     if len(set(scenario.communities)) != len(scenario.communities):

@@ -69,6 +69,16 @@ def test_validate_reports_violations(tmp_path, capsys):
     assert main(["validate", "--scenario", str(path)]) == 1
 
 
+def test_validate_rejects_too_few_sharers_for_fit(tmp_path, capsys):
+    """30 users leave 26 sharers with 13 distinct counts; `run` could only
+    fail in the power-law fit, so `validate` refuses the scenario."""
+    path = tmp_path / "scenario.json"
+    save_scenario(build_synthetic_scenario(n_users=30, seed=3), path)
+    assert main(["validate", "--scenario", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "got 26 users / 13 distinct" in err
+
+
 def test_missing_scenario_file_is_validation_failure(tmp_path):
     assert main(["validate", "--scenario", str(tmp_path / "absent.json")]) == 1
 
@@ -86,7 +96,7 @@ def test_record_cadence_below_one_exits_1(scenario_path, tmp_path, capsys, caden
     assert main(["run", *args, "--record-cadence", cadence]) == 1
     assert main(["experiment", *args, "--stage", "early", "--record-cadence", cadence]) == 1
     assert "record_cadence" in capsys.readouterr().err
-    assert not (out / "report.json").exists()
+    assert not out.exists()
 
 
 class _FailsPersuasiveness(SyntheticEvaluator):

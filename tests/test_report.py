@@ -1,17 +1,18 @@
+import hashlib
 import json
 
 import pytest
 
-from madd.errors import MismatchedRuns, UnknownCommunity
+from madd import engine
+from madd.content import CONTROL_PLAN, make_plan
+from madd.errors import MismatchedRuns
+from madd.evaluator import make_evaluator
 from madd.report import (
     RatioRecord,
     RunReport,
     TrustRecord,
     compare_interventions,
-    export,
-    load_report,
     population_stats,
-    trust_trajectory_stats,
 )
 
 COMMUNITIES = ["business", "education", "entertainment", "politics", "sports", "technology"]
@@ -57,65 +58,33 @@ class TestTrustStats:
         assert abs(mean - 0.5) < 1e-12
         assert abs(std - 0.1) < 1e-12
 
-    def test_trajectory_lookup(self):
-        report = make_report()
-        series = trust_trajectory_stats(report, "politics")
-        assert series[0] == (0, 0.5, 0.1)
-        assert len(series) == len(STEPS)
 
-    def test_unknown_community(self):
-        with pytest.raises(UnknownCommunity):
-            trust_trajectory_stats(make_report(), "gardening")
-
-
-class TestExport:
-    def test_csv_row_count(self, tmp_path):
-        report = make_report()
-        path = tmp_path / "report.csv"
-        export(report, "csv", path)
-        lines = path.read_text().strip().splitlines()
+class TestSerialization:
+    def test_csv_row_count(self):
+        lines = make_report().to_csv().strip().splitlines()
         assert lines[0] == "step,community,SR,ER,IR,UR,tt_mean,tt_std"
         assert len(lines) == 1 + len(COMMUNITIES) * len(STEPS)  # 42 data rows
 
-    def test_reexport_identical_bytes(self, tmp_path):
+    def test_reexport_identical_bytes(self):
         report = make_report()
-        a = tmp_path / "a.csv"
-        b = tmp_path / "b.csv"
-        export(report, "csv", a)
-        export(report, "csv", b)
-        assert a.read_bytes() == b.read_bytes()
-        ja = tmp_path / "a.json"
-        jb = tmp_path / "b.json"
-        export(report, "json", ja)
-        export(report, "json", jb)
-        assert ja.read_bytes() == jb.read_bytes()
+        assert report.to_csv() == report.to_csv()
+        assert report.to_json() == report.to_json()
 
-    def test_json_round_trip_full_precision(self, tmp_path):
+    def test_json_round_trip_full_precision(self):
         report = make_report()
         report.ratios["politics"][1] = RatioRecord(12, 1 - 0.123456789123, 0.123456789123, 0.1, 0.01)
-        path = tmp_path / "report.json"
-        export(report, "json", path)
-        again = load_report(path)
+        again = RunReport.from_dict(json.loads(report.to_json()))
         assert again.ratios["politics"][1].er == 0.123456789123
         assert again.to_json() == report.to_json()
 
-    def test_csv_nine_decimal_places(self, tmp_path):
+    def test_csv_nine_decimal_places(self):
         report = make_report()
         report.ratios["politics"][1] = RatioRecord(12, 1 - 0.1234567891234, 0.1234567891234, 0.0, 0.0)
-        path = tmp_path / "report.csv"
-        export(report, "csv", path)
-        row = [l for l in path.read_text().splitlines() if l.startswith("12,politics")][0]
+        row = [l for l in report.to_csv().splitlines() if l.startswith("12,politics")][0]
         assert row.split(",")[3] == "0.123456789"
 
-    def test_trajectories_omitted_when_empty(self, tmp_path):
-        report = make_report()
-        path = tmp_path / "report.json"
-        export(report, "json", path)
-        assert "trajectories" not in json.loads(path.read_text())
-
-    def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            export(make_report(), "xml", tmp_path / "x")
+    def test_trajectories_omitted_when_empty(self):
+        assert "trajectories" not in json.loads(make_report().to_json())
 
 
 class TestValidation:
@@ -183,3 +152,30 @@ class TestComparison:
                     make_report(strategy="narrative_based", stage="early"),
                 ]
             )
+
+
+def test_small_world_comparison_bytes(small_world):
+    """Pins ComparisonReport.to_json() bytes for control, early fact and early
+    narrative runs at seed 13; they move only with the trajectories."""
+    scenario, profiles, _, network, fit = small_world
+    plans = [CONTROL_PLAN] + [
+        make_plan(scenario.params, "early", strategy)
+        for strategy in ("fact_based", "narrative_based")
+    ]
+    reports = [
+        engine.run(
+            scenario,
+            network,
+            profiles,
+            plan,
+            make_evaluator(scenario.evaluator_config, scenario.params.rng_seed),
+            seed=13,
+            fit=fit,
+        )
+        for plan in plans
+    ]
+    comparison = compare_interventions(reports).to_json()
+    assert hashlib.sha256(comparison.encode()).hexdigest() == (
+        "a67f92d562efdfb81ed447968db9c350483e453df7dc9b00096b47d29cb1145a"
+    )
+

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -177,31 +178,33 @@ class TestSidecarUsers:
 
 class TestValidateParams:
     def test_defaults_are_clean(self):
-        assert validate_params(SimulationParams()) == []
+        validate_params(SimulationParams())
 
     def test_gamma_boundary_excluded(self):
-        violations = validate_params(SimulationParams(gamma=1.0))
-        assert any(v.field == "gamma" for v in violations)
+        with pytest.raises(RangeViolation) as exc:
+            validate_params(SimulationParams(gamma=1.0))
+        assert exc.value.field == "gamma"
 
     def test_window_beyond_total_steps(self):
         params = SimulationParams(
             total_steps=72,
             intervention_windows={"early": (12, 80), "mid": (36, 72), "late": (48, 72)},
         )
-        violations = validate_params(params)
-        assert any("early" in v.field for v in violations)
+        with pytest.raises(RangeViolation) as exc:
+            validate_params(params)
+        assert "early" in exc.value.field
 
     def test_ratio_sum_capped(self):
-        violations = validate_params(
-            SimulationParams(malicious_ratio=0.6, legitimate_ratio=0.5)
-        )
-        assert any("ratio" in v.field for v in violations)
+        with pytest.raises(RangeViolation) as exc:
+            validate_params(SimulationParams(malicious_ratio=0.6, legitimate_ratio=0.5))
+        assert "ratio" in exc.value.field
 
     def test_violation_names_field_value_constraint(self):
-        v = validate_params(SimulationParams(xi=-1.0))[0]
-        assert v.field == "xi"
-        assert v.value == -1.0
-        assert ">= 0" in v.constraint
+        with pytest.raises(RangeViolation) as exc:
+            validate_params(SimulationParams(xi=-1.0))
+        assert exc.value.field == "xi"
+        assert exc.value.value == -1.0
+        assert ">= 0" in exc.value.constraint
 
 
 def test_share_total_is_retweets_plus_quotes():
@@ -242,3 +245,29 @@ def test_all_model_inputs_reachable_from_scenario():
     }
     for name, value in paths.items():
         assert value is not None, name
+
+
+@pytest.mark.parametrize(
+    "which, digest, saved",
+    [
+        (
+            "paper",
+            "6f21f8f95c83b8d5310bb729a6afc44aae771bac6554be6870db548466e5eeff",
+            "34d56a6f14d606e903ccb1bb5dbcf02ce60be4645bf0ebe519541f486d825582",
+        ),
+        (
+            "small",
+            "ee9149231b9104428296b9e13bcd0aa9fa14900901f3099c6aca69884bbd5eac",
+            "390926ad116fb3e605f33c1be44f00cdf10105359f53ed9e433324752af61587",
+        ),
+    ],
+)
+def test_serialization_bytes_pinned(which, digest, saved, small_scenario, tmp_path):
+    """Scenario.digest() and the save_scenario file bytes of two reference
+    scenarios; they move only when the scenario format does."""
+    scenario = build_synthetic_scenario(689, seed=7) if which == "paper" else small_scenario
+    path = tmp_path / "scenario.json"
+    save_scenario(scenario, path)
+    assert scenario.digest() == digest
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == saved
+
