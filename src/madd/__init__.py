@@ -31,7 +31,6 @@ from .engine import (
 )
 from .evaluator import (
     EvaluationRequest,
-    EvaluationResponse,
     EvaluatorConfig,
     ResourceLedger,
     SyntheticEvaluator,

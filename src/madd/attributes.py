@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import rng as rngmod
 from .errors import EvaluatorFailure
@@ -25,7 +25,6 @@ logger = logging.getLogger(__name__)
 KIND_REGULAR = "regular"
 KIND_MBOT = "malicious_bot"
 KIND_LBOT = "legitimate_bot"
-AGENT_KINDS = (KIND_REGULAR, KIND_MBOT, KIND_LBOT)
 
 _HISTORY_SUMMARY_CHARS = 280
 
@@ -51,16 +50,7 @@ class AgentProfile:
         return max(self.interest_scores, key=lambda c: self.interest_scores[c])
 
     def to_dict(self) -> dict:
-        return {
-            "agent_id": self.agent_id,
-            "kind": self.kind,
-            "interest_scores": dict(self.interest_scores),
-            "trust_thresholds": dict(self.trust_thresholds),
-            "social_influence": dict(self.social_influence),
-            "activation_probs": list(self.activation_probs),
-            "share_total": self.share_total,
-            "follower_count": self.follower_count,
-        }
+        return {k: v for k, v in asdict(self).items() if k != "history_summary"}
 
 
 def normalize_histogram(histogram) -> tuple:
@@ -133,7 +123,7 @@ def _score_user(user, scenario: Scenario, evaluator: Evaluator, kind: str) -> di
         },
     )
     try:
-        return evaluator.evaluate(request).scores
+        return evaluator.evaluate(request)
     except EvaluatorFailure as exc:
         raise EvaluatorFailure(f"scoring {kind} for user {user.user_id!r}: {exc}") from exc
 
@@ -158,8 +148,6 @@ def derive_profiles(scenario: Scenario, evaluator: Evaluator) -> list:
     influence keeps summing to 1.
     """
     params = scenario.params
-    seed = params.rng_seed
-
     profiles: list[AgentProfile] = []
     for user in scenario.users:
         ic = _score_user(user, scenario, evaluator, "interest_community")
@@ -177,67 +165,40 @@ def derive_profiles(scenario: Scenario, evaluator: Evaluator) -> list:
             )
         )
 
-    regular_index = assign_communities(profiles, params.tau, scenario.communities)
-
+    index = assign_communities(profiles, params.tau, scenario.communities)
     by_id = {p.agent_id: p for p in profiles}
     for community in scenario.communities:
-        members = regular_index.get(community, [])
+        members = index[community]
         if not members:
             continue
-        influence = social_influence(
-            [(agent_id, by_id[agent_id].follower_count) for agent_id in members]
-        )
-        for agent_id, share in influence.items():
-            by_id[agent_id].social_influence[community] = share
-
-    bots: list[AgentProfile] = []
-    for community in scenario.communities:
-        members = regular_index.get(community, [])
-        if not members:
-            continue
-        regular_si = [by_id[a].social_influence[community] for a in members]
+        influence = social_influence((a, by_id[a].follower_count) for a in members)
         # bots imitate rank-and-file accounts: sample the sub-median influence
         # values so no bot lands an organic celebrity's hub position
-        si_pool = sorted(regular_si)[: max(1, len(regular_si) // 2)]
+        si_pool = sorted(influence.values())[: max(1, len(members) // 2)]
         for ratio, kind, prefix in (
             (params.malicious_ratio, KIND_MBOT, "mbot"),
             (params.legitimate_ratio, KIND_LBOT, "lbot"),
         ):
             if ratio <= 0.0:
                 continue
-            count = max(1, _half_up(ratio * len(members)))
-            for i in range(count):
-                bot_id = f"{prefix}_{community}_{i:03d}"
-                rng = rngmod.substream(seed, "bot-si", bot_id)
-                bots.append(
-                    AgentProfile(
-                        agent_id=bot_id,
-                        kind=kind,
-                        interest_scores={
-                            c: (10.0 if c == community else 1.0)
-                            for c in scenario.communities
-                        },
-                        trust_thresholds={c: 1.0 for c in scenario.communities},
-                        social_influence={
-                            community: float(rng.choice(si_pool))
-                        },
-                        activation_probs=tuple([0.0] * HOURS_PER_DAY),
-                    )
+            for i in range(max(1, _half_up(ratio * len(members)))):
+                bot = AgentProfile(
+                    agent_id=f"{prefix}_{community}_{i:03d}",
+                    kind=kind,
+                    interest_scores={
+                        c: (10.0 if c == community else 1.0) for c in scenario.communities
+                    },
+                    trust_thresholds={c: 1.0 for c in scenario.communities},
                 )
-
-    profiles.extend(bots)
-
-    # bots changed the community totals: renormalize influence to sum 1
-    full_index = assign_communities(profiles, params.tau, scenario.communities)
-    by_id = {p.agent_id: p for p in profiles}
-    for community, members in full_index.items():
-        total = sum(by_id[a].social_influence.get(community, 0.0) for a in members)
-        if total <= 0:
-            continue
-        for agent_id in members:
-            profile = by_id[agent_id]
-            if community in profile.social_influence:
-                profile.social_influence[community] /= total
+                rng = rngmod.substream(params.rng_seed, "bot-si", bot.agent_id)
+                influence[bot.agent_id] = float(rng.choice(si_pool))
+                by_id[bot.agent_id] = bot
+                profiles.append(bot)
+        # bots changed the community total: renormalize influence to sum 1,
+        # summing in member-id order
+        total = sum(influence[a] for a in sorted(influence))
+        for agent_id, share in influence.items():
+            by_id[agent_id].social_influence[community] = share / total
 
     profiles.sort(key=lambda p: p.agent_id)
     return profiles

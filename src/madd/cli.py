@@ -22,7 +22,7 @@ from .attributes import derive_profiles
 from .content import CONTROL_PLAN, make_plan
 from .errors import MaddError, ScenarioError
 from .evaluator import make_evaluator
-from .network import assign_communities, build_network
+from .network import assign_communities, build_network, check_community_sizes
 from .powerlaw import MIN_DISTINCT, MIN_SAMPLES, fit_truncated_power_law
 from .report import compare_interventions
 from .scenario import defaults_as_json, load_scenario, with_seed
@@ -77,8 +77,6 @@ def _record_cadence(text: str) -> int:
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="madd", description=__doc__)
-    parser.add_argument("--print-defaults", action="store_true",
-                        help="print default parameters and exit")
     sub = parser.add_subparsers(dest="command")
 
     def add_common(p, *, seed_required=False):
@@ -198,6 +196,15 @@ def _cmd_validate(args) -> int:
             f"the share-count fit needs >= {MIN_SAMPLES} users who shared, with >= "
             f"{MIN_DISTINCT} distinct counts; got {len(shares)} users / {distinct} distinct"
         )
+    params = scenario.params
+    evaluator = make_evaluator(scenario.evaluator_config, params.rng_seed)
+    if scenario.evaluator_config.backend == "synthetic":
+        # community sizes come from scoring every user's interests
+        profiles = derive_profiles(scenario, evaluator)
+        index = assign_communities(profiles, params.tau, scenario.communities)
+        check_community_sizes(index, params.m0)
+    else:
+        sys.stderr.write("note: community sizes not checked: they need remote evaluator calls\n")
     print(
         f"OK: {len(scenario.users)} users, {len(scenario.communities)} communities, "
         f"{len(scenario.content_catalog)} content items, digest {scenario.digest()[:12]}"
@@ -298,8 +305,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.print_defaults or args.command == "defaults":
-            print(defaults_as_json())
+        if args.command == "defaults":
+            sys.stdout.write(defaults_as_json() + "\n")
             return 0
         if args.command is None:
             raise _CliError("a subcommand is required (see --help)")

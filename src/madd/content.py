@@ -133,14 +133,13 @@ def score_plausibility(item: ContentItem, evaluator: Evaluator) -> float:
     """Score and store how credible a disinformation item reads."""
     if item.kind != "disinformation":
         raise ValueError("only disinformation items get plausibility scores")
-    response = evaluator.evaluate(
+    item.plausibility = evaluator.evaluate(
         EvaluationRequest(
             kind="plausibility",
             subject_texts=(item.text,),
             context={"content_id": item.content_id, "community": item.topic},
         )
-    )
-    item.plausibility = response.scores["score"]
+    )["score"]
     return item.plausibility
 
 

@@ -23,9 +23,9 @@ Semantics, fixed for determinism:
 * Every draw is keyed by (seed, purpose, agent[, item]), never by the
   order agents are processed in. Each regular agent owns one "act" stream,
   drawn once per run as a (steps, 3) block of activation, share and
-  repost/quote uniforms; step t reads row t-1. Each (receiver, item) pair
-  owns one "belief" and one "accept" stream, and its k-th judgment of that
-  kind takes the stream's k-th uniform.
+  repost/quote uniforms; step t reads row t-1. Each receiver owns one
+  "belief" and one "accept" stream over the run's claim, and its k-th
+  judgment of that kind takes the stream's k-th uniform.
 
 Bots are instruments: only bots homed in the run topic's community act,
 malicious ones broadcasting the disinformation item on their schedule and
@@ -95,7 +95,7 @@ class AgentState:
     trust: float = 0.0  # current threshold toward the run topic
     believes: bool = False  # believes the run's disinformation
     exposure_counts: dict = field(default_factory=dict)  # content_id -> receipts
-    judgment_streams: dict = field(default_factory=dict)  # (purpose, content_id) -> Generator
+    judgment_streams: dict = field(default_factory=dict)  # purpose -> Generator over the claim
     latest: Message | None = None  # the most recent receipt
     outbox: list = field(default_factory=list)  # (step, content_id, stance, mode)
     pending: dict = field(default_factory=dict)  # sender -> latest receipt since last activation
@@ -148,32 +148,28 @@ def build_bot_schedules(
     schedules. Counts clamp to the hosting range length; a window shorter
     than the legitimate minimum raises WindowTooSmall.
     """
-    total = params.total_steps
     schedules: dict[str, frozenset] = {}
     for profile in sorted(profiles, key=lambda p: p.agent_id):
         if profile.kind == KIND_REGULAR:
             continue
-        rng = rngmod.substream(seed, "schedule", profile.agent_id)
         if profile.kind == KIND_MBOT:
+            first, span = 1, params.total_steps
             lo, hi = params.malicious_freq_range
-            hi = min(hi, total)
-            lo = min(lo, hi)
-            count = int(rng.integers(lo, hi + 1))
-            steps = rng.choice(total, size=count, replace=False) + 1
-            schedules[profile.agent_id] = frozenset(int(s) for s in steps)
+        elif plan.stage == "control":
+            schedules[profile.agent_id] = frozenset()
+            continue
         else:
-            if plan.stage == "control":
-                schedules[profile.agent_id] = frozenset()
-                continue
-            w_lo, w_hi = plan.window
-            window_len = w_hi - w_lo + 1
+            first, last = plan.window
+            span = last - first + 1
             lo, hi = params.legitimate_freq_range
-            if lo > window_len:
-                raise WindowTooSmall(window_len, lo)
-            hi = min(hi, window_len)
-            count = int(rng.integers(lo, hi + 1))
-            steps = rng.choice(window_len, size=count, replace=False) + w_lo
-            schedules[profile.agent_id] = frozenset(int(s) for s in steps)
+            if lo > span:
+                raise WindowTooSmall(span, lo)
+        hi = min(hi, span)
+        lo = min(lo, hi)
+        rng = rngmod.substream(seed, "schedule", profile.agent_id)
+        count = int(rng.integers(lo, hi + 1))
+        steps = rng.choice(span, size=count, replace=False) + first
+        schedules[profile.agent_id] = frozenset(int(s) for s in steps)
     return schedules
 
 
@@ -374,8 +370,7 @@ def run(
             _deliver(state, outgoing, seed, t, disinfo)
 
             if t % record_cadence == 0 or t == params.total_steps:
-                if not report.ratios[topic] or report.ratios[topic][-1].step != t:
-                    record(t)
+                record(t)
     except EvaluatorFailure:
         report.complete = False
 
@@ -444,42 +439,30 @@ def _deliver(state, outgoing, seed, t, disinfo) -> None:
                 # seeing the claim pushed at face value (or for the first time,
                 # even inside a disputing quote) re-draws belief both ways
                 agent.status = STATUS_EXPOSED
-                da = discernment(
-                    DiscernmentInputs(
-                        updated_tt=agent.trust,
-                        plausibility=message.item.plausibility,
-                    )
-                )
-                # the k-th judgment of this (agent, item) takes the k-th draw of
-                # its own stream, so plans sharing a seed see aligned randomness
-                # until their histories actually diverge
-                rng = _judgment_stream(agent, seed, "belief", receiver, claim_id)
-                agent.believes = believe_disinformation(da, rng)
+                purpose = "belief"
             elif agent.believes:  # only an exposed agent can believe
                 # corrective pressure (a correction item, or a disputing quote of
                 # a claim already seen) flips a believer on a successful
                 # discernment event (probability DA); when it fails to land,
                 # belief is unchanged - a rejected debunk never creates a believer
-                da = discernment(
-                    DiscernmentInputs(
-                        updated_tt=agent.trust,
-                        plausibility=disinfo.plausibility,
-                    )
+                purpose = "accept"
+            else:
+                continue
+            da = discernment(
+                DiscernmentInputs(updated_tt=agent.trust, plausibility=disinfo.plausibility)
+            )
+            # the k-th judgment of this kind takes the k-th draw of its own
+            # stream, so plans sharing a seed see aligned randomness until
+            # their histories actually diverge
+            rng = agent.judgment_streams.get(purpose)
+            if rng is None:
+                rng = agent.judgment_streams[purpose] = rngmod.substream(
+                    seed, purpose, receiver, claim_id
                 )
-                rng = _judgment_stream(agent, seed, "accept", receiver, claim_id)
-                if rng.random() < da:
-                    agent.believes = False
-
-
-def _judgment_stream(agent, seed, purpose: str, receiver: str, item_id: str):
-    """The agent's (seed, purpose, receiver, item) stream, built on first use."""
-    key = (purpose, item_id)
-    stream = agent.judgment_streams.get(key)
-    if stream is None:
-        stream = agent.judgment_streams[key] = rngmod.substream(
-            seed, purpose, receiver, item_id
-        )
-    return stream
+            if purpose == "belief":
+                agent.believes = believe_disinformation(da, rng)
+            elif rng.random() < da:
+                agent.believes = False
 
 
 def _final_states(state: SimulationState) -> dict:

@@ -44,7 +44,7 @@ class DegenerateSamples(MaddError):
     """All sample values equal; the likelihood surface is flat."""
 
 
-class CommunityTooSmall(MaddError):
+class CommunityTooSmall(ScenarioError):
     def __init__(self, community: str, size: int, m0: int):
         self.community = community
         super().__init__(

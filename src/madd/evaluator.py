@@ -2,7 +2,7 @@
 
 All judgment calls the simulation delegates to a language model flow through
 one contract: build an :class:`EvaluationRequest`, call ``evaluate``, read
-typed scores back. Two backends implement it:
+its range-checked scores dict back. Two backends implement it:
 
 * ``SyntheticEvaluator`` - the default. Every response is a pure function of
   (request bytes, scenario seed), drawn from configured per-kind
@@ -26,13 +26,6 @@ from dataclasses import dataclass, field
 from . import rng as rngmod
 from .errors import MalformedEvaluatorResponse, RemoteUnavailable, ScenarioError
 
-KINDS = (
-    "interest_community",
-    "trust_threshold",
-    "plausibility",
-    "persuasiveness",
-)
-
 # score range per request kind
 _RANGES = {
     "interest_community": (1.0, 10.0),
@@ -40,6 +33,7 @@ _RANGES = {
     "plausibility": (0.0, 1.0),
     "persuasiveness": (0.0, 1.0),
 }
+KINDS = tuple(_RANGES)
 
 GLOBAL_BUCKET = "global"
 
@@ -71,13 +65,6 @@ class Usage:
     tokens_out: int = 0
     latency: float = 0.0
     approximate: bool = True
-
-
-@dataclass(frozen=True)
-class EvaluationResponse:
-    scores: dict
-    reasoning: str | None = None
-    usage: Usage = field(default_factory=Usage)
 
 
 class ResourceLedger:
@@ -185,7 +172,8 @@ class Evaluator:
     def __init__(self):
         self.ledger = ResourceLedger()
 
-    def evaluate(self, request: EvaluationRequest) -> EvaluationResponse:
+    def evaluate(self, request: EvaluationRequest) -> dict:
+        """The request's range-checked scores; every call is metered."""
         raise NotImplementedError
 
     def ledger_snapshot(self) -> dict:
@@ -202,7 +190,7 @@ class Evaluator:
         community: str,
     ) -> float:
         """Persuasive strength of a message for one receiver, in [0, 1]."""
-        response = self.evaluate(
+        return self.evaluate(
             EvaluationRequest(
                 kind="persuasiveness",
                 subject_texts=(text,),
@@ -214,8 +202,7 @@ class Evaluator:
                     "community": community,
                 },
             )
-        )
-        return response.scores["score"]
+        )["score"]
 
     def _record(self, request: EvaluationRequest, usage: Usage) -> None:
         self.ledger.record(request.context.get("community", GLOBAL_BUCKET), usage)
@@ -244,7 +231,7 @@ class SyntheticEvaluator(Evaluator):
     def _rng(self, key: bytes, *extra: object):
         return rngmod.substream(self.seed, "evaluator", key, *extra)
 
-    def evaluate(self, request: EvaluationRequest) -> EvaluationResponse:
+    def evaluate(self, request: EvaluationRequest) -> dict:
         key = request.canonical_bytes()
         if request.kind != "persuasiveness":
             scores, usage = self._score(request, key)
@@ -253,7 +240,7 @@ class SyntheticEvaluator(Evaluator):
                 self._persuasiveness_memo[key] = self._score(request, key)
             scores, usage = self._persuasiveness_memo[key]
         self._record(request, usage)
-        return EvaluationResponse(scores=dict(scores), reasoning=None, usage=usage)
+        return dict(scores)  # a copy: the memo stays private
 
     def _score(self, request: EvaluationRequest, key: bytes) -> tuple[dict, Usage]:
         """Range-checked scores and usage for a request whose bytes are ``key``."""
@@ -384,7 +371,7 @@ class RemoteEvaluator(Evaluator):
         reply.raise_for_status()
         return reply.json()
 
-    def evaluate(self, request: EvaluationRequest) -> EvaluationResponse:
+    def evaluate(self, request: EvaluationRequest) -> dict:
         prompt = render_prompt(request)
         last_error: Exception | None = None
         for _ in range(2):  # one retry on malformed output
@@ -396,13 +383,13 @@ class RemoteEvaluator(Evaluator):
                 continue
             latency = time.monotonic() - start
             try:
-                scores, reasoning = self._parse(request, raw)
+                scores = self._parse(request, raw)
             except MalformedEvaluatorResponse as exc:
                 last_error = exc
                 continue
             usage = self._usage(prompt, raw, latency)
             self._record(request, usage)
-            return EvaluationResponse(scores=scores, reasoning=reasoning, usage=usage)
+            return scores
         if isinstance(last_error, MalformedEvaluatorResponse):
             raise last_error
         raise RemoteUnavailable(f"remote evaluator failed after retry: {last_error}")
@@ -426,7 +413,7 @@ class RemoteEvaluator(Evaluator):
 
     # -- parsing -------------------------------------------------------------
 
-    def _parse(self, request: EvaluationRequest, raw: dict):
+    def _parse(self, request: EvaluationRequest, raw: dict) -> dict:
         content = _reply_content(raw)
         try:
             body = json.loads(content)
@@ -436,33 +423,27 @@ class RemoteEvaluator(Evaluator):
             raise MalformedEvaluatorResponse("reply JSON is not an object")
 
         kind = request.kind
-        if kind in ("interest_community", "trust_threshold"):
-            key = (
-                "Interest Community Scores"
-                if kind == "interest_community"
-                else "Trust Threshold Scores"
-            )
-            rows = body.get(key)
-            if not isinstance(rows, list):
-                raise MalformedEvaluatorResponse(f"missing {key!r} list")
-            scores = {}
-            for row in rows:
-                if not isinstance(row, dict) or "Community" not in row:
-                    raise MalformedEvaluatorResponse(f"bad row in {key!r}: {row!r}")
-                scores[row["Community"]] = _coerce_score(row.get("Score"), kind)
-            expected = request.context.get("communities", ())
-            missing = [c for c in expected if c not in scores]
-            if missing:
-                raise MalformedEvaluatorResponse(f"communities missing from reply: {missing}")
-            scores = {c: self._check_range(kind, c, scores[c]) for c in expected}
-            return scores, None
-        if kind == "plausibility":
-            value = _coerce_score(body.get("PlausibilityScore"), kind)
-            return {"score": self._check_range(kind, "score", value)}, body.get("Reasoning")
-        if kind == "persuasiveness":
-            value = _coerce_score(body.get("Score"), kind)
-            return {"score": self._check_range(kind, "score", value)}, body.get("Reasoning")
-        raise MalformedEvaluatorResponse(f"no parser for kind {kind!r}")
+        if kind in ("plausibility", "persuasiveness"):  # one score
+            name = "PlausibilityScore" if kind == "plausibility" else "Score"
+            value = _coerce_score(body.get(name), kind)
+            return {"score": self._check_range(kind, "score", value)}
+        key = {  # one row per community
+            "interest_community": "Interest Community Scores",
+            "trust_threshold": "Trust Threshold Scores",
+        }[kind]
+        rows = body.get(key)
+        if not isinstance(rows, list):
+            raise MalformedEvaluatorResponse(f"missing {key!r} list")
+        scores = {}
+        for row in rows:
+            if not isinstance(row, dict) or "Community" not in row:
+                raise MalformedEvaluatorResponse(f"bad row in {key!r}: {row!r}")
+            scores[row["Community"]] = _coerce_score(row.get("Score"), kind)
+        expected = request.context.get("communities", ())
+        missing = [c for c in expected if c not in scores]
+        if missing:
+            raise MalformedEvaluatorResponse(f"communities missing from reply: {missing}")
+        return {c: self._check_range(kind, c, scores[c]) for c in expected}
 
 
 def _reply_content(raw: dict) -> str:

@@ -102,6 +102,14 @@ def assign_communities(profiles, tau: float, communities) -> dict:
     return {c: sorted(members) for c, members in index.items()}
 
 
+def check_community_sizes(community_index: dict, m0: int) -> None:
+    """Raise CommunityTooSmall for the first community with fewer than m0
+    members: its seed graph could not be built."""
+    for community, members in community_index.items():
+        if len(members) < m0:
+            raise CommunityTooSmall(community, len(members), m0)
+
+
 def build_network(
     profiles,
     community_index: dict,
@@ -113,6 +121,7 @@ def build_network(
     Arrival order within a community is descending influence, ties by
     agent_id: influential accounts predate their followers.
     """
+    check_community_sizes(community_index, params.m0)
     by_id = {p.agent_id: p for p in profiles}
     network = PropagationNetwork()
     for community, members in community_index.items():
@@ -122,8 +131,6 @@ def build_network(
 
     for community in community_index:
         members = community_index[community]
-        if len(members) < params.m0:
-            raise CommunityTooSmall(community, len(members), params.m0)
         influence = {a: by_id[a].social_influence.get(community, 0.0) for a in members}
         order = sorted(members, key=lambda a: (-influence[a], a))
         weights = np.array([influence[a] for a in order], dtype=np.float64)

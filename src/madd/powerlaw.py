@@ -20,7 +20,8 @@ function. Fitting proceeds in two documented stages:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
@@ -118,7 +119,6 @@ class PowerLawFit:
     alpha: float
     lam: float
     x_min: int
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.alpha <= 1.0:
@@ -128,13 +128,9 @@ class PowerLawFit:
         if self.x_min < 1:
             raise ValueError(f"x_min must be >= 1, got {self.x_min}")
 
-    @property
+    @cached_property
     def normalization(self) -> float:
-        z = self._cache.get("z")
-        if z is None:
-            z = _norm_constant(self.alpha, self.lam, self.x_min)
-            self._cache["z"] = z
-        return z
+        return _norm_constant(self.alpha, self.lam, self.x_min)
 
     def cdf(self, x):
         """P(X <= x); 0 below x_min, where the fit is not considered valid."""
@@ -148,25 +144,22 @@ class PowerLawFit:
                 ks = xi[inside].astype(np.float64)
                 out[inside] = 1.0 - zeta(self.alpha, ks + 1.0) / self.normalization
             else:
-                table = self._table()
+                table = self._table
                 pos = np.minimum(xi[inside] - self.x_min, len(table) - 1)
                 out[inside] = table[pos]
         out = np.clip(out, 0.0, 1.0)
         return float(out[0]) if scalar else out
 
+    @cached_property
     def _table(self) -> np.ndarray:
         """Cumulative probabilities from x_min out to where the cutoff has
         extinguished all but ~1e-15 of the mass (queries beyond clamp to the
         last entry). Only used for lam > 0."""
-        table = self._cache.get("table")
-        if table is None:
-            end = self.x_min + min(int(np.ceil(40.0 / self.lam)), _MAX_TABLE)
-            ks = np.arange(self.x_min, end + 1, dtype=np.float64)
-            table = np.cumsum(ks**-self.alpha * np.exp(-self.lam * ks))
-            table /= self.normalization
-            table = np.clip(table, 0.0, 1.0)
-            self._cache["table"] = table
-        return table
+        end = self.x_min + min(int(np.ceil(40.0 / self.lam)), _MAX_TABLE)
+        ks = np.arange(self.x_min, end + 1, dtype=np.float64)
+        table = np.cumsum(ks**-self.alpha * np.exp(-self.lam * ks))
+        table /= self.normalization
+        return np.clip(table, 0.0, 1.0)
 
 
 def fit_truncated_power_law(samples) -> PowerLawFit:

@@ -11,32 +11,25 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 from .errors import MismatchedRuns, UnknownCommunity
 
 CSV_HEADER = "step,community,SR,ER,IR,UR,tt_mean,tt_std"
 
 
-@dataclass(frozen=True)
-class RatioRecord:
+class RatioRecord(NamedTuple):
     step: int
     sr: float
     er: float
     ir: float
     ur: float
 
-    def to_list(self) -> list:
-        return [self.step, self.sr, self.er, self.ir, self.ur]
 
-
-@dataclass(frozen=True)
-class TrustRecord:
+class TrustRecord(NamedTuple):
     step: int
     mean: float
     std: float
-
-    def to_list(self) -> list:
-        return [self.step, self.mean, self.std]
 
 
 @dataclass
@@ -94,8 +87,8 @@ class RunReport:
             "plan": {"stage": self.plan_stage, "strategy": self.plan_strategy},
             "record_cadence": self.record_cadence,
             "total_steps": self.total_steps,
-            "ratios": {c: [r.to_list() for r in series] for c, series in self.ratios.items()},
-            "trust": {c: [r.to_list() for r in series] for c, series in self.trust.items()},
+            "ratios": {c: [list(r) for r in series] for c, series in self.ratios.items()},
+            "trust": {c: [list(r) for r in series] for c, series in self.trust.items()},
             "final_states": {k: list(v) for k, v in self.final_states.items()},
             "resource_ledger": self.resource_ledger,
             "complete": self.complete,

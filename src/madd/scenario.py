@@ -417,7 +417,8 @@ def _parse_histogram_cell(cell: str | None) -> list:
 
 
 def defaults_as_json() -> str:
-    """The numeric defaults, exactly as configured, for --print-defaults."""
+    """The simulation parameter defaults, exactly as configured, as printed
+    by ``madd defaults``."""
     return json.dumps(asdict(SimulationParams()), indent=2, sort_keys=True)
 
 

@@ -208,21 +208,20 @@ def build_synthetic_scenario(
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description="Write a synthetic scenario file.")
-    parser.add_argument("--users", type=int, default=689)
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--communities", nargs="+", default=list(DEFAULT_COMMUNITIES))
-    parser.add_argument("--total-steps", type=int, default=72)
-    parser.add_argument("--out", required=True)
-    args = parser.parse_args(argv)
-    scenario = build_synthetic_scenario(
-        n_users=args.users,
-        communities=tuple(args.communities),
-        seed=args.seed,
-        total_steps=args.total_steps,
+    # flags left out take build_synthetic_scenario's defaults
+    parser = argparse.ArgumentParser(
+        description="Write a synthetic scenario file.", argument_default=argparse.SUPPRESS
     )
-    save_scenario(scenario, args.out)
-    print(f"wrote {args.out} ({args.users} users, {len(args.communities)} communities)")
+    parser.add_argument("--users", type=int, dest="n_users")
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--communities", nargs="+")
+    parser.add_argument("--total-steps", type=int)
+    parser.add_argument("--out", required=True)
+    kwargs = vars(parser.parse_args(argv))
+    out = kwargs.pop("out")
+    scenario = build_synthetic_scenario(**kwargs)
+    save_scenario(scenario, out)
+    print(f"wrote {out} ({len(scenario.users)} users, {len(scenario.communities)} communities)")
     return 0
 
 

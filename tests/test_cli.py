@@ -3,7 +3,7 @@ import copy
 import io
 import json
 import tempfile
-from dataclasses import fields
+from dataclasses import fields, replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -17,6 +17,7 @@ from madd.errors import EvaluatorFailure
 from madd.evaluator import EvaluatorConfig, SyntheticEvaluator, SyntheticParams
 from madd.scenario import SimulationParams, UserRecord, save_scenario
 from madd.synthdata import build_synthetic_scenario
+from madd.synthdata import main as synthdata_main
 
 
 @pytest.fixture(scope="module")
@@ -51,13 +52,65 @@ def test_defaults_subcommand_prints_reference_values(capsys):
 
 
 def test_print_defaults_flag(capsys):
-    assert main(["--print-defaults"]) == 0
-    assert json.loads(capsys.readouterr().out)["theta"] == 0.5
+    # `madd defaults` is the one way to print them
+    assert main(["--print-defaults"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--print-defaults" in captured.err
 
 
 def test_validate_ok(scenario_path, capsys):
     assert main(["validate", "--scenario", str(scenario_path)]) == 0
     assert capsys.readouterr().out.startswith("OK")
+
+
+@pytest.fixture(scope="module")
+def small_community_path(tmp_path_factory):
+    """60 users at seed 6 clear the share-count pre-flight, but only 4 of
+    them land in 'technology', fewer than m0 = 5."""
+    path = tmp_path_factory.mktemp("small") / "scenario.json"
+    save_scenario(build_synthetic_scenario(n_users=60, seed=6), path)
+    return path
+
+
+TOO_SMALL = "community 'technology' has 4 members, fewer than m0 = 5"
+
+
+def test_validate_rejects_community_below_m0(small_community_path, capsys):
+    assert main(["validate", "--scenario", str(small_community_path)]) == 1
+    assert capsys.readouterr().err == f"error: {TOO_SMALL}\n"
+
+
+def test_network_on_community_below_m0_exits_1(small_community_path, tmp_path, capsys):
+    out = tmp_path / "net"
+    assert main(["network", "--scenario", str(small_community_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {TOO_SMALL}\n"
+
+
+def test_validate_remote_backend_skips_community_sizes(tmp_path, capsys):
+    scenario = build_synthetic_scenario(n_users=60, seed=6)
+    remote = replace(
+        scenario.evaluator_config, backend="remote", endpoint="http://localhost:9/v1"
+    )
+    path = tmp_path / "remote.json"
+    save_scenario(replace(scenario, evaluator_config=remote), path)
+    assert main(["validate", "--scenario", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("OK")
+    assert "community sizes not checked" in captured.err
+    # without an endpoint the run's evaluator cannot be built
+    save_scenario(replace(scenario, evaluator_config=replace(remote, endpoint="")), path)
+    assert main(["validate", "--scenario", str(path)]) == 1
+    assert "requires an endpoint" in capsys.readouterr().err
+
+
+def test_synthdata_main_defaults_are_the_builders(tmp_path):
+    out = tmp_path / "cli.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert synthdata_main(["--out", str(out)]) == 0
+    reference = tmp_path / "reference.json"
+    save_scenario(build_synthetic_scenario(), reference)
+    assert out.read_bytes() == reference.read_bytes()
 
 
 def test_validate_reports_violations(tmp_path, capsys):

@@ -41,20 +41,20 @@ class TestSynthetic:
         evaluator = SyntheticEvaluator(seed=11)
         a = evaluator.evaluate(ic_request())
         b = evaluator.evaluate(ic_request())
-        assert a.scores == b.scores
+        assert a == b
 
     def test_different_seed_different_scores(self):
-        a = SyntheticEvaluator(seed=1).evaluate(tt_request()).scores
-        b = SyntheticEvaluator(seed=2).evaluate(tt_request()).scores
+        a = SyntheticEvaluator(seed=1).evaluate(tt_request())
+        b = SyntheticEvaluator(seed=2).evaluate(tt_request())
         assert a != b
 
     def test_interest_scores_cover_all_communities_in_range(self):
-        scores = SyntheticEvaluator(seed=11).evaluate(ic_request()).scores
+        scores = SyntheticEvaluator(seed=11).evaluate(ic_request())
         assert set(scores) == set(COMMUNITIES)
         assert all(1.0 <= v <= 10.0 for v in scores.values())
 
     def test_trust_scores_in_unit_range(self):
-        scores = SyntheticEvaluator(seed=11).evaluate(tt_request()).scores
+        scores = SyntheticEvaluator(seed=11).evaluate(tt_request())
         assert all(0.0 <= v <= 1.0 for v in scores.values())
 
     def test_plausibility_deterministic_and_in_range(self):
@@ -62,8 +62,8 @@ class TestSynthetic:
         request = EvaluationRequest(
             kind="plausibility", subject_texts=("Some claim about things.",), context={}
         )
-        a = evaluator.evaluate(request).scores["score"]
-        b = evaluator.evaluate(request).scores["score"]
+        a = evaluator.evaluate(request)["score"]
+        b = evaluator.evaluate(request)["score"]
         assert a == b
         assert 0.0 <= a <= 1.0
 
@@ -134,13 +134,16 @@ class TestSynthetic:
             context={"content_kind": "correction", "strategy": "fact_based",
                      "stance": "endorse", "history": "h", "community": "politics"},
         )
-        responses = [evaluator.evaluate(request) for _ in range(5)]
-        assert all(r.scores == responses[0].scores for r in responses)
-        assert all(r.usage == responses[0].usage for r in responses)
+        scores = [evaluator.evaluate(request) for _ in range(5)]
+        assert all(s == scores[0] for s in scores)
         assert len(built) == 1
-        assert evaluator.ledger_snapshot()["totals"]["llm_calls"] == 5
-        fresh = SyntheticEvaluator(seed=11).evaluate(request)
-        assert fresh.scores == responses[0].scores
+        fresh = SyntheticEvaluator(seed=11)
+        assert fresh.evaluate(request) == scores[0]
+        totals = evaluator.ledger_snapshot()["totals"]
+        assert totals["llm_calls"] == 5
+        assert totals["tokens"] == 5 * fresh.ledger_snapshot()["totals"]["tokens"] > 0
+        scores[0]["score"] = -1.0  # callers get copies; the memo stays intact
+        assert evaluator.evaluate(request) == scores[1]
 
     def test_unknown_kind_rejected(self):
         for kind in ("mood", "belief_check"):
@@ -208,7 +211,7 @@ class TestRemote:
     def test_plausibility_parse(self, monkeypatch):
         evaluator = remote(monkeypatch, [reply({"PlausibilityScore": 0.7, "Reasoning": "ok"})])
         request = EvaluationRequest(kind="plausibility", subject_texts=("claim",), context={})
-        assert evaluator.evaluate(request).scores["score"] == 0.7
+        assert evaluator.evaluate(request)["score"] == 0.7
 
     def test_plausibility_out_of_range_rejected(self, monkeypatch):
         evaluator = remote(
@@ -222,7 +225,7 @@ class TestRemote:
     def test_trust_threshold_parses_all_communities(self, monkeypatch):
         rows = [{"Community": c, "Score": 0.5, "Reasoning": "r"} for c in COMMUNITIES]
         evaluator = remote(monkeypatch, [reply({"Trust Threshold Scores": rows})])
-        scores = evaluator.evaluate(tt_request()).scores
+        scores = evaluator.evaluate(tt_request())
         assert set(scores) == set(COMMUNITIES)
         assert all(v == 0.5 for v in scores.values())
 
@@ -239,7 +242,7 @@ class TestRemote:
         rows = [{"Community": c, "Score": 7} for c in COMMUNITIES]
         rows[2]["Score"] = "Insufficient Data"
         evaluator = remote(monkeypatch, [reply({"Interest Community Scores": rows})])
-        scores = evaluator.evaluate(ic_request()).scores
+        scores = evaluator.evaluate(ic_request())
         assert scores[COMMUNITIES[2]] == 1.0
 
     def test_retries_once_on_malformed_then_succeeds(self, monkeypatch):
@@ -247,7 +250,7 @@ class TestRemote:
         good = reply({"Score": 0.55, "Reasoning": "fine"})
         evaluator = remote(monkeypatch, [bad, good])
         request = EvaluationRequest(kind="persuasiveness", subject_texts=("t",), context={})
-        assert evaluator.evaluate(request).scores["score"] == 0.55
+        assert evaluator.evaluate(request)["score"] == 0.55
 
     def test_transport_failure_after_retry_raises_unavailable(self, monkeypatch):
         evaluator = remote(monkeypatch, [OSError("boom"), OSError("boom")])

@@ -1,10 +1,13 @@
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
-from madd.attributes import AgentProfile, KIND_REGULAR
+from madd.attributes import AgentProfile, KIND_REGULAR, derive_profiles
 from madd.errors import CommunityTooSmall
+from madd.evaluator import make_evaluator
 from madd.network import (
     PropagationNetwork,
     _draw_without_replacement,
@@ -15,6 +18,7 @@ from madd.network import (
 )
 from madd.rng import substream
 from madd.scenario import SimulationParams
+from madd.synthdata import build_synthetic_scenario
 
 
 def profile(agent_id, ic, si=None):
@@ -242,3 +246,50 @@ def test_intra_density_exceeds_inter_density(paper_world):
     intra_density = intra_edges / same
     inter_density = inter_edges / cross if cross else 0.0
     assert intra_density > inter_density
+
+
+class TestGoldenSetupBytes:
+    """sha256 of the setup artifacts `madd profiles` and `madd network` write:
+    profiles.json, edges.txt and network.json.
+
+    These move only when derived profiles or network growth move: re-pin
+    deliberately and declare the old and new values.
+    """
+
+    @staticmethod
+    def digests(scenario):
+        params = scenario.params
+        evaluator = make_evaluator(scenario.evaluator_config, params.rng_seed)
+        profiles = derive_profiles(scenario, evaluator)
+        index = assign_communities(profiles, params.tau, scenario.communities)
+        net = build_network(profiles, index, params, params.rng_seed)
+        texts = (
+            json.dumps([p.to_dict() for p in profiles], indent=2, sort_keys=True) + "\n",
+            net.edge_text(),
+            json.dumps(net.to_dict(), indent=2, sort_keys=True) + "\n",
+        )
+        return profiles, index, [hashlib.sha256(t.encode()).hexdigest() for t in texts]
+
+    def test_paper_world(self, paper_scenario):
+        _, _, digests = self.digests(paper_scenario)
+        assert digests == [
+            "553e6ae3521e7a83089f13dbe3974017d2cf46558eef3caddb3ae0be9f7fbb8c",
+            "a036b63fdd455463d2831395751c670321006c44cbbd4a57c1589cd498b5c48e",
+            "71ccade75b041109ed397173aef2b42973f8f282c008a0085aee713cdf1acf72",
+        ]
+
+    def test_tau_one_world_bots_join_every_community(self):
+        # at tau = 1 every bot clears every community, so each community's
+        # influence renormalization runs over other communities' bots too
+        scenario = build_synthetic_scenario(
+            n_users=300, communities=("politics", "sports", "business"), seed=5, tau=1.0
+        )
+        profiles, index, digests = self.digests(scenario)
+        bots = {p.agent_id for p in profiles if p.is_bot}
+        assert len(bots) == 180
+        assert all(bots <= set(members) for members in index.values())
+        assert digests == [
+            "2ac0ed6532c4026223b537f5a3b5e1d56ee9b18c4fd8ff3f3e5ffb7d1be6d1c5",
+            "079cbb4d530b957abc205c4646c3714581434e0b1ad5ba98a0ce64d3d4689d6a",
+            "e26a14c2198807214420ee1eea8d8ed09dbee9ecf3d161e06a874791fd48f541",
+        ]
