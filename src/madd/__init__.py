@@ -12,7 +12,6 @@ from .content import (
     ContentItem,
     InterventionPlan,
     correction_for,
-    is_intervention_active,
     make_plan,
     score_plausibility,
 )

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import engine
 from .attributes import derive_profiles
-from .content import CONTROL_PLAN, make_plan
+from .content import CONTROL_PLAN, correction_for, make_plan
 from .errors import MaddError, ScenarioError
 from .evaluator import make_evaluator
 from .network import assign_communities, build_network, check_community_sizes
@@ -189,6 +189,7 @@ def _write_network(writer, net) -> None:
 
 def _cmd_validate(args) -> int:
     scenario = _load(args)  # loading raises on the first violation
+    scenario.disinformation_for(None)  # every run needs a claim
     shares = _share_counts(scenario.users)  # the users are the regular agents
     distinct = len(set(shares))
     if len(shares) < MIN_SAMPLES or distinct < MIN_DISTINCT:
@@ -214,9 +215,9 @@ def _cmd_validate(args) -> int:
 
 def _cmd_profiles(args) -> int:
     scenario = _load(args)
-    writer = ArtifactWriter(Path(args.out))
     evaluator = make_evaluator(scenario.evaluator_config, scenario.params.rng_seed)
     profiles = derive_profiles(scenario, evaluator)
+    writer = ArtifactWriter(Path(args.out))
     _write_profiles(writer, profiles)
     writer.write_manifest(scenario.digest(), scenario.params.rng_seed)
     print(f"wrote {len(profiles)} profiles to {args.out}")
@@ -225,8 +226,8 @@ def _cmd_profiles(args) -> int:
 
 def _cmd_network(args) -> int:
     scenario = _load(args)
-    writer = ArtifactWriter(Path(args.out))
     _, net = _prepare(scenario)
+    writer = ArtifactWriter(Path(args.out))
     _write_network(writer, net)
     writer.write_manifest(scenario.digest(), scenario.params.rng_seed)
     print(f"network: {len(net.nodes)} nodes, {len(net.edges)} edges -> {args.out}")
@@ -235,10 +236,15 @@ def _cmd_network(args) -> int:
 
 def _simulate(args, scenario, plans: dict, trajectories: bool = False):
     """Setup, then one engine run per plan, each report written under the
-    path prefix that keys its plan; returns the writer and the reports."""
-    writer = ArtifactWriter(Path(args.out))
+    path prefix that keys its plan; returns the writer and the reports.
+    Catalog and setup errors raise before anything is written."""
+    disinfo = scenario.disinformation_for(args.topic)
+    for plan in plans.values():
+        if plan.strategy != "none":
+            correction_for(disinfo, plan.strategy, scenario.content_catalog)
     profiles, net = _prepare(scenario)
     fit = _share_fit(profiles)
+    writer = ArtifactWriter(Path(args.out))
     reports = []
     for prefix, plan in plans.items():
         report = engine.run(

@@ -12,13 +12,13 @@ STRATEGIES = ("none", "fact_based", "narrative_based")
 STAGES = ("early", "mid", "late", "control")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ContentItem:
     """One message in circulation: a false claim or a correction for one.
 
-    ``plausibility`` exists only for disinformation; it may arrive unset and
-    is filled in by :func:`score_plausibility` before a simulation starts,
-    after which the catalog is treated as immutable.
+    ``plausibility`` exists only for disinformation; when it arrives unset,
+    each run scores it with :func:`score_plausibility` without storing the
+    score. Items are immutable, and so is the catalog they form.
     """
 
     content_id: str
@@ -122,25 +122,17 @@ def make_plan(params, stage: str, strategy: str) -> InterventionPlan:
     return InterventionPlan(stage=stage, window=tuple(window), strategy=strategy)
 
 
-def is_intervention_active(plan: InterventionPlan, t: int) -> bool:
-    if plan.stage == "control":
-        return False
-    lo, hi = plan.window
-    return lo <= t <= hi
-
-
 def score_plausibility(item: ContentItem, evaluator: Evaluator) -> float:
-    """Score and store how credible a disinformation item reads."""
+    """How credible a disinformation item reads, scored by the evaluator."""
     if item.kind != "disinformation":
         raise ValueError("only disinformation items get plausibility scores")
-    item.plausibility = evaluator.evaluate(
+    return evaluator.evaluate(
         EvaluationRequest(
             kind="plausibility",
             subject_texts=(item.text,),
             context={"content_id": item.content_id, "community": item.topic},
         )
     )["score"]
-    return item.plausibility
 
 
 def correction_for(disinfo: ContentItem, strategy: str, catalog) -> ContentItem:

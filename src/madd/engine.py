@@ -28,20 +28,20 @@ Semantics, fixed for determinism:
   judgment of that kind takes the stream's k-th uniform.
 
 Bots are instruments: only bots homed in the run topic's community act,
-malicious ones broadcasting the disinformation item on their schedule and
-legitimate ones broadcasting the plan's correction inside the intervention
-window. Bots never appear in status tallies.
+each broadcasting on the steps of its drawn schedule alone - malicious ones
+the disinformation item anywhere in the run, legitimate ones the plan's
+correction inside the intervention window (never under a control plan).
+Bots never appear in status tallies.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import rng as rngmod
 from .attributes import (
-    KIND_LBOT,
     KIND_MBOT,
     KIND_REGULAR,
     AgentProfile,
@@ -52,7 +52,6 @@ from .content import (
     ContentItem,
     InterventionPlan,
     correction_for,
-    is_intervention_active,
     score_plausibility,
 )
 from .dynamics import (
@@ -62,7 +61,7 @@ from .dynamics import (
     discernment,
     update_trust,
 )
-from .errors import EvaluatorFailure, RangeViolation, ScheduleConflict, WindowTooSmall
+from .errors import EvaluatorFailure, RangeViolation, WindowTooSmall
 from .evaluator import Evaluator
 from .network import PropagationNetwork
 from .powerlaw import PowerLawFit
@@ -221,7 +220,6 @@ def run(
     record_cadence: int = DEFAULT_RECORD_CADENCE,
     collect_trajectories: bool = False,
     progress=None,
-    schedules: dict | None = None,
     state_out: list | None = None,
 ) -> RunReport:
     """Simulate one disinformation topic under one intervention plan.
@@ -236,39 +234,32 @@ def run(
         raise RangeViolation("record_cadence", record_cadence, ">= 1")
     params = scenario.params
     profiles = sorted(profiles, key=lambda p: p.agent_id)
-    by_id = {p.agent_id: p for p in profiles}
 
-    disinfo_src = scenario.disinformation_for(
-        topic or _default_topic(scenario)
-    )
-    topic = disinfo_src.topic
-    disinfo = replace(disinfo_src)
-    if disinfo.plausibility is None:
-        score_plausibility(disinfo, evaluator)
+    disinfo = scenario.disinformation_for(topic)
+    topic = disinfo.topic
+    plausibility = disinfo.plausibility
+    if plausibility is None:
+        plausibility = score_plausibility(disinfo, evaluator)
 
     correction = None
     if plan.strategy != "none":
         correction = correction_for(disinfo, plan.strategy, scenario.content_catalog)
 
-    if schedules is None:
-        schedules = build_bot_schedules(profiles, params, plan, seed)
-    if plan.stage == "control":
-        for profile in profiles:
-            if profile.kind == KIND_LBOT and schedules.get(profile.agent_id):
-                raise ScheduleConflict(
-                    f"legitimate bot {profile.agent_id} has activations under a control plan"
-                )
+    # only bots homed in the topic act, so only they get schedules
+    bots = [p for p in profiles if p.is_bot and p.home_community() == topic]
+    schedules = build_bot_schedules(bots, params, plan, seed)
+    active_bots = [p for p in bots if schedules[p.agent_id]]
 
     state = SimulationState()
-    state.community_regulars = {
-        community: [m for m in members if by_id[m].kind == KIND_REGULAR]
-        for community, members in network.community_index.items()
-    }
     for profile in profiles:
         if profile.kind == KIND_REGULAR:
             state.agents[profile.agent_id] = AgentState(
                 profile=profile, trust=profile.trust_thresholds[topic]
             )
+    state.community_regulars = {
+        community: [m for m in members if m in state.agents]
+        for community, members in network.community_index.items()
+    }
 
     regular_ids = sorted(state.agents)
     regulars = [state.agents[agent_id] for agent_id in regular_ids]
@@ -277,11 +268,6 @@ def run(
         [agent.profile.activation_probs for agent in regulars], dtype=float
     ).reshape(len(regulars), HOURS_PER_DAY)
 
-    active_bots = [
-        p
-        for p in profiles
-        if p.is_bot and p.home_community() == topic and schedules.get(p.agent_id)
-    ]
     # per-run sender tables: weight toward the topic in the trust update, and
     # the (receiver id, state) pairs a send reaches, in sorted-neighbour order
     senders = active_bots + [agent.profile for agent in regulars]
@@ -294,6 +280,13 @@ def run(
         ]
         for p in senders
     }
+    # step -> the bot broadcasts sent at that step, in bot-id order
+    broadcasts: dict[int, list] = {}
+    for bot in active_bots:
+        payload = disinfo if bot.kind == KIND_MBOT else correction
+        send = (audience[bot.agent_id], Message(payload, STANCE_ENDORSE, bot.agent_id))
+        for step in schedules[bot.agent_id]:
+            broadcasts.setdefault(step, []).append(send)
 
     report = RunReport(
         scenario_digest=scenario.digest(),
@@ -332,16 +325,7 @@ def run(
     record(0)
     try:
         for t in range(1, params.total_steps + 1):
-            outgoing: list[tuple[list, Message]] = []
-
-            for bot in active_bots:
-                if t not in schedules[bot.agent_id]:
-                    continue
-                if bot.kind == KIND_LBOT and not is_intervention_active(plan, t):
-                    continue
-                payload = disinfo if bot.kind == KIND_MBOT else correction
-                message = Message(payload, STANCE_ENDORSE, bot.agent_id)
-                outgoing.append((audience[bot.agent_id], message))
+            outgoing: list[tuple[list, Message]] = list(broadcasts.get(t, ()))
 
             for i in active_agents(draws, probs, t):
                 agent_id = regular_ids[i]
@@ -367,7 +351,7 @@ def run(
                 if agent.status == STATUS_EXPOSED:
                     agent.spreading = True
 
-            _deliver(state, outgoing, seed, t, disinfo)
+            _deliver(state, outgoing, seed, t, disinfo.content_id, plausibility)
 
             if t % record_cadence == 0 or t == params.total_steps:
                 record(t)
@@ -380,13 +364,6 @@ def run(
     if state_out is not None:
         state_out.append(state)
     return report
-
-
-def _default_topic(scenario: Scenario) -> str:
-    for item in scenario.content_catalog:
-        if item.kind == "disinformation":
-            return item.topic
-    raise ValueError("scenario catalog holds no disinformation item")
 
 
 def _apply_trust_update(agent, weight, evaluator, params, topic: str) -> None:
@@ -424,8 +401,7 @@ def _apply_trust_update(agent, weight, evaluator, params, topic: str) -> None:
     agent.pending.clear()
 
 
-def _deliver(state, outgoing, seed, t, disinfo) -> None:
-    claim_id = disinfo.content_id
+def _deliver(state, outgoing, seed, t, claim_id, plausibility) -> None:
     for receivers, message in outgoing:
         item_id = message.item.content_id
         claim = message.item.kind == "disinformation"
@@ -449,7 +425,7 @@ def _deliver(state, outgoing, seed, t, disinfo) -> None:
             else:
                 continue
             da = discernment(
-                DiscernmentInputs(updated_tt=agent.trust, plausibility=disinfo.plausibility)
+                DiscernmentInputs(updated_tt=agent.trust, plausibility=plausibility)
             )
             # the k-th judgment of this kind takes the k-th draw of its own
             # stream, so plans sharing a seed see aligned randomness until

@@ -52,7 +52,7 @@ class CommunityTooSmall(ScenarioError):
         )
 
 
-class NoCorrectionAvailable(MaddError):
+class NoCorrectionAvailable(ScenarioError):
     def __init__(self, topic: str, strategy: str):
         self.topic = topic
         self.strategy = strategy
@@ -77,10 +77,6 @@ class WindowTooSmall(MaddError):
             f"intervention window of {window_len} steps cannot host "
             f"the minimum of {minimum} bot activations"
         )
-
-
-class ScheduleConflict(MaddError):
-    """Legitimate-bot schedule nonempty under a control plan."""
 
 
 class MismatchedRuns(MaddError):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -332,12 +333,11 @@ class SyntheticEvaluator(Evaluator):
 class RemoteEvaluator(Evaluator):
     """Chat-completion client enforcing the strict JSON output contract."""
 
-    def __init__(self, config: EvaluatorConfig, api_key: str | None = None):
+    def __init__(self, config: EvaluatorConfig):
         super().__init__()
         if not config.endpoint:
             raise ScenarioError("remote backend requires an endpoint URL")
         self.config = config
-        self._api_key = api_key
         self._semaphore = threading.BoundedSemaphore(max(1, config.max_in_flight))
         self._session = None
 
@@ -348,11 +348,7 @@ class RemoteEvaluator(Evaluator):
 
         if self._session is None:
             self._session = requests.Session()
-        key = self._api_key
-        if key is None:
-            import os
-
-            key = os.environ.get(self.config.api_key_env, "")
+        key = os.environ.get(self.config.api_key_env, "")
         headers = {"Content-Type": "application/json"}
         if key:
             headers["Authorization"] = f"Bearer {key}"

@@ -13,9 +13,11 @@ function. Fitting proceeds in two documented stages:
    estimated by discrete maximum likelihood and a coarse cutoff search is
    run; the candidate minimizing the Kolmogorov-Smirnov distance between
    the empirical and fitted tail CDFs wins (ties go to the smallest x_min).
-2. lam and alpha refinement: with x_min frozen, coordinate ascent
-   alternates a bounded one-dimensional likelihood search for lam in
-   [0, 1] with a re-fit of alpha, until the log-likelihood stops improving.
+2. lam and alpha refinement: with x_min frozen, one bounded
+   one-dimensional likelihood search for lam in [0, 1] and one re-fit of
+   alpha at that lam; when lam > 0, a joint Nelder-Mead polish of
+   (alpha, lam) follows and is kept only if it does not lower the
+   log-likelihood.
 """
 
 from __future__ import annotations

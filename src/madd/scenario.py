@@ -262,10 +262,13 @@ class Scenario:
             "evaluator": asdict(self.evaluator_config),
         }
 
-    def disinformation_for(self, topic: str) -> ContentItem:
+    def disinformation_for(self, topic: str | None) -> ContentItem:
+        """The catalog's claim on ``topic``; its first claim when topic is None."""
         for item in self.content_catalog:
-            if item.kind == "disinformation" and item.topic == topic:
+            if item.kind == "disinformation" and topic in (None, item.topic):
                 return item
+        if topic is None:
+            raise ScenarioError("content catalog holds no disinformation item")
         raise UnknownCommunity(topic, "no disinformation item for this topic")
 
 

@@ -85,6 +85,46 @@ def test_network_on_community_below_m0_exits_1(small_community_path, tmp_path, c
     out = tmp_path / "net"
     assert main(["network", "--scenario", str(small_community_path), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {TOO_SMALL}\n"
+    assert not out.exists()
+
+
+def _without(scenario_path, tmp_path, drop) -> str:
+    """The scenario at ``scenario_path`` minus the catalog items ``drop`` picks."""
+    data = json.loads(scenario_path.read_text())
+    data["content_catalog"] = [c for c in data["content_catalog"] if not drop(c)]
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def _is_claim(item) -> bool:
+    return item["kind"] == "disinformation"
+
+
+def test_validate_rejects_catalog_without_disinformation(scenario_path, tmp_path, capsys):
+    path = _without(scenario_path, tmp_path, _is_claim)
+    assert main(["validate", "--scenario", path]) == 1
+    assert capsys.readouterr().err == "error: content catalog holds no disinformation item\n"
+
+
+def test_run_without_disinformation_exits_1_and_writes_nothing(
+    scenario_path, tmp_path, capsys
+):
+    path, out = _without(scenario_path, tmp_path, _is_claim), tmp_path / "run"
+    assert main(["run", "--scenario", path, "--seed", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: content catalog holds no disinformation item\n"
+    assert not out.exists()
+
+
+def test_experiment_without_correction_exits_1_and_writes_nothing(
+    scenario_path, tmp_path, capsys
+):
+    path = _without(scenario_path, tmp_path, lambda c: c["strategy"] == "narrative_based")
+    out = tmp_path / "exp"
+    argv = ["experiment", "--scenario", path, "--seed", "1", "--stage", "early", "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: no narrative_based correction")
+    assert not out.exists()
 
 
 def test_validate_remote_backend_skips_community_sizes(tmp_path, capsys):

@@ -12,7 +12,7 @@ from madd.attributes import (
     activation_probability,
 )
 from madd.content import CONTROL_PLAN, make_plan
-from madd.errors import EvaluatorFailure, ScheduleConflict, WindowTooSmall
+from madd.errors import EvaluatorFailure, WindowTooSmall
 from madd.evaluator import SyntheticEvaluator, make_evaluator
 from madd.network import PropagationNetwork
 from madd.powerlaw import PowerLawFit
@@ -94,9 +94,19 @@ def path_world(total_steps=4):
     return scenario, profiles, network, fit
 
 
+def fix_bot_steps(monkeypatch, steps):
+    """Schedule every bot of the run on exactly ``steps``."""
+    monkeypatch.setattr(
+        engine,
+        "build_bot_schedules",
+        lambda profiles, *_: {p.agent_id: frozenset(steps) for p in profiles},
+    )
+
+
 class TestHandTraces:
-    def test_single_step_without_bots_changes_nothing(self):
+    def test_single_step_without_bots_changes_nothing(self, monkeypatch):
         scenario, profiles, network, fit = path_world(total_steps=1)
+        fix_bot_steps(monkeypatch, ())
         report = engine.run(
             scenario,
             network,
@@ -105,15 +115,15 @@ class TestHandTraces:
             SyntheticEvaluator(seed=1),
             seed=1,
             fit=fit,
-            schedules={"mbot": frozenset()},
             record_cadence=1,
         )
         first, last = report.ratios["alpha"][0], report.ratios["alpha"][-1]
         assert (first.sr, first.er) == (1.0, 0.0)
         assert (last.sr, last.er, last.ir, last.ur) == (1.0, 0.0, 0.0, 0.0)
 
-    def test_bot_broadcast_exposes_neighbor_then_neighbor_relays(self):
+    def test_bot_broadcast_exposes_neighbor_then_neighbor_relays(self, monkeypatch):
         scenario, profiles, network, fit = path_world(total_steps=4)
+        fix_bot_steps(monkeypatch, {1})
         states = []
         engine.run(
             scenario,
@@ -123,7 +133,6 @@ class TestHandTraces:
             SyntheticEvaluator(seed=1),
             seed=1,
             fit=fit,
-            schedules={"mbot": frozenset({1})},
             record_cadence=1,
             state_out=states,
         )
@@ -136,8 +145,9 @@ class TestHandTraces:
         b_receipts = [entry for entry in log if entry[2] == "b_user"]
         assert b_receipts and min(entry[0] for entry in b_receipts) == 2
 
-    def test_exposure_is_delivery_based_not_activation_based(self):
+    def test_exposure_is_delivery_based_not_activation_based(self, monkeypatch):
         scenario, profiles, network, fit = path_world(total_steps=1)
+        fix_bot_steps(monkeypatch, {1})
         states = []
         report = engine.run(
             scenario,
@@ -147,7 +157,6 @@ class TestHandTraces:
             SyntheticEvaluator(seed=1),
             seed=1,
             fit=fit,
-            schedules={"mbot": frozenset({1})},
             record_cadence=1,
             state_out=states,
         )
@@ -211,26 +220,6 @@ class TestBotSchedules:
         a = engine.build_bot_schedules(self.bots(), self.params(), CONTROL_PLAN, seed=5)
         b = engine.build_bot_schedules(self.bots(), self.params(), CONTROL_PLAN, seed=5)
         assert a == b
-
-
-def test_schedule_conflict_under_control_plan():
-    scenario, profiles, network, fit = path_world()
-    profiles.append(
-        AgentProfile(agent_id="lbot", kind=KIND_LBOT, interest_scores={"alpha": 10.0})
-    )
-    network.add_node("lbot", KIND_LBOT)
-    network.add_edge("lbot", "b_user")
-    with pytest.raises(ScheduleConflict):
-        engine.run(
-            scenario,
-            network,
-            profiles,
-            CONTROL_PLAN,
-            SyntheticEvaluator(seed=1),
-            seed=1,
-            fit=fit,
-            schedules={"mbot": frozenset(), "lbot": frozenset({2})},
-        )
 
 
 class TestSnapshotRatios:
@@ -487,6 +476,13 @@ class TestGoldenDigests:
         # pins the legitimate-bot broadcasts and the accept draws they cause
         plan = make_plan(small_world[0].params, "early", strategy)
         assert self.small_world_digest(small_world, plan) == digest
+
+    def test_small_world_late_fact(self, small_world):
+        # pins the late-window broadcast path
+        plan = make_plan(small_world[0].params, "late", "fact_based")
+        assert self.small_world_digest(small_world, plan) == (
+            "2202de46c1778e7bfa9791bfa5b705cf272fb3fcd233988d57aa3d03d68ecb1c"
+        )
 
     def test_paper_world_canonical_control(self, paper_world):
         scenario, profiles, _, network, fit = paper_world
