@@ -42,15 +42,31 @@ MAX_CANDIDATES = 40
 _COARSE_LAMBDAS = (0.0,) + tuple(np.logspace(-4, 0, 13))
 _REL_TOL = 1e-12
 _MAX_TABLE = 1 << 24
+# _CUTOFF_SPAN / lam terms past x_min, the cutoff factor e^(-lam k) has fallen
+# by e^-40 (about 4e-18).
+_CUTOFF_SPAN = 40.0
 
 
 def _norm_constant(alpha: float, lam: float, x_min: int) -> float:
-    """Z = sum_{k >= x_min} k^-alpha e^(-lam k), by zeta or chunked sums."""
+    """Z = sum_{k >= x_min} k^-alpha e^(-lam k), by zeta or chunked sums.
+
+    The first chunk holds 65,536 terms, or, when the cutoff kills the terms
+    sooner, the smallest power of two covering ``_CUTOFF_SPAN / lam`` terms
+    (at least 128, the leaf size of numpy's pairwise sum). ``np.sum`` adds
+    pairwise by halving, so a 2^j-term prefix sums to the left subtree of
+    the 65,536-term sum, and the terms it leaves out are below half an ulp
+    of it: Z keeps the same bits as with the full first chunk. A chunk that
+    is not a power of two would split the sum differently and move the last
+    bits.
+    """
     if lam <= 0.0:
         return float(zeta(alpha, x_min))
     total = 0.0
     lo = x_min
     chunk = 1 << 16
+    span = _CUTOFF_SPAN / lam
+    if span < chunk:
+        chunk = max(128, 1 << (int(np.ceil(span)) - 1).bit_length())
     while True:
         k = np.arange(lo, lo + chunk, dtype=np.float64)
         total += float(np.sum(k**-alpha * np.exp(-lam * k)))
@@ -157,7 +173,7 @@ class PowerLawFit:
         """Cumulative probabilities from x_min out to where the cutoff has
         extinguished all but ~1e-15 of the mass (queries beyond clamp to the
         last entry). Only used for lam > 0."""
-        end = self.x_min + min(int(np.ceil(40.0 / self.lam)), _MAX_TABLE)
+        end = self.x_min + min(int(np.ceil(_CUTOFF_SPAN / self.lam)), _MAX_TABLE)
         ks = np.arange(self.x_min, end + 1, dtype=np.float64)
         table = np.cumsum(ks**-self.alpha * np.exp(-self.lam * ks))
         table /= self.normalization

@@ -141,6 +141,10 @@ def validate_params(params: SimulationParams) -> None:
         )
         check(ok, f"intervention_windows[{stage}]", tuple(window),
               f"sub-range of [1, {params.total_steps}]")
+        # legitimate bots activate on distinct steps inside the window
+        least = params.legitimate_freq_range[0]
+        check(window[1] - window[0] + 1 >= least, f"intervention_windows[{stage}]",
+              tuple(window), f"at least legitimate_freq_range[0] = {least} steps")
     check(
         0.0 <= params.repost_probability <= 1.0,
         "repost_probability",

@@ -127,6 +127,38 @@ def test_experiment_without_correction_exits_1_and_writes_nothing(
     assert not out.exists()
 
 
+@pytest.fixture(scope="module")
+def short_window_path(tmp_path_factory):
+    """A late window of 3 steps under a legitimate minimum of 10 activations."""
+    data = build_synthetic_scenario(n_users=200, seed=7).to_dict()
+    data["params"]["legitimate_freq_range"] = [10, 12]
+    data["params"]["intervention_windows"]["late"] = [70, 72]
+    path = tmp_path_factory.mktemp("window") / "scenario.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+SHORT_WINDOW = (
+    "error: intervention_windows[late] = (70, 72) violates "
+    "at least legitimate_freq_range[0] = 10 steps\n"
+)
+
+
+def test_validate_rejects_window_below_legitimate_minimum(short_window_path, capsys):
+    assert main(["validate", "--scenario", short_window_path]) == 1
+    assert capsys.readouterr().err == SHORT_WINDOW
+
+
+@pytest.mark.parametrize("command", ["run", "experiment"])
+def test_short_window_exits_1_and_writes_nothing(short_window_path, tmp_path, capsys, command):
+    out = tmp_path / command
+    argv = [command, "--scenario", short_window_path, "--seed", "1", "--stage", "late",
+            "--strategy", "fact", "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == SHORT_WINDOW
+    assert not out.exists()
+
+
 def test_validate_remote_backend_skips_community_sizes(tmp_path, capsys):
     scenario = build_synthetic_scenario(n_users=60, seed=6)
     remote = replace(

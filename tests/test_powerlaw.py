@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from scipy.special import zeta
 
 from madd.errors import DegenerateSamples, InsufficientData
-from madd.powerlaw import PowerLawFit, fit_truncated_power_law
+from madd.powerlaw import PowerLawFit, _norm_constant, fit_truncated_power_law
 
 
 def sample_truncated_power_law(alpha, lam, x_min, n, seed):
@@ -94,6 +95,37 @@ class TestCdf:
     def test_approaches_one(self):
         fit = PowerLawFit(alpha=1.5, lam=0.02, x_min=10)
         assert fit.cdf(100_000) > 0.999
+
+
+def reference_norm_constant(alpha, lam, x_min):
+    """The normalizer summed from a fixed first chunk of 65,536 terms, doubling after."""
+    total, lo, chunk = 0.0, x_min, 1 << 16
+    while True:
+        k = np.arange(lo, lo + chunk, dtype=np.float64)
+        total += float(np.sum(k**-alpha * np.exp(-lam * k)))
+        lo += chunk
+        if float(np.exp(-lam * lo) * zeta(alpha, lo)) <= 1e-12 * total:
+            return total
+        chunk = min(chunk * 2, 1 << 22)
+
+
+def test_norm_constant_bit_identical_to_fixed_first_chunk():
+    rng = np.random.default_rng(2009)
+    n = 2_000
+    alphas = rng.uniform(1.001, 8.0, n)
+    lams = 10.0 ** rng.uniform(-4.9, 0.0, n)
+    x_mins = rng.integers(1, 20_001, n)
+    mismatches = [
+        (a, lam, x)
+        for a, lam, x in zip(alphas.tolist(), lams.tolist(), x_mins.tolist())
+        if _norm_constant(a, lam, x) != reference_norm_constant(a, lam, x)
+    ]
+    assert mismatches == []
+
+
+def test_paper_world_fit_pinned(paper_world):
+    fit = paper_world[-1]
+    assert repr((fit.alpha, fit.lam, fit.x_min)) == "(1.6370567440619777, 0.010346201110090651, 11)"
 
 
 def test_invalid_parameters_rejected():
