@@ -25,7 +25,10 @@ Semantics, fixed for determinism:
   drawn once per run as a (steps, 3) block of activation, share and
   repost/quote uniforms; step t reads row t-1. Each receiver owns one
   "belief" and one "accept" stream over the run's claim, and its k-th
-  judgment of that kind takes the stream's k-th uniform.
+  judgment of that kind takes the stream's k-th uniform. Judgment streams
+  are read in blocks of JUDGMENT_BLOCK uniforms: on PCG64, ``random(n)``
+  yields the same doubles as n scalar ``random()`` calls, so the k-th
+  judgment still takes the k-th uniform.
 
 Bots are instruments: only bots homed in the run topic's community act,
 each broadcasting on the steps of its drawn schedule alone - malicious ones
@@ -55,10 +58,9 @@ from .content import (
     score_plausibility,
 )
 from .dynamics import (
-    DiscernmentInputs,
     TrustUpdateInputs,
-    believe_disinformation,
-    discernment,
+    believe_disinformation,  # noqa: F401 - the scalar rules _deliver computes inline
+    discernment,  # noqa: F401
     update_trust,
 )
 from .errors import EvaluatorFailure, RangeViolation, WindowTooSmall
@@ -77,6 +79,7 @@ STANCE_ENDORSE = "endorse"
 STANCE_DISPUTE = "dispute"
 
 DEFAULT_RECORD_CADENCE = 12
+JUDGMENT_BLOCK = 32  # uniforms a judgment stream draws per refill
 
 
 @dataclass(frozen=True)
@@ -84,6 +87,29 @@ class Message:
     item: ContentItem
     stance: str
     sender: str
+
+
+class JudgmentStream:
+    """One receiver's uniforms for one kind of judgment, handed out in order.
+
+    The generator is read ``JUDGMENT_BLOCK`` doubles at a time; the k-th
+    ``uniform()`` call returns the generator's k-th scalar ``random()``.
+    """
+
+    __slots__ = ("_gen", "_block", "_next")
+
+    def __init__(self, gen: np.random.Generator):
+        self._gen = gen
+        self._block = gen.random(JUDGMENT_BLOCK)
+        self._next = 0
+
+    def uniform(self) -> float:
+        i = self._next
+        if i == JUDGMENT_BLOCK:
+            self._block = self._gen.random(JUDGMENT_BLOCK)
+            i = 0
+        self._next = i + 1
+        return self._block.item(i)
 
 
 @dataclass
@@ -94,7 +120,7 @@ class AgentState:
     trust: float = 0.0  # current threshold toward the run topic
     believes: bool = False  # believes the run's disinformation
     exposure_counts: dict = field(default_factory=dict)  # content_id -> receipts
-    judgment_streams: dict = field(default_factory=dict)  # purpose -> Generator over the claim
+    judgment_streams: dict = field(default_factory=dict)  # purpose -> JudgmentStream over the claim
     latest: Message | None = None  # the most recent receipt
     outbox: list = field(default_factory=list)  # (step, content_id, stance, mode)
     pending: dict = field(default_factory=dict)  # sender -> latest receipt since last activation
@@ -402,15 +428,19 @@ def _apply_trust_update(agent, weight, evaluator, params, topic: str) -> None:
 
 
 def _deliver(state, outgoing, seed, t, claim_id, plausibility) -> None:
+    log = state.delivery_log
     for receivers, message in outgoing:
+        sender = message.sender
+        stance = message.stance
         item_id = message.item.content_id
         claim = message.item.kind == "disinformation"
-        endorsed = message.stance == STANCE_ENDORSE
+        endorsed = stance == STANCE_ENDORSE
         for receiver, agent in receivers:
             agent.latest = message
-            agent.pending[message.sender] = message
-            agent.exposure_counts[item_id] = agent.exposure_counts.get(item_id, 0) + 1
-            state.delivery_log.append((t, message.sender, receiver, item_id, message.stance))
+            agent.pending[sender] = message
+            counts = agent.exposure_counts
+            counts[item_id] = counts.get(item_id, 0) + 1
+            log.append((t, sender, receiver, item_id, stance))
             if claim and (endorsed or agent.status == STATUS_SUSCEPTIBLE):
                 # seeing the claim pushed at face value (or for the first time,
                 # even inside a disputing quote) re-draws belief both ways
@@ -424,20 +454,26 @@ def _deliver(state, outgoing, seed, t, claim_id, plausibility) -> None:
                 purpose = "accept"
             else:
                 continue
-            da = discernment(
-                DiscernmentInputs(updated_tt=agent.trust, plausibility=plausibility)
-            )
+            # dynamics.discernment and believe_disinformation inline, with the
+            # DiscernmentInputs range checks; inside them DA lies in [0, 1],
+            # so believe_disinformation's own check cannot fail
+            trust = agent.trust
+            if not 0.0 <= trust <= 1.0:
+                raise ValueError(f"updated_tt {trust} outside [0, 1]")
+            if not 0.0 <= plausibility <= 1.0:
+                raise ValueError(f"plausibility {plausibility} outside [0, 1]")
+            da = 1.0 - (1.0 - trust) * plausibility
             # the k-th judgment of this kind takes the k-th draw of its own
             # stream, so plans sharing a seed see aligned randomness until
             # their histories actually diverge
-            rng = agent.judgment_streams.get(purpose)
-            if rng is None:
-                rng = agent.judgment_streams[purpose] = rngmod.substream(
-                    seed, purpose, receiver, claim_id
+            stream = agent.judgment_streams.get(purpose)
+            if stream is None:
+                stream = agent.judgment_streams[purpose] = JudgmentStream(
+                    rngmod.substream(seed, purpose, receiver, claim_id)
                 )
             if purpose == "belief":
-                agent.believes = believe_disinformation(da, rng)
-            elif rng.random() < da:
+                agent.believes = stream.uniform() < 1.0 - da
+            elif stream.uniform() < da:
                 agent.believes = False
 
 

@@ -226,20 +226,30 @@ class SyntheticEvaluator(Evaluator):
         self.seed = int(seed)
         self.params = params or SyntheticParams()
         # persuasiveness is re-requested on every activation; a score is a
-        # pure function of (seed, request bytes), so repeats are looked up
-        self._persuasiveness_memo: dict[bytes, tuple[dict, Usage]] = {}
+        # pure function of (seed, request bytes), so repeats are looked up.
+        # The memo sits behind evaluate(), never in front of it: every
+        # request still reaches evaluate() and is metered there, so the
+        # ledger's llm_calls equals the number of evaluate() calls
+        # (acceptance criterion 9). It is keyed on (texts, *sorted context
+        # items), which for the str-valued context of a persuasiveness
+        # request is equal exactly when the canonical bytes are; only a miss
+        # builds those bytes, since they key the request's substream.
+        self._persuasiveness_memo: dict[tuple, tuple[dict, Usage]] = {}
 
     def _rng(self, key: bytes, *extra: object):
         return rngmod.substream(self.seed, "evaluator", key, *extra)
 
     def evaluate(self, request: EvaluationRequest) -> dict:
-        key = request.canonical_bytes()
         if request.kind != "persuasiveness":
-            scores, usage = self._score(request, key)
+            scores, usage = self._score(request, request.canonical_bytes())
         else:
-            if key not in self._persuasiveness_memo:
-                self._persuasiveness_memo[key] = self._score(request, key)
-            scores, usage = self._persuasiveness_memo[key]
+            key = (request.subject_texts, *sorted(request.context.items()))
+            scored = self._persuasiveness_memo.get(key)
+            if scored is None:
+                scored = self._persuasiveness_memo[key] = self._score(
+                    request, request.canonical_bytes()
+                )
+            scores, usage = scored
         self._record(request, usage)
         return dict(scores)  # a copy: the memo stays private
 

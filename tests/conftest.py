@@ -7,6 +7,18 @@ from madd.powerlaw import fit_truncated_power_law
 from madd.synthdata import build_synthetic_scenario
 
 
+def build_world(scenario):
+    """(scenario, profiles, community index, network, fit) for a scenario."""
+    evaluator = make_evaluator(scenario.evaluator_config, scenario.params.rng_seed)
+    profiles = derive_profiles(scenario, evaluator)
+    index = assign_communities(profiles, scenario.params.tau, scenario.communities)
+    network = build_network(profiles, index, scenario.params, scenario.params.rng_seed)
+    fit = fit_truncated_power_law(
+        [p.share_total for p in profiles if not p.is_bot and p.share_total >= 1]
+    )
+    return scenario, profiles, index, network, fit
+
+
 @pytest.fixture(scope="session")
 def small_scenario():
     return build_synthetic_scenario(
@@ -17,15 +29,7 @@ def small_scenario():
 @pytest.fixture(scope="session")
 def small_world(small_scenario):
     """(scenario, profiles, community index, network, fit) at test scale."""
-    scenario = small_scenario
-    evaluator = make_evaluator(scenario.evaluator_config, scenario.params.rng_seed)
-    profiles = derive_profiles(scenario, evaluator)
-    index = assign_communities(profiles, scenario.params.tau, scenario.communities)
-    network = build_network(profiles, index, scenario.params, scenario.params.rng_seed)
-    fit = fit_truncated_power_law(
-        [p.share_total for p in profiles if not p.is_bot and p.share_total >= 1]
-    )
-    return scenario, profiles, index, network, fit
+    return build_world(small_scenario)
 
 
 @pytest.fixture(scope="session")
@@ -36,12 +40,23 @@ def paper_scenario():
 
 @pytest.fixture(scope="session")
 def paper_world(paper_scenario):
-    scenario = paper_scenario
-    evaluator = make_evaluator(scenario.evaluator_config, scenario.params.rng_seed)
-    profiles = derive_profiles(scenario, evaluator)
-    index = assign_communities(profiles, scenario.params.tau, scenario.communities)
-    network = build_network(profiles, index, scenario.params, scenario.params.rng_seed)
-    fit = fit_truncated_power_law(
-        [p.share_total for p in profiles if not p.is_bot and p.share_total >= 1]
+    return build_world(paper_scenario)
+
+
+@pytest.fixture(scope="session")
+def dense_world():
+    """One 200-user politics community with busy bots: deliveries and
+    judgments far outnumber agent-steps."""
+    return build_world(
+        build_synthetic_scenario(
+            n_users=200,
+            communities=("politics",),
+            seed=5,
+            m0=7,
+            m=6,
+            malicious_ratio=0.3,
+            malicious_freq_range=(36, 72),
+            xi=0.0,
+            theta=0.2,
+        )
     )
-    return scenario, profiles, index, network, fit

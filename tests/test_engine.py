@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from madd import engine
+from madd import rng as rngmod
 from madd.attributes import (
     KIND_LBOT,
     KIND_MBOT,
@@ -11,7 +12,7 @@ from madd.attributes import (
     AgentProfile,
     activation_probability,
 )
-from madd.content import CONTROL_PLAN, make_plan
+from madd.content import CONTROL_PLAN, ContentItem, make_plan
 from madd.errors import EvaluatorFailure, WindowTooSmall
 from madd.evaluator import SyntheticEvaluator, make_evaluator
 from madd.network import PropagationNetwork
@@ -258,6 +259,32 @@ class TestSnapshotRatios:
         assert sr + er == 1.0
 
 
+class TestDeliver:
+    CLAIM = ContentItem("claim_alpha", "alpha", "disinformation", text="a claim")
+
+    @pytest.mark.parametrize(
+        "trust, plausibility",
+        [(1.5, 0.6), (-0.1, 0.6), (float("nan"), 0.6), (0.5, 1.5)],
+        ids=["trust-above-1", "trust-below-0", "trust-nan", "plausibility-above-1"],
+    )
+    def test_judgment_checks_discernment_inputs(self, trust, plausibility):
+        # the DiscernmentInputs range checks hold on the delivery path
+        state = engine.SimulationState()
+        agent = state.agents["u1"] = engine.AgentState(profile=None, trust=trust)
+        message = engine.Message(self.CLAIM, engine.STANCE_ENDORSE, "mbot_0")
+        with pytest.raises(ValueError):
+            engine._deliver(
+                state, [([("u1", agent)], message)], 1, 1, self.CLAIM.content_id, plausibility
+            )
+
+    def test_judgment_stream_reads_blocks_in_scalar_order(self):
+        n = 3 * engine.JUDGMENT_BLOCK + 5
+        labels = (13, "belief", "u1", "claim_alpha")
+        stream = engine.JudgmentStream(rngmod.substream(*labels))
+        scalar = rngmod.substream(*labels)
+        assert [stream.uniform() for _ in range(n)] == [scalar.random() for _ in range(n)]
+
+
 @pytest.fixture(scope="module")
 def run_outputs(small_world):
     scenario, profiles, index, network, fit = small_world
@@ -500,6 +527,41 @@ class TestGoldenDigests:
         assert hashlib.sha256(report.to_json().encode()).hexdigest() == (
             "38e60f43f0276d7aa4aa57a01af6202c83437dbf2e34068dd9b4de3954f5f34c"
         )
+
+    @pytest.mark.parametrize(
+        "stage, digest",
+        [
+            ("control", "222ae227f6e7dcda5a5c1da02cd1b3293d0d948db3ea425b22764748802c40f8"),
+            ("early", "1d1d2632d5d06cfb8e27798043dda6c1c29b6d4322d03d1eeb66c4c91e7fc2d3"),
+        ],
+        ids=["control", "early_fact"],
+    )
+    def test_dense_world(self, dense_world, stage, digest):
+        # one busy politics community: receivers judge the claim far more
+        # often than one judgment block holds, so block refills are pinned
+        scenario, profiles, _, network, fit = dense_world
+        plan = CONTROL_PLAN if stage == "control" else make_plan(
+            scenario.params, stage, "fact_based"
+        )
+        states = []
+        report = engine.run(
+            scenario,
+            network,
+            profiles,
+            plan,
+            make_evaluator(scenario.evaluator_config, scenario.params.rng_seed),
+            seed=13,
+            fit=fit,
+            collect_trajectories=True,
+            state_out=states,
+        )
+        assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
+        claim_id = scenario.disinformation_for(None).content_id
+        endorsed = {}
+        for _, _, receiver, content_id, stance in states[0].delivery_log:
+            if content_id == claim_id and stance == engine.STANCE_ENDORSE:
+                endorsed[receiver] = endorsed.get(receiver, 0) + 1
+        assert max(endorsed.values()) > engine.JUDGMENT_BLOCK
 
 
 class TestActivationKeying:

@@ -145,6 +145,45 @@ class TestSynthetic:
         scores[0]["score"] = -1.0  # callers get copies; the memo stays intact
         assert evaluator.evaluate(request) == scores[1]
 
+    def test_persuasiveness_memo_sits_behind_evaluate(self):
+        class Counting(SyntheticEvaluator):
+            invocations = 0
+
+            def evaluate(self, request):
+                self.invocations += 1
+                return super().evaluate(request)
+
+        kwargs = dict(content_kind="disinformation", strategy="none", stance="endorse",
+                      receiver_history="h", community="politics")
+        evaluator = Counting(seed=11)
+        scores = [evaluator.persuasiveness("ballots were shredded", **kwargs) for _ in range(4)]
+        # every call reaches evaluate() and the ledger, hits included
+        assert evaluator.invocations == 4
+        assert evaluator.ledger_snapshot()["totals"]["llm_calls"] == 4
+        fresh = SyntheticEvaluator(seed=11).persuasiveness("ballots were shredded", **kwargs)
+        assert scores == [fresh] * 4
+
+    def test_context_insertion_order_shares_one_memo_entry(self, monkeypatch):
+        built = []
+        real_substream = rngmod.substream
+
+        def counting_substream(*args):
+            built.append(args)
+            return real_substream(*args)
+
+        monkeypatch.setattr(rngmod, "substream", counting_substream)
+        context = {"content_kind": "correction", "strategy": "narrative_based",
+                   "stance": "endorse", "history": "h", "community": "politics"}
+        texts = ("a neighbour tells how the count really went",)
+        a = EvaluationRequest(kind="persuasiveness", subject_texts=texts, context=context)
+        b = EvaluationRequest(kind="persuasiveness", subject_texts=texts,
+                              context=dict(reversed(context.items())))
+        assert list(a.context) != list(b.context)
+        assert a.canonical_bytes() == b.canonical_bytes()
+        evaluator = SyntheticEvaluator(seed=11)
+        assert evaluator.evaluate(a) == evaluator.evaluate(b)
+        assert len(built) == 1
+
     def test_unknown_kind_rejected(self):
         for kind in ("mood", "belief_check"):
             with pytest.raises(ValueError):
