@@ -13,6 +13,8 @@ import logging
 import math
 from dataclasses import asdict, dataclass, field
 
+import numpy as np
+
 from . import rng as rngmod
 from .errors import EvaluatorFailure
 from .evaluator import EvaluationRequest, Evaluator
@@ -173,8 +175,9 @@ def derive_profiles(scenario: Scenario, evaluator: Evaluator) -> list:
             continue
         influence = social_influence((a, by_id[a].follower_count) for a in members)
         # bots imitate rank-and-file accounts: sample the sub-median influence
-        # values so no bot lands an organic celebrity's hub position
-        si_pool = sorted(influence.values())[: max(1, len(members) // 2)]
+        # values so no bot lands an organic celebrity's hub position (an array:
+        # rng.choice converts a list argument in full on every call)
+        si_pool = np.array(sorted(influence.values())[: max(1, len(members) // 2)])
         for ratio, kind, prefix in (
             (params.malicious_ratio, KIND_MBOT, "mbot"),
             (params.legitimate_ratio, KIND_LBOT, "lbot"),

@@ -22,8 +22,8 @@ Semantics, fixed for determinism:
   even in control runs.
 * Every draw is keyed by (seed, purpose, agent[, item]), never by the
   order agents are processed in. Each regular agent owns one "act" stream,
-  drawn once per run as a (steps, 3) block of activation, share and
-  repost/quote uniforms; step t reads row t-1. Each receiver owns one
+  drawn once per run as a (steps, 2) block of activation and share
+  uniforms; step t reads row t-1. Each receiver owns one
   "belief" and one "accept" stream over the run's claim, and its k-th
   judgment of that kind takes the stream's k-th uniform. Judgment streams
   are read in blocks of JUDGMENT_BLOCK uniforms: on PCG64, ``random(n)``
@@ -122,7 +122,7 @@ class AgentState:
     exposure_counts: dict = field(default_factory=dict)  # content_id -> receipts
     judgment_streams: dict = field(default_factory=dict)  # purpose -> JudgmentStream over the claim
     latest: Message | None = None  # the most recent receipt
-    outbox: list = field(default_factory=list)  # (step, content_id, stance, mode)
+    outbox: list = field(default_factory=list)  # (step, content_id, stance)
     pending: dict = field(default_factory=dict)  # sender -> latest receipt since last activation
 
     @property
@@ -202,14 +202,14 @@ def activation_draws(seed: int, agent_ids, total_steps: int) -> np.ndarray:
     """The per-step uniforms of these agents, drawn as one block.
 
     ``draws[i]`` is agent_ids[i]'s "act" stream drawn as
-    ``(total_steps, 3)``. Step t reads ``draws[i, t-1]``: column 0 decides
-    activation, column 1 dissemination and column 2 repost versus quote.
+    ``(total_steps, 2)``. Step t reads ``draws[i, t-1]``: column 0 decides
+    activation and column 1 dissemination.
     ``draws[i]`` depends only on (seed, agent_ids[i]), never on which other
     agents are in the block.
     """
-    draws = np.empty((len(agent_ids), total_steps, 3))
+    draws = np.empty((len(agent_ids), total_steps, 2))
     for i, agent_id in enumerate(agent_ids):
-        draws[i] = rngmod.substream(seed, "act", agent_id).random((total_steps, 3))
+        draws[i] = rngmod.substream(seed, "act", agent_id).random((total_steps, 2))
     return draws
 
 
@@ -356,7 +356,7 @@ def run(
             for i in active_agents(draws, probs, t):
                 agent_id = regular_ids[i]
                 agent = regulars[i]
-                _, share_u, mode_u = draws[i, t - 1]
+                share_u = draws[i, t - 1, 1]
                 _apply_trust_update(agent, weight, evaluator, params, topic)
                 latest = agent.latest
                 if latest is None:
@@ -371,9 +371,8 @@ def run(
                     stance = STANCE_DISPUTE
                 else:
                     stance = STANCE_ENDORSE
-                mode = "repost" if mode_u < params.repost_probability else "quote"
                 outgoing.append((audience[agent_id], Message(latest.item, stance, agent_id)))
-                agent.outbox.append((t, latest.item.content_id, stance, mode))
+                agent.outbox.append((t, latest.item.content_id, stance))
                 if agent.status == STATUS_EXPOSED:
                     agent.spreading = True
 

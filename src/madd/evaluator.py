@@ -236,8 +236,8 @@ class SyntheticEvaluator(Evaluator):
         # builds those bytes, since they key the request's substream.
         self._persuasiveness_memo: dict[tuple, tuple[dict, Usage]] = {}
 
-    def _rng(self, key: bytes, *extra: object):
-        return rngmod.substream(self.seed, "evaluator", key, *extra)
+    def _rng(self, key: bytes):
+        return rngmod.substream(self.seed, "evaluator", key)
 
     def evaluate(self, request: EvaluationRequest) -> dict:
         if request.kind != "persuasiveness":
@@ -271,21 +271,14 @@ class SyntheticEvaluator(Evaluator):
 
     # -- per-kind handlers ---------------------------------------------------
 
-    def _home_community(self, request: EvaluationRequest) -> str:
-        communities = request.context["communities"]
-        user_id = request.context.get("user_id", "")
-        pick = rngmod.substream(self.seed, "evaluator-home", user_id).integers(
-            0, len(communities)
-        )
-        return communities[int(pick)]
-
     def _eval_interest_community(self, request: EvaluationRequest, key: bytes) -> dict:
         p = self.params
-        home = self._home_community(request)
+        communities = request.context["communities"]
+        rng = self._rng(key)
+        home = int(rng.integers(0, len(communities)))
         scores = {}
-        for community in request.context["communities"]:
-            rng = self._rng(key, community)
-            if community == home:
+        for i, community in enumerate(communities):
+            if i == home:
                 value = rng.normal(p.ic_home_mean, p.ic_home_std)
             elif rng.random() < p.ic_cross_prob:
                 value = rng.normal(p.ic_cross_mean, p.ic_cross_std)
@@ -296,12 +289,11 @@ class SyntheticEvaluator(Evaluator):
 
     def _eval_trust_threshold(self, request: EvaluationRequest, key: bytes) -> dict:
         p = self.params
-        scores = {}
-        for community in request.context["communities"]:
-            rng = self._rng(key, community)
-            value = rng.normal(p.tt_mean, p.tt_std)
-            scores[community] = min(1.0, max(0.0, float(value)))
-        return scores
+        rng = self._rng(key)
+        return {
+            community: min(1.0, max(0.0, float(rng.normal(p.tt_mean, p.tt_std))))
+            for community in request.context["communities"]
+        }
 
     def _eval_plausibility(self, request: EvaluationRequest, key: bytes) -> dict:
         p = self.params

@@ -13,19 +13,14 @@ arises solely from users who belong to several communities.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import rng as rngmod
 from .errors import CommunityTooSmall, DegenerateSamples, InsufficientData
 from .powerlaw import PowerLawFit, fit_truncated_power_law
-
-if TYPE_CHECKING:
-    from .attributes import AgentProfile
-    from .scenario import SimulationParams
+from .scenario import SimulationParams
 
 
 @dataclass
@@ -113,7 +108,7 @@ def check_community_sizes(community_index: dict, m0: int) -> None:
 def build_network(
     profiles,
     community_index: dict,
-    params: "SimulationParams",
+    params: SimulationParams,
     seed: int,
 ) -> PropagationNetwork:
     """Grow the network community by community (deterministic under seed).
@@ -134,6 +129,8 @@ def build_network(
         influence = {a: by_id[a].social_influence.get(community, 0.0) for a in members}
         order = sorted(members, key=lambda a: (-influence[a], a))
         weights = np.array([influence[a] for a in order], dtype=np.float64)
+        cum = np.cumsum(weights)
+        positive = np.cumsum(weights > 0.0)
         rng = rngmod.substream(seed, "network", community)
 
         seeds = order[: params.m0]
@@ -142,36 +139,47 @@ def build_network(
                 network.add_edge(a, b)
 
         for k in range(params.m0, len(order)):
-            # members present on arrival k are order[:k], weighted by weights[:k]
-            for target in _draw_without_replacement(rng, order, weights[:k], min(params.m, k)):
-                network.add_edge(target, order[k])
+            # members present on arrival k are order[:k]
+            picks = _draw_without_replacement(
+                rng, weights[:k], cum[:k], int(positive[k - 1]), min(params.m, k)
+            )
+            for position in picks:
+                network.add_edge(order[position], order[k])
     return network
 
 
-def _draw_without_replacement(rng, items: list, weights: np.ndarray, count: int) -> list:
-    """Sequential weighted draws with renormalization after each pick.
+def _draw_without_replacement(
+    rng, weights: np.ndarray, cum: np.ndarray, positive: int, count: int
+) -> list:
+    """Positions of ``count`` sequential weighted draws without replacement.
 
-    ``weights[i]`` weighs ``items[i]``. Each pick is deleted from the
-    weights, so every ``rng.choice`` sees the remaining weights in their
-    original order, normalized by their own sum.
+    ``cum`` holds the running sums of ``weights``; ``positive`` counts their
+    positive entries. Each pick scales one uniform by the weight left, steps
+    it over earlier picks' intervals and looks it up in ``cum``: the draw
+    ``rng.choice`` makes on the remaining weights renormalized. Once no
+    positive weight is left, picks are uniform over the positions left.
     """
-    taken: list[int] = []  # positions in ``items`` picked so far, ascending
-    picks = []
-    for draw in range(count):
-        total = weights.sum()
-        if total <= 0.0:
-            probs = np.full(len(weights), 1.0 / len(weights))
+    picks: list[int] = []
+    left = float(cum[-1])
+    for _ in range(count):
+        taken = sorted(picks)
+        if len(picks) < positive:
+            target = rng.random() * left
+            for earlier in taken:
+                if target < (cum[earlier - 1] if earlier else 0.0):
+                    break
+                target += weights[earlier]
+            position = int(cum.searchsorted(target, side="right"))
+            if position == len(cum):  # rounding carried the target past the end
+                position = max(set(np.flatnonzero(weights).tolist()) - set(taken))
+            left -= weights[position]
         else:
-            probs = weights / total
-        choice = int(rng.choice(len(weights), p=probs))
-        position = choice  # index among the remaining -> index in ``items``
-        for earlier in taken:
-            if earlier <= position:
-                position += 1
-        bisect.insort(taken, position)
-        picks.append(items[position])
-        if draw + 1 < count:
-            weights = np.delete(weights, choice)
+            rest = len(cum) - len(taken)
+            position = int(rng.choice(rest, p=np.full(rest, 1.0 / rest)))
+            for earlier in taken:  # index among the positions left -> position
+                if earlier <= position:
+                    position += 1
+        picks.append(position)
     return picks
 
 

@@ -52,10 +52,18 @@ class SimulationParams:
     malicious_freq_range: tuple[int, int] = (1, 18)
     legitimate_freq_range: tuple[int, int] = (1, 12)
     intervention_windows: dict[str, tuple[int, int]] = field(
-        default_factory=lambda: {"early": (12, 72), "mid": (36, 72), "late": (48, 72)}
+        default_factory=lambda: scaled_windows(SimulationParams.total_steps)
     )
-    repost_probability: float = 0.7
     rng_seed: int = 0
+
+
+def scaled_windows(total_steps: int) -> dict:
+    """Stage windows proportional to the run length (T/6, T/2, 2T/3)."""
+    return {
+        "early": (max(1, total_steps // 6), total_steps),
+        "mid": (max(1, total_steps // 2), total_steps),
+        "late": (max(1, (2 * total_steps) // 3), total_steps),
+    }
 
 
 def config_from_dict(cls, data, where: str):
@@ -145,12 +153,6 @@ def validate_params(params: SimulationParams) -> None:
         least = params.legitimate_freq_range[0]
         check(window[1] - window[0] + 1 >= least, f"intervention_windows[{stage}]",
               tuple(window), f"at least legitimate_freq_range[0] = {least} steps")
-    check(
-        0.0 <= params.repost_probability <= 1.0,
-        "repost_probability",
-        params.repost_probability,
-        "within [0, 1]",
-    )
 
 
 def validate_evaluator_config(config: EvaluatorConfig) -> None:
@@ -253,8 +255,11 @@ class Scenario:
     evaluator_config: EvaluatorConfig = field(default_factory=EvaluatorConfig)
 
     def digest(self) -> str:
-        canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        """sha256 of the canonical JSON, computed once per (frozen) instance."""
+        if "_digest" not in self.__dict__:
+            canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+            self.__dict__["_digest"] = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return self.__dict__["_digest"]
 
     def to_dict(self) -> dict:
         return {

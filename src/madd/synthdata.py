@@ -27,6 +27,7 @@ from .scenario import (
     UserRecord,
     make_scenario,
     save_scenario,
+    scaled_windows,
 )
 
 DEFAULT_COMMUNITIES = (
@@ -175,15 +176,6 @@ def build_catalog(communities) -> tuple:
             )
         )
     return tuple(items)
-
-
-def scaled_windows(total_steps: int) -> dict:
-    """Stage windows proportional to the run length (T/6, T/2, 2T/3)."""
-    return {
-        "early": (max(1, total_steps // 6), total_steps),
-        "mid": (max(1, total_steps // 2), total_steps),
-        "late": (max(1, (2 * total_steps) // 3), total_steps),
-    }
 
 
 def build_synthetic_scenario(

@@ -207,7 +207,7 @@ def test_criterion_06_simulation_invariants_at_scale(paper_world, canonical_run)
         assert all(0.0 <= tt <= 1.0 for _, tt in series)
     for agent in state.agents.values():
         received = set(agent.exposure_counts)
-        shared = {content_id for _, content_id, _, _ in agent.outbox}
+        shared = {content_id for _, content_id, _ in agent.outbox}
         assert shared <= received
 
     started = time.perf_counter()
@@ -343,7 +343,7 @@ def test_criterion_10_long_run_smoke():
         assert all(0.0 <= tt <= 1.0 for _, tt in series)
     for agent in states[0].agents.values():
         received = set(agent.exposure_counts)
-        assert {cid for _, cid, _, _ in agent.outbox} <= received
+        assert {cid for _, cid, _ in agent.outbox} <= received
     assert elapsed < 30.0
     report_line(
         10,

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import io
 import json
+import re
 import tempfile
 from dataclasses import fields, replace
 from functools import lru_cache
@@ -16,7 +17,7 @@ from madd.content import ContentItem
 from madd.errors import EvaluatorFailure
 from madd.evaluator import EvaluatorConfig, SyntheticEvaluator, SyntheticParams
 from madd.scenario import SimulationParams, UserRecord, save_scenario
-from madd.synthdata import build_synthetic_scenario
+from madd.synthdata import DEFAULT_COMMUNITIES, build_synthetic_scenario
 from madd.synthdata import main as synthdata_main
 
 
@@ -66,25 +67,28 @@ def test_validate_ok(scenario_path, capsys):
 
 @pytest.fixture(scope="module")
 def small_community_path(tmp_path_factory):
-    """60 users at seed 6 clear the share-count pre-flight, but only 4 of
-    them land in 'technology', fewer than m0 = 5."""
+    """60 users at seed 6 clear the share-count pre-flight, and m0 = 61 is
+    above the whole population, so every community is below m0 however
+    the users are scored: the first configured one is reported."""
     path = tmp_path_factory.mktemp("small") / "scenario.json"
-    save_scenario(build_synthetic_scenario(n_users=60, seed=6), path)
+    save_scenario(build_synthetic_scenario(n_users=60, seed=6, m0=61), path)
     return path
 
 
-TOO_SMALL = "community 'technology' has 4 members, fewer than m0 = 5"
+TOO_SMALL = re.compile(
+    rf"error: community '{DEFAULT_COMMUNITIES[0]}' has \d+ members, fewer than m0 = 61\n"
+)
 
 
 def test_validate_rejects_community_below_m0(small_community_path, capsys):
     assert main(["validate", "--scenario", str(small_community_path)]) == 1
-    assert capsys.readouterr().err == f"error: {TOO_SMALL}\n"
+    assert TOO_SMALL.fullmatch(capsys.readouterr().err)
 
 
 def test_network_on_community_below_m0_exits_1(small_community_path, tmp_path, capsys):
     out = tmp_path / "net"
     assert main(["network", "--scenario", str(small_community_path), "--out", str(out)]) == 1
-    assert capsys.readouterr().err == f"error: {TOO_SMALL}\n"
+    assert TOO_SMALL.fullmatch(capsys.readouterr().err)
     assert not out.exists()
 
 
@@ -410,6 +414,8 @@ def _validate(data: dict) -> tuple:
         (("evaluator", "synthetic", "ic_cross_prob"), 2.0),
         (("evaluator", "synthetic", "ic_cross_prob"), -0.1),
         (("evaluator", "max_in_flight"), 0),
+        # a file saved before repost_probability was removed
+        (("params", "repost_probability"), 0.7),
     ],
     ids=[
         "evaluator-unknown-key", "synthetic-unknown-key", "evaluator-timeout-string",
@@ -420,7 +426,7 @@ def _validate(data: dict) -> tuple:
         "ic-home-std-negative", "ic-cross-std-negative", "ic-other-scale-negative",
         "plausibility-noise-negative", "fact-shape-negative", "narrative-shape-zero",
         "disinfo-shape-zero", "dispute-shape-negative", "ic-cross-prob-above-1",
-        "ic-cross-prob-below-0", "max-in-flight-zero",
+        "ic-cross-prob-below-0", "max-in-flight-zero", "repost-probability-removed",
     ],
 )
 def test_malformed_input_exits_1(path, value):

@@ -327,7 +327,7 @@ class TestRunInvariants:
         _, _, _, _, state = run_outputs
         for agent in state.agents.values():
             received = set(agent.exposure_counts)
-            shared = {content_id for _, content_id, _, _ in agent.outbox}
+            shared = {content_id for _, content_id, _ in agent.outbox}
             assert shared <= received
 
     def test_bots_never_send_off_schedule(self, run_outputs):
@@ -488,14 +488,14 @@ class TestGoldenDigests:
 
     def test_small_world_control(self, small_world):
         assert self.small_world_digest(small_world, CONTROL_PLAN) == (
-            "cec1b41d6c58179878968b1343d6ba741588a7a1a368020a95588b62cb59d162"
+            "69f903d16b19492e06d1b722f1c6c23cfd0d48758611555c0676ea5e475de361"
         )
 
     @pytest.mark.parametrize(
         "strategy, digest",
         [
-            ("fact_based", "240b4f7160306d59d541c40bb5dde91d5905d8bc79f29515fb5db5c28c8707a6"),
-            ("narrative_based", "88497435ce7d00b5ede5e5af4e2e27678c73d439a7453ecdca06e241bf1b8c30"),
+            ("fact_based", "240f839d268164164f442c6cfe335547185de1dbb24dfe5e2bcdd8149f9f9789"),
+            ("narrative_based", "bc0ad526afc1ca8a0b2b1b720b5534396c7f04202ab263eeab239bde8df4e7e0"),
         ],
         ids=["fact_based", "narrative_based"],
     )
@@ -508,7 +508,7 @@ class TestGoldenDigests:
         # pins the late-window broadcast path
         plan = make_plan(small_world[0].params, "late", "fact_based")
         assert self.small_world_digest(small_world, plan) == (
-            "2202de46c1778e7bfa9791bfa5b705cf272fb3fcd233988d57aa3d03d68ecb1c"
+            "7018c021d353a15b95d7b666aeece3dad4a3befda5c512e63fc3f153c98e9f2b"
         )
 
     def test_paper_world_canonical_control(self, paper_world):
@@ -525,14 +525,14 @@ class TestGoldenDigests:
             collect_trajectories=True,
         )
         assert hashlib.sha256(report.to_json().encode()).hexdigest() == (
-            "38e60f43f0276d7aa4aa57a01af6202c83437dbf2e34068dd9b4de3954f5f34c"
+            "17206fc43079bee963a0f9fb161cac333bca541705ea65b069e8398856af6a2c"
         )
 
     @pytest.mark.parametrize(
         "stage, digest",
         [
-            ("control", "222ae227f6e7dcda5a5c1da02cd1b3293d0d948db3ea425b22764748802c40f8"),
-            ("early", "1d1d2632d5d06cfb8e27798043dda6c1c29b6d4322d03d1eeb66c4c91e7fc2d3"),
+            ("control", "c6d2a5732546f3ad4d535ba6533e04cb609819c23a7ecf832c80ec5fb0b75476"),
+            ("early", "2f15d335665037c54da908dbac042c895a0c94fda353f35062c7f7a7e0899357"),
         ],
         ids=["control", "early_fact"],
     )
@@ -572,7 +572,7 @@ class TestActivationKeying:
     def test_agent_row_independent_of_population(self, small_world):
         ids = [p.agent_id for p in self.regulars(small_world)]
         block = engine.activation_draws(13, ids, 24)
-        assert block.shape == (len(ids), 24, 3)
+        assert block.shape == (len(ids), 24, 2)
         for i in (0, len(ids) // 2, len(ids) - 1):
             alone = engine.activation_draws(13, [ids[i]], 24)
             assert np.array_equal(block[i], alone[0])

@@ -155,11 +155,38 @@ class TestDrawWithoutReplacement:
             if pool == "all-zero":
                 weights[:] = 0.0
             count = n if pool == "count-equals-pool" else int(gen.integers(1, min(n, 8) + 1))
-            items = [f"a{k}" for k in range(n + 7)]
-            expected_rng, rng = substream(seed, "draw"), substream(seed, "draw")
-            expected = _list_draw_oracle(expected_rng, items[:n], list(weights[:n]), count)
-            assert _draw_without_replacement(rng, items, weights[:n], count) == expected
-            assert rng.random() == expected_rng.random()  # same number of draws used
+            _assert_matches_oracle(seed, weights, n, count)
+
+    def test_positive_weights_run_out_mid_draw(self):
+        # 0.1 + 0.2 + 0.3 is not exactly 0.6, so the weight left after the
+        # three positive picks is a float residue, not 0.0: the fourth pick
+        # must still be uniform over the two zero-weight positions
+        weights = np.array([0.1, 0.2, 0.3, 0.0, 0.0])
+        assert weights.sum() - 0.1 - 0.2 - 0.3 != 0.0
+        for seed in range(200):
+            _assert_matches_oracle(seed, weights, len(weights), 4)
+
+    def test_weight_below_running_sum_resolution(self):
+        # 1e-17 leaves the running sum at 1.0, so once position 0 is taken
+        # the target lands past the end of ``cum``: the pick must still be
+        # the last positive weight left, as the oracle picks it
+        weights = np.array([1.0, 1e-17, 0.0])
+        assert np.cumsum(weights)[1] == 1.0
+        for seed in range(20):
+            _assert_matches_oracle(seed, weights, len(weights), 3)
+
+
+def _assert_matches_oracle(seed: int, weights: np.ndarray, n: int, count: int) -> None:
+    """The sampler on the prefix ``weights[:n]`` picks what the oracle picks
+    and consumes as many draws."""
+    items = [f"a{k}" for k in range(len(weights))]
+    expected_rng, rng = substream(seed, "draw"), substream(seed, "draw")
+    expected = _list_draw_oracle(expected_rng, items[:n], list(weights[:n]), count)
+    # build_network passes prefixes of arrays built once for the whole community
+    cum, positive = np.cumsum(weights), np.cumsum(weights > 0.0)
+    picks = _draw_without_replacement(rng, weights[:n], cum[:n], int(positive[n - 1]), count)
+    assert [items[position] for position in picks] == expected
+    assert rng.random() == expected_rng.random()  # same number of draws used
 
 
 class TestDegreeDistribution:
@@ -273,9 +300,9 @@ class TestGoldenSetupBytes:
     def test_paper_world(self, paper_scenario):
         _, _, digests = self.digests(paper_scenario)
         assert digests == [
-            "553e6ae3521e7a83089f13dbe3974017d2cf46558eef3caddb3ae0be9f7fbb8c",
-            "a036b63fdd455463d2831395751c670321006c44cbbd4a57c1589cd498b5c48e",
-            "71ccade75b041109ed397173aef2b42973f8f282c008a0085aee713cdf1acf72",
+            "1b361fe4607558217106f4e09813a99d12804be8edcae9ce4bc5d15f13572f2b",
+            "37231bdc11bbc0a489c47d27b01d51146c7231eed37659ca8505439dc7443e27",
+            "74a1f0eff2741f1160f4480ae10db200d49b6603d37db1ff8281209fbc7f4306",
         ]
 
     def test_tau_one_world_bots_join_every_community(self):
@@ -289,7 +316,7 @@ class TestGoldenSetupBytes:
         assert len(bots) == 180
         assert all(bots <= set(members) for members in index.values())
         assert digests == [
-            "2ac0ed6532c4026223b537f5a3b5e1d56ee9b18c4fd8ff3f3e5ffb7d1be6d1c5",
+            "564940a1ee60c431ca83c640c6e6c81beaaeb5e803fcb2f584c79654a0db8022",
             "079cbb4d530b957abc205c4646c3714581434e0b1ad5ba98a0ce64d3d4689d6a",
             "e26a14c2198807214420ee1eea8d8ed09dbee9ecf3d161e06a874791fd48f541",
         ]

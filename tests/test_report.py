@@ -176,6 +176,6 @@ def test_small_world_comparison_bytes(small_world):
     ]
     comparison = compare_interventions(reports).to_json()
     assert hashlib.sha256(comparison.encode()).hexdigest() == (
-        "a67f92d562efdfb81ed447968db9c350483e453df7dc9b00096b47d29cb1145a"
+        "6a64ef1daa4098bd3431cde2c3ff03f4598719d164cffa5197596b51adc0a2ca"
     )
 

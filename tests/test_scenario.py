@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -17,6 +18,7 @@ from madd.scenario import (
     save_scenario,
     scenario_from_dict,
     validate_params,
+    with_seed,
 )
 from madd.synthdata import build_synthetic_scenario
 
@@ -128,6 +130,15 @@ class TestRoundTrip:
         assert again == scenario
         assert again.digest() == scenario.digest()
 
+    def test_digest_cached_per_instance(self):
+        scenario = build_synthetic_scenario(n_users=60, communities=("alpha",), seed=5)
+        cached = scenario.digest()
+        assert scenario.digest() is cached  # hashed once
+        assert replace(scenario).digest() == cached  # an equal, uncached copy
+        reseeded = with_seed(scenario, 6)
+        assert reseeded.digest() != cached
+        assert reseeded.digest() == replace(reseeded).digest()
+
     def test_identical_bytes_identical_scenario(self, tmp_path):
         data = json.dumps(minimal_scenario_dict())
         a = tmp_path / "a.json"
@@ -233,7 +244,6 @@ def test_all_model_inputs_reachable_from_scenario():
         "early_window": scenario.params.intervention_windows["early"],
         "mid_window": scenario.params.intervention_windows["mid"],
         "late_window": scenario.params.intervention_windows["late"],
-        "repost_probability": scenario.params.repost_probability,
         "rng_seed": scenario.params.rng_seed,
         "follower_count": scenario.users[0].follower_count,
         "share_total": scenario.users[0].share_total,
@@ -252,15 +262,16 @@ def test_all_model_inputs_reachable_from_scenario():
     [
         (
             "paper",
-            "6f21f8f95c83b8d5310bb729a6afc44aae771bac6554be6870db548466e5eeff",
-            "34d56a6f14d606e903ccb1bb5dbcf02ce60be4645bf0ebe519541f486d825582",
+            "31d99d654ab5008f1b04a11b9bddc73f97dffd0f5114bfcb12fdf2e5c52c655b",
+            "fc5e4b4f26414f3bdbd4dd42be1e003cf2a01ca9d3ec3f064c19c1181793c79c",
         ),
         (
             "small",
-            "ee9149231b9104428296b9e13bcd0aa9fa14900901f3099c6aca69884bbd5eac",
-            "390926ad116fb3e605f33c1be44f00cdf10105359f53ed9e433324752af61587",
+            "7263455f63ab05d4292e8ef5cfeba9b5508505c69c44d42769e24cf7bcc7f6be",
+            "e3291ea87be51765827f886bb7efd4bf6d2b523f4fd9c7da31f62d4aa463ba59",
         ),
     ],
+    ids=["paper", "small"],
 )
 def test_serialization_bytes_pinned(which, digest, saved, small_scenario, tmp_path):
     """Scenario.digest() and the save_scenario file bytes of two reference
