@@ -13,6 +13,18 @@ function. Fitting proceeds in two documented stages:
    estimated by discrete maximum likelihood and a coarse cutoff search is
    run; the candidate minimizing the Kolmogorov-Smirnov distance between
    the empirical and fitted tail CDFs wins (ties go to the smallest x_min).
+   This is the x_min/KS procedure of Clauset, Shalizi & Newman, SIAM Rev.
+   51:661 (2009).
+
+   The coarse search scans its lam grid from lam = 1 downward, where each
+   normalizer is cheap, and stops once the log-likelihood has fallen
+   ``_STOP_TOL * (n + |best|)`` below the best value so far. That is exact:
+   log Z is a log-sum-exp of functions affine in lam, so the log-likelihood
+   is concave in lam, and once it falls below the best it keeps falling;
+   the margin is far above the computed value's error (see ``_STOP_TOL``).
+   Ties go to the smallest lam, as in an ascending scan. The likelihood of
+   one x_min keeps the cutoff factors e^(-lam k) of the last lam it saw, so
+   the alpha search that follows at a fixed lam computes them once.
 2. lam and alpha refinement: with x_min frozen, one bounded
    one-dimensional likelihood search for lam in [0, 1] and one re-fit of
    alpha at that lam; when lam > 0, a joint Nelder-Mead polish of
@@ -22,6 +34,8 @@ function. Fitting proceeds in two documented stages:
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -45,9 +59,18 @@ _MAX_TABLE = 1 << 24
 # _CUTOFF_SPAN / lam terms past x_min, the cutoff factor e^(-lam k) has fallen
 # by e^-40 (about 4e-18).
 _CUTOFF_SPAN = 40.0
+# The descending coarse scan stops at the first lam whose log-likelihood is
+# below the best so far by _STOP_TOL * (n + |best|), n the tail size. Each
+# computed ll = -alpha*sum(log x) - lam*sum(x) - n*log(Z) is off by at most
+# n*_REL_TOL for the truncated tail of Z, about n*1e-14 for rounding in Z's
+# sums, and a few ulps of its terms. While Z > 0 each term is below
+# 750*n + |ll| (log Z >= -745, lam*x_min < 745, alpha*log(x) < 8*44), so
+# those ulps add under 1e-12*n + 1e-15*|ll|. Twice the whole error, which is
+# what a comparison of two values needs, stays 100 times below the margin.
+_STOP_TOL = 1e-9
 
 
-def _norm_constant(alpha: float, lam: float, x_min: int) -> float:
+def _norm_constant(alpha: float, lam: float, x_min: int, cutoffs: list | None = None) -> float:
     """Z = sum_{k >= x_min} k^-alpha e^(-lam k), by zeta or chunked sums.
 
     The first chunk holds 65,536 terms, or, when the cutoff kills the terms
@@ -58,40 +81,58 @@ def _norm_constant(alpha: float, lam: float, x_min: int) -> float:
     of it: Z keeps the same bits as with the full first chunk. A chunk that
     is not a power of two would split the sum differently and move the last
     bits.
+
+    ``cutoffs``, when given, holds the per-chunk cutoff factors of earlier
+    calls at this lam and x_min; it is read first and extended as needed,
+    so calls that differ only in alpha take each exponential once.
     """
     if lam <= 0.0:
         return float(zeta(alpha, x_min))
+    if cutoffs is None:
+        cutoffs = []
     total = 0.0
     lo = x_min
     chunk = 1 << 16
     span = _CUTOFF_SPAN / lam
     if span < chunk:
         chunk = max(128, 1 << (int(np.ceil(span)) - 1).bit_length())
-    while True:
+    for i in itertools.count():
         k = np.arange(lo, lo + chunk, dtype=np.float64)
-        total += float(np.sum(k**-alpha * np.exp(-lam * k)))
         lo += chunk
+        if i == len(cutoffs):
+            # e^(-lam k) over the chunk, and e^(-lam lo) past its end
+            cutoffs.append((np.exp(-lam * k), float(np.exp(-lam * lo))))
+        cut, cut_end = cutoffs[i]
+        total += float(np.sum(k**-alpha * cut))
         # remaining tail <= e^(-lam*lo) * zeta(alpha, lo)
-        tail_bound = float(np.exp(-lam * lo) * zeta(alpha, lo))
+        tail_bound = float(cut_end * zeta(alpha, lo))
         if tail_bound <= _REL_TOL * total:
             return total
         chunk = min(chunk * 2, 1 << 22)
 
 
 def _tail_likelihood(x_sorted: np.ndarray, log_sorted: np.ndarray, x_min: int):
-    """``loglik(alpha, lam)`` of the samples >= x_min; the tail sums are taken once."""
+    """``(loglik, n)``: ``loglik(alpha, lam)`` of the n samples >= x_min.
+
+    The tail sums are taken once, and ``loglik`` keeps the cutoff factors of
+    the last lam > 0 it was called with.
+    """
     start = int(np.searchsorted(x_sorted, x_min, side="left"))
     n = x_sorted.size - start
     sum_log = float(log_sorted[start:].sum())
     sum_x = float(x_sorted[start:].sum())
+    cut_lam, cutoffs = None, []
 
     def loglik(alpha: float, lam: float) -> float:
-        z = _norm_constant(alpha, lam, x_min)
+        nonlocal cut_lam, cutoffs
+        if lam > 0.0 and lam != cut_lam:
+            cut_lam, cutoffs = lam, []
+        z = _norm_constant(alpha, lam, x_min, cutoffs)
         if not np.isfinite(z) or z <= 0.0:
             return -np.inf
         return -alpha * sum_log - lam * sum_x - n * np.log(z)
 
-    return loglik
+    return loglik, n
 
 
 def _fit_alpha(loglik, lam: float) -> float:
@@ -104,20 +145,27 @@ def _fit_alpha(loglik, lam: float) -> float:
     return float(res.x)
 
 
-def _coarse_lambda(loglik, alpha: float) -> float:
+def _coarse_lambda(loglik, alpha: float, n: int) -> tuple[float, float]:
+    """(lam, ll): the grid's best lam at this alpha, smallest on ties.
+
+    Scans from lam = 1 down and stops once ll is ``_STOP_TOL * (n + |best|)``
+    below the best; ll is concave in lam, so no smaller lam can win. A -inf
+    ll (Z underflowing at a large x_min) never stops the scan.
+    """
     best_lam, best_ll = 0.0, -np.inf
-    for lam in _COARSE_LAMBDAS:
+    for lam in reversed(_COARSE_LAMBDAS):
         ll = loglik(alpha, lam)
-        if ll > best_ll:
+        if ll >= best_ll:
             best_ll, best_lam = ll, lam
-    return best_lam
+        elif ll < best_ll - _STOP_TOL * (n + abs(best_ll)):
+            break
+    return best_lam, best_ll
 
 
-def _fit_lambda(loglik, alpha: float) -> float:
-    best_lam = _coarse_lambda(loglik, alpha)
+def _fit_lambda(loglik, alpha: float, n: int) -> float:
+    best_lam, best_ll = _coarse_lambda(loglik, alpha, n)
     if best_lam == 0.0:
         return 0.0
-    best_ll = loglik(alpha, best_lam)
     res = minimize_scalar(
         lambda lam: -loglik(alpha, lam),
         bounds=(best_lam / 4.0, min(best_lam * 4.0, LAMBDA_BOUNDS[1])),
@@ -151,22 +199,42 @@ class PowerLawFit:
         return _norm_constant(self.alpha, self.lam, self.x_min)
 
     def cdf(self, x):
-        """P(X <= x); 0 below x_min, where the fit is not considered valid."""
+        """P(X <= x); 0 below x_min, where the fit is not considered valid.
+
+        Values past the table, past int64 or +inf read the top of the
+        distribution; NaN raises ValueError. A scalar takes a direct path
+        with the same bits as the array path.
+        """
+        if isinstance(x, (int, float, np.integer, np.floating)):
+            return self._scalar_cdf(float(x))
         x_arr = np.asarray(x, dtype=np.float64)
+        if np.isnan(x_arr).any():
+            raise ValueError("cdf of NaN")
         scalar = x_arr.ndim == 0
-        xi = np.floor(np.atleast_1d(x_arr)).astype(np.int64)
-        out = np.zeros(xi.shape, dtype=np.float64)
-        inside = xi >= self.x_min
+        k = np.floor(np.atleast_1d(x_arr))
+        out = np.zeros(k.shape, dtype=np.float64)
+        inside = k >= self.x_min
         if np.any(inside):
             if self.lam <= 0.0:
-                ks = xi[inside].astype(np.float64)
-                out[inside] = 1.0 - zeta(self.alpha, ks + 1.0) / self.normalization
+                out[inside] = 1.0 - zeta(self.alpha, k[inside] + 1.0) / self.normalization
             else:
                 table = self._table
-                pos = np.minimum(xi[inside] - self.x_min, len(table) - 1)
+                pos = np.minimum(k[inside] - self.x_min, len(table) - 1).astype(np.int64)
                 out[inside] = table[pos]
         out = np.clip(out, 0.0, 1.0)
         return float(out[0]) if scalar else out
+
+    def _scalar_cdf(self, x: float) -> float:
+        if math.isnan(x):
+            raise ValueError("cdf of NaN")
+        if x < self.x_min:
+            return 0.0
+        k = float(math.floor(x)) if x < math.inf else x
+        if self.lam <= 0.0:
+            p = float(1.0 - zeta(self.alpha, k + 1.0) / self.normalization)
+            return min(max(p, 0.0), 1.0)
+        table = self._table
+        return float(table[int(min(k - self.x_min, len(table) - 1))])
 
     @cached_property
     def _table(self) -> np.ndarray:
@@ -183,12 +251,17 @@ class PowerLawFit:
 def fit_truncated_power_law(samples) -> PowerLawFit:
     """Fit (alpha, lam, x_min) to positive-integer samples by MLE.
 
+    Raises ValueError for a sample that is not a positive integer (floats
+    pass only when integral).
     Raises InsufficientData for fewer than MIN_SAMPLES samples or fewer than
     MIN_DISTINCT distinct values, and DegenerateSamples when every value is
     equal. Deterministic for a fixed input order.
     """
-    x = np.asarray(list(samples), dtype=np.int64)
-    if x.size and x.min() < 1:
+    values = np.asarray(list(samples))
+    with np.errstate(invalid="ignore"):
+        x = values.astype(np.int64)
+    # Floats are taken only when integral: 2.5 or nan would be cut silently.
+    if values.dtype.kind not in "iuf" or not np.array_equal(x, values) or (x.size and x.min() < 1):
         raise ValueError("samples must be positive integers")
     uniq = np.unique(x)
     if uniq.size == 1:
@@ -210,19 +283,19 @@ def fit_truncated_power_law(samples) -> PowerLawFit:
         idx = np.linspace(0, candidates.size - 1, MAX_CANDIDATES).round().astype(int)
         candidates = candidates[np.unique(idx)]
 
-    best = None  # (ks, x_min, alpha, lam, loglik)
+    best = None  # (ks, x_min, alpha, lam, loglik, n)
     for x_min in candidates.tolist():
-        loglik = _tail_likelihood(x_sorted, log_sorted, x_min)
+        loglik, n = _tail_likelihood(x_sorted, log_sorted, x_min)
         alpha = _fit_alpha(loglik, 0.0)
-        lam = _coarse_lambda(loglik, alpha)
+        lam, _ = _coarse_lambda(loglik, alpha, n)
         if lam > 0.0:
             alpha = _fit_alpha(loglik, lam)
         ks = _ks_distance(x_sorted, alpha, lam, x_min)
         if best is None or ks < best[0] - 1e-12:
-            best = (ks, x_min, alpha, lam, loglik)
+            best = (ks, x_min, alpha, lam, loglik, n)
 
-    _, x_min, alpha, lam, loglik = best
-    lam = _fit_lambda(loglik, alpha)
+    _, x_min, alpha, lam, loglik, n = best
+    lam = _fit_lambda(loglik, alpha, n)
     alpha = _fit_alpha(loglik, lam)
     if lam > 0.0:
         # The likelihood surface has a narrow (alpha, lam) ridge; a joint

@@ -1,9 +1,18 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import zeta
 
 from madd.errors import DegenerateSamples, InsufficientData
-from madd.powerlaw import PowerLawFit, _norm_constant, fit_truncated_power_law
+from madd.powerlaw import (
+    _COARSE_LAMBDAS,
+    PowerLawFit,
+    _coarse_lambda,
+    _norm_constant,
+    _tail_likelihood,
+    fit_truncated_power_law,
+)
 
 
 def sample_truncated_power_law(alpha, lam, x_min, n, seed):
@@ -67,6 +76,108 @@ def test_non_positive_samples_rejected():
         fit_truncated_power_law([0, 1, 2] * 40)
 
 
+@pytest.mark.parametrize(
+    "samples",
+    [
+        np.random.default_rng(3).zipf(2.5, size=400) + 0.5,
+        [1.0, 2.0, float("nan")] * 40,
+        [1.0, 2.0, 1e30] * 40,
+    ],
+    ids=["half-integers", "nan", "past-int64"],
+)
+def test_non_integer_samples_rejected(samples):
+    with pytest.raises(ValueError, match="positive integers"):
+        fit_truncated_power_law(samples)
+
+
+def test_integral_float_samples_fit_like_ints():
+    ints = np.random.default_rng(3).zipf(2.5, size=400)
+    assert fit_truncated_power_law(ints.astype(np.float64)) == fit_truncated_power_law(ints)
+
+
+# Fit reprs on pure and truncated draws: a change to the fit's arithmetic
+# that moves any bit shows here.
+PINNED_FITS = [
+    ("zipf", (2.5, 4000, 3), "(2.4859916506258255, 0.0004727861900451475, 1)"),
+    ("zipf", (1.8, 1500, 11), "(1.8231160436860034, 0.0, 1)"),
+    ("zipf", (3.2, 2000, 5), "(3.131572196037281, 0.01369319540637099, 1)"),
+    ("zipf", (2.1, 800, 8), "(2.083169799207777, 0.0003697493006734265, 1)"),
+    ("truncated", (1.5, 0.01, 10, 3000, 1), "(3.457287911874668, 0.0036713013564920885, 127)"),
+    ("truncated", (1.8, 0.02, 5, 2000, 99), "(1.736359442560279, 0.020444969892213512, 7)"),
+    ("truncated", (2.2, 0.001, 1, 1500, 4), "(2.150215446779172, 0.003975909594685429, 1)"),
+    ("truncated", (1.3, 0.1, 3, 1000, 12), "(1.237152660085241, 0.11412482290894885, 12)"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind,args,expected",
+    PINNED_FITS,
+    ids=["-".join(map(str, (kind, *args))) for kind, args, _ in PINNED_FITS],
+)
+def test_fit_pinned(kind, args, expected):
+    if kind == "zipf":
+        alpha, n, seed = args
+        samples = np.random.default_rng(seed).zipf(alpha, size=n)
+    else:
+        alpha, lam, x_min, n, seed = args
+        samples = sample_truncated_power_law(alpha, lam, x_min, n, seed=seed)
+    fit = fit_truncated_power_law(samples)
+    assert repr((fit.alpha, fit.lam, fit.x_min)) == expected
+
+
+def ascending_coarse_lambda(ll_at):
+    """The full coarse grid scanned upward, strict improvement only."""
+    best_lam, best_ll = 0.0, -np.inf
+    for lam in _COARSE_LAMBDAS:
+        if ll_at[lam] > best_ll:
+            best_ll, best_lam = ll_at[lam], lam
+    return best_lam
+
+
+def test_descending_coarse_scan_matches_ascending_oracle():
+    rng = np.random.default_rng(2009)
+    cases = []  # (samples, x_min)
+    for i in range(20):
+        samples = rng.zipf(rng.uniform(1.6, 3.5), size=600)
+        if i % 2:  # thin the tail with an exponential cutoff
+            keep = rng.random(samples.size) < np.exp(-rng.uniform(0.005, 0.2) * samples)
+            samples = samples[keep]
+        uniq = np.unique(samples)
+        for x_min in sorted({int(uniq[0]), int(uniq[min(3, uniq.size - 1)])}):
+            cases.append((samples, x_min))
+    # every normalizer at lam = 1 underflows, so ll there is -inf
+    cases.append((rng.integers(2_000, 2_400, size=200), 2_000))
+
+    picks, underflows, scans = set(), 0, 0
+    for samples, x_min in cases:
+        x_sorted = np.sort(samples)
+        loglik, n = _tail_likelihood(x_sorted, np.log(x_sorted.astype(np.float64)), x_min)
+        alphas = [1.001, 8.0, *rng.uniform(1.05, 4.0, 6).tolist()]
+        # lam-major order, so each lam's cutoff factors are reused across alphas
+        table = {lam: {a: loglik(a, lam) for a in alphas} for lam in _COARSE_LAMBDAS}
+        for a in alphas:
+            ll_at = {lam: table[lam][a] for lam in _COARSE_LAMBDAS}
+            lam, ll = _coarse_lambda(lambda _a, l: ll_at[l], a, n)
+            assert lam == ascending_coarse_lambda(ll_at)
+            assert ll == ll_at[lam]
+            picks.add(lam)
+            underflows += ll_at[1.0] == -np.inf
+            scans += 1
+    assert scans >= 300
+    assert 0.0 in picks and len(picks) >= 5
+    assert underflows >= len(alphas)
+
+
+def test_norm_constant_reused_cutoffs_bit_identical():
+    rng = np.random.default_rng(17)
+    for lam in (1e-4, 3e-3, 0.05, 0.7):
+        x_min = int(rng.integers(1, 500))
+        cutoffs = []
+        # large alpha first: later, heavier tails extend the kept chunks
+        for alpha in sorted(rng.uniform(1.001, 8.0, 12), reverse=True):
+            assert _norm_constant(alpha, lam, x_min, cutoffs) == _norm_constant(alpha, lam, x_min)
+
+
 class TestCdf:
     def test_zero_below_x_min(self):
         fit = PowerLawFit(alpha=1.5, lam=0.01, x_min=16)
@@ -95,6 +206,38 @@ class TestCdf:
     def test_approaches_one(self):
         fit = PowerLawFit(alpha=1.5, lam=0.02, x_min=10)
         assert fit.cdf(100_000) > 0.999
+
+    @pytest.mark.parametrize("lam", [0.0, 0.02])
+    def test_past_int64_reads_top(self, lam):
+        fit = PowerLawFit(alpha=1.5, lam=lam, x_min=10)
+        top = fit.cdf(10**15)
+        assert top > 1.0 - 1e-7
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for big in (np.inf, 1e30, 2.0**63, 10**25):
+                assert fit.cdf(big) >= top
+            assert np.all(fit.cdf(np.array([np.inf, 1e30, 2.0**63])) >= top)
+        assert fit.cdf(-np.inf) == 0.0
+
+    @pytest.mark.parametrize("lam", [0.0, 0.02])
+    def test_nan_rejected(self, lam):
+        fit = PowerLawFit(alpha=1.5, lam=lam, x_min=10)
+        with pytest.raises(ValueError):
+            fit.cdf(float("nan"))
+        with pytest.raises(ValueError):
+            fit.cdf(np.array([12.0, np.nan]))
+
+    @pytest.mark.parametrize("lam", [0.0, 0.01, 0.3])
+    def test_scalar_path_bit_identical_to_array_path(self, lam):
+        fit = PowerLawFit(alpha=1.6, lam=lam, x_min=12)
+        past_table = 12 + 2 * len(fit._table) if lam > 0.0 else 10**9
+        values = [1, 11, 11.999, 12, 12.0, 12.5, 13, 57, 999.75, 10**5, past_table,
+                  np.int64(40), np.float64(40.5), np.float32(12.25), -3.0, 1e300, np.inf]
+        for v in values:
+            got = fit.cdf(v)
+            assert type(got) is float
+            assert got == fit.cdf(np.array([v], dtype=np.float64))[0]
+            assert got == fit.cdf(np.asarray(v))
 
 
 def reference_norm_constant(alpha, lam, x_min):
