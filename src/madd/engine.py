@@ -15,6 +15,10 @@ Semantics, fixed for determinism:
 * Activation is where judgment happens: an active regular agent first
   applies the trust update over everything received since its previous
   activation, then decides whether to share the latest received item.
+  The trust update weighs each message by its persuasiveness for the
+  receiver, which depends only on the item, the stance, the receiver's
+  history and the run topic: the evaluator is asked once per receiver and
+  (item, stance) in a run, and the receiver keeps the answer.
 * Sharing classifies exposed agents as infected or uninfected spreaders by
   whether they currently believe the run's disinformation. Non-believers
   pass the item on with a disputing stance, which receivers experience as
@@ -120,6 +124,7 @@ class AgentState:
     trust: float = 0.0  # current threshold toward the run topic
     believes: bool = False  # believes the run's disinformation
     exposure_counts: dict = field(default_factory=dict)  # content_id -> receipts
+    strengths: dict = field(default_factory=dict)  # (content_id, stance) -> persuasiveness
     judgment_streams: dict = field(default_factory=dict)  # purpose -> JudgmentStream over the claim
     latest: Message | None = None  # the most recent receipt
     outbox: list = field(default_factory=list)  # (step, content_id, stance)
@@ -401,14 +406,17 @@ def _apply_trust_update(agent, weight, evaluator, params, topic: str) -> None:
     dis = []
     for sender in sorted(agent.pending):
         msg = agent.pending[sender]
-        strength = evaluator.persuasiveness(
-            msg.item.text,
-            content_kind=msg.item.kind,
-            strategy=msg.item.strategy,
-            stance=msg.stance,
-            receiver_history=agent.profile.history_summary,
-            community=topic,
-        )
+        key = (msg.item.content_id, msg.stance)
+        strength = agent.strengths.get(key)
+        if strength is None:
+            strength = agent.strengths[key] = evaluator.persuasiveness(
+                msg.item.text,
+                content_kind=msg.item.kind,
+                strategy=msg.item.strategy,
+                stance=msg.stance,
+                receiver_history=agent.profile.history_summary,
+                community=topic,
+            )
         if msg.item.kind == "correction" or msg.stance == STANCE_DISPUTE:
             corr.append((weight[sender], strength))
         else:

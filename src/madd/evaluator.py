@@ -12,7 +12,9 @@ its range-checked scores dict back. Two backends implement it:
   malformed output) and range-checks every score before anything reaches the
   engine.
 
-Both meter usage into a :class:`ResourceLedger` keyed by community.
+Both meter every ``evaluate`` call into a :class:`ResourceLedger` keyed by
+community, and neither keeps a memo: the engine asks each receiver's
+persuasiveness question once per run and keeps the answer itself.
 """
 
 from __future__ import annotations
@@ -225,40 +227,15 @@ class SyntheticEvaluator(Evaluator):
         super().__init__()
         self.seed = int(seed)
         self.params = params or SyntheticParams()
-        # persuasiveness is re-requested on every activation; a score is a
-        # pure function of (seed, request bytes), so repeats are looked up.
-        # The memo sits behind evaluate(), never in front of it: every
-        # request still reaches evaluate() and is metered there, so the
-        # ledger's llm_calls equals the number of evaluate() calls
-        # (acceptance criterion 9). It is keyed on (texts, *sorted context
-        # items), which for the str-valued context of a persuasiveness
-        # request is equal exactly when the canonical bytes are; only a miss
-        # builds those bytes, since they key the request's substream.
-        self._persuasiveness_memo: dict[tuple, tuple[dict, Usage]] = {}
 
-    def _rng(self, key: bytes):
-        return rngmod.substream(self.seed, "evaluator", key)
+    def _rng(self, request: EvaluationRequest):
+        return rngmod.substream(self.seed, "evaluator", request.canonical_bytes())
 
     def evaluate(self, request: EvaluationRequest) -> dict:
-        if request.kind != "persuasiveness":
-            scores, usage = self._score(request, request.canonical_bytes())
-        else:
-            key = (request.subject_texts, *sorted(request.context.items()))
-            scored = self._persuasiveness_memo.get(key)
-            if scored is None:
-                scored = self._persuasiveness_memo[key] = self._score(
-                    request, request.canonical_bytes()
-                )
-            scores, usage = scored
-        self._record(request, usage)
-        return dict(scores)  # a copy: the memo stays private
-
-    def _score(self, request: EvaluationRequest, key: bytes) -> tuple[dict, Usage]:
-        """Range-checked scores and usage for a request whose bytes are ``key``."""
         handler = getattr(self, f"_eval_{request.kind}")
         scores = {
             name: self._check_range(request.kind, name, value)
-            for name, value in handler(request, key).items()
+            for name, value in handler(request).items()
         }
         usage = Usage(
             calls=1,
@@ -267,14 +244,15 @@ class SyntheticEvaluator(Evaluator):
             latency=0.0,  # keeps reports byte-identical across replays
             approximate=True,
         )
-        return scores, usage
+        self._record(request, usage)
+        return scores
 
     # -- per-kind handlers ---------------------------------------------------
 
-    def _eval_interest_community(self, request: EvaluationRequest, key: bytes) -> dict:
+    def _eval_interest_community(self, request: EvaluationRequest) -> dict:
         p = self.params
         communities = request.context["communities"]
-        rng = self._rng(key)
+        rng = self._rng(request)
         home = int(rng.integers(0, len(communities)))
         scores = {}
         for i, community in enumerate(communities):
@@ -287,15 +265,15 @@ class SyntheticEvaluator(Evaluator):
             scores[community] = min(10.0, max(1.0, float(value)))
         return scores
 
-    def _eval_trust_threshold(self, request: EvaluationRequest, key: bytes) -> dict:
+    def _eval_trust_threshold(self, request: EvaluationRequest) -> dict:
         p = self.params
-        rng = self._rng(key)
+        rng = self._rng(request)
         return {
             community: min(1.0, max(0.0, float(rng.normal(p.tt_mean, p.tt_std))))
             for community in request.context["communities"]
         }
 
-    def _eval_plausibility(self, request: EvaluationRequest, key: bytes) -> dict:
+    def _eval_plausibility(self, request: EvaluationRequest) -> dict:
         p = self.params
         text = request.subject_texts[0] if request.subject_texts else ""
         if not text.strip():
@@ -307,10 +285,10 @@ class SyntheticEvaluator(Evaluator):
         value -= min(0.15, exclaim)
         caps = sum(1 for w in text.split() if len(w) > 2 and w.isupper())
         value -= min(0.1, 0.02 * caps)
-        value += float(self._rng(key).uniform(-p.plausibility_noise, p.plausibility_noise))
+        value += float(self._rng(request).uniform(-p.plausibility_noise, p.plausibility_noise))
         return {"score": min(0.95, max(0.05, value))}
 
-    def _eval_persuasiveness(self, request: EvaluationRequest, key: bytes) -> dict:
+    def _eval_persuasiveness(self, request: EvaluationRequest) -> dict:
         p = self.params
         text = request.subject_texts[0] if request.subject_texts else ""
         if not text.strip():
@@ -324,7 +302,7 @@ class SyntheticEvaluator(Evaluator):
             shape = p.dispute_shape
         else:
             shape = p.disinfo_shape
-        value = float(self._rng(key).beta(*shape))
+        value = float(self._rng(request).beta(*shape))
         if _has_citation_markers(text):
             value += p.citation_bonus
         else:

@@ -35,7 +35,8 @@ class SimulationParams:
     """Every tunable the simulation consumes, with its default.
 
     Ranges MF/LF are the per-bot activation-count draws; intervention
-    windows are inclusive step ranges per stage.
+    windows are inclusive step ranges per stage, scaled to this instance's
+    ``total_steps`` when not given.
     """
 
     theta: float = 0.5
@@ -51,10 +52,12 @@ class SimulationParams:
     legitimate_ratio: float = 0.05
     malicious_freq_range: tuple[int, int] = (1, 18)
     legitimate_freq_range: tuple[int, int] = (1, 12)
-    intervention_windows: dict[str, tuple[int, int]] = field(
-        default_factory=lambda: scaled_windows(SimulationParams.total_steps)
-    )
+    intervention_windows: dict[str, tuple[int, int]] = None  # None: scaled_windows(total_steps)
     rng_seed: int = 0
+
+    def __post_init__(self):
+        if self.intervention_windows is None:
+            object.__setattr__(self, "intervention_windows", scaled_windows(self.total_steps))
 
 
 def scaled_windows(total_steps: int) -> dict:
@@ -307,7 +310,11 @@ def _validate_scenario(scenario: Scenario) -> Scenario:
             raise RangeViolation(
                 f"activity_histogram({user.user_id})", user.activity_histogram, "counts >= 0"
             )
+    content_ids: set[str] = set()
     for item in scenario.content_catalog:
+        if item.content_id in content_ids:
+            raise ScenarioError(f"duplicate content_id {item.content_id!r}")
+        content_ids.add(item.content_id)
         if item.topic not in scenario.communities:
             raise UnknownCommunity(item.topic, f"content item {item.content_id!r}")
     return scenario

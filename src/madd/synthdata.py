@@ -27,7 +27,6 @@ from .scenario import (
     UserRecord,
     make_scenario,
     save_scenario,
-    scaled_windows,
 )
 
 DEFAULT_COMMUNITIES = (
@@ -184,10 +183,6 @@ def build_synthetic_scenario(
     seed: int = 7,
     **param_overrides,
 ) -> Scenario:
-    if "total_steps" in param_overrides and "intervention_windows" not in param_overrides:
-        param_overrides["intervention_windows"] = scaled_windows(
-            param_overrides["total_steps"]
-        )
     params = SimulationParams(**{"rng_seed": seed, **param_overrides})
     users = build_users(n_users, seed)
     return make_scenario(

@@ -416,6 +416,8 @@ def _validate(data: dict) -> tuple:
         (("evaluator", "max_in_flight"), 0),
         # a file saved before repost_probability was removed
         (("params", "repost_probability"), 0.7),
+        # two items under one id: the catalog's correction renamed after its claim
+        (("content_catalog", 1, "content_id"), "disinfo_alpha"),
     ],
     ids=[
         "evaluator-unknown-key", "synthetic-unknown-key", "evaluator-timeout-string",
@@ -427,6 +429,7 @@ def _validate(data: dict) -> tuple:
         "plausibility-noise-negative", "fact-shape-negative", "narrative-shape-zero",
         "disinfo-shape-zero", "dispute-shape-negative", "ic-cross-prob-above-1",
         "ic-cross-prob-below-0", "max-in-flight-zero", "repost-probability-removed",
+        "duplicate-content-id",
     ],
 )
 def test_malformed_input_exits_1(path, value):

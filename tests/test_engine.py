@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -465,15 +466,69 @@ def test_legitimate_bots_only_act_inside_window(small_world):
             assert content_id.startswith("fact_")
 
 
-class TestGoldenDigests:
-    """sha256 of RunReport.to_json() for reference runs.
+def test_each_persuasiveness_question_asked_once_per_receiver(dense_world, monkeypatch):
+    scenario, profiles, _, network, fit = dense_world
+    item_by_text = {item.text: item.content_id for item in scenario.content_catalog}
+    assert len(item_by_text) == len(scenario.content_catalog)
 
-    These move only when realized trajectories move: re-pin deliberately
-    and declare the old and new values.
+    class Counting(SyntheticEvaluator):
+        receiver = None
+
+        def __init__(self, seed):
+            super().__init__(seed)
+            self.invocations = 0
+            self.asked = []  # (receiver, content_id, stance) per persuasiveness request
+
+        def evaluate(self, request):
+            self.invocations += 1
+            if request.kind == "persuasiveness":
+                self.asked.append((
+                    self.receiver,
+                    item_by_text[request.subject_texts[0]],
+                    request.context["stance"],
+                ))
+            return super().evaluate(request)
+
+    real_update = engine._apply_trust_update
+
+    def update_naming_receiver(agent, weight, evaluator, params, topic):
+        evaluator.receiver = agent.profile.agent_id
+        real_update(agent, weight, evaluator, params, topic)
+
+    monkeypatch.setattr(engine, "_apply_trust_update", update_naming_receiver)
+    evaluator = Counting(seed=scenario.params.rng_seed)
+    states = []
+    report = engine.run(
+        scenario, network, profiles, make_plan(scenario.params, "early", "fact_based"),
+        evaluator, seed=13, fit=fit, state_out=states,
+    )
+    assert len(set(evaluator.asked)) == len(evaluator.asked) > 0
+    assert report.resource_ledger["totals"]["llm_calls"] == evaluator.invocations
+    # the same (item, stance) reaches a receiver far more often than it is asked
+    assert len(states[0].delivery_log) > 10 * len(evaluator.asked)
+
+
+class TestGoldenDigests:
+    """sha256 of RunReport.to_json() for reference runs, with and without
+    its resource ledger.
+
+    The ledger-free digest moves only when realized trajectories move, the
+    full one also when evaluator metering does: re-pin deliberately and
+    declare the old and new values.
     """
 
     @staticmethod
-    def small_world_digest(small_world, plan):
+    def digests(report) -> tuple:
+        """sha256 of the report JSON, with and without the ledger."""
+        data = report.to_dict()
+        del data["resource_ledger"]
+        free = json.dumps(data, sort_keys=True, separators=(",", ":"))
+        return tuple(
+            hashlib.sha256(text.encode()).hexdigest() for text in (report.to_json(), free)
+        )
+
+    @classmethod
+    def small_world_digests(cls, small_world, plan):
         scenario, profiles, _, network, fit = small_world
         report = engine.run(
             scenario,
@@ -484,31 +539,39 @@ class TestGoldenDigests:
             seed=13,
             fit=fit,
         )
-        return hashlib.sha256(report.to_json().encode()).hexdigest()
+        return cls.digests(report)
 
     def test_small_world_control(self, small_world):
-        assert self.small_world_digest(small_world, CONTROL_PLAN) == (
-            "69f903d16b19492e06d1b722f1c6c23cfd0d48758611555c0676ea5e475de361"
+        assert self.small_world_digests(small_world, CONTROL_PLAN) == (
+            "3974f897b044f3386b72751abf57516aae2e533bdd144eb8bb0074cf38ed0015",
+            "00ed96649491cabe3bc49f50c25dbf63f06b6c195a9f1296a6fe69ccf07624cc",
         )
 
     @pytest.mark.parametrize(
-        "strategy, digest",
+        "strategy, digests",
         [
-            ("fact_based", "240f839d268164164f442c6cfe335547185de1dbb24dfe5e2bcdd8149f9f9789"),
-            ("narrative_based", "bc0ad526afc1ca8a0b2b1b720b5534396c7f04202ab263eeab239bde8df4e7e0"),
+            ("fact_based", (
+                "c849f83b692880cc2ce75a00c108776e33fde3baf494f613cee0cd3469857719",
+                "ff6dd7a0ee5937a5df7210ec6e4918261791ec36f873c2727e152d7de0ba434a",
+            )),
+            ("narrative_based", (
+                "ef2f2532d8a6e347c19e150896d2eb28a378fde5efdede7116d4943c8815f404",
+                "236c3da0dc974a2c257d86cf3f84ce90fd61378873cec5c8aedee2e605dfae91",
+            )),
         ],
         ids=["fact_based", "narrative_based"],
     )
-    def test_small_world_early_correction(self, small_world, strategy, digest):
+    def test_small_world_early_correction(self, small_world, strategy, digests):
         # pins the legitimate-bot broadcasts and the accept draws they cause
         plan = make_plan(small_world[0].params, "early", strategy)
-        assert self.small_world_digest(small_world, plan) == digest
+        assert self.small_world_digests(small_world, plan) == digests
 
     def test_small_world_late_fact(self, small_world):
         # pins the late-window broadcast path
         plan = make_plan(small_world[0].params, "late", "fact_based")
-        assert self.small_world_digest(small_world, plan) == (
-            "7018c021d353a15b95d7b666aeece3dad4a3befda5c512e63fc3f153c98e9f2b"
+        assert self.small_world_digests(small_world, plan) == (
+            "e5657dbab5df9a01f259695bc6c66fcbd4cddf03227154f3d1821a82fd4fe509",
+            "3111c1f47b0221a934d5092556f45c75a862efc7d62ba1b40f15d41e1a03cd6f",
         )
 
     def test_paper_world_canonical_control(self, paper_world):
@@ -524,19 +587,26 @@ class TestGoldenDigests:
             fit=fit,
             collect_trajectories=True,
         )
-        assert hashlib.sha256(report.to_json().encode()).hexdigest() == (
-            "17206fc43079bee963a0f9fb161cac333bca541705ea65b069e8398856af6a2c"
+        assert self.digests(report) == (
+            "293120a56da134468008e56da58709555cf3377cad0fbd1a6ef68c5fc10d38c9",
+            "c1cf86e8e344f1b92b4551f372ae57be5351178f333b86eefc7ecd60ad77bef3",
         )
 
     @pytest.mark.parametrize(
-        "stage, digest",
+        "stage, digests",
         [
-            ("control", "c6d2a5732546f3ad4d535ba6533e04cb609819c23a7ecf832c80ec5fb0b75476"),
-            ("early", "2f15d335665037c54da908dbac042c895a0c94fda353f35062c7f7a7e0899357"),
+            ("control", (
+                "0c2235a129121c04b3ccbcc2b1b046c31f64ae12b46077167bb89215c01bc8fd",
+                "5fb7c15acf99cdadebee1a8050d577fe031bcf5aef390d2bfa8fc44a57efca54",
+            )),
+            ("early", (
+                "6572b3c300fcd80f2326a7906aa9d041c05ec9c026349e1fa19fd1db9cd14ffd",
+                "4d6dfd8f7990a6f3aa74fa5caa154b37e702d059d592702c2fb9ade9336facf3",
+            )),
         ],
         ids=["control", "early_fact"],
     )
-    def test_dense_world(self, dense_world, stage, digest):
+    def test_dense_world(self, dense_world, stage, digests):
         # one busy politics community: receivers judge the claim far more
         # often than one judgment block holds, so block refills are pinned
         scenario, profiles, _, network, fit = dense_world
@@ -555,7 +625,7 @@ class TestGoldenDigests:
             collect_trajectories=True,
             state_out=states,
         )
-        assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
+        assert self.digests(report) == digests
         claim_id = scenario.disinformation_for(None).content_id
         endorsed = {}
         for _, _, receiver, content_id, stance in states[0].delivery_log:

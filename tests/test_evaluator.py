@@ -3,7 +3,6 @@ from dataclasses import asdict
 
 import pytest
 
-from madd import rng as rngmod
 from madd.errors import MalformedEvaluatorResponse, RemoteUnavailable, ScenarioError
 from madd.evaluator import (
     EvaluationRequest,
@@ -118,34 +117,7 @@ class TestSynthetic:
             )
         assert sum(fact) / len(fact) > sum(dis) / len(dis) + 0.2
 
-    def test_repeated_persuasiveness_scored_once_and_metered_every_call(self, monkeypatch):
-        built = []
-        real_substream = rngmod.substream
-
-        def counting_substream(*args):
-            built.append(args)
-            return real_substream(*args)
-
-        monkeypatch.setattr(rngmod, "substream", counting_substream)
-        evaluator = SyntheticEvaluator(seed=11)
-        request = EvaluationRequest(
-            kind="persuasiveness",
-            subject_texts=("the 2023 audit found no fraud",),
-            context={"content_kind": "correction", "strategy": "fact_based",
-                     "stance": "endorse", "history": "h", "community": "politics"},
-        )
-        scores = [evaluator.evaluate(request) for _ in range(5)]
-        assert all(s == scores[0] for s in scores)
-        assert len(built) == 1
-        fresh = SyntheticEvaluator(seed=11)
-        assert fresh.evaluate(request) == scores[0]
-        totals = evaluator.ledger_snapshot()["totals"]
-        assert totals["llm_calls"] == 5
-        assert totals["tokens"] == 5 * fresh.ledger_snapshot()["totals"]["tokens"] > 0
-        scores[0]["score"] = -1.0  # callers get copies; the memo stays intact
-        assert evaluator.evaluate(request) == scores[1]
-
-    def test_persuasiveness_memo_sits_behind_evaluate(self):
+    def test_persuasiveness_metered_on_every_call(self):
         class Counting(SyntheticEvaluator):
             invocations = 0
 
@@ -157,21 +129,16 @@ class TestSynthetic:
                       receiver_history="h", community="politics")
         evaluator = Counting(seed=11)
         scores = [evaluator.persuasiveness("ballots were shredded", **kwargs) for _ in range(4)]
-        # every call reaches evaluate() and the ledger, hits included
+        # every call reaches evaluate() and the ledger, repeats included
         assert evaluator.invocations == 4
-        assert evaluator.ledger_snapshot()["totals"]["llm_calls"] == 4
-        fresh = SyntheticEvaluator(seed=11).persuasiveness("ballots were shredded", **kwargs)
+        totals = evaluator.ledger_snapshot()["totals"]
+        assert totals["llm_calls"] == 4
+        once = SyntheticEvaluator(seed=11)
+        fresh = once.persuasiveness("ballots were shredded", **kwargs)
         assert scores == [fresh] * 4
+        assert totals["tokens"] == 4 * once.ledger_snapshot()["totals"]["tokens"] > 0
 
-    def test_context_insertion_order_shares_one_memo_entry(self, monkeypatch):
-        built = []
-        real_substream = rngmod.substream
-
-        def counting_substream(*args):
-            built.append(args)
-            return real_substream(*args)
-
-        monkeypatch.setattr(rngmod, "substream", counting_substream)
+    def test_context_insertion_order_gives_same_score(self):
         context = {"content_kind": "correction", "strategy": "narrative_based",
                    "stance": "endorse", "history": "h", "community": "politics"}
         texts = ("a neighbour tells how the count really went",)
@@ -182,7 +149,6 @@ class TestSynthetic:
         assert a.canonical_bytes() == b.canonical_bytes()
         evaluator = SyntheticEvaluator(seed=11)
         assert evaluator.evaluate(a) == evaluator.evaluate(b)
-        assert len(built) == 1
 
     def test_unknown_kind_rejected(self):
         for kind in ("mood", "belief_check"):

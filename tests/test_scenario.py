@@ -87,6 +87,25 @@ class TestLoading:
         with pytest.raises(DuplicateUserId):
             scenario_from_dict(data)
 
+    def test_duplicate_content_id_rejected(self):
+        # engine state keys items by content_id
+        data = minimal_scenario_dict()
+        data["content_catalog"].append(
+            {"content_id": "d1", "topic": "beta", "kind": "disinformation", "text": "y"}
+        )
+        with pytest.raises(ScenarioError, match="duplicate content_id 'd1'"):
+            scenario_from_dict(data)
+
+    def test_default_windows_follow_total_steps(self, tmp_path):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(minimal_scenario_dict(total_steps=36)))
+        assert load_scenario(path).params.intervention_windows == {
+            "early": (6, 36), "mid": (18, 36), "late": (24, 36),
+        }
+        assert SimulationParams().intervention_windows == {
+            "early": (12, 72), "mid": (36, 72), "late": (48, 72),
+        }
+
     def test_unknown_topic_rejected(self):
         data = minimal_scenario_dict()
         data["content_catalog"][0]["topic"] = "nowhere"
