@@ -15,13 +15,7 @@ from .content import (
     make_plan,
     score_plausibility,
 )
-from .dynamics import (
-    DiscernmentInputs,
-    TrustUpdateInputs,
-    believe_disinformation,
-    discernment,
-    update_trust,
-)
+from .dynamics import believe_disinformation, discernment, update_trust
 from .engine import (
     SimulationState,
     build_bot_schedules,

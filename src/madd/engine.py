@@ -61,12 +61,7 @@ from .content import (
     correction_for,
     score_plausibility,
 )
-from .dynamics import (
-    TrustUpdateInputs,
-    believe_disinformation,  # noqa: F401 - the scalar rules _deliver computes inline
-    discernment,  # noqa: F401
-    update_trust,
-)
+from .dynamics import believe_disinformation, discernment, update_trust
 from .errors import EvaluatorFailure, RangeViolation, WindowTooSmall
 from .evaluator import Evaluator
 from .network import PropagationNetwork
@@ -97,7 +92,9 @@ class JudgmentStream:
     """One receiver's uniforms for one kind of judgment, handed out in order.
 
     The generator is read ``JUDGMENT_BLOCK`` doubles at a time; the k-th
-    ``uniform()`` call returns the generator's k-th scalar ``random()``.
+    ``random()`` call returns the generator's k-th scalar ``random()``, so a
+    stream stands in for the generator wherever one uniform is drawn at a
+    time (``dynamics.believe_disinformation`` takes either).
     """
 
     __slots__ = ("_gen", "_block", "_next")
@@ -107,7 +104,7 @@ class JudgmentStream:
         self._block = gen.random(JUDGMENT_BLOCK)
         self._next = 0
 
-    def uniform(self) -> float:
+    def random(self) -> float:
         i = self._next
         if i == JUDGMENT_BLOCK:
             self._block = self._gen.random(JUDGMENT_BLOCK)
@@ -260,6 +257,12 @@ def run(
     returns the records so far with ``complete`` set False. Pass a list as
     ``state_out`` to receive the final SimulationState (appended), for
     inspection and invariant checks.
+
+    Judgment inputs are checked here, once: the plausibility (given or
+    scored) and each regular agent's starting trust toward the topic must
+    lie in [0, 1], else ValueError before step 1. Trust then moves only
+    through ``update_trust``, which clips to [0, 1], so discernment needs no
+    check per receipt.
     """
     if record_cadence < 1:
         raise RangeViolation("record_cadence", record_cadence, ">= 1")
@@ -271,6 +274,8 @@ def run(
     plausibility = disinfo.plausibility
     if plausibility is None:
         plausibility = score_plausibility(disinfo, evaluator)
+    if not 0.0 <= plausibility <= 1.0:
+        raise ValueError(f"plausibility {plausibility} outside [0, 1]")
 
     correction = None
     if plan.strategy != "none":
@@ -284,9 +289,10 @@ def run(
     state = SimulationState()
     for profile in profiles:
         if profile.kind == KIND_REGULAR:
-            state.agents[profile.agent_id] = AgentState(
-                profile=profile, trust=profile.trust_thresholds[topic]
-            )
+            trust = profile.trust_thresholds[topic]
+            if not 0.0 <= trust <= 1.0:
+                raise ValueError(f"trust {trust} of {profile.agent_id} outside [0, 1]")
+            state.agents[profile.agent_id] = AgentState(profile=profile, trust=trust)
     state.community_regulars = {
         community: [m for m in members if m in state.agents]
         for community, members in network.community_index.items()
@@ -421,16 +427,7 @@ def _apply_trust_update(agent, weight, evaluator, params, topic: str) -> None:
             corr.append((weight[sender], strength))
         else:
             dis.append((weight[sender], strength))
-    agent.trust = update_trust(
-        TrustUpdateInputs(
-            current_tt=agent.trust,
-            corr_neighbors=tuple(corr),
-            dis_neighbors=tuple(dis),
-            gamma=params.gamma,
-            beta=params.beta,
-            delta=params.delta,
-        )
-    )
+    agent.trust = update_trust(agent.trust, corr, dis, params.gamma, params.beta, params.delta)
     agent.pending.clear()
 
 
@@ -461,15 +458,7 @@ def _deliver(state, outgoing, seed, t, claim_id, plausibility) -> None:
                 purpose = "accept"
             else:
                 continue
-            # dynamics.discernment and believe_disinformation inline, with the
-            # DiscernmentInputs range checks; inside them DA lies in [0, 1],
-            # so believe_disinformation's own check cannot fail
-            trust = agent.trust
-            if not 0.0 <= trust <= 1.0:
-                raise ValueError(f"updated_tt {trust} outside [0, 1]")
-            if not 0.0 <= plausibility <= 1.0:
-                raise ValueError(f"plausibility {plausibility} outside [0, 1]")
-            da = 1.0 - (1.0 - trust) * plausibility
+            da = discernment(agent.trust, plausibility)
             # the k-th judgment of this kind takes the k-th draw of its own
             # stream, so plans sharing a seed see aligned randomness until
             # their histories actually diverge
@@ -479,8 +468,8 @@ def _deliver(state, outgoing, seed, t, claim_id, plausibility) -> None:
                     rngmod.substream(seed, purpose, receiver, claim_id)
                 )
             if purpose == "belief":
-                agent.believes = stream.uniform() < 1.0 - da
-            elif stream.uniform() < da:
+                agent.believes = believe_disinformation(da, stream)
+            elif stream.random() < da:
                 agent.believes = False
 
 

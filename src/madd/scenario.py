@@ -13,6 +13,7 @@ import csv
 import hashlib
 import io
 import json
+import sys
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
@@ -75,8 +76,9 @@ def config_from_dict(cls, data, where: str):
     Keys must be fields of ``cls``; absent ones take the field default.
     Every value must match the field's annotation: an int field takes an
     integer (never a bool or a float), a float field an integer or a float
-    (never a bool), a tuple field a list of that length, and a nested
-    config dataclass an object, decoded the same way.
+    (never a bool, NaN, an infinity or an integer no double can hold), a
+    tuple field a list of that length, and a nested config dataclass an
+    object, decoded the same way.
     """
     if not isinstance(data, dict):
         raise RangeViolation(where, data, "a JSON object")
@@ -104,6 +106,9 @@ def _typed(value, hint, where: str):
             return {
                 key: _typed(v, value_hint, f"{where}[{key}]") for key, v in value.items()
             }
+    elif hint is float and type(value) in (int, float) and not abs(value) <= sys.float_info.max:
+        # NaN, the infinities and integers past the largest double
+        raise RangeViolation(where, value, "a finite number")
     elif type(value) is hint or (hint is float and type(value) is int):
         return value
     name = str(hint) if origin else hint.__name__
@@ -172,6 +177,8 @@ def validate_evaluator_config(config: EvaluatorConfig) -> None:
     if not 0.0 <= synthetic.ic_cross_prob <= 1.0:
         raise RangeViolation("evaluator.synthetic.ic_cross_prob", synthetic.ic_cross_prob,
                              "within [0, 1]")
+    if not config.timeout > 0.0:
+        raise RangeViolation("evaluator.timeout", config.timeout, "> 0")
     if config.max_in_flight < 1:
         raise RangeViolation("evaluator.max_in_flight", config.max_in_flight, ">= 1")
 
@@ -234,10 +241,7 @@ class UserRecord:
             user_id=user_id,
             description=str(data.get("description", "")),
             historical_texts=coerce(
-                "historical_texts",
-                lambda v: tuple((str(kind), str(text)) for kind, text in v),
-                (),
-                "a list of [kind, text] pairs",
+                "historical_texts", _text_pairs, [], "a list of [kind, text] pairs"
             ),
             activity_histogram=coerce(
                 "activity_histogram",
@@ -247,6 +251,16 @@ class UserRecord:
             ),
             **counts,
         )
+
+
+def _text_pairs(value) -> tuple:
+    """``historical_texts`` as (kind, text) string pairs; anything but a list
+    of 2-item lists raises TypeError."""
+    if not isinstance(value, list) or not all(
+        isinstance(pair, list) and len(pair) == 2 for pair in value
+    ):
+        raise TypeError("historical_texts must be a list of [kind, text] pairs")
+    return tuple((str(kind), str(text)) for kind, text in value)
 
 
 @dataclass(frozen=True)

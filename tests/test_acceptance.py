@@ -15,12 +15,7 @@ import pytest
 from madd import engine
 from madd.attributes import dissemination_tendency
 from madd.content import CONTROL_PLAN, make_plan
-from madd.dynamics import (
-    DiscernmentInputs,
-    TrustUpdateInputs,
-    discernment,
-    update_trust,
-)
+from madd.dynamics import discernment, update_trust
 from madd.evaluator import SyntheticEvaluator, make_evaluator
 from madd.network import build_network, community_overlap_matrix, degree_distribution
 from madd.powerlaw import fit_truncated_power_law
@@ -63,27 +58,17 @@ def canonical_run(paper_world):
 
 def test_criterion_01_equation_unit_suite():
     started = time.perf_counter()
-    enhanced = update_trust(
-        TrustUpdateInputs(
-            current_tt=0.5,
-            corr_neighbors=((1.0, 1.0), (1.0, 1.0)),  # influence-weighted sum = 2
-            gamma=0.5,
-            beta=0.5,
-        )
-    )
+    # influence-weighted corrective sum = 2, gamma = beta = delta = 0.5
+    enhanced = update_trust(0.5, ((1.0, 1.0), (1.0, 1.0)), (), 0.5, 0.5, 0.5)
     expected = 0.5 + 0.5 * (1.0 - math.exp(-1.0))
     assert abs(enhanced - expected) < 1e-9
     assert abs(enhanced - 0.8160602794142788) < 1e-9
 
-    da = discernment(DiscernmentInputs(updated_tt=0.6, plausibility=0.5))
+    da = discernment(0.6, 0.5)
     assert abs(da - 0.8) < 1e-9
 
-    floor = update_trust(
-        TrustUpdateInputs(current_tt=0.01, dis_neighbors=((1.0, 1.0),) * 30)
-    )
-    ceiling = update_trust(
-        TrustUpdateInputs(current_tt=0.99, corr_neighbors=((1.0, 1.0),) * 30)
-    )
+    floor = update_trust(0.01, (), ((1.0, 1.0),) * 30, 0.5, 0.5, 0.5)
+    ceiling = update_trust(0.99, ((1.0, 1.0),) * 30, (), 0.5, 0.5, 0.5)
     assert floor == 0.0 and ceiling == 1.0
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0

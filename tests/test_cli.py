@@ -414,6 +414,12 @@ def _validate(data: dict) -> tuple:
         (("evaluator", "synthetic", "ic_cross_prob"), 2.0),
         (("evaluator", "synthetic", "ic_cross_prob"), -0.1),
         (("evaluator", "max_in_flight"), 0),
+        (("evaluator", "timeout"), 0),
+        (("params", "xi"), float("inf")),
+        (("evaluator", "synthetic", "tt_mean"), float("nan")),
+        (("evaluator", "synthetic", "fact_shape"), [float("inf"), 3]),
+        (("users", 0, "historical_texts"), {"ab": 1}),
+        (("users", 0, "historical_texts"), ["ok"]),
         # a file saved before repost_probability was removed
         (("params", "repost_probability"), 0.7),
         # two items under one id: the catalog's correction renamed after its claim
@@ -428,7 +434,9 @@ def _validate(data: dict) -> tuple:
         "ic-home-std-negative", "ic-cross-std-negative", "ic-other-scale-negative",
         "plausibility-noise-negative", "fact-shape-negative", "narrative-shape-zero",
         "disinfo-shape-zero", "dispute-shape-negative", "ic-cross-prob-above-1",
-        "ic-cross-prob-below-0", "max-in-flight-zero", "repost-probability-removed",
+        "ic-cross-prob-below-0", "max-in-flight-zero", "timeout-zero", "xi-infinity",
+        "tt-mean-nan", "fact-shape-infinity", "history-object", "history-string-item",
+        "repost-probability-removed",
         "duplicate-content-id",
     ],
 )

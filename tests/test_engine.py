@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from madd.attributes import (
     AgentProfile,
     activation_probability,
 )
-from madd.content import CONTROL_PLAN, ContentItem, make_plan
+from madd.content import CONTROL_PLAN, make_plan
 from madd.errors import EvaluatorFailure, WindowTooSmall
 from madd.evaluator import SyntheticEvaluator, make_evaluator
 from madd.network import PropagationNetwork
@@ -261,29 +262,58 @@ class TestSnapshotRatios:
 
 
 class TestDeliver:
-    CLAIM = ContentItem("claim_alpha", "alpha", "disinformation", text="a claim")
+    class PlausibilityAbove1(SyntheticEvaluator):
+        def evaluate(self, request):
+            if request.kind == "plausibility":
+                return {"score": 1.5}
+            return super().evaluate(request)
 
     @pytest.mark.parametrize(
         "trust, plausibility",
-        [(1.5, 0.6), (-0.1, 0.6), (float("nan"), 0.6), (0.5, 1.5)],
+        [(1.5, None), (-0.1, None), (float("nan"), None), (0.5, 1.5)],
         ids=["trust-above-1", "trust-below-0", "trust-nan", "plausibility-above-1"],
     )
-    def test_judgment_checks_discernment_inputs(self, trust, plausibility):
-        # the DiscernmentInputs range checks hold on the delivery path
-        state = engine.SimulationState()
-        agent = state.agents["u1"] = engine.AgentState(profile=None, trust=trust)
-        message = engine.Message(self.CLAIM, engine.STANCE_ENDORSE, "mbot_0")
-        with pytest.raises(ValueError):
-            engine._deliver(
-                state, [([("u1", agent)], message)], 1, 1, self.CLAIM.content_id, plausibility
+    def test_judgment_checks_discernment_inputs(self, monkeypatch, trust, plausibility):
+        # the inputs every delivery judgment reads are checked once, at run
+        # entry: a profile's topic trust and the scored plausibility
+        scenario, profiles, network, fit = path_world(total_steps=2)
+        fix_bot_steps(monkeypatch, {1})
+        profiles[0] = replace(profiles[0], trust_thresholds={"alpha": trust})
+        evaluator = (
+            SyntheticEvaluator(seed=1) if plausibility is None else self.PlausibilityAbove1(seed=1)
+        )
+        events = []
+        with pytest.raises(ValueError, match="outside \\[0, 1\\]"):
+            engine.run(
+                scenario, network, profiles, CONTROL_PLAN, evaluator,
+                seed=1, fit=fit, record_cadence=1, progress=events.append,
             )
+        assert events == []  # step 0 is recorded before step 1 runs
+
+    def test_run_judges_through_dynamics(self, monkeypatch):
+        scenario, profiles, network, fit = path_world(total_steps=4)
+        fix_bot_steps(monkeypatch, {1, 2, 3})
+        calls = {"discernment": 0, "believe_disinformation": 0}
+        for name in calls:
+            rule = getattr(engine, name)
+
+            def counted(*args, _rule=rule, _name=name):
+                calls[_name] += 1
+                return _rule(*args)
+
+            monkeypatch.setattr(engine, name, counted)
+        engine.run(
+            scenario, network, profiles, CONTROL_PLAN, SyntheticEvaluator(seed=1),
+            seed=1, fit=fit, record_cadence=1,
+        )
+        assert calls["discernment"] > 0 and calls["believe_disinformation"] > 0
 
     def test_judgment_stream_reads_blocks_in_scalar_order(self):
         n = 3 * engine.JUDGMENT_BLOCK + 5
         labels = (13, "belief", "u1", "claim_alpha")
         stream = engine.JudgmentStream(rngmod.substream(*labels))
         scalar = rngmod.substream(*labels)
-        assert [stream.uniform() for _ in range(n)] == [scalar.random() for _ in range(n)]
+        assert [stream.random() for _ in range(n)] == [scalar.random() for _ in range(n)]
 
 
 @pytest.fixture(scope="module")

@@ -150,6 +150,17 @@ class TestSynthetic:
         evaluator = SyntheticEvaluator(seed=11)
         assert evaluator.evaluate(a) == evaluator.evaluate(b)
 
+    @pytest.mark.parametrize("score", [1.5, -0.1, float("nan")])
+    def test_persuasiveness_out_of_range_rejected(self, monkeypatch, score):
+        # the trust update takes persuasiveness unchecked: this is its boundary
+        evaluator = SyntheticEvaluator(seed=11)
+        monkeypatch.setattr(evaluator, "_eval_persuasiveness", lambda request: {"score": score})
+        with pytest.raises(MalformedEvaluatorResponse):
+            evaluator.persuasiveness(
+                "text", content_kind="correction", strategy="fact_based", stance="endorse",
+                receiver_history="", community="alpha",
+            )
+
     def test_unknown_kind_rejected(self):
         for kind in ("mood", "belief_check"):
             with pytest.raises(ValueError):

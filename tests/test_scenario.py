@@ -118,11 +118,26 @@ class TestLoading:
 
     @pytest.mark.parametrize(
         "name, value",
-        [("m0", True), ("m0", 5.0), ("theta", False), ("malicious_freq_range", [1, 2, 3])],
+        [
+            ("m0", True), ("m0", 5.0), ("theta", False), ("malicious_freq_range", [1, 2, 3]),
+            ("xi", float("inf")), ("theta", float("nan")), ("tau", float("-inf")),
+            ("xi", 10**400),
+        ],
     )
     def test_parameter_types_checked(self, name, value):
         with pytest.raises(RangeViolation, match=f"params.{name}"):
             scenario_from_dict(minimal_scenario_dict(**{name: value}))
+
+    @pytest.mark.parametrize(
+        "texts",
+        [{"ab": 1}, ["ok"], [["post", "text", "extra"]]],
+        ids=["object", "string-item", "three-item"],
+    )
+    def test_malformed_historical_texts_rejected(self, texts):
+        data = minimal_scenario_dict()
+        data["users"][0]["historical_texts"] = texts
+        with pytest.raises(RangeViolation, match=r"historical_texts\(u0\)"):
+            scenario_from_dict(data)
 
     def test_float_parameter_takes_an_integer(self):
         assert scenario_from_dict(minimal_scenario_dict(tau=8)).params.tau == 8
