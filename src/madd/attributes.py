@@ -111,21 +111,26 @@ def dissemination_tendency(
     return min(1.0, max(0.0, value))
 
 
-def _score_user(user, scenario: Scenario, evaluator: Evaluator, kind: str) -> dict:
+# the evaluator kinds each regular user is scored on, in scoring order
+_PROFILE_KINDS = ("interest_community", "trust_threshold")
+
+
+def _profile_requests(user, communities: list):
     texts = tuple(text for _, text in user.historical_texts)
-    request = EvaluationRequest(
-        kind=kind,
-        subject_texts=texts,
-        context={
-            "user_id": user.user_id,
-            "communities": list(scenario.communities),
-            "description": user.description,
-            "follower_count": user.follower_count,
-            "following_count": user.following_count,
-        },
-    )
+    context = {
+        "user_id": user.user_id,
+        "communities": communities,
+        "description": user.description,
+        "follower_count": user.follower_count,
+        "following_count": user.following_count,
+    }
+    return [EvaluationRequest(kind=kind, subject_texts=texts, context=context)
+            for kind in _PROFILE_KINDS]
+
+
+def _next_scores(scores, user, kind: str) -> dict:
     try:
-        return evaluator.evaluate(request)
+        return next(scores)
     except EvaluatorFailure as exc:
         raise EvaluatorFailure(f"scoring {kind} for user {user.user_id!r}: {exc}") from exc
 
@@ -151,9 +156,13 @@ def derive_profiles(scenario: Scenario, evaluator: Evaluator) -> list:
     """
     params = scenario.params
     profiles: list[AgentProfile] = []
+    communities = list(scenario.communities)
+    scores = evaluator.evaluate_many(
+        request for user in scenario.users for request in _profile_requests(user, communities)
+    )
     for user in scenario.users:
-        ic = _score_user(user, scenario, evaluator, "interest_community")
-        tt = _score_user(user, scenario, evaluator, "trust_threshold")
+        ic = _next_scores(scores, user, "interest_community")
+        tt = _next_scores(scores, user, "trust_threshold")
         profiles.append(
             AgentProfile(
                 agent_id=user.user_id,
@@ -178,6 +187,7 @@ def derive_profiles(scenario: Scenario, evaluator: Evaluator) -> list:
         # values so no bot lands an organic celebrity's hub position (an array:
         # rng.choice converts a list argument in full on every call)
         si_pool = np.array(sorted(influence.values())[: max(1, len(members) // 2)])
+        bots = []
         for ratio, kind, prefix in (
             (params.malicious_ratio, KIND_MBOT, "mbot"),
             (params.legitimate_ratio, KIND_LBOT, "lbot"),
@@ -185,18 +195,19 @@ def derive_profiles(scenario: Scenario, evaluator: Evaluator) -> list:
             if ratio <= 0.0:
                 continue
             for i in range(max(1, _half_up(ratio * len(members)))):
-                bot = AgentProfile(
+                bots.append(AgentProfile(
                     agent_id=f"{prefix}_{community}_{i:03d}",
                     kind=kind,
                     interest_scores={
                         c: (10.0 if c == community else 1.0) for c in scenario.communities
                     },
                     trust_thresholds={c: 1.0 for c in scenario.communities},
-                )
-                rng = rngmod.substream(params.rng_seed, "bot-si", bot.agent_id)
-                influence[bot.agent_id] = float(rng.choice(si_pool))
-                by_id[bot.agent_id] = bot
-                profiles.append(bot)
+                ))
+        streams = rngmod.substreams(params.rng_seed, (("bot-si", b.agent_id) for b in bots))
+        for bot, rng in zip(bots, streams):
+            influence[bot.agent_id] = float(rng.choice(si_pool))
+            by_id[bot.agent_id] = bot
+            profiles.append(bot)
         # bots changed the community total: renormalize influence to sum 1,
         # summing in member-id order
         total = sum(influence[a] for a in sorted(influence))

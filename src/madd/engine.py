@@ -176,6 +176,7 @@ def build_bot_schedules(
     than the legitimate minimum raises WindowTooSmall.
     """
     schedules: dict[str, frozenset] = {}
+    drawn = []  # (agent id, first step, span, lo, hi) of each bot that draws
     for profile in sorted(profiles, key=lambda p: p.agent_id):
         if profile.kind == KIND_REGULAR:
             continue
@@ -192,11 +193,12 @@ def build_bot_schedules(
             if lo > span:
                 raise WindowTooSmall(span, lo)
         hi = min(hi, span)
-        lo = min(lo, hi)
-        rng = rngmod.substream(seed, "schedule", profile.agent_id)
+        drawn.append((profile.agent_id, first, span, min(lo, hi), hi))
+    streams = rngmod.substreams(seed, (("schedule", bot[0]) for bot in drawn))
+    for (agent_id, first, span, lo, hi), rng in zip(drawn, streams):
         count = int(rng.integers(lo, hi + 1))
         steps = rng.choice(span, size=count, replace=False) + first
-        schedules[profile.agent_id] = frozenset(int(s) for s in steps)
+        schedules[agent_id] = frozenset(int(s) for s in steps)
     return schedules
 
 
@@ -210,8 +212,9 @@ def activation_draws(seed: int, agent_ids, total_steps: int) -> np.ndarray:
     agents are in the block.
     """
     draws = np.empty((len(agent_ids), total_steps, 2))
-    for i, agent_id in enumerate(agent_ids):
-        draws[i] = rngmod.substream(seed, "act", agent_id).random((total_steps, 2))
+    streams = rngmod.substreams(seed, (("act", agent_id) for agent_id in agent_ids))
+    for i, stream in enumerate(streams):
+        draws[i] = stream.random((total_steps, 2))
     return draws
 
 

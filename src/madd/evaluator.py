@@ -2,11 +2,14 @@
 
 All judgment calls the simulation delegates to a language model flow through
 one contract: build an :class:`EvaluationRequest`, call ``evaluate``, read
-its range-checked scores dict back. Two backends implement it:
+its range-checked scores dict back; ``evaluate_many`` does the same for a
+list of requests, in order. Two backends implement it:
 
 * ``SyntheticEvaluator`` - the default. Every response is a pure function of
   (request bytes, scenario seed), drawn from configured per-kind
-  distributions, so whole runs replay bit-for-bit offline.
+  distributions, so whole runs replay bit-for-bit offline. A batch gives
+  the same scores as one request at a time; it only derives the random
+  streams of all its requests together.
 * ``RemoteEvaluator`` - renders a prompt template, POSTs it to a
   chat-completion endpoint, parses the strict JSON reply (one retry on
   malformed output) and range-checks every score before anything reaches the
@@ -24,6 +27,7 @@ import math
 import os
 import threading
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from . import rng as rngmod
@@ -170,7 +174,12 @@ def _whitespace_tokens(*texts: str) -> int:
 
 
 class Evaluator:
-    """Backend-independent surface the rest of the package talks to."""
+    """Backend-independent surface the rest of the package talks to.
+
+    Subclasses implement ``evaluate``; ``evaluate_many`` serves a list of
+    requests through it, in order, and a backend overrides it only to
+    prepare shared work for the whole list.
+    """
 
     def __init__(self):
         self.ledger = ResourceLedger()
@@ -178,6 +187,15 @@ class Evaluator:
     def evaluate(self, request: EvaluationRequest) -> dict:
         """The request's range-checked scores; every call is metered."""
         raise NotImplementedError
+
+    def evaluate_many(self, requests) -> Iterator[dict]:
+        """``self.evaluate`` of each request, in request order.
+
+        Each request is evaluated when its result is read, so a failure
+        surfaces at its own request, after the requests before it have been
+        scored and metered.
+        """
+        return map(self.evaluate, requests)
 
     def ledger_snapshot(self) -> dict:
         return self.ledger.snapshot()
@@ -221,21 +239,29 @@ class Evaluator:
 
 
 class SyntheticEvaluator(Evaluator):
-    """Deterministic offline backend: scores are seeded draws, not opinions."""
+    """Deterministic offline backend: scores are seeded draws, not opinions.
+
+    Each request draws from its own stream, keyed by the seed and the
+    request's canonical bytes, so ``evaluate_many`` (which derives the
+    streams of a whole list in one ``rng.substreams`` pass) and one-at-a-time
+    ``evaluate`` give the same scores and the same ledger.
+    """
 
     def __init__(self, seed: int, params: SyntheticParams | None = None):
         super().__init__()
         self.seed = int(seed)
         self.params = params or SyntheticParams()
 
-    def _rng(self, request: EvaluationRequest):
-        return rngmod.substream(self.seed, "evaluator", request.canonical_bytes())
-
-    def evaluate(self, request: EvaluationRequest) -> dict:
+    def evaluate(self, request: EvaluationRequest, rng=None) -> dict:
+        """Scores drawn from the request's own stream, ``substream(seed,
+        "evaluator", request bytes)``: ``rng`` when ``evaluate_many`` passes
+        the one it prepared, else built here."""
+        if rng is None:
+            rng = rngmod.substream(self.seed, "evaluator", request.canonical_bytes())
         handler = getattr(self, f"_eval_{request.kind}")
         scores = {
             name: self._check_range(request.kind, name, value)
-            for name, value in handler(request).items()
+            for name, value in handler(request, rng).items()
         }
         usage = Usage(
             calls=1,
@@ -247,12 +273,27 @@ class SyntheticEvaluator(Evaluator):
         self._record(request, usage)
         return scores
 
+    def evaluate_many(self, requests) -> Iterator[dict]:
+        """``self.evaluate`` of each request, in request order, each passed
+        the stream ``substream(seed, "evaluator", request bytes)`` that
+        ``rng.substreams`` derives for the whole list at call time.
+
+        A subclass that overrides ``evaluate`` gets the base loop instead,
+        without prepared streams.
+        """
+        if type(self).evaluate is not SyntheticEvaluator.evaluate:
+            return super().evaluate_many(requests)
+        requests = list(requests)
+        streams = rngmod.substreams(
+            self.seed, (("evaluator", request.canonical_bytes()) for request in requests)
+        )
+        return map(self.evaluate, requests, streams)
+
     # -- per-kind handlers ---------------------------------------------------
 
-    def _eval_interest_community(self, request: EvaluationRequest) -> dict:
+    def _eval_interest_community(self, request: EvaluationRequest, rng) -> dict:
         p = self.params
         communities = request.context["communities"]
-        rng = self._rng(request)
         home = int(rng.integers(0, len(communities)))
         scores = {}
         for i, community in enumerate(communities):
@@ -265,15 +306,14 @@ class SyntheticEvaluator(Evaluator):
             scores[community] = min(10.0, max(1.0, float(value)))
         return scores
 
-    def _eval_trust_threshold(self, request: EvaluationRequest) -> dict:
+    def _eval_trust_threshold(self, request: EvaluationRequest, rng) -> dict:
         p = self.params
-        rng = self._rng(request)
         return {
             community: min(1.0, max(0.0, float(rng.normal(p.tt_mean, p.tt_std))))
             for community in request.context["communities"]
         }
 
-    def _eval_plausibility(self, request: EvaluationRequest) -> dict:
+    def _eval_plausibility(self, request: EvaluationRequest, rng) -> dict:
         p = self.params
         text = request.subject_texts[0] if request.subject_texts else ""
         if not text.strip():
@@ -285,10 +325,10 @@ class SyntheticEvaluator(Evaluator):
         value -= min(0.15, exclaim)
         caps = sum(1 for w in text.split() if len(w) > 2 and w.isupper())
         value -= min(0.1, 0.02 * caps)
-        value += float(self._rng(request).uniform(-p.plausibility_noise, p.plausibility_noise))
+        value += float(rng.uniform(-p.plausibility_noise, p.plausibility_noise))
         return {"score": min(0.95, max(0.05, value))}
 
-    def _eval_persuasiveness(self, request: EvaluationRequest) -> dict:
+    def _eval_persuasiveness(self, request: EvaluationRequest, rng) -> dict:
         p = self.params
         text = request.subject_texts[0] if request.subject_texts else ""
         if not text.strip():
@@ -302,7 +342,7 @@ class SyntheticEvaluator(Evaluator):
             shape = p.dispute_shape
         else:
             shape = p.disinfo_shape
-        value = float(self._rng(request).beta(*shape))
+        value = float(rng.beta(*shape))
         if _has_citation_markers(text):
             value += p.citation_bonus
         else:

@@ -60,3 +60,17 @@ def dense_world():
             theta=0.2,
         )
     )
+
+
+@pytest.fixture(scope="session")
+def two_word_seed_scenario():
+    """The small world's shape at a seed of 2**32 or more, which enters
+    seeding as two 32-bit entropy words instead of one."""
+    return build_synthetic_scenario(
+        n_users=140, communities=("alpha", "beta"), seed=2**32 + 7, total_steps=24
+    )
+
+
+@pytest.fixture(scope="session")
+def two_word_seed_world(two_word_seed_scenario):
+    return build_world(two_word_seed_scenario)

@@ -604,6 +604,24 @@ class TestGoldenDigests:
             "3111c1f47b0221a934d5092556f45c75a862efc7d62ba1b40f15d41e1a03cd6f",
         )
 
+    def test_two_word_seed_world(self, two_word_seed_world):
+        # seed 2**32 + 7 keys the activation blocks, the bot schedules and the
+        # evaluator with two seed words; the early plan adds legitimate bots
+        scenario, profiles, _, network, fit = two_word_seed_world
+        report = engine.run(
+            scenario,
+            network,
+            profiles,
+            make_plan(scenario.params, "early", "fact_based"),
+            make_evaluator(scenario.evaluator_config, scenario.params.rng_seed),
+            seed=scenario.params.rng_seed,
+            fit=fit,
+        )
+        assert self.digests(report) == (
+            "52eb03bde68c248b739b0660305e37e82ba8ca64427c48c4454b1be065c18d48",
+            "8b40145f1cfc5022afc4fa2b78811956858aa0ba1454d2f939742db9b20785cf",
+        )
+
     def test_paper_world_canonical_control(self, paper_world):
         scenario, profiles, _, network, fit = paper_world
         report = engine.run(

@@ -1,8 +1,11 @@
 import json
 from dataclasses import asdict
+from types import SimpleNamespace
 
 import pytest
 
+from madd import evaluator as evaluator_module
+from madd import rng as rngmod
 from madd.errors import MalformedEvaluatorResponse, RemoteUnavailable, ScenarioError
 from madd.evaluator import (
     EvaluationRequest,
@@ -154,7 +157,7 @@ class TestSynthetic:
     def test_persuasiveness_out_of_range_rejected(self, monkeypatch, score):
         # the trust update takes persuasiveness unchecked: this is its boundary
         evaluator = SyntheticEvaluator(seed=11)
-        monkeypatch.setattr(evaluator, "_eval_persuasiveness", lambda request: {"score": score})
+        monkeypatch.setattr(evaluator, "_eval_persuasiveness", lambda request, rng: {"score": score})
         with pytest.raises(MalformedEvaluatorResponse):
             evaluator.persuasiveness(
                 "text", content_kind="correction", strategy="fact_based", stance="endorse",
@@ -284,6 +287,86 @@ class TestRemote:
         snapshot = evaluator.ledger_snapshot()
         assert snapshot["totals"]["tokens"] == 120
         assert snapshot["approximate"] is False
+
+
+def batch_requests():
+    """One request of every kind, across ledger buckets, one of them twice."""
+    persuasion = dict(content_kind="correction", strategy="fact_based", stance="endorse",
+                      history="h", community="politics")
+    return [
+        ic_request("a"),
+        tt_request("a"),
+        EvaluationRequest(kind="plausibility", subject_texts=("a claim",), context={}),
+        EvaluationRequest(kind="persuasiveness", subject_texts=("the 2020 data",),
+                          context=persuasion),
+        EvaluationRequest(kind="persuasiveness", subject_texts=("",),
+                          context={**persuasion, "community": "sports"}),
+        ic_request("b"),
+        ic_request("a"),
+    ]
+
+
+def remote_replies():
+    def rows(key, score):
+        return reply({key: [{"Community": c, "Score": score} for c in COMMUNITIES]},
+                     usage={"prompt_tokens": 10, "completion_tokens": 3})
+
+    return [
+        rows("Interest Community Scores", 6),
+        rows("Trust Threshold Scores", 0.4),
+        reply({"PlausibilityScore": 0.7}),
+        {"choices": [{"message": {"content": "not json"}}]},  # retried
+        reply({"Score": 0.55}),
+        reply({"Score": 0.1}),
+        rows("Interest Community Scores", 2),
+        rows("Interest Community Scores", 3),
+    ]
+
+
+class TestEvaluateMany:
+    @pytest.fixture(params=["synthetic", "remote"])
+    def make(self, request, monkeypatch):
+        if request.param == "synthetic":
+            return lambda: SyntheticEvaluator(seed=2**32 + 7)
+        # a fixed clock, so both ledgers meter the same latency
+        monkeypatch.setattr(evaluator_module, "time", SimpleNamespace(monotonic=lambda: 0.0))
+        return lambda: remote(monkeypatch, remote_replies())
+
+    def test_matches_one_at_a_time(self, make):
+        requests = batch_requests()
+        one, batch = make(), make()
+        expected = [one.evaluate(request) for request in requests]
+        assert list(batch.evaluate_many(requests)) == expected
+        assert batch.ledger_snapshot() == one.ledger_snapshot()
+
+    def test_failure_keeps_earlier_ledger_entries(self, make, monkeypatch):
+        # the fourth request scores out of range; the three before it stay metered
+        requests = batch_requests()[:3]
+        failing = EvaluationRequest(kind="persuasiveness", subject_texts=("t",), context={})
+        before = make()
+        for request in requests:
+            before.evaluate(request)
+        batch = make()
+        if isinstance(batch, SyntheticEvaluator):
+            monkeypatch.setattr(batch, "_eval_persuasiveness", lambda request, rng: {"score": 1.5})
+        else:
+            batch = remote(monkeypatch, remote_replies()[:3] + [reply({"Score": 1.5})] * 2)
+        scores = batch.evaluate_many(requests + [failing] + batch_requests())
+        for _ in requests:
+            next(scores)
+        with pytest.raises(MalformedEvaluatorResponse):
+            next(scores)
+        assert batch.ledger_snapshot() == before.ledger_snapshot()
+
+    def test_synthetic_batch_builds_no_single_stream(self, monkeypatch):
+        requests = batch_requests()
+        expected = [SyntheticEvaluator(seed=3).evaluate(request) for request in requests]
+
+        def single(*labels):
+            raise AssertionError("evaluate_many built a stream one request at a time")
+
+        monkeypatch.setattr(rngmod, "substream", single)
+        assert list(SyntheticEvaluator(seed=3).evaluate_many(requests)) == expected
 
 
 class TestBackendSelection:

@@ -305,6 +305,15 @@ class TestGoldenSetupBytes:
             "74a1f0eff2741f1160f4480ae10db200d49b6603d37db1ff8281209fbc7f4306",
         ]
 
+    def test_two_word_seed_world(self, two_word_seed_scenario):
+        # profile scoring and the bot-si draws keyed by two seed words
+        _, _, digests = self.digests(two_word_seed_scenario)
+        assert digests == [
+            "706407d079cc0d62b062a804475b1d6243ec8d458bb068eafc81ce65864b0693",
+            "581fb9906afe69f965d77861282de21433a54768e78fbe01e6786c64d5cff9a4",
+            "e6107a2dfa55f48c1485054c89b6a23ed326341fa33b3cdcf7e605f013de16ed",
+        ]
+
     def test_tau_one_world_bots_join_every_community(self):
         # at tau = 1 every bot clears every community, so each community's
         # influence renormalization runs over other communities' bots too
