@@ -105,7 +105,7 @@ def dissemination_tendency(
         return 1.0
     ic = profile.interest_scores[community]
     ic_max = max(profile.interest_scores.values())
-    cdf = float(fit.cdf(profile.share_total))
+    cdf = fit.cdf(profile.share_total)
     base = params.theta * cdf + (1.0 - params.theta) * (ic / ic_max)
     value = base * math.exp(-params.xi * exposure_n)
     return min(1.0, max(0.0, value))

@@ -14,7 +14,9 @@ function. Fitting proceeds in two documented stages:
    run; the candidate minimizing the Kolmogorov-Smirnov distance between
    the empirical and fitted tail CDFs wins (ties go to the smallest x_min).
    This is the x_min/KS procedure of Clauset, Shalizi & Newman, SIAM Rev.
-   51:661 (2009).
+   51:661 (2009). The KS step reads the fitted cdf from a prefix of the
+   law's cumulative table, ending at the tail's largest value, so it agrees
+   bit for bit with ``PowerLawFit.cdf``.
 
    The coarse search scans its lam grid from lam = 1 downward, where each
    normalizer is cheap, and stops once the log-likelihood has fallen
@@ -198,33 +200,16 @@ class PowerLawFit:
     def normalization(self) -> float:
         return _norm_constant(self.alpha, self.lam, self.x_min)
 
-    def cdf(self, x):
-        """P(X <= x); 0 below x_min, where the fit is not considered valid.
+    def cdf(self, x) -> float:
+        """P(X <= x) for one number x, as a float; 0 below x_min, where the
+        fit is not considered valid.
 
         Values past the table, past int64 or +inf read the top of the
-        distribution; NaN raises ValueError. A scalar takes a direct path
-        with the same bits as the array path.
+        distribution; NaN raises ValueError and an array raises TypeError.
         """
-        if isinstance(x, (int, float, np.integer, np.floating)):
-            return self._scalar_cdf(float(x))
-        x_arr = np.asarray(x, dtype=np.float64)
-        if np.isnan(x_arr).any():
-            raise ValueError("cdf of NaN")
-        scalar = x_arr.ndim == 0
-        k = np.floor(np.atleast_1d(x_arr))
-        out = np.zeros(k.shape, dtype=np.float64)
-        inside = k >= self.x_min
-        if np.any(inside):
-            if self.lam <= 0.0:
-                out[inside] = 1.0 - zeta(self.alpha, k[inside] + 1.0) / self.normalization
-            else:
-                table = self._table
-                pos = np.minimum(k[inside] - self.x_min, len(table) - 1).astype(np.int64)
-                out[inside] = table[pos]
-        out = np.clip(out, 0.0, 1.0)
-        return float(out[0]) if scalar else out
-
-    def _scalar_cdf(self, x: float) -> float:
+        if not isinstance(x, (int, float, np.integer, np.floating)):
+            raise TypeError(f"cdf takes one number, got {type(x).__name__}")
+        x = float(x)
         if math.isnan(x):
             raise ValueError("cdf of NaN")
         if x < self.x_min:
@@ -241,11 +226,15 @@ class PowerLawFit:
         """Cumulative probabilities from x_min out to where the cutoff has
         extinguished all but ~1e-15 of the mass (queries beyond clamp to the
         last entry). Only used for lam > 0."""
-        end = self.x_min + min(int(np.ceil(_CUTOFF_SPAN / self.lam)), _MAX_TABLE)
-        ks = np.arange(self.x_min, end + 1, dtype=np.float64)
-        table = np.cumsum(ks**-self.alpha * np.exp(-self.lam * ks))
-        table /= self.normalization
-        return np.clip(table, 0.0, 1.0)
+        return _cumulative(self.alpha, self.lam, self.x_min, self.normalization)
+
+
+def _cumulative(alpha: float, lam: float, x_min: int, z: float, last=math.inf) -> np.ndarray:
+    """P(X <= k) for k = x_min .. min(last, x_min + _CUTOFF_SPAN / lam), lam > 0;
+    summed in k order, so stopping at ``last`` keeps the full table's bits."""
+    end = x_min + min(int(np.ceil(_CUTOFF_SPAN / lam)), _MAX_TABLE)
+    ks = np.arange(x_min, min(last, end) + 1, dtype=np.float64)
+    return np.clip(np.cumsum(ks**-alpha * np.exp(-lam * ks)) / z, 0.0, 1.0)
 
 
 def fit_truncated_power_law(samples) -> PowerLawFit:
@@ -319,9 +308,15 @@ def fit_truncated_power_law(samples) -> PowerLawFit:
 
 
 def _ks_distance(x_sorted: np.ndarray, alpha: float, lam: float, x_min: int) -> float:
+    """Largest gap between the tail's empirical cdf and the law's, at the
+    tail's distinct values; the same numbers ``PowerLawFit.cdf`` gives."""
     tail = x_sorted[np.searchsorted(x_sorted, x_min, side="left"):]
     values, counts = np.unique(tail, return_counts=True)
     ecdf = np.cumsum(counts) / tail.size
-    fit = PowerLawFit(alpha, lam, x_min)
-    model = fit.cdf(values)
+    z = _norm_constant(alpha, lam, x_min)
+    if lam <= 0.0:
+        model = np.clip(1.0 - zeta(alpha, values + 1.0) / z, 0.0, 1.0)
+    else:
+        prefix = _cumulative(alpha, lam, x_min, z, int(values[-1]))
+        model = prefix[np.minimum(values - x_min, prefix.size - 1)]
     return float(np.max(np.abs(ecdf - model)))

@@ -215,8 +215,9 @@ class UserRecord:
 
     @classmethod
     def from_dict(cls, data) -> "UserRecord":
-        """Record from a JSON object (or a CSV row's cells), coercing leniently:
-        counts may arrive as numeric strings or floats ("12" -> 12)."""
+        """Record from a JSON object (or a CSV row's cells). A count may arrive
+        as an integer, an integral float or a numeric string ("12", 12.0 ->
+        12); a fraction or a boolean raises RangeViolation."""
         if not isinstance(data, dict):
             raise RangeViolation("user record", data, "a JSON object")
         if "user_id" not in data:
@@ -233,7 +234,7 @@ class UserRecord:
                 raise RangeViolation(f"{name}({user_id})", value, expected) from exc
 
         counts = {
-            name: coerce(name, int, 0, "an integer")
+            name: coerce(name, _count, 0, "an integer")
             for name in ("follower_count", "following_count", "post_count",
                          "retweet_count", "quote_count")
         }
@@ -245,12 +246,19 @@ class UserRecord:
             ),
             activity_histogram=coerce(
                 "activity_histogram",
-                lambda v: tuple(int(count) for count in v),
+                lambda v: tuple(_count(count) for count in v),
                 [1] * HOURS_PER_DAY,
                 "a list of integer counts",
             ),
             **counts,
         )
+
+
+def _count(value) -> int:
+    """``value`` as an int; int() would cut 12.7 to 12 and read True as 1."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{value!r} is not a whole number")
+    return int(value)
 
 
 def _text_pairs(value) -> tuple:

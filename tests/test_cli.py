@@ -393,6 +393,9 @@ def _validate(data: dict) -> tuple:
         (("params", "intervention_windows"), [1, 2]),
         (("users", 0, "follower_count"), "many"),
         (("users", 0, "activity_histogram"), "abc"),
+        (("users", 0, "follower_count"), 12.7),
+        (("users", 0, "retweet_count"), True),
+        (("users", 0, "activity_histogram"), [2.5] * 24),
         (("users",), 5),
         (("content_catalog", 0, "content_id"), DELETE),
         (("params", "total_steps"), 72.0),
@@ -428,6 +431,7 @@ def _validate(data: dict) -> tuple:
     ids=[
         "evaluator-unknown-key", "synthetic-unknown-key", "evaluator-timeout-string",
         "theta-string", "windows-list", "follower-count-word", "histogram-string",
+        "follower-count-fraction", "retweet-count-bool", "histogram-fractions",
         "users-number", "item-without-id", "total-steps-float",
         "item-id-list", "item-text-number", "item-topic-number", "item-kind-list",
         "item-strategy-null", "item-plausibility-bool", "tt-std-negative",

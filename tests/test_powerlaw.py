@@ -9,6 +9,7 @@ from madd.powerlaw import (
     _COARSE_LAMBDAS,
     PowerLawFit,
     _coarse_lambda,
+    _ks_distance,
     _norm_constant,
     _tail_likelihood,
     fit_truncated_power_law,
@@ -187,8 +188,7 @@ class TestCdf:
 
     def test_monotone_and_bounded(self):
         fit = PowerLawFit(alpha=1.5, lam=0.01, x_min=10)
-        xs = np.arange(1, 5000)
-        values = fit.cdf(xs)
+        values = np.array([fit.cdf(x) for x in range(1, 5000)])
         assert np.all(values >= 0.0) and np.all(values <= 1.0)
         assert np.all(np.diff(values) >= -1e-15)
 
@@ -198,10 +198,8 @@ class TestCdf:
         ks = np.arange(12, 100_001, dtype=np.float64)
         mass = ks**-1.6 * np.exp(-lam * ks)
         brute = np.cumsum(mass) / fit.normalization
-        probe = np.array([12, 13, 20, 50, 100, 1_000, 10_000, 100_000])
-        got = fit.cdf(probe)
-        want = brute[probe - 12]
-        assert np.max(np.abs(got - want)) < 1e-3
+        for probe in (12, 13, 20, 50, 100, 1_000, 10_000, 100_000):
+            assert abs(fit.cdf(probe) - brute[probe - 12]) < 1e-3
 
     def test_approaches_one(self):
         fit = PowerLawFit(alpha=1.5, lam=0.02, x_min=10)
@@ -214,9 +212,8 @@ class TestCdf:
         assert top > 1.0 - 1e-7
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for big in (np.inf, 1e30, 2.0**63, 10**25):
+            for big in (np.inf, 1e30, 2.0**63, 10**25, np.float64(1e30)):
                 assert fit.cdf(big) >= top
-            assert np.all(fit.cdf(np.array([np.inf, 1e30, 2.0**63])) >= top)
         assert fit.cdf(-np.inf) == 0.0
 
     @pytest.mark.parametrize("lam", [0.0, 0.02])
@@ -225,10 +222,12 @@ class TestCdf:
         with pytest.raises(ValueError):
             fit.cdf(float("nan"))
         with pytest.raises(ValueError):
-            fit.cdf(np.array([12.0, np.nan]))
+            fit.cdf(np.float64("nan"))
 
     @pytest.mark.parametrize("lam", [0.0, 0.01, 0.3])
     def test_scalar_path_bit_identical_to_array_path(self, lam):
+        """Every kind of number reads the floor of its value, as a float, with
+        the bits of the law's table (lam > 0) or of 1 - zeta(alpha, k + 1) / Z."""
         fit = PowerLawFit(alpha=1.6, lam=lam, x_min=12)
         past_table = 12 + 2 * len(fit._table) if lam > 0.0 else 10**9
         values = [1, 11, 11.999, 12, 12.0, 12.5, 13, 57, 999.75, 10**5, past_table,
@@ -236,8 +235,41 @@ class TestCdf:
         for v in values:
             got = fit.cdf(v)
             assert type(got) is float
-            assert got == fit.cdf(np.array([v], dtype=np.float64))[0]
-            assert got == fit.cdf(np.asarray(v))
+            k = np.floor(np.float64(v))
+            if k < 12:
+                want = 0.0
+            elif lam > 0.0:
+                want = fit._table[int(min(k - 12, len(fit._table) - 1))]
+            else:
+                want = np.clip(1.0 - zeta(1.6, k + 1.0) / fit.normalization, 0.0, 1.0)
+            assert got == want
+
+    @pytest.mark.parametrize("lam", [0.0, 0.02])
+    def test_array_rejected(self, lam):
+        fit = PowerLawFit(alpha=1.5, lam=lam, x_min=10)
+        for arg in (np.array([12.0, 13.0]), np.asarray(12.0), [12], "12"):
+            with pytest.raises(TypeError):
+                fit.cdf(arg)
+
+
+@pytest.mark.parametrize("lam", [0.0, 1e-4, 0.01, 0.3])
+def test_ks_distance_matches_scalar_cdf(lam):
+    """The KS step's prefix of the cumulative table gives the law's own cdf
+    bits: with a value past the table's end and one at 10**12, and on a
+    narrow tail whose largest gap is at its largest value."""
+    alpha, x_min = 1.7, 5
+    past_table = x_min + 2 * len(PowerLawFit(alpha, lam, x_min)._table) if lam > 0.0 else 10**7
+    wide = np.concatenate([np.random.default_rng(18).zipf(alpha, 400) + 1, [past_table, 10**12]])
+    narrow = np.arange(x_min, x_min + 6).repeat(20)
+    for samples in (wide, narrow):
+        x_sorted = np.sort(samples)
+        for lo in sorted({1, x_min, int(x_sorted[-3])}):
+            fit = PowerLawFit(alpha, lam, lo)
+            tail = x_sorted[x_sorted >= lo]
+            values, counts = np.unique(tail, return_counts=True)
+            ecdf = np.cumsum(counts) / tail.size
+            model = np.array([fit.cdf(v) for v in values.tolist()])
+            assert _ks_distance(x_sorted, alpha, lam, lo) == float(np.max(np.abs(ecdf - model)))
 
 
 def reference_norm_constant(alpha, lam, x_min):

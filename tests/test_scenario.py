@@ -148,6 +148,24 @@ class TestLoading:
         with pytest.raises(RangeViolation, match="24"):
             scenario_from_dict(data)
 
+    @pytest.mark.parametrize("value", [12, 12.0, "12"])
+    def test_whole_counts_load(self, value):
+        data = minimal_scenario_dict()
+        data["users"][0]["follower_count"] = value
+        data["users"][0]["activity_histogram"] = [value] * 24
+        user = scenario_from_dict(data).users[0]
+        assert user.follower_count == 12 and user.activity_histogram == (12,) * 24
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("follower_count", 12.7), ("retweet_count", True), ("activity_histogram", [2.5] * 24)],
+    )
+    def test_fractional_or_boolean_count_names_the_user(self, field, value):
+        data = minimal_scenario_dict()
+        data["users"][1][field] = value
+        with pytest.raises(RangeViolation, match=rf"{field}\(u1\)"):
+            scenario_from_dict(data)
+
     def test_malformed_json_reported(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
