@@ -47,9 +47,7 @@ from .scenario import (
     SimulationParams,
     UserRecord,
     load_scenario,
-    make_scenario,
     save_scenario,
-    validate_params,
 )
 
 __version__ = "0.1.0"

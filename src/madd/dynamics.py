@@ -5,9 +5,10 @@ repeated exposure shows diminishing marginal effect, and never leaves
 [0, 1]. Discernment is affine in plausibility. Belief realizes discernment
 as a seeded Bernoulli draw, which keeps the core engine deterministic.
 
-The rules take plain floats and check nothing: their callers check inputs
-where they enter (``validate_params`` for gamma/beta/delta, the evaluator
-for persuasiveness, ``engine.run`` for starting trust and plausibility).
+The rules take plain floats and check nothing: their inputs are checked
+where they enter (``SimulationParams`` construction for gamma/beta/delta,
+the evaluator for persuasiveness, ``engine.run`` for starting trust and
+plausibility).
 """
 
 from __future__ import annotations

@@ -31,7 +31,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from . import rng as rngmod
-from .errors import MalformedEvaluatorResponse, RemoteUnavailable, ScenarioError
+from .errors import MalformedEvaluatorResponse, RangeViolation, RemoteUnavailable, ScenarioError
 
 # score range per request kind
 _RANGES = {
@@ -67,7 +67,6 @@ class EvaluationRequest:
 
 @dataclass(frozen=True)
 class Usage:
-    calls: int = 1
     tokens_in: int = 0
     tokens_out: int = 0
     latency: float = 0.0
@@ -87,7 +86,7 @@ class ResourceLedger:
             entry = self._per_community.setdefault(
                 community, {"llm_calls": 0, "tokens": 0, "wall_time": 0.0}
             )
-            entry["llm_calls"] += usage.calls
+            entry["llm_calls"] += 1  # one Usage per evaluate call
             entry["tokens"] += usage.tokens_in + usage.tokens_out
             entry["wall_time"] += usage.latency
             self._approximate = self._approximate or usage.approximate
@@ -139,6 +138,17 @@ class SyntheticParams:
     plausibility_base: float = 0.62
     plausibility_noise: float = 0.05
 
+    def __post_init__(self):
+        for name in ("tt_std", "ic_home_std", "ic_cross_std", "ic_other_scale",
+                     "plausibility_noise"):
+            if not getattr(self, name) >= 0.0:
+                raise RangeViolation(name, getattr(self, name), ">= 0")
+        for name in ("fact_shape", "narrative_shape", "disinfo_shape", "dispute_shape"):
+            if not all(v > 0.0 for v in getattr(self, name)):
+                raise RangeViolation(name, getattr(self, name), "positive beta shapes (a, b)")
+        if not 0.0 <= self.ic_cross_prob <= 1.0:
+            raise RangeViolation("ic_cross_prob", self.ic_cross_prob, "within [0, 1]")
+
 
 @dataclass(frozen=True)
 class EvaluatorConfig:
@@ -149,6 +159,12 @@ class EvaluatorConfig:
     api_key_env: str = "MADD_LLM_API_KEY"
     timeout: float = 60.0
     max_in_flight: int = 4
+
+    def __post_init__(self):
+        if not self.timeout > 0.0:
+            raise RangeViolation("timeout", self.timeout, "> 0")
+        if self.max_in_flight < 1:
+            raise RangeViolation("max_in_flight", self.max_in_flight, ">= 1")
 
 
 _CITATION_MARKERS = (
@@ -264,7 +280,6 @@ class SyntheticEvaluator(Evaluator):
             for name, value in handler(request, rng).items()
         }
         usage = Usage(
-            calls=1,
             tokens_in=_whitespace_tokens(*request.subject_texts),
             tokens_out=8 * max(1, len(scores)),
             latency=0.0,  # keeps reports byte-identical across replays
@@ -420,7 +435,6 @@ class RemoteEvaluator(Evaluator):
             tokens_in = _whitespace_tokens(prompt)
             tokens_out = _whitespace_tokens(content)
         return Usage(
-            calls=1,
             tokens_in=int(tokens_in),
             tokens_out=int(tokens_out),
             latency=latency,

@@ -37,7 +37,8 @@ class SimulationParams:
 
     Ranges MF/LF are the per-bot activation-count draws; intervention
     windows are inclusive step ranges per stage, scaled to this instance's
-    ``total_steps`` when not given.
+    ``total_steps`` when not given. Construction checks every range and
+    raises RangeViolation at the first breach.
     """
 
     theta: float = 0.5
@@ -60,6 +61,50 @@ class SimulationParams:
         if self.intervention_windows is None:
             object.__setattr__(self, "intervention_windows", scaled_windows(self.total_steps))
 
+        def check(cond: bool, field_name: str, value, constraint: str):
+            if not cond:
+                raise RangeViolation(field_name, value, constraint)
+
+        for name in ("theta", "gamma", "beta", "delta"):
+            value = getattr(self, name)
+            check(0.0 < value < 1.0, name, value, "strictly inside (0, 1)")
+        check(self.xi >= 0.0, "xi", self.xi, ">= 0")
+        check(1.0 <= self.tau <= 10.0, "tau", self.tau, "within the 1-10 interest scale")
+        check(self.m0 >= 2, "m0", self.m0, ">= 2")
+        check(self.m >= 1, "m", self.m, ">= 1")
+        check(self.m <= self.m0, "m", self.m, "m <= m0")
+        check(self.total_steps >= 1, "total_steps", self.total_steps, ">= 1")
+        for name in ("malicious_ratio", "legitimate_ratio"):
+            value = getattr(self, name)
+            check(0.0 <= value < 1.0, name, value, "within [0, 1)")
+        check(
+            self.malicious_ratio + self.legitimate_ratio < 1.0,
+            "malicious_ratio+legitimate_ratio",
+            self.malicious_ratio + self.legitimate_ratio,
+            "< 1",
+        )
+        for name in ("malicious_freq_range", "legitimate_freq_range"):
+            rng = getattr(self, name)
+            ok = (
+                len(rng) == 2
+                and all(isinstance(v, int) for v in rng)
+                and 0 <= rng[0] <= rng[1]
+            )
+            check(ok, name, rng, "integer pair 0 <= lo <= hi")
+        for stage, window in self.intervention_windows.items():
+            check(stage in ("early", "mid", "late"), "intervention_windows", stage,
+                  "stages are early/mid/late")
+            ok = (
+                len(window) == 2
+                and 1 <= window[0] <= window[1] <= self.total_steps
+            )
+            check(ok, f"intervention_windows[{stage}]", tuple(window),
+                  f"sub-range of [1, {self.total_steps}]")
+            # legitimate bots activate on distinct steps inside the window
+            least = self.legitimate_freq_range[0]
+            check(window[1] - window[0] + 1 >= least, f"intervention_windows[{stage}]",
+                  tuple(window), f"at least legitimate_freq_range[0] = {least} steps")
+
 
 def scaled_windows(total_steps: int) -> dict:
     """Stage windows proportional to the run length (T/6, T/2, 2T/3)."""
@@ -78,7 +123,8 @@ def config_from_dict(cls, data, where: str):
     integer (never a bool or a float), a float field an integer or a float
     (never a bool, NaN, an infinity or an integer no double can hold), a
     tuple field a list of that length, and a nested config dataclass an
-    object, decoded the same way.
+    object, decoded the same way. A range error of the record names its
+    field under ``where`` ("params.gamma").
     """
     if not isinstance(data, dict):
         raise RangeViolation(where, data, "a JSON object")
@@ -86,9 +132,11 @@ def config_from_dict(cls, data, where: str):
     unknown = sorted(set(data) - set(hints))
     if unknown:
         raise ScenarioError(f"unknown parameter(s) in {where}: {unknown}")
-    return cls(**{
-        name: _typed(value, hints[name], f"{where}.{name}") for name, value in data.items()
-    })
+    values = {name: _typed(value, hints[name], f"{where}.{name}") for name, value in data.items()}
+    try:
+        return cls(**values)
+    except RangeViolation as exc:
+        raise RangeViolation(f"{where}.{exc.field}", exc.value, exc.constraint) from exc
 
 
 def _typed(value, hint, where: str):
@@ -115,76 +163,16 @@ def _typed(value, hint, where: str):
     raise RangeViolation(where, value, f"type {name}")
 
 
-def validate_params(params: SimulationParams) -> None:
-    """Constraint check; raises RangeViolation at the first breach."""
-
-    def check(cond: bool, field_name: str, value, constraint: str):
-        if not cond:
-            raise RangeViolation(field_name, value, constraint)
-
-    for name in ("theta", "gamma", "beta", "delta"):
-        value = getattr(params, name)
-        check(0.0 < value < 1.0, name, value, "strictly inside (0, 1)")
-    check(params.xi >= 0.0, "xi", params.xi, ">= 0")
-    check(1.0 <= params.tau <= 10.0, "tau", params.tau, "within the 1-10 interest scale")
-    check(params.m0 >= 2, "m0", params.m0, ">= 2")
-    check(params.m >= 1, "m", params.m, ">= 1")
-    check(params.m <= params.m0, "m", params.m, "m <= m0")
-    check(params.total_steps >= 1, "total_steps", params.total_steps, ">= 1")
-    for name in ("malicious_ratio", "legitimate_ratio"):
-        value = getattr(params, name)
-        check(0.0 <= value < 1.0, name, value, "within [0, 1)")
-    check(
-        params.malicious_ratio + params.legitimate_ratio < 1.0,
-        "malicious_ratio+legitimate_ratio",
-        params.malicious_ratio + params.legitimate_ratio,
-        "< 1",
-    )
-    for name in ("malicious_freq_range", "legitimate_freq_range"):
-        rng = getattr(params, name)
-        ok = (
-            len(rng) == 2
-            and all(isinstance(v, int) for v in rng)
-            and 0 <= rng[0] <= rng[1]
-        )
-        check(ok, name, rng, "integer pair 0 <= lo <= hi")
-    for stage, window in params.intervention_windows.items():
-        check(stage in ("early", "mid", "late"), "intervention_windows", stage,
-              "stages are early/mid/late")
-        ok = (
-            len(window) == 2
-            and 1 <= window[0] <= window[1] <= params.total_steps
-        )
-        check(ok, f"intervention_windows[{stage}]", tuple(window),
-              f"sub-range of [1, {params.total_steps}]")
-        # legitimate bots activate on distinct steps inside the window
-        least = params.legitimate_freq_range[0]
-        check(window[1] - window[0] + 1 >= least, f"intervention_windows[{stage}]",
-              tuple(window), f"at least legitimate_freq_range[0] = {least} steps")
-
-
-def validate_evaluator_config(config: EvaluatorConfig) -> None:
-    """Range check of the evaluator settings, like :func:`validate_params`."""
-    synthetic = config.synthetic
-    for name in ("tt_std", "ic_home_std", "ic_cross_std", "ic_other_scale",
-                 "plausibility_noise"):
-        if not getattr(synthetic, name) >= 0.0:
-            raise RangeViolation(f"evaluator.synthetic.{name}", getattr(synthetic, name), ">= 0")
-    for name in ("fact_shape", "narrative_shape", "disinfo_shape", "dispute_shape"):
-        if not all(v > 0.0 for v in getattr(synthetic, name)):
-            raise RangeViolation(f"evaluator.synthetic.{name}", getattr(synthetic, name),
-                                 "positive beta shapes (a, b)")
-    if not 0.0 <= synthetic.ic_cross_prob <= 1.0:
-        raise RangeViolation("evaluator.synthetic.ic_cross_prob", synthetic.ic_cross_prob,
-                             "within [0, 1]")
-    if not config.timeout > 0.0:
-        raise RangeViolation("evaluator.timeout", config.timeout, "> 0")
-    if config.max_in_flight < 1:
-        raise RangeViolation("evaluator.max_in_flight", config.max_in_flight, ">= 1")
+_COUNT_FIELDS = ("follower_count", "following_count", "post_count", "retweet_count",
+                 "quote_count")
 
 
 @dataclass(frozen=True)
 class UserRecord:
+    """One ingested user. Construction checks that the id, the description
+    and the history are strings, that counts are >= 0 and that the activity
+    histogram holds 24 counts >= 0."""
+
     user_id: str
     follower_count: int
     following_count: int = 0
@@ -194,6 +182,24 @@ class UserRecord:
     quote_count: int = 0
     historical_texts: tuple = ()
     activity_histogram: tuple = tuple([1] * HOURS_PER_DAY)
+
+    def __post_init__(self):
+        if not isinstance(self.user_id, str):
+            raise RangeViolation("user_id", self.user_id, "a string")
+        for name in _COUNT_FIELDS:
+            if getattr(self, name) < 0:
+                raise RangeViolation(f"{name}({self.user_id})", getattr(self, name), ">= 0")
+        if not isinstance(self.description, str):
+            raise RangeViolation(f"description({self.user_id})", self.description, "a string")
+        if not all(isinstance(text, str) for pair in self.historical_texts for text in pair):
+            raise RangeViolation(f"historical_texts({self.user_id})", self.historical_texts,
+                                 "[kind, text] string pairs")
+        if len(self.activity_histogram) != HOURS_PER_DAY:
+            raise RangeViolation(f"activity_histogram({self.user_id})",
+                                 len(self.activity_histogram), f"exactly {HOURS_PER_DAY} buckets")
+        if any(v < 0 for v in self.activity_histogram):
+            raise RangeViolation(f"activity_histogram({self.user_id})", self.activity_histogram,
+                                 "counts >= 0")
 
     @property
     def share_total(self) -> int:
@@ -215,43 +221,29 @@ class UserRecord:
 
     @classmethod
     def from_dict(cls, data) -> "UserRecord":
-        """Record from a JSON object (or a CSV row's cells). A count may arrive
-        as an integer, an integral float or a numeric string ("12", 12.0 ->
-        12); a fraction or a boolean raises RangeViolation."""
+        """Record from a JSON object (or a CSV row's cells); absent fields take
+        their defaults. An integer user id (not a boolean) reads as its
+        decimal string. A count may arrive as an integer, an integral float or
+        a numeric string ("12", 12.0 -> 12); a fraction or a boolean raises
+        RangeViolation."""
         if not isinstance(data, dict):
             raise RangeViolation("user record", data, "a JSON object")
         if "user_id" not in data:
             raise MissingField("user_id", "user record")
-        user_id = str(data["user_id"])
+        user_id = data["user_id"]
+        if type(user_id) is int:  # a platform's numeric id
+            user_id = str(user_id)
         if "follower_count" not in data:
             raise MissingField("follower_count", f"user record {user_id!r}")
-
-        def coerce(name, convert, default, expected):
-            value = data.get(name, default)
-            try:
-                return convert(value)
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise RangeViolation(f"{name}({user_id})", value, expected) from exc
-
-        counts = {
-            name: coerce(name, _count, 0, "an integer")
-            for name in ("follower_count", "following_count", "post_count",
-                         "retweet_count", "quote_count")
-        }
-        return cls(
-            user_id=user_id,
-            description=str(data.get("description", "")),
-            historical_texts=coerce(
-                "historical_texts", _text_pairs, [], "a list of [kind, text] pairs"
-            ),
-            activity_histogram=coerce(
-                "activity_histogram",
-                lambda v: tuple(_count(count) for count in v),
-                [1] * HOURS_PER_DAY,
-                "a list of integer counts",
-            ),
-            **counts,
-        )
+        values = {name: v for name, v in data.items() if name in cls.__dataclass_fields__}
+        values["user_id"] = user_id
+        for name, convert, expected in _READERS:
+            if name in values:
+                try:
+                    values[name] = convert(values[name])
+                except (TypeError, ValueError, OverflowError) as exc:
+                    raise RangeViolation(f"{name}({user_id})", values[name], expected) from exc
+        return cls(**values)
 
 
 def _count(value) -> int:
@@ -262,22 +254,56 @@ def _count(value) -> int:
 
 
 def _text_pairs(value) -> tuple:
-    """``historical_texts`` as (kind, text) string pairs; anything but a list
-    of 2-item lists raises TypeError."""
+    """``historical_texts`` as (kind, text) pairs; anything but a list of
+    2-item lists raises TypeError."""
     if not isinstance(value, list) or not all(
         isinstance(pair, list) and len(pair) == 2 for pair in value
     ):
         raise TypeError("historical_texts must be a list of [kind, text] pairs")
-    return tuple((str(kind), str(text)) for kind, text in value)
+    return tuple(tuple(pair) for pair in value)
+
+
+# (field, conversion, what the field must be) for UserRecord.from_dict
+_READERS = (
+    *((name, _count, "an integer") for name in _COUNT_FIELDS),
+    ("historical_texts", _text_pairs, "a list of [kind, text] pairs"),
+    ("activity_histogram", lambda v: tuple(_count(count) for count in v),
+     "a list of integer counts"),
+)
 
 
 @dataclass(frozen=True)
 class Scenario:
+    """A whole run's input. Construction stores users, communities and
+    catalog as tuples and checks that communities are present and unique,
+    that user ids are unique, and that catalog ids are unique with known
+    topics."""
+
     params: SimulationParams
     users: tuple
     communities: tuple
     content_catalog: tuple
     evaluator_config: EvaluatorConfig = field(default_factory=EvaluatorConfig)
+
+    def __post_init__(self):
+        for name in ("users", "communities", "content_catalog"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        if not self.communities:
+            raise MissingField("communities")
+        if len(set(self.communities)) != len(self.communities):
+            raise ScenarioError("community names must be unique")
+        user_ids: set[str] = set()
+        for user in self.users:
+            if user.user_id in user_ids:
+                raise DuplicateUserId(user.user_id)
+            user_ids.add(user.user_id)
+        content_ids: set[str] = set()
+        for item in self.content_catalog:
+            if item.content_id in content_ids:
+                raise ScenarioError(f"duplicate content_id {item.content_id!r}")
+            content_ids.add(item.content_id)
+            if item.topic not in self.communities:
+                raise UnknownCommunity(item.topic, f"content item {item.content_id!r}")
 
     def digest(self) -> str:
         """sha256 of the canonical JSON, computed once per (frozen) instance."""
@@ -306,60 +332,6 @@ class Scenario:
         raise UnknownCommunity(topic, "no disinformation item for this topic")
 
 
-def _validate_scenario(scenario: Scenario) -> Scenario:
-    validate_params(scenario.params)
-    validate_evaluator_config(scenario.evaluator_config)
-    if len(scenario.communities) < 1:
-        raise MissingField("communities")
-    if len(set(scenario.communities)) != len(scenario.communities):
-        raise ScenarioError("community names must be unique")
-    seen: set[str] = set()
-    for user in scenario.users:
-        if user.user_id in seen:
-            raise DuplicateUserId(user.user_id)
-        seen.add(user.user_id)
-        for name in ("follower_count", "following_count", "post_count",
-                     "retweet_count", "quote_count"):
-            if getattr(user, name) < 0:
-                raise RangeViolation(f"{name}({user.user_id})", getattr(user, name), ">= 0")
-        if len(user.activity_histogram) != HOURS_PER_DAY:
-            raise RangeViolation(
-                f"activity_histogram({user.user_id})",
-                len(user.activity_histogram),
-                f"exactly {HOURS_PER_DAY} buckets",
-            )
-        if any(v < 0 for v in user.activity_histogram):
-            raise RangeViolation(
-                f"activity_histogram({user.user_id})", user.activity_histogram, "counts >= 0"
-            )
-    content_ids: set[str] = set()
-    for item in scenario.content_catalog:
-        if item.content_id in content_ids:
-            raise ScenarioError(f"duplicate content_id {item.content_id!r}")
-        content_ids.add(item.content_id)
-        if item.topic not in scenario.communities:
-            raise UnknownCommunity(item.topic, f"content item {item.content_id!r}")
-    return scenario
-
-
-def make_scenario(
-    params: SimulationParams,
-    users,
-    communities,
-    content_catalog,
-    evaluator_config: EvaluatorConfig | None = None,
-) -> Scenario:
-    """Assemble and validate a Scenario from in-memory pieces."""
-    scenario = Scenario(
-        params=params,
-        users=tuple(users),
-        communities=tuple(communities),
-        content_catalog=tuple(content_catalog),
-        evaluator_config=evaluator_config or EvaluatorConfig(),
-    )
-    return _validate_scenario(scenario)
-
-
 def scenario_from_dict(data, base_dir: Path | None = None) -> Scenario:
     if not isinstance(data, dict):
         raise RangeViolation("scenario", data, "a JSON object")
@@ -385,7 +357,7 @@ def scenario_from_dict(data, base_dir: Path | None = None) -> Scenario:
 
     catalog = _records(data.get("content_catalog", []), "content_catalog", ContentItem.from_dict)
     evaluator_config = config_from_dict(EvaluatorConfig, data.get("evaluator", {}), "evaluator")
-    return make_scenario(params, users, communities, catalog, evaluator_config)
+    return Scenario(params, users, communities, catalog, evaluator_config)
 
 
 def _records(rows, where: str, build) -> tuple:
@@ -437,24 +409,21 @@ def _load_user_sidecar(path: Path) -> tuple:
 
 
 def _csv_cells(row: dict) -> dict:
-    """A CSV row as a user record's fields; an empty count cell reads as an
-    absent column, so its default applies."""
+    """A CSV row as a user record's fields; an empty count or histogram cell
+    reads as an absent column, so its default applies.
+
+    The histogram cell is a bracketed array of 24 integers, comma-free so
+    the CSV stays unquoted ("[0 1 2 ...]"); commas are tolerated anyway. Its
+    tokens are converted to counts with the rest of the record.
+    """
     cells = {
         key: value for key, value in row.items()
         if key in _CSV_COLUMNS and (value or key in ("user_id", "description"))
     }
-    cells["activity_histogram"] = _parse_histogram_cell(row.get("activity_histogram"))
+    histogram = (row.get("activity_histogram") or "").strip()
+    if histogram:
+        cells["activity_histogram"] = histogram.strip("[]").replace(",", " ").split()
     return cells
-
-
-def _parse_histogram_cell(cell: str | None) -> list:
-    """Histogram cell: a bracketed array of 24 integers, comma-free so the
-    CSV stays unquoted ("[0 1 2 ...]"); commas are tolerated anyway. The
-    tokens are converted to counts with the rest of the record."""
-    cell = (cell or "").strip()
-    if not cell:
-        return [1] * HOURS_PER_DAY
-    return cell.strip("[]").replace(",", " ").split()
 
 
 def defaults_as_json() -> str:

@@ -19,13 +19,11 @@ import numpy as np
 
 from . import rng as rngmod
 from .content import ContentItem
-from .evaluator import EvaluatorConfig
 from .scenario import (
     HOURS_PER_DAY,
     Scenario,
     SimulationParams,
     UserRecord,
-    make_scenario,
     save_scenario,
 )
 
@@ -183,14 +181,11 @@ def build_synthetic_scenario(
     seed: int = 7,
     **param_overrides,
 ) -> Scenario:
-    params = SimulationParams(**{"rng_seed": seed, **param_overrides})
-    users = build_users(n_users, seed)
-    return make_scenario(
-        params=params,
-        users=users,
-        communities=tuple(communities),
+    return Scenario(
+        params=SimulationParams(**{"rng_seed": seed, **param_overrides}),
+        users=build_users(n_users, seed),
+        communities=communities,
         content_catalog=build_catalog(communities),
-        evaluator_config=EvaluatorConfig(),
     )
 
 

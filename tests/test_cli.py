@@ -143,7 +143,7 @@ def short_window_path(tmp_path_factory):
 
 
 SHORT_WINDOW = (
-    "error: intervention_windows[late] = (70, 72) violates "
+    "error: params.intervention_windows[late] = (70, 72) violates "
     "at least legitimate_freq_range[0] = 10 steps\n"
 )
 
@@ -427,6 +427,12 @@ def _validate(data: dict) -> tuple:
         (("params", "repost_probability"), 0.7),
         # two items under one id: the catalog's correction renamed after its claim
         (("content_catalog", 1, "content_id"), "disinfo_alpha"),
+        # user strings are taken as given, never str() of another JSON value
+        (("users", 0, "user_id"), None),
+        (("users", 0, "user_id"), True),
+        (("users", 0, "user_id"), 1.5e18),
+        (("users", 0, "description"), None),
+        (("users", 0, "historical_texts"), [[1, None]]),
     ],
     ids=[
         "evaluator-unknown-key", "synthetic-unknown-key", "evaluator-timeout-string",
@@ -442,6 +448,8 @@ def _validate(data: dict) -> tuple:
         "tt-mean-nan", "fact-shape-infinity", "history-object", "history-string-item",
         "repost-probability-removed",
         "duplicate-content-id",
+        "user-id-null", "user-id-bool", "user-id-float", "description-null",
+        "history-non-string-pair",
     ],
 )
 def test_malformed_input_exits_1(path, value):

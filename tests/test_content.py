@@ -77,7 +77,10 @@ class TestInterventionPlans:
         bot = AgentProfile(agent_id="l0", kind=KIND_LBOT, interest_scores={"alpha": 10.0})
         for stage in ("early", "mid", "late"):
             lo, hi = SimulationParams().intervention_windows[stage]
-            params = SimulationParams(legitimate_freq_range=(hi - lo + 1, hi - lo + 1))
+            params = SimulationParams(
+                legitimate_freq_range=(hi - lo + 1, hi - lo + 1),
+                intervention_windows={stage: (lo, hi)},
+            )
             plan = make_plan(params, stage, "narrative_based")
             schedules = build_bot_schedules([bot], params, plan, seed=5)
             assert schedules["l0"] == frozenset(range(lo, hi + 1))

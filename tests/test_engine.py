@@ -14,12 +14,12 @@ from madd.attributes import (
     AgentProfile,
     activation_probability,
 )
-from madd.content import CONTROL_PLAN, make_plan
+from madd.content import CONTROL_PLAN, InterventionPlan, make_plan
 from madd.errors import EvaluatorFailure, WindowTooSmall
 from madd.evaluator import SyntheticEvaluator, make_evaluator
 from madd.network import PropagationNetwork
 from madd.powerlaw import PowerLawFit
-from madd.scenario import SimulationParams, UserRecord, make_scenario
+from madd.scenario import Scenario, SimulationParams, UserRecord
 from madd.synthdata import build_catalog
 
 
@@ -48,7 +48,7 @@ def tiny_scenario(user_ids, total_steps=4, **params):
         xi=0.0,
     )
     defaults.update(params)
-    return make_scenario(
+    return Scenario(
         SimulationParams(**defaults),
         users,
         ("alpha",),
@@ -211,11 +211,8 @@ class TestBotSchedules:
         assert all(len(schedules[f"m{i}"]) == 3 for i in range(3))
 
     def test_window_too_small(self):
-        params = self.params(
-            legitimate_freq_range=(10, 12),
-            intervention_windows={"early": (70, 72), "mid": (36, 72), "late": (48, 72)},
-        )
-        plan = make_plan(params, "early", "fact_based")
+        params = self.params(legitimate_freq_range=(10, 12))
+        plan = InterventionPlan("early", (70, 72), "fact_based")
         with pytest.raises(WindowTooSmall):
             engine.build_bot_schedules(self.bots(), params, plan, seed=5)
 

@@ -178,7 +178,7 @@ class TestLedger:
     def test_counts_calls_and_tokens(self):
         ledger = ResourceLedger()
         for _ in range(3):
-            ledger.record("politics", Usage(calls=1, tokens_in=60, tokens_out=40))
+            ledger.record("politics", Usage(tokens_in=60, tokens_out=40))
         snapshot = ledger.snapshot()
         assert snapshot["totals"]["llm_calls"] == 3
         assert snapshot["totals"]["tokens"] == 300

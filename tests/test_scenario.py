@@ -11,13 +11,13 @@ from madd.errors import (
     ScenarioError,
     UnknownCommunity,
 )
+from madd.evaluator import EvaluatorConfig, SyntheticParams
 from madd.scenario import (
     SimulationParams,
     UserRecord,
     load_scenario,
     save_scenario,
     scenario_from_dict,
-    validate_params,
     with_seed,
 )
 from madd.synthdata import build_synthetic_scenario
@@ -166,6 +166,11 @@ class TestLoading:
         with pytest.raises(RangeViolation, match=rf"{field}\(u1\)"):
             scenario_from_dict(data)
 
+    def test_integer_user_id_reads_as_its_decimal_string(self):
+        data = minimal_scenario_dict()
+        data["users"][0]["user_id"] = 1234567890123456789
+        assert scenario_from_dict(data).users[0].user_id == "1234567890123456789"
+
     def test_malformed_json_reported(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -227,6 +232,15 @@ class TestSidecarUsers:
         assert scenario.users[0].activity_histogram == tuple([2] * 24)
         assert scenario.users[0].share_total == 6
 
+    def test_csv_empty_cells_take_the_defaults(self, tmp_path):
+        data = minimal_scenario_dict()
+        data.pop("users")
+        data["users_file"] = "users.csv"
+        rows = ["user_id,follower_count,retweet_count,activity_histogram", "u0,100,,"]
+        (tmp_path / "users.csv").write_text("\n".join(rows))
+        (tmp_path / "scenario.json").write_text(json.dumps(data))
+        user = load_scenario(tmp_path / "scenario.json").users[0]
+        assert user == UserRecord(user_id="u0", follower_count=100)
 
     def test_csv_bad_count_names_the_user(self, tmp_path):
         data = minimal_scenario_dict()
@@ -241,33 +255,65 @@ class TestSidecarUsers:
 
 class TestValidateParams:
     def test_defaults_are_clean(self):
-        validate_params(SimulationParams())
+        SimulationParams()
 
     def test_gamma_boundary_excluded(self):
         with pytest.raises(RangeViolation) as exc:
-            validate_params(SimulationParams(gamma=1.0))
+            SimulationParams(gamma=1.0)
         assert exc.value.field == "gamma"
 
     def test_window_beyond_total_steps(self):
-        params = SimulationParams(
-            total_steps=72,
-            intervention_windows={"early": (12, 80), "mid": (36, 72), "late": (48, 72)},
-        )
         with pytest.raises(RangeViolation) as exc:
-            validate_params(params)
+            SimulationParams(
+                total_steps=72,
+                intervention_windows={"early": (12, 80), "mid": (36, 72), "late": (48, 72)},
+            )
         assert "early" in exc.value.field
 
     def test_ratio_sum_capped(self):
         with pytest.raises(RangeViolation) as exc:
-            validate_params(SimulationParams(malicious_ratio=0.6, legitimate_ratio=0.5))
+            SimulationParams(malicious_ratio=0.6, legitimate_ratio=0.5)
         assert "ratio" in exc.value.field
 
     def test_violation_names_field_value_constraint(self):
         with pytest.raises(RangeViolation) as exc:
-            validate_params(SimulationParams(xi=-1.0))
+            SimulationParams(xi=-1.0)
         assert exc.value.field == "xi"
         assert exc.value.value == -1.0
         assert ">= 0" in exc.value.constraint
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: replace(SimulationParams(), gamma=1.0),
+        lambda: replace(build_synthetic_scenario(n_users=30, seed=3), communities=()),
+        lambda: UserRecord("u", follower_count=-1),
+        lambda: SyntheticParams(tt_std=-1.0),
+        lambda: EvaluatorConfig(timeout=0),
+    ],
+    ids=["params-replace", "scenario-replace", "user", "synthetic-params", "evaluator-config"],
+)
+def test_no_invalid_record_can_be_built(build):
+    with pytest.raises(ScenarioError):
+        build()
+
+
+@pytest.mark.parametrize(
+    "section, name, value, field",
+    [
+        ("params", "gamma", 1.0, "params.gamma"),
+        ("evaluator", "timeout", 0, "evaluator.timeout"),
+        ("evaluator", "synthetic", {"tt_std": -1.0}, "evaluator.synthetic.tt_std"),
+    ],
+    ids=["gamma", "timeout", "tt-std"],
+)
+def test_file_range_error_names_field_path(section, name, value, field):
+    data = minimal_scenario_dict()
+    data[section] = {name: value}
+    with pytest.raises(RangeViolation) as exc:
+        scenario_from_dict(data)
+    assert exc.value.field == field
 
 
 def test_share_total_is_retweets_plus_quotes():
