@@ -6,7 +6,7 @@ its range-checked scores dict back; ``evaluate_many`` does the same for a
 list of requests, in order. Two backends implement it:
 
 * ``SyntheticEvaluator`` - the default. Every response is a pure function of
-  (request bytes, scenario seed), drawn from configured per-kind
+  (request bytes, scenario seed), drawn from fixed per-kind
   distributions, so whole runs replay bit-for-bit offline. A batch gives
   the same scores as one request at a time; it only derives the random
   streams of all its requests together.
@@ -108,52 +108,29 @@ class ResourceLedger:
         }
 
 
-@dataclass(frozen=True)
-class SyntheticParams:
-    """Distribution knobs for the synthetic backend.
-
-    Defaults encode the directional assumptions the simulation rests on:
-    trust thresholds cluster around a neutral 0.5, users score high in one
-    home community and low elsewhere, and evidence-citing corrections land
-    as slightly more persuasive than narrative ones or than the
-    disinformation they counter.
-    """
-
-    tt_mean: float = 0.5
-    tt_std: float = 0.15
-    ic_home_mean: float = 9.0
-    ic_home_std: float = 0.8
-    # non-home interest: a low exponential mode plus a small chance of a
-    # genuine second interest strong enough to clear community thresholds
-    ic_other_scale: float = 0.8
-    ic_cross_prob: float = 0.02
-    ic_cross_mean: float = 8.5
-    ic_cross_std: float = 0.8
-    # (a, b) beta shapes per persuasiveness class
-    fact_shape: tuple[float, float] = (5.0, 3.0)
-    narrative_shape: tuple[float, float] = (4.0, 4.0)
-    disinfo_shape: tuple[float, float] = (2.0, 7.0)
-    dispute_shape: tuple[float, float] = (7.0, 2.0)
-    citation_bonus: float = 0.1
-    plausibility_base: float = 0.62
-    plausibility_noise: float = 0.05
-
-    def __post_init__(self):
-        for name in ("tt_std", "ic_home_std", "ic_cross_std", "ic_other_scale",
-                     "plausibility_noise"):
-            if not getattr(self, name) >= 0.0:
-                raise RangeViolation(name, getattr(self, name), ">= 0")
-        for name in ("fact_shape", "narrative_shape", "disinfo_shape", "dispute_shape"):
-            if not all(v > 0.0 for v in getattr(self, name)):
-                raise RangeViolation(name, getattr(self, name), "positive beta shapes (a, b)")
-        if not 0.0 <= self.ic_cross_prob <= 1.0:
-            raise RangeViolation("ic_cross_prob", self.ic_cross_prob, "within [0, 1]")
+# Synthetic backend distributions. They encode the directional assumptions
+# the simulation rests on: trust thresholds cluster around a neutral 0.5,
+# users score high in one home community and low elsewhere, and
+# evidence-citing corrections land as slightly more persuasive than
+# narrative ones or than the disinformation they counter.
+TT_MEAN, TT_STD = 0.5, 0.15
+IC_HOME_MEAN, IC_HOME_STD = 9.0, 0.8
+# non-home interest: a low exponential mode plus a small chance of a
+# genuine second interest strong enough to clear community thresholds
+IC_OTHER_SCALE = 0.8
+IC_CROSS_PROB, IC_CROSS_MEAN, IC_CROSS_STD = 0.02, 8.5, 0.8
+# (a, b) beta shapes per persuasiveness class
+FACT_SHAPE = (5.0, 3.0)
+NARRATIVE_SHAPE = (4.0, 4.0)
+DISINFO_SHAPE = (2.0, 7.0)
+DISPUTE_SHAPE = (7.0, 2.0)
+CITATION_BONUS = 0.1
+PLAUSIBILITY_BASE, PLAUSIBILITY_NOISE = 0.62, 0.05
 
 
 @dataclass(frozen=True)
 class EvaluatorConfig:
     backend: str = "synthetic"
-    synthetic: SyntheticParams = field(default_factory=SyntheticParams)
     endpoint: str = ""
     model: str = ""
     api_key_env: str = "MADD_LLM_API_KEY"
@@ -263,10 +240,9 @@ class SyntheticEvaluator(Evaluator):
     ``evaluate`` give the same scores and the same ledger.
     """
 
-    def __init__(self, seed: int, params: SyntheticParams | None = None):
+    def __init__(self, seed: int):
         super().__init__()
         self.seed = int(seed)
-        self.params = params or SyntheticParams()
 
     def evaluate(self, request: EvaluationRequest, rng=None) -> dict:
         """Scores drawn from the request's own stream, ``substream(seed,
@@ -307,44 +283,40 @@ class SyntheticEvaluator(Evaluator):
     # -- per-kind handlers ---------------------------------------------------
 
     def _eval_interest_community(self, request: EvaluationRequest, rng) -> dict:
-        p = self.params
         communities = request.context["communities"]
         home = int(rng.integers(0, len(communities)))
         scores = {}
         for i, community in enumerate(communities):
             if i == home:
-                value = rng.normal(p.ic_home_mean, p.ic_home_std)
-            elif rng.random() < p.ic_cross_prob:
-                value = rng.normal(p.ic_cross_mean, p.ic_cross_std)
+                value = rng.normal(IC_HOME_MEAN, IC_HOME_STD)
+            elif rng.random() < IC_CROSS_PROB:
+                value = rng.normal(IC_CROSS_MEAN, IC_CROSS_STD)
             else:
-                value = 1.0 + rng.exponential(p.ic_other_scale)
+                value = 1.0 + rng.exponential(IC_OTHER_SCALE)
             scores[community] = min(10.0, max(1.0, float(value)))
         return scores
 
     def _eval_trust_threshold(self, request: EvaluationRequest, rng) -> dict:
-        p = self.params
         return {
-            community: min(1.0, max(0.0, float(rng.normal(p.tt_mean, p.tt_std))))
+            community: min(1.0, max(0.0, float(rng.normal(TT_MEAN, TT_STD))))
             for community in request.context["communities"]
         }
 
     def _eval_plausibility(self, request: EvaluationRequest, rng) -> dict:
-        p = self.params
         text = request.subject_texts[0] if request.subject_texts else ""
         if not text.strip():
             return {"score": 0.0}
-        value = p.plausibility_base
+        value = PLAUSIBILITY_BASE
         if _has_citation_markers(text):
             value += 0.08
         exclaim = text.count("!") / max(1, len(text.split()))
         value -= min(0.15, exclaim)
         caps = sum(1 for w in text.split() if len(w) > 2 and w.isupper())
         value -= min(0.1, 0.02 * caps)
-        value += float(rng.uniform(-p.plausibility_noise, p.plausibility_noise))
+        value += float(rng.uniform(-PLAUSIBILITY_NOISE, PLAUSIBILITY_NOISE))
         return {"score": min(0.95, max(0.05, value))}
 
     def _eval_persuasiveness(self, request: EvaluationRequest, rng) -> dict:
-        p = self.params
         text = request.subject_texts[0] if request.subject_texts else ""
         if not text.strip():
             return {"score": 0.0}
@@ -352,16 +324,16 @@ class SyntheticEvaluator(Evaluator):
         strategy = request.context.get("strategy", "none")
         stance = request.context.get("stance", "endorse")
         if kind == "correction":
-            shape = p.fact_shape if strategy == "fact_based" else p.narrative_shape
+            shape = FACT_SHAPE if strategy == "fact_based" else NARRATIVE_SHAPE
         elif stance == "dispute":
-            shape = p.dispute_shape
+            shape = DISPUTE_SHAPE
         else:
-            shape = p.disinfo_shape
+            shape = DISINFO_SHAPE
         value = float(rng.beta(*shape))
         if _has_citation_markers(text):
-            value += p.citation_bonus
+            value += CITATION_BONUS
         else:
-            value -= p.citation_bonus / 2.0
+            value -= CITATION_BONUS / 2.0
         return {"score": min(1.0, max(0.0, value))}
 
 
@@ -522,7 +494,7 @@ def render_prompt(request: EvaluationRequest) -> str:
 def make_evaluator(config: EvaluatorConfig, seed: int) -> Evaluator:
     """Instantiate the configured backend; only 'remote' may touch a network."""
     if config.backend == "synthetic":
-        return SyntheticEvaluator(seed=seed, params=config.synthetic)
+        return SyntheticEvaluator(seed=seed)
     if config.backend == "remote":
         return RemoteEvaluator(config)
     raise ScenarioError(f"unknown evaluator backend {config.backend!r}")

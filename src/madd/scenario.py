@@ -14,7 +14,7 @@ import hashlib
 import io
 import json
 import sys
-from dataclasses import asdict, dataclass, field, is_dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -121,9 +121,8 @@ def config_from_dict(cls, data, where: str):
     Keys must be fields of ``cls``; absent ones take the field default.
     Every value must match the field's annotation: an int field takes an
     integer (never a bool or a float), a float field an integer or a float
-    (never a bool, NaN, an infinity or an integer no double can hold), a
-    tuple field a list of that length, and a nested config dataclass an
-    object, decoded the same way. A range error of the record names its
+    (never a bool, NaN, an infinity or an integer no double can hold) and a
+    tuple field a list of that length. A range error of the record names its
     field under ``where`` ("params.gamma").
     """
     if not isinstance(data, dict):
@@ -141,8 +140,6 @@ def config_from_dict(cls, data, where: str):
 
 def _typed(value, hint, where: str):
     """``value`` checked against ``hint``; lists become tuples where it says tuple."""
-    if is_dataclass(hint):
-        return config_from_dict(hint, value, where)
     origin = get_origin(hint)
     if origin is tuple:
         args = get_args(hint)
@@ -222,10 +219,10 @@ class UserRecord:
     @classmethod
     def from_dict(cls, data) -> "UserRecord":
         """Record from a JSON object (or a CSV row's cells); absent fields take
-        their defaults. An integer user id (not a boolean) reads as its
-        decimal string. A count may arrive as an integer, an integral float or
-        a numeric string ("12", 12.0 -> 12); a fraction or a boolean raises
-        RangeViolation."""
+        their defaults, an unknown key raises ScenarioError. An integer user
+        id (not a boolean) reads as its decimal string. A count may arrive as
+        an integer, an integral float or a numeric string ("12", 12.0 -> 12);
+        a fraction or a boolean raises RangeViolation."""
         if not isinstance(data, dict):
             raise RangeViolation("user record", data, "a JSON object")
         if "user_id" not in data:
@@ -235,8 +232,10 @@ class UserRecord:
             user_id = str(user_id)
         if "follower_count" not in data:
             raise MissingField("follower_count", f"user record {user_id!r}")
-        values = {name: v for name, v in data.items() if name in cls.__dataclass_fields__}
-        values["user_id"] = user_id
+        unknown = set(data) - cls.__dataclass_fields__.keys()
+        if unknown:
+            raise ScenarioError(f"unknown key(s) in user record {user_id!r}: {sorted(unknown)}")
+        values = {**data, "user_id": user_id}
         for name, convert, expected in _READERS:
             if name in values:
                 try:
@@ -394,8 +393,8 @@ def save_scenario(scenario: Scenario, path) -> None:
     )
 
 
-_CSV_COLUMNS = ("user_id", "follower_count", "following_count", "description",
-                "post_count", "retweet_count", "quote_count")
+_CSV_COLUMNS = frozenset(("user_id", "follower_count", "following_count", "description",
+                          "post_count", "retweet_count", "quote_count", "activity_histogram"))
 
 
 def _load_user_sidecar(path: Path) -> tuple:
@@ -410,15 +409,20 @@ def _load_user_sidecar(path: Path) -> tuple:
 
 def _csv_cells(row: dict) -> dict:
     """A CSV row as a user record's fields; an empty count or histogram cell
-    reads as an absent column, so its default applies.
+    reads as an absent column, so its default applies, and a column (or a
+    cell past the header) outside ``_CSV_COLUMNS`` raises ScenarioError.
 
     The histogram cell is a bracketed array of 24 integers, comma-free so
     the CSV stays unquoted ("[0 1 2 ...]"); commas are tolerated anyway. Its
     tokens are converted to counts with the rest of the record.
     """
+    unknown = set(row) - _CSV_COLUMNS
+    if unknown:
+        raise ScenarioError(f"unknown column(s) in users_file row {row.get('user_id')!r}: "
+                            f"{sorted(map(str, unknown))}")
     cells = {
         key: value for key, value in row.items()
-        if key in _CSV_COLUMNS and (value or key in ("user_id", "description"))
+        if key != "activity_histogram" and (value or key in ("user_id", "description"))
     }
     histogram = (row.get("activity_histogram") or "").strip()
     if histogram:

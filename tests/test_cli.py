@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from madd.cli import main
 from madd.content import ContentItem
 from madd.errors import EvaluatorFailure
-from madd.evaluator import EvaluatorConfig, SyntheticEvaluator, SyntheticParams
+from madd.evaluator import EvaluatorConfig, SyntheticEvaluator
 from madd.scenario import SimulationParams, UserRecord, save_scenario
 from madd.synthdata import DEFAULT_COMMUNITIES, build_synthetic_scenario
 from madd.synthdata import main as synthdata_main
@@ -241,7 +241,7 @@ def test_incomplete_run_writes_artifacts_then_exits_2(
 ):
     monkeypatch.setattr(
         "madd.cli.make_evaluator",
-        lambda config, seed: _FailsPersuasiveness(seed=seed, params=config.synthetic),
+        lambda config, seed: _FailsPersuasiveness(seed=seed),
     )
     out = tmp_path / command
     args = [command, "--scenario", str(scenario_path), "--seed", "13", "--out", str(out)]
@@ -387,7 +387,8 @@ def _validate(data: dict) -> tuple:
     "path, value",
     [
         (("evaluator",), {"bogus": 1}),
-        (("evaluator", "synthetic"), {"bogus": 1}),
+        # a file saved before the synthetic distributions became constants
+        (("evaluator", "synthetic"), {}),
         (("evaluator", "timeout"), "x"),
         (("params", "theta"), "x"),
         (("params", "intervention_windows"), [1, 2]),
@@ -405,22 +406,9 @@ def _validate(data: dict) -> tuple:
         (("content_catalog", 0, "kind"), ["disinformation"]),
         (("content_catalog", 0, "strategy"), None),
         (("content_catalog", 0, "plausibility"), True),
-        (("evaluator", "synthetic", "tt_std"), -1.0),
-        (("evaluator", "synthetic", "ic_home_std"), -0.5),
-        (("evaluator", "synthetic", "ic_cross_std"), -1),
-        (("evaluator", "synthetic", "ic_other_scale"), -0.1),
-        (("evaluator", "synthetic", "plausibility_noise"), -0.05),
-        (("evaluator", "synthetic", "fact_shape"), [-1, 3]),
-        (("evaluator", "synthetic", "narrative_shape"), [4, 0]),
-        (("evaluator", "synthetic", "disinfo_shape"), [0.0, 7.0]),
-        (("evaluator", "synthetic", "dispute_shape"), [7, -2]),
-        (("evaluator", "synthetic", "ic_cross_prob"), 2.0),
-        (("evaluator", "synthetic", "ic_cross_prob"), -0.1),
         (("evaluator", "max_in_flight"), 0),
         (("evaluator", "timeout"), 0),
         (("params", "xi"), float("inf")),
-        (("evaluator", "synthetic", "tt_mean"), float("nan")),
-        (("evaluator", "synthetic", "fact_shape"), [float("inf"), 3]),
         (("users", 0, "historical_texts"), {"ab": 1}),
         (("users", 0, "historical_texts"), ["ok"]),
         # a file saved before repost_probability was removed
@@ -433,23 +421,21 @@ def _validate(data: dict) -> tuple:
         (("users", 0, "user_id"), 1.5e18),
         (("users", 0, "description"), None),
         (("users", 0, "historical_texts"), [[1, None]]),
+        # a misspelt key is an error, not a silent default
+        (("users", 0, "retweets_count"), 522),
     ],
     ids=[
-        "evaluator-unknown-key", "synthetic-unknown-key", "evaluator-timeout-string",
+        "evaluator-unknown-key", "synthetic-removed", "evaluator-timeout-string",
         "theta-string", "windows-list", "follower-count-word", "histogram-string",
         "follower-count-fraction", "retweet-count-bool", "histogram-fractions",
         "users-number", "item-without-id", "total-steps-float",
         "item-id-list", "item-text-number", "item-topic-number", "item-kind-list",
-        "item-strategy-null", "item-plausibility-bool", "tt-std-negative",
-        "ic-home-std-negative", "ic-cross-std-negative", "ic-other-scale-negative",
-        "plausibility-noise-negative", "fact-shape-negative", "narrative-shape-zero",
-        "disinfo-shape-zero", "dispute-shape-negative", "ic-cross-prob-above-1",
-        "ic-cross-prob-below-0", "max-in-flight-zero", "timeout-zero", "xi-infinity",
-        "tt-mean-nan", "fact-shape-infinity", "history-object", "history-string-item",
+        "item-strategy-null", "item-plausibility-bool", "max-in-flight-zero",
+        "timeout-zero", "xi-infinity", "history-object", "history-string-item",
         "repost-probability-removed",
         "duplicate-content-id",
         "user-id-null", "user-id-bool", "user-id-float", "description-null",
-        "history-non-string-pair",
+        "history-non-string-pair", "user-unknown-key",
     ],
 )
 def test_malformed_input_exits_1(path, value):
@@ -476,7 +462,6 @@ def _field_paths() -> list:
     sections = {
         ("params",): SimulationParams,
         ("evaluator",): EvaluatorConfig,
-        ("evaluator", "synthetic"): SyntheticParams,
         ("users", 0): UserRecord,
         ("content_catalog", 0): ContentItem,
     }

@@ -539,7 +539,8 @@ class TestGoldenDigests:
     """sha256 of RunReport.to_json() for reference runs, with and without
     its resource ledger.
 
-    The ledger-free digest moves only when realized trajectories move, the
+    The ledger-free digest moves when realized trajectories move or when the
+    scenario format (and with it each report's ``scenario_digest``) does, the
     full one also when evaluator metering does: re-pin deliberately and
     declare the old and new values.
     """
@@ -570,20 +571,20 @@ class TestGoldenDigests:
 
     def test_small_world_control(self, small_world):
         assert self.small_world_digests(small_world, CONTROL_PLAN) == (
-            "3974f897b044f3386b72751abf57516aae2e533bdd144eb8bb0074cf38ed0015",
-            "00ed96649491cabe3bc49f50c25dbf63f06b6c195a9f1296a6fe69ccf07624cc",
+            "975cf0762d8b648d70c8c5edad4f9909d3f458c3c527b768ff239fe5bbfefaec",
+            "5781e7955a83f9af2409688584f130ac05c21ef4d32a4c31504759268591a886",
         )
 
     @pytest.mark.parametrize(
         "strategy, digests",
         [
             ("fact_based", (
-                "c849f83b692880cc2ce75a00c108776e33fde3baf494f613cee0cd3469857719",
-                "ff6dd7a0ee5937a5df7210ec6e4918261791ec36f873c2727e152d7de0ba434a",
+                "212ec7af61182fe63f5e63480916ad98b107b0975f85c640b60d901f5edf4245",
+                "f45032e306aca48762a6f29a5bede68c18c48bc281bb1cd2adf78a46cc6bd9d8",
             )),
             ("narrative_based", (
-                "ef2f2532d8a6e347c19e150896d2eb28a378fde5efdede7116d4943c8815f404",
-                "236c3da0dc974a2c257d86cf3f84ce90fd61378873cec5c8aedee2e605dfae91",
+                "c64a34e8d1550e11e72a71d754f4d97d978f53f63fafee526a117dbe22115d70",
+                "48ef3b92d6a09d86f3b9e221b0bf39fbad44e3625d3cd279ad8f84ac8dec0589",
             )),
         ],
         ids=["fact_based", "narrative_based"],
@@ -597,8 +598,8 @@ class TestGoldenDigests:
         # pins the late-window broadcast path
         plan = make_plan(small_world[0].params, "late", "fact_based")
         assert self.small_world_digests(small_world, plan) == (
-            "e5657dbab5df9a01f259695bc6c66fcbd4cddf03227154f3d1821a82fd4fe509",
-            "3111c1f47b0221a934d5092556f45c75a862efc7d62ba1b40f15d41e1a03cd6f",
+            "00ae775658e1e5c181b7ad933c7b4fd6eed49871ea412ee01edb6931c5ca0b4b",
+            "81b3288a91ec92b279de9b566ac32be6bd67d4e14682f436b458d5d8eaca3c16",
         )
 
     def test_two_word_seed_world(self, two_word_seed_world):
@@ -615,8 +616,8 @@ class TestGoldenDigests:
             fit=fit,
         )
         assert self.digests(report) == (
-            "52eb03bde68c248b739b0660305e37e82ba8ca64427c48c4454b1be065c18d48",
-            "8b40145f1cfc5022afc4fa2b78811956858aa0ba1454d2f939742db9b20785cf",
+            "033524d3b3d9537e6fbf323dac3ba4b91d54d2339a92357f8048685638978a4f",
+            "297c7649a64e5dcc12c02145eeb58d87d8591c2dab368ba330101e428d5128ce",
         )
 
     def test_paper_world_canonical_control(self, paper_world):
@@ -633,20 +634,20 @@ class TestGoldenDigests:
             collect_trajectories=True,
         )
         assert self.digests(report) == (
-            "293120a56da134468008e56da58709555cf3377cad0fbd1a6ef68c5fc10d38c9",
-            "c1cf86e8e344f1b92b4551f372ae57be5351178f333b86eefc7ecd60ad77bef3",
+            "93882f562009a3dbb01c440865cb06580effc6a21f1c8e364138e39ed130fd4e",
+            "e216131647a939429c34352b329ef08bfc4182fcac4cb5420f0fde8cad225c1b",
         )
 
     @pytest.mark.parametrize(
         "stage, digests",
         [
             ("control", (
-                "0c2235a129121c04b3ccbcc2b1b046c31f64ae12b46077167bb89215c01bc8fd",
-                "5fb7c15acf99cdadebee1a8050d577fe031bcf5aef390d2bfa8fc44a57efca54",
+                "d10941bda00ce8b7fed8ee5cc59d983bb0092142894763eeba09db50d2426978",
+                "da3d0f5beae3ae185842c29ab026834bb3dbf2b101e2a39aa09a92fe13959593",
             )),
             ("early", (
-                "6572b3c300fcd80f2326a7906aa9d041c05ec9c026349e1fa19fd1db9cd14ffd",
-                "4d6dfd8f7990a6f3aa74fa5caa154b37e702d059d592702c2fb9ade9336facf3",
+                "8fd0541019e29488f450480a8ce58778b07d62264859095f096214c74a1db072",
+                "a80856f21781d505602172030650c7a5f0c8746957f27f3d43d67a1df9997b26",
             )),
         ],
         ids=["control", "early_fact"],

@@ -176,6 +176,6 @@ def test_small_world_comparison_bytes(small_world):
     ]
     comparison = compare_interventions(reports).to_json()
     assert hashlib.sha256(comparison.encode()).hexdigest() == (
-        "6a64ef1daa4098bd3431cde2c3ff03f4598719d164cffa5197596b51adc0a2ca"
+        "8fe0689cc4adfd91d337682ccccef019772b6321ad31639e77dbf7c148f7ec49"
     )
 

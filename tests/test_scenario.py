@@ -11,7 +11,7 @@ from madd.errors import (
     ScenarioError,
     UnknownCommunity,
 )
-from madd.evaluator import EvaluatorConfig, SyntheticParams
+from madd.evaluator import EvaluatorConfig
 from madd.scenario import (
     SimulationParams,
     UserRecord,
@@ -251,6 +251,10 @@ class TestSidecarUsers:
         (tmp_path / "scenario.json").write_text(json.dumps(data))
         with pytest.raises(RangeViolation, match=r"follower_count\(u1\)"):
             load_scenario(tmp_path / "scenario.json")
+        # a misspelt column is an error naming the row's user, even when its cell is empty
+        (tmp_path / "users.csv").write_text("user_id,follower_count,retweets_count\nu0,100,")
+        with pytest.raises(ScenarioError, match=r"'u0'.*'retweets_count'"):
+            load_scenario(tmp_path / "scenario.json")
 
 
 class TestValidateParams:
@@ -289,10 +293,9 @@ class TestValidateParams:
         lambda: replace(SimulationParams(), gamma=1.0),
         lambda: replace(build_synthetic_scenario(n_users=30, seed=3), communities=()),
         lambda: UserRecord("u", follower_count=-1),
-        lambda: SyntheticParams(tt_std=-1.0),
         lambda: EvaluatorConfig(timeout=0),
     ],
-    ids=["params-replace", "scenario-replace", "user", "synthetic-params", "evaluator-config"],
+    ids=["params-replace", "scenario-replace", "user", "evaluator-config"],
 )
 def test_no_invalid_record_can_be_built(build):
     with pytest.raises(ScenarioError):
@@ -304,9 +307,8 @@ def test_no_invalid_record_can_be_built(build):
     [
         ("params", "gamma", 1.0, "params.gamma"),
         ("evaluator", "timeout", 0, "evaluator.timeout"),
-        ("evaluator", "synthetic", {"tt_std": -1.0}, "evaluator.synthetic.tt_std"),
     ],
-    ids=["gamma", "timeout", "tt-std"],
+    ids=["gamma", "timeout"],
 )
 def test_file_range_error_names_field_path(section, name, value, field):
     data = minimal_scenario_dict()
@@ -360,13 +362,13 @@ def test_all_model_inputs_reachable_from_scenario():
     [
         (
             "paper",
-            "31d99d654ab5008f1b04a11b9bddc73f97dffd0f5114bfcb12fdf2e5c52c655b",
-            "fc5e4b4f26414f3bdbd4dd42be1e003cf2a01ca9d3ec3f064c19c1181793c79c",
+            "21dca087e8f8e62cb9c1db839cc9194cb10a58789b8d0b688b3e149d64db8564",
+            "c70c5aaa285ddfe36dfd3d0ec0921473eada8f5abe6987ed9ba6df01b2488807",
         ),
         (
             "small",
-            "7263455f63ab05d4292e8ef5cfeba9b5508505c69c44d42769e24cf7bcc7f6be",
-            "e3291ea87be51765827f886bb7efd4bf6d2b523f4fd9c7da31f62d4aa463ba59",
+            "1fcf8ab4599a42abcb0d1722dc9cd83d9bf83981a3a6c207d9b79a341b571895",
+            "805591a1c927097e0a9116c43a742fd8bfd9f631bafb6c8a47f581941ad5ce6e",
         ),
     ],
     ids=["paper", "small"],
