@@ -39,28 +39,26 @@ each broadcasting on the steps of its drawn schedule alone - malicious ones
 the disinformation item anywhere in the run, legitimate ones the plan's
 correction inside the intervention window (never under a control plan).
 Bots never appear in status tallies.
+
+State layout: acting bots and regular agents share one integer index in
+agent-id order. Per-agent state sits in flat lists by index, an audience is
+a list of receiver indices, and a send is a kind code (claim endorsed, claim
+disputed, correction). Only a run given ``state_out`` keeps each step's
+(sender, kind) sends; its SimulationState expands them on access into
+``delivery_log`` tuples and ``agents[id]`` views (``outbox``, ``exposure_counts``).
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import rng as rngmod
-from .attributes import (
-    KIND_MBOT,
-    KIND_REGULAR,
-    AgentProfile,
-    activation_probability,  # noqa: F401 - the scalar rule active_agents vectorizes
-    dissemination_tendency,
-)
-from .content import (
-    ContentItem,
-    InterventionPlan,
-    correction_for,
-    score_plausibility,
-)
+from .attributes import KIND_MBOT, KIND_REGULAR, AgentProfile, dissemination_tendency
+from .attributes import activation_probability  # noqa: F401 - active_agents vectorizes it
+from .content import InterventionPlan, correction_for, score_plausibility
 from .dynamics import believe_disinformation, discernment, update_trust
 from .errors import EvaluatorFailure, RangeViolation, WindowTooSmall
 from .evaluator import Evaluator
@@ -77,15 +75,13 @@ SPREADER_UNINFECTED = "uninfected_spreader"
 STANCE_ENDORSE = "endorse"
 STANCE_DISPUTE = "dispute"
 
+# a send's kind code, and the stance and item (0 the claim, 1 the correction) it carries
+CLAIM_ENDORSE, CLAIM_DISPUTE, CORRECTION = range(3)
+KIND_STANCE = (STANCE_ENDORSE, STANCE_DISPUTE, STANCE_ENDORSE)
+KIND_ITEM = (0, 0, 1)
+
 DEFAULT_RECORD_CADENCE = 12
 JUDGMENT_BLOCK = 32  # uniforms a judgment stream draws per refill
-
-
-@dataclass(frozen=True)
-class Message:
-    item: ContentItem
-    stance: str
-    sender: str
 
 
 class JudgmentStream:
@@ -100,68 +96,100 @@ class JudgmentStream:
     __slots__ = ("_gen", "_block", "_next")
 
     def __init__(self, gen: np.random.Generator):
-        self._gen = gen
-        self._block = gen.random(JUDGMENT_BLOCK)
-        self._next = 0
+        self._gen, self._block, self._next = gen, None, JUDGMENT_BLOCK
 
     def random(self) -> float:
         i = self._next
         if i == JUDGMENT_BLOCK:
-            self._block = self._gen.random(JUDGMENT_BLOCK)
+            self._block = self._gen.random(JUDGMENT_BLOCK).tolist()
             i = 0
         self._next = i + 1
-        return self._block.item(i)
-
-
-@dataclass
-class AgentState:
-    profile: AgentProfile
-    status: str = STATUS_SUSCEPTIBLE
-    spreading: bool = False  # has shared while exposed
-    trust: float = 0.0  # current threshold toward the run topic
-    believes: bool = False  # believes the run's disinformation
-    exposure_counts: dict = field(default_factory=dict)  # content_id -> receipts
-    strengths: dict = field(default_factory=dict)  # (content_id, stance) -> persuasiveness
-    judgment_streams: dict = field(default_factory=dict)  # purpose -> JudgmentStream over the claim
-    latest: Message | None = None  # the most recent receipt
-    outbox: list = field(default_factory=list)  # (step, content_id, stance)
-    pending: dict = field(default_factory=dict)  # sender -> latest receipt since last activation
-
-    @property
-    def spreader(self) -> str | None:
-        if not self.spreading:
-            return None
-        return SPREADER_INFECTED if self.believes else SPREADER_UNINFECTED
+        return self._block[i]
 
 
 @dataclass
 class SimulationState:
-    agents: dict = field(default_factory=dict)  # agent_id -> AgentState (regular only)
-    community_regulars: dict = field(default_factory=dict)  # community -> member ids
-    delivery_log: list = field(default_factory=list)  # (step, sender, receiver, content_id, stance)
+    """One run's agents on one index in agent-id order; the per-agent lists
+    are sized from ``ids``, and a bot's entries stay unused."""
+
+    ids: list  # index -> agent id, ascending
+    rows: list  # indices of the regular agents, ascending
+    community_rows: dict  # community -> indices of its regular members, in member order
+    profiles: list = field(default_factory=list)  # index -> AgentProfile
+    items: tuple = ()  # (the claim, the plan's correction or None)
+    weight: list = field(default_factory=list)  # index -> sender influence toward the topic
+    audience: list = field(default_factory=list)  # index -> receiver indices, in neighbour order
+    sends: list | None = None  # (step, [(sender, kind), ...]) per step, when recorded
+
+    def __post_init__(self):
+        n = len(self.ids)
+        self.trust = [0.0] * n
+        self.exposed = [False] * n
+        self.believes = [False] * n  # believes the run's claim
+        self.spreading = [False] * n  # has shared while exposed
+        self.latest = [None] * n  # kind code of the latest receipt
+        self.receipts = ([0] * n, [0] * n)  # per item: receipts per index
+        self.pending = [{} for _ in range(n)]  # sender -> kind received since last activation
+        self.strengths = [[None] * len(KIND_STANCE) for _ in range(n)]  # kind -> persuasiveness
+        self.streams = {"belief": [None] * n, "accept": [None] * n}  # JudgmentStreams
+
+    @property
+    def delivery_log(self) -> DeliveryLog:
+        """Every receipt as (step, sender, receiver, content_id, stance)."""
+        return DeliveryLog(self)
+
+    @property
+    def agents(self) -> dict:
+        """agent id -> AgentView of each regular agent, built on access."""
+        outbox = {i: [] for i in self.rows}
+        for t, sends in self.sends or ():
+            for sender, kind in sends:
+                if sender in outbox:
+                    content_id = self.items[KIND_ITEM[kind]].content_id
+                    outbox[sender].append((t, content_id, KIND_STANCE[kind]))
+        return {
+            self.ids[i]: AgentView(
+                STATUS_EXPOSED if self.exposed[i] else STATUS_SUSCEPTIBLE,
+                self.trust[i],
+                {item.content_id: n[i] for item, n in zip(self.items, self.receipts) if n[i]},
+                outbox[i],
+            )
+            for i in self.rows
+        }
+
+
+# one regular agent at the end of a run; exposure_counts maps content_id to
+# receipts, outbox holds (step, content_id, stance) per share
+AgentView = namedtuple("AgentView", "status trust exposure_counts outbox")
+
+
+class DeliveryLog:
+    """A run's receipts, expanded from its recorded sends when iterated."""
+
+    def __init__(self, state: SimulationState):
+        self.state = state
+
+    def __len__(self) -> int:
+        return sum(len(self.state.audience[s]) for _, sends in self.state.sends for s, _ in sends)
+
+    def __iter__(self):
+        ids, audience, items = self.state.ids, self.state.audience, self.state.items
+        return (
+            (t, ids[s], ids[r], items[KIND_ITEM[kind]].content_id, KIND_STANCE[kind])
+            for t, sends in self.state.sends for s, kind in sends for r in audience[s]
+        )
 
 
 def snapshot_ratios(state: SimulationState, community: str) -> tuple:
     """(SR, ER, IR, UR) over the community's regular members."""
-    members = state.community_regulars[community]
+    members = state.community_rows[community]
     n = len(members)
     if n == 0:
         return (1.0, 0.0, 0.0, 0.0)
-    exposed = infected = uninfected = 0
-    for agent_id in members:
-        agent = state.agents[agent_id]
-        if agent.status == STATUS_EXPOSED:
-            exposed += 1
-        if agent.spreader == SPREADER_INFECTED:
-            infected += 1
-        elif agent.spreader == SPREADER_UNINFECTED:
-            uninfected += 1
-    return (
-        (n - exposed) / n,
-        exposed / n,
-        infected / n,
-        uninfected / n,
-    )
+    exposed = sum([state.exposed[i] for i in members])
+    spreaders = [i for i in members if state.spreading[i]]
+    infected = sum([state.believes[i] for i in spreaders])
+    return ((n - exposed) / n, exposed / n, infected / n, (len(spreaders) - infected) / n)
 
 
 def build_bot_schedules(
@@ -258,8 +286,8 @@ def run(
     Inputs are treated as read-only; repeated calls with equal arguments
     produce byte-identical reports. An evaluator failure mid-run aborts and
     returns the records so far with ``complete`` set False. Pass a list as
-    ``state_out`` to receive the final SimulationState (appended), for
-    inspection and invariant checks.
+    ``state_out`` to receive the final SimulationState (appended), with its
+    record of the sends delivered, for inspection and invariant checks.
 
     Judgment inputs are checked here, once: the plausibility (given or
     scored) and each regular agent's starting trust toward the topic must
@@ -287,110 +315,88 @@ def run(
     # only bots homed in the topic act, so only they get schedules
     bots = [p for p in profiles if p.is_bot and p.home_community() == topic]
     schedules = build_bot_schedules(bots, params, plan, seed)
-    active_bots = [p for p in bots if schedules[p.agent_id]]
 
-    state = SimulationState()
-    for profile in profiles:
-        if profile.kind == KIND_REGULAR:
-            trust = profile.trust_thresholds[topic]
-            if not 0.0 <= trust <= 1.0:
-                raise ValueError(f"trust {trust} of {profile.agent_id} outside [0, 1]")
-            state.agents[profile.agent_id] = AgentState(profile=profile, trust=trust)
-    state.community_regulars = {
-        community: [m for m in members if m in state.agents]
-        for community, members in network.community_index.items()
-    }
+    # one index over the acting bots and the regular agents, in id order
+    members = [p for p in profiles if p.kind == KIND_REGULAR or schedules.get(p.agent_id)]
+    ids = [p.agent_id for p in members]
+    regular = {p.agent_id: i for i, p in enumerate(members) if p.kind == KIND_REGULAR}
+    state = SimulationState(
+        ids=ids,
+        rows=list(regular.values()),
+        community_rows={
+            c: [regular[m] for m in ms if m in regular] for c, ms in network.community_index.items()
+        },
+        profiles=members,
+        items=(disinfo, correction),
+        weight=[_sender_influence(p, topic) for p in members],
+        # bots ignore what they receive
+        audience=[[regular[n] for n in network.neighbors(a) if n in regular] for a in ids],
+        sends=[] if state_out is not None else None,
+    )
+    for i in state.rows:
+        state.trust[i] = trust = members[i].trust_thresholds[topic]
+        if not 0.0 <= trust <= 1.0:
+            raise ValueError(f"trust {trust} of {ids[i]} outside [0, 1]")
 
-    regular_ids = sorted(state.agents)
-    regulars = [state.agents[agent_id] for agent_id in regular_ids]
-    draws = activation_draws(seed, regular_ids, params.total_steps)
-    probs = np.array(
-        [agent.profile.activation_probs for agent in regulars], dtype=float
-    ).reshape(len(regulars), HOURS_PER_DAY)
+    rows = state.rows
+    draws = activation_draws(seed, [ids[i] for i in rows], params.total_steps)
+    probs = np.array([members[i].activation_probs for i in rows], dtype=float)
+    probs = probs.reshape(len(rows), HOURS_PER_DAY)
 
-    # per-run sender tables: weight toward the topic in the trust update, and
-    # the (receiver id, state) pairs a send reaches, in sorted-neighbour order
-    senders = active_bots + [agent.profile for agent in regulars]
-    weight = {p.agent_id: _sender_influence(p, topic) for p in senders}
-    audience = {
-        p.agent_id: [
-            (n, state.agents[n])
-            for n in network.neighbors(p.agent_id)
-            if n in state.agents  # bots ignore what they receive
-        ]
-        for p in senders
-    }
     # step -> the bot broadcasts sent at that step, in bot-id order
     broadcasts: dict[int, list] = {}
-    for bot in active_bots:
-        payload = disinfo if bot.kind == KIND_MBOT else correction
-        send = (audience[bot.agent_id], Message(payload, STANCE_ENDORSE, bot.agent_id))
-        for step in schedules[bot.agent_id]:
-            broadcasts.setdefault(step, []).append(send)
+    for i, bot in enumerate(members):
+        if bot.kind != KIND_REGULAR:
+            send = (i, CLAIM_ENDORSE if bot.kind == KIND_MBOT else CORRECTION)
+            for step in schedules[bot.agent_id]:
+                broadcasts.setdefault(step, []).append(send)
 
     report = RunReport(
-        scenario_digest=scenario.digest(),
-        seed=int(seed),
-        topic=topic,
-        plan_stage=plan.stage,
-        plan_strategy=plan.strategy,
-        record_cadence=record_cadence,
-        total_steps=params.total_steps,
-        ratios={c: [] for c in network.community_index},
-        trust={c: [] for c in network.community_index},
-        resource_ledger={},
+        scenario_digest=scenario.digest(), seed=int(seed), topic=topic,
+        plan_stage=plan.stage, plan_strategy=plan.strategy, record_cadence=record_cadence,
+        total_steps=params.total_steps, ratios={c: [] for c in network.community_index},
+        trust={c: [] for c in network.community_index}, resource_ledger={},
     )
+    trust, latest, receipts, pending = state.trust, state.latest, state.receipts, state.pending
+    exposed, believes, spreading = state.exposed, state.believes, state.spreading
 
     def record(step: int) -> None:
-        for community in network.community_index:
+        for community, community_rows in state.community_rows.items():
             sr, er, ir, ur = snapshot_ratios(state, community)
             report.ratios[community].append(RatioRecord(step, sr, er, ir, ur))
-            values = [state.agents[m].trust for m in state.community_regulars[community]]
-            mean, std = population_stats(values)
+            mean, std = population_stats([trust[i] for i in community_rows])
             report.trust[community].append(TrustRecord(step, mean, std))
         if collect_trajectories:
-            for agent_id, agent in state.agents.items():
-                report.trajectories.setdefault(agent_id, []).append((step, agent.trust))
+            for i in rows:
+                report.trajectories.setdefault(ids[i], []).append((step, trust[i]))
         if progress is not None:
-            progress(
-                {
-                    "event": "record",
-                    "step": step,
-                    "topic": topic,
-                    "stage": plan.stage,
-                    "strategy": plan.strategy,
-                }
-            )
+            progress({"event": "record", "step": step, "topic": topic,
+                      "stage": plan.stage, "strategy": plan.strategy})
 
     record(0)
     try:
         for t in range(1, params.total_steps + 1):
-            outgoing: list[tuple[list, Message]] = list(broadcasts.get(t, ()))
-
-            for i in active_agents(draws, probs, t):
-                agent_id = regular_ids[i]
-                agent = regulars[i]
-                share_u = draws[i, t - 1, 1]
-                _apply_trust_update(agent, weight, evaluator, params, topic)
-                latest = agent.latest
-                if latest is None:
+            outgoing = list(broadcasts.get(t, ()))
+            for row in active_agents(draws, probs, t):
+                i = rows[row]
+                if pending[i]:
+                    _apply_trust_update(state, i, evaluator, params, topic)
+                kind = latest[i]
+                if kind is None:
                     continue
-                prior_receipts = agent.exposure_counts[latest.item.content_id] - 1
-                dt = dissemination_tendency(
-                    agent.profile, topic, fit, params, prior_receipts
-                )
-                if share_u >= dt:
+                prior_receipts = receipts[KIND_ITEM[kind]][i] - 1
+                dt = dissemination_tendency(members[i], topic, fit, params, prior_receipts)
+                if draws[row, t - 1, 1] >= dt:
                     continue
-                if latest.item.kind == "disinformation" and not agent.believes:
-                    stance = STANCE_DISPUTE
-                else:
-                    stance = STANCE_ENDORSE
-                outgoing.append((audience[agent_id], Message(latest.item, stance, agent_id)))
-                agent.outbox.append((t, latest.item.content_id, stance))
-                if agent.status == STATUS_EXPOSED:
-                    agent.spreading = True
+                if kind != CORRECTION:  # the claim: endorsed only by a believer
+                    kind = CLAIM_ENDORSE if believes[i] else CLAIM_DISPUTE
+                outgoing.append((i, kind))
+                if exposed[i]:
+                    spreading[i] = True
 
-            _deliver(state, outgoing, seed, t, disinfo.content_id, plausibility)
+            _deliver(state, outgoing, seed, disinfo.content_id, plausibility)
+            if state.sends is not None:
+                state.sends.append((t, outgoing))
 
             if t % record_cadence == 0 or t == params.total_steps:
                 record(t)
@@ -405,55 +411,50 @@ def run(
     return report
 
 
-def _apply_trust_update(agent, weight, evaluator, params, topic: str) -> None:
-    if not agent.pending:
-        return
+def _apply_trust_update(state: SimulationState, i: int, evaluator, params, topic: str) -> None:
     # the enhancement/decay sums run over neighbors, not messages: a sender
     # re-delivering since the last activation counts once, through the most
     # recent thing it pushed
-    corr = []
-    dis = []
-    for sender in sorted(agent.pending):
-        msg = agent.pending[sender]
-        key = (msg.item.content_id, msg.stance)
-        strength = agent.strengths.get(key)
+    pending = state.pending[i]
+    strengths, weight = state.strengths[i], state.weight
+    corr, dis = [], []
+    for sender in sorted(pending):
+        kind = pending[sender]
+        strength = strengths[kind]
         if strength is None:
-            strength = agent.strengths[key] = evaluator.persuasiveness(
-                msg.item.text,
-                content_kind=msg.item.kind,
-                strategy=msg.item.strategy,
-                stance=msg.stance,
-                receiver_history=agent.profile.history_summary,
-                community=topic,
+            item = state.items[KIND_ITEM[kind]]
+            strength = strengths[kind] = evaluator.persuasiveness(
+                item.text, content_kind=item.kind, strategy=item.strategy, stance=KIND_STANCE[kind],
+                receiver_history=state.profiles[i].history_summary, community=topic,
             )
-        if msg.item.kind == "correction" or msg.stance == STANCE_DISPUTE:
-            corr.append((weight[sender], strength))
-        else:
+        if kind == CLAIM_ENDORSE:
             dis.append((weight[sender], strength))
-    agent.trust = update_trust(agent.trust, corr, dis, params.gamma, params.beta, params.delta)
-    agent.pending.clear()
+        else:  # a correction item, or a disputing quote of the claim
+            corr.append((weight[sender], strength))
+    state.trust[i] = update_trust(
+        state.trust[i], corr, dis, params.gamma, params.beta, params.delta)
+    pending.clear()
 
 
-def _deliver(state, outgoing, seed, t, claim_id, plausibility) -> None:
-    log = state.delivery_log
-    for receivers, message in outgoing:
-        sender = message.sender
-        stance = message.stance
-        item_id = message.item.content_id
-        claim = message.item.kind == "disinformation"
-        endorsed = stance == STANCE_ENDORSE
-        for receiver, agent in receivers:
-            agent.latest = message
-            agent.pending[sender] = message
-            counts = agent.exposure_counts
-            counts[item_id] = counts.get(item_id, 0) + 1
-            log.append((t, sender, receiver, item_id, stance))
-            if claim and (endorsed or agent.status == STATUS_SUSCEPTIBLE):
+def _deliver(state: SimulationState, outgoing, seed, claim_id, plausibility) -> None:
+    ids, audience, trust, latest, pending = (
+        state.ids, state.audience, state.trust, state.latest, state.pending)
+    exposed, believes, streams = state.exposed, state.believes, state.streams
+    da_of = {}  # receiver -> discernment; trust holds still while a step delivers
+    for sender, kind in outgoing:
+        counts = state.receipts[KIND_ITEM[kind]]
+        claim = kind != CORRECTION
+        endorsed = kind == CLAIM_ENDORSE
+        for r in audience[sender]:
+            latest[r] = kind
+            pending[r][sender] = kind
+            counts[r] += 1
+            if claim and (endorsed or not exposed[r]):
                 # seeing the claim pushed at face value (or for the first time,
                 # even inside a disputing quote) re-draws belief both ways
-                agent.status = STATUS_EXPOSED
+                exposed[r] = True
                 purpose = "belief"
-            elif agent.believes:  # only an exposed agent can believe
+            elif believes[r]:  # only an exposed agent can believe
                 # corrective pressure (a correction item, or a disputing quote of
                 # a claim already seen) flips a believer on a successful
                 # discernment event (probability DA); when it fails to land,
@@ -461,31 +462,29 @@ def _deliver(state, outgoing, seed, t, claim_id, plausibility) -> None:
                 purpose = "accept"
             else:
                 continue
-            da = discernment(agent.trust, plausibility)
+            da = da_of.get(r)
+            if da is None:
+                da = da_of[r] = discernment(trust[r], plausibility)
             # the k-th judgment of this kind takes the k-th draw of its own
             # stream, so plans sharing a seed see aligned randomness until
             # their histories actually diverge
-            stream = agent.judgment_streams.get(purpose)
+            stream = streams[purpose][r]
             if stream is None:
-                stream = agent.judgment_streams[purpose] = JudgmentStream(
-                    rngmod.substream(seed, purpose, receiver, claim_id)
+                stream = streams[purpose][r] = JudgmentStream(
+                    rngmod.substream(seed, purpose, ids[r], claim_id)
                 )
             if purpose == "belief":
-                agent.believes = believe_disinformation(da, stream)
+                believes[r] = believe_disinformation(da, stream)
             elif stream.random() < da:
-                agent.believes = False
+                believes[r] = False
 
 
 def _final_states(state: SimulationState) -> dict:
-    out = {
-        STATUS_SUSCEPTIBLE: [],
-        STATUS_EXPOSED: [],
-        SPREADER_INFECTED: [],
-        SPREADER_UNINFECTED: [],
-    }
-    for agent_id in sorted(state.agents):
-        agent = state.agents[agent_id]
-        out[agent.status].append(agent_id)
-        if agent.spreader is not None:
-            out[agent.spreader].append(agent_id)
+    statuses = (STATUS_SUSCEPTIBLE, STATUS_EXPOSED, SPREADER_INFECTED, SPREADER_UNINFECTED)
+    out = {status: [] for status in statuses}
+    for i in state.rows:
+        agent_id = state.ids[i]
+        out[STATUS_EXPOSED if state.exposed[i] else STATUS_SUSCEPTIBLE].append(agent_id)
+        if state.spreading[i]:
+            out[SPREADER_INFECTED if state.believes[i] else SPREADER_UNINFECTED].append(agent_id)
     return out

@@ -224,16 +224,14 @@ class TestBotSchedules:
 
 class TestSnapshotRatios:
     def build_state(self, statuses):
-        state = engine.SimulationState()
-        state.community_regulars = {"alpha": sorted(statuses)}
-        for agent_id, (status, spreader) in statuses.items():
-            agent = engine.AgentState(
-                profile=None,
-                status=status,
-                spreading=spreader is not None,
-                believes=spreader == engine.SPREADER_INFECTED,
-            )
-            state.agents[agent_id] = agent
+        ids = sorted(statuses)
+        rows = list(range(len(ids)))
+        state = engine.SimulationState(ids=ids, rows=rows, community_rows={"alpha": rows})
+        for i, agent_id in enumerate(ids):
+            status, spreader = statuses[agent_id]
+            state.exposed[i] = status == engine.STATUS_EXPOSED
+            state.spreading[i] = spreader is not None
+            state.believes[i] = spreader == engine.SPREADER_INFECTED
         return state
 
     def test_initial_state(self):
@@ -357,6 +355,25 @@ class TestRunInvariants:
             received = set(agent.exposure_counts)
             shared = {content_id for _, content_id, _ in agent.outbox}
             assert shared <= received
+
+    def test_delivery_record_views_agree(self, run_outputs):
+        # the log and the outboxes expand the run's record of sends, the
+        # exposure counts read the receipt counters the run kept itself
+        _, _, _, _, state = run_outputs
+        log = list(state.delivery_log)
+        assert len(state.delivery_log) == len(log) > 0
+        receipts = {}
+        for _, _, receiver, content_id, _ in log:
+            per_item = receipts.setdefault(receiver, {})
+            per_item[content_id] = per_item.get(content_id, 0) + 1
+        agents = state.agents
+        for agent_id, agent in agents.items():
+            assert agent.exposure_counts == receipts.get(agent_id, {})
+        sent = {(step, sender, content_id, stance) for step, sender, _, content_id, stance in log}
+        shared = {(step, agent_id, content_id, stance)
+                  for agent_id, agent in agents.items()
+                  for step, content_id, stance in agent.outbox}
+        assert shared and {s for s in sent if s[1] in agents} <= shared
 
     def test_bots_never_send_off_schedule(self, run_outputs):
         scenario, profiles, _, _, state = run_outputs
@@ -518,9 +535,9 @@ def test_each_persuasiveness_question_asked_once_per_receiver(dense_world, monke
 
     real_update = engine._apply_trust_update
 
-    def update_naming_receiver(agent, weight, evaluator, params, topic):
-        evaluator.receiver = agent.profile.agent_id
-        real_update(agent, weight, evaluator, params, topic)
+    def update_naming_receiver(state, i, evaluator, params, topic):
+        evaluator.receiver = state.ids[i]
+        real_update(state, i, evaluator, params, topic)
 
     monkeypatch.setattr(engine, "_apply_trust_update", update_naming_receiver)
     evaluator = Counting(seed=scenario.params.rng_seed)
