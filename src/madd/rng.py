@@ -128,9 +128,9 @@ def substreams(seed: int, labels_list: Iterable) -> Iterator[np.random.Generator
     kept per row; each Generator is built when the iterator reaches it.
 
     The array pass has a fixed cost: about 0.3 ms for one row and 0.4-0.5 ms
-    for 5-10 rows, against 30-40 us per ``substream`` call (2-vCPU VM,
+    for 5-20 rows, against 30-40 us per ``substream`` call (2-vCPU VM,
     Python 3.11, numpy 2.4). A batch breaks even with scalar ``substream``
-    calls at about 10 rows; below that, call ``substream`` per row.
+    calls at about 10-15 rows; below that, call ``substream`` per row.
     """
     digests = b"".join(_label_digest(labels) for labels in labels_list)
     label_words = np.frombuffer(digests, dtype="<u4").reshape(-1, 4)
