@@ -159,7 +159,7 @@ _CITATION_MARKERS = (
 
 def _has_citation_markers(text: str) -> bool:
     lower = text.lower()
-    return any(ch.isdigit() for ch in text) or any(m in lower for m in _CITATION_MARKERS)
+    return any(map(str.isdigit, text)) or any(m in lower for m in _CITATION_MARKERS)
 
 
 def _whitespace_tokens(*texts: str) -> int:

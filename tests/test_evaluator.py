@@ -3,6 +3,8 @@ from dataclasses import asdict
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from madd import evaluator as evaluator_module
 from madd import rng as rngmod
@@ -396,3 +398,16 @@ def test_templates_render_for_every_kind():
         prompt = render_prompt(request)
         assert "{subject_text" not in prompt and "{communities}" not in prompt
         assert len(prompt) > 50
+
+
+@given(
+    st.text()
+    | st.text(alphabet=st.sampled_from("abc 0٣۷߂३੬๙１²½Ⅻ⑦ see [1] doi et al.")),
+)
+def test_citation_markers_digit_scan_matches_per_character_scan(text):
+    """Any character str.isdigit accepts counts, as with the per-character
+    generator it replaced: ASCII, Arabic-Indic, Devanagari, full-width,
+    superscript and circled digits; fractions and Roman numerals do not."""
+    lower = text.lower()
+    old = any(ch.isdigit() for ch in text) or any(m in lower for m in evaluator_module._CITATION_MARKERS)
+    assert evaluator_module._has_citation_markers(text) == old
