@@ -7,31 +7,22 @@ The model is a probability mass function over integers x >= x_min,
 whose pure power-law limit (lam = 0) normalizes through the Hurwitz zeta
 function. For lam > 0, Z joins a summed head to a Gauss-Legendre tail integral
 by Euler-Maclaurin: at most 0.35 ms a call at any lam, within 4e-15 of mpmath.
-Fitting proceeds in two documented stages:
+Fitting proceeds in two stages:
 
-1. x_min and alpha: for every candidate x_min (the sorted unique sample
-   values that leave at least ``MIN_TAIL`` samples in the tail, thinned
-   evenly to at most ``MAX_CANDIDATES``), alpha is
-   estimated by discrete maximum likelihood and a coarse cutoff search is
-   run; the candidate minimizing the Kolmogorov-Smirnov distance between
-   the empirical and fitted tail CDFs wins (ties go to the smallest x_min).
-   This is the x_min/KS procedure of Clauset, Shalizi & Newman, SIAM Rev.
-   51:661 (2009). The KS step reads the fitted cdf from a prefix of the
-   law's cumulative table, ending at the tail's largest value, so it agrees
-   bit for bit with ``PowerLawFit.cdf``.
-
-   The coarse search scans its lam grid from lam = 1 downward, where each
-   normalizer is cheap, and stops once the log-likelihood has fallen
-   ``_STOP_TOL * (n + |best|)`` below the best value so far. That is exact:
-   log Z is a log-sum-exp of functions affine in lam, so the log-likelihood
-   is concave in lam, and once it falls below the best it keeps falling;
-   the margin is far above the computed value's error (see ``_STOP_TOL``).
-   Ties go to the smallest lam, as in an ascending scan.
-2. lam and alpha refinement: with x_min frozen, one bounded
-   one-dimensional likelihood search for lam in [0, 1] and one re-fit of
-   alpha at that lam; when lam > 0, a joint Nelder-Mead polish of
-   (alpha, lam) follows and is kept only if it does not lower the
-   log-likelihood.
+1. x_min: for every candidate x_min (the sorted unique sample values that
+   leave at least ``MIN_TAIL`` samples in the tail, thinned evenly to at
+   most ``MAX_CANDIDATES``), alpha is estimated by discrete maximum
+   likelihood at lam = 0, lam is the best of the coarse grid
+   ``_COARSE_LAMBDAS`` at that alpha (the smallest on ties), and alpha is
+   re-fitted at that lam; the candidate minimizing the Kolmogorov-Smirnov
+   distance between the empirical and fitted tail CDFs wins (ties go to the
+   smallest x_min). This is the x_min/KS procedure of Clauset, Shalizi &
+   Newman, SIAM Rev. 51:661 (2009). The KS step reads the fitted cdf from a
+   prefix of the law's cumulative table, ending at the tail's largest
+   value, so it agrees bit for bit with ``PowerLawFit.cdf``.
+2. Refinement: when the winner's lam > 0, a joint Nelder-Mead polish of
+   (alpha, lam) starts from it with x_min frozen, and is kept only if it
+   does not lower the log-likelihood.
 """
 
 from __future__ import annotations
@@ -52,8 +43,8 @@ MIN_SAMPLES = 50
 MIN_DISTINCT = 10
 MIN_TAIL = 50
 MAX_CANDIDATES = 40
-# Coarse cutoff grid used during x_min selection; stage 2 refines around the
-# best coarse value. 0 is included so pure power-law data stays exact.
+# Coarse cutoff grid used during x_min selection; stage 2's polish starts from
+# the winner's grid value. 0 is included so pure power-law data stays exact.
 _COARSE_LAMBDAS = (0.0,) + tuple(np.logspace(-4, 0, 13))
 _MAX_TABLE = 1 << 24
 # _CUTOFF_SPAN / lam terms past x_min, e^(-lam k) has fallen by e^-40 (4e-18).
@@ -66,14 +57,6 @@ _LAM_SERIES = 1e-200
 # 16-point Gauss-Legendre rule, built on first use (its eigensolver makes LAPACK take ~1 MB)
 _gauss_legendre = cache(partial(np.polynomial.legendre.leggauss, 16))
 _EM_COEFFS = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600)  # B_2j / (2j)!, j = 1..4
-# The descending coarse scan stops at the first lam whose log-likelihood is
-# below the best so far by _STOP_TOL * (n + |best|), n the tail size. Each
-# computed ll = -alpha*sum(log x) - lam*sum(x) - n*log(Z) is off by n times
-# Z's relative error (under 1e-14) and a few ulps of its terms. While Z > 0
-# each term is below 750*n + |ll| (log Z >= -745, lam*x_min < 745, alpha*log(x)
-# < 8*44), so those ulps add under 1e-12*n + 1e-15*|ll|. Twice the whole
-# error, as a comparison of two values needs, is 100 times below the margin.
-_STOP_TOL = 1e-9
 
 
 def _norm_constant(alpha: float, lam: float, x_min: int) -> float:
@@ -121,8 +104,7 @@ def _norm_constant(alpha: float, lam: float, x_min: int) -> float:
 
 
 def _tail_likelihood(x_sorted: np.ndarray, log_sorted: np.ndarray, x_min: int):
-    """``(loglik, n)``: ``loglik(alpha, lam)`` of the n samples >= x_min, with
-    the tail sums taken once."""
+    """``loglik(alpha, lam)`` of the samples >= x_min, with the tail sums taken once."""
     start = int(np.searchsorted(x_sorted, x_min, side="left"))
     n = x_sorted.size - start
     sum_log = float(log_sorted[start:].sum())
@@ -134,7 +116,7 @@ def _tail_likelihood(x_sorted: np.ndarray, log_sorted: np.ndarray, x_min: int):
             return -np.inf
         return -alpha * sum_log - lam * sum_x - n * np.log(z)
 
-    return loglik, n
+    return loglik
 
 
 def _fit_alpha(loglik, lam: float) -> float:
@@ -147,37 +129,9 @@ def _fit_alpha(loglik, lam: float) -> float:
     return float(res.x)
 
 
-def _coarse_lambda(loglik, alpha: float, n: int) -> tuple[float, float]:
-    """(lam, ll): the grid's best lam at this alpha, smallest on ties.
-
-    Scans from lam = 1 down and stops once ll is ``_STOP_TOL * (n + |best|)``
-    below the best; ll is concave in lam, so no smaller lam can win. A -inf
-    ll (Z underflowing at a large x_min) never stops the scan.
-    """
-    best_lam, best_ll = 0.0, -np.inf
-    for lam in reversed(_COARSE_LAMBDAS):
-        ll = loglik(alpha, lam)
-        if ll >= best_ll:
-            best_ll, best_lam = ll, lam
-        elif ll < best_ll - _STOP_TOL * (n + abs(best_ll)):
-            break
-    return best_lam, best_ll
-
-
-def _fit_lambda(loglik, alpha: float, n: int) -> float:
-    best_lam, best_ll = _coarse_lambda(loglik, alpha, n)
-    if best_lam == 0.0:
-        return 0.0
-    res = minimize_scalar(
-        lambda lam: -loglik(alpha, lam),
-        bounds=(best_lam / 4.0, min(best_lam * 4.0, LAMBDA_BOUNDS[1])),
-        method="bounded",
-        options={"xatol": 1e-7},
-    )
-    refined = float(res.x)
-    if loglik(alpha, refined) >= best_ll:
-        return refined
-    return best_lam
+def _coarse_lambda(loglik, alpha: float) -> float:
+    """The grid's best lam at this alpha: ``max`` keeps the first, so the smallest on ties."""
+    return max(_COARSE_LAMBDAS, key=partial(loglik, alpha))
 
 
 @dataclass(frozen=True)
@@ -272,20 +226,18 @@ def fit_truncated_power_law(samples) -> PowerLawFit:
         idx = np.linspace(0, candidates.size - 1, MAX_CANDIDATES).round().astype(int)
         candidates = candidates[np.unique(idx)]
 
-    best = None  # (ks, x_min, alpha, lam, loglik, n)
+    best = None  # (ks, x_min, alpha, lam, loglik)
     for x_min in candidates.tolist():
-        loglik, n = _tail_likelihood(x_sorted, log_sorted, x_min)
+        loglik = _tail_likelihood(x_sorted, log_sorted, x_min)
         alpha = _fit_alpha(loglik, 0.0)
-        lam, _ = _coarse_lambda(loglik, alpha, n)
+        lam = _coarse_lambda(loglik, alpha)
         if lam > 0.0:
             alpha = _fit_alpha(loglik, lam)
         ks = _ks_distance(x_sorted, alpha, lam, x_min)
         if best is None or ks < best[0] - 1e-12:
-            best = (ks, x_min, alpha, lam, loglik, n)
+            best = (ks, x_min, alpha, lam, loglik)
 
-    _, x_min, alpha, lam, loglik, n = best
-    lam = _fit_lambda(loglik, alpha, n)
-    alpha = _fit_alpha(loglik, lam)
+    _, x_min, alpha, lam, loglik = best
     if lam > 0.0:
         # The likelihood surface has a narrow (alpha, lam) ridge; a joint
         # simplex polish converges where coordinate ascent crawls.

@@ -46,17 +46,19 @@ _TOPIC_NOUNS = {
 }
 
 
-def sample_share_counts(
-    rng,
-    n: int,
-    alpha: float = 1.5,
-    lam: float = 0.012,
-    x_min: int = 10,
-    bulk_fraction: float = 0.8,
-):
-    """Share totals: a low-activity bulk below x_min plus a truncated
+SHARE_ALPHA = 1.5
+SHARE_LAMBDA = 0.012
+SHARE_X_MIN = 10
+SHARE_BULK_FRACTION = 0.8
+FOLLOWER_EXPONENT = 2.5
+FOLLOWER_CAP = 5_000_000
+
+
+def sample_share_counts(rng, n: int):
+    """Share totals: a low-activity bulk below SHARE_X_MIN plus a truncated
     power-law tail, mirroring how real share counts concentrate near zero
     with a heavy upper tail."""
+    alpha, lam, x_min = SHARE_ALPHA, SHARE_LAMBDA, SHARE_X_MIN
     hi = x_min
     while True:
         ks = np.arange(x_min, hi + 1, dtype=np.float64)
@@ -68,13 +70,13 @@ def sample_share_counts(
     probs = w / w.sum()
     tail_draws = rng.choice(ks.astype(np.int64), size=n, p=probs)
     bulk_draws = rng.integers(0, x_min, size=n)
-    is_bulk = rng.random(n) < bulk_fraction
+    is_bulk = rng.random(n) < SHARE_BULK_FRACTION
     return np.where(is_bulk, bulk_draws, tail_draws)
 
 
-def sample_follower_counts(rng, n: int, exponent: float = 2.5, cap: int = 5_000_000):
-    raw = rng.zipf(exponent, size=n).astype(np.int64)
-    return np.minimum(raw * 40, cap)  # scaled so typical accounts have tens of followers
+def sample_follower_counts(rng, n: int):
+    raw = rng.zipf(FOLLOWER_EXPONENT, size=n).astype(np.int64)
+    return np.minimum(raw * 40, FOLLOWER_CAP)  # scaled so typical accounts have tens of followers
 
 
 def make_history(rng, user_id: str, n_texts: int) -> tuple:

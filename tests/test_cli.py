@@ -302,6 +302,34 @@ def test_run_determinism_manifests_match(scenario_path, tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_run_topic_and_trajectories(tmp_path):
+    """--topic picks a claim other than the catalog's first, and --trajectories
+    records every regular agent (each user) at every step."""
+    scenario = build_synthetic_scenario(
+        n_users=140, communities=("alpha", "politics"), seed=3, total_steps=24
+    )
+    path, out = tmp_path / "scenario.json", tmp_path / "run"
+    save_scenario(scenario, path)
+    argv = ["run", "--scenario", str(path), "--seed", "5", "--out", str(out),
+            "--topic", "politics", "--trajectories", "--record-cadence", "1"]
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["topic"] == "politics" != scenario.disinformation_for(None).topic
+    assert sorted(report["trajectories"]) == sorted(u.user_id for u in scenario.users)
+    rows = {len(series) for series in report["trajectories"].values()}
+    assert rows == {scenario.params.total_steps + 1}
+
+
+def test_run_topic_without_claim_exits_1_and_writes_nothing(scenario_path, tmp_path, capsys):
+    out = tmp_path / "run"
+    argv = ["run", "--scenario", str(scenario_path), "--seed", "5", "--out", str(out),
+            "--topic", "politics"]
+    assert main(argv) == 1
+    assert "unknown community 'politics'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_seed_required(scenario_path, tmp_path):
     assert main(["run", "--scenario", str(scenario_path), "--out", str(tmp_path / "x")]) == 1
 

@@ -4,7 +4,9 @@ No oracle says what a run's report should be, but some changes to the input
 must leave it unchanged: the order users and catalog items are listed in,
 the cadence rows are recorded at (on the steps both record), and the arms
 run before it. Reports are compared without ``scenario_digest``, which
-hashes the input's listed order.
+hashes the input's listed order. A save and load of the scenario leaves
+the report whole, digest included. The order of ``communities`` is input
+too, but unlike the users' order it moves the report, not only the digest.
 """
 
 import random
@@ -15,6 +17,7 @@ import pytest
 from madd import engine
 from madd.content import CONTROL_PLAN, make_plan
 from madd.evaluator import make_evaluator
+from madd.scenario import load_scenario, save_scenario
 
 from conftest import build_world
 
@@ -105,3 +108,30 @@ def test_arm_after_other_arms_equals_fresh_run(small_world):
     run_report(small_world, make_plan(small_world[0].params, "late", "narrative_based"))
     after = run_report(small_world, early_fact(small_world))
     assert after.to_json() == fresh.to_json()
+
+
+def test_replay_across_save_and_load(small_world, reference, tmp_path):
+    saved, resaved = tmp_path / "saved.json", tmp_path / "resaved.json"
+    save_scenario(small_world[0], saved)
+    loaded = load_scenario(saved)
+    save_scenario(loaded, resaved)
+    assert resaved.read_bytes() == saved.read_bytes()
+    world = build_world(loaded)
+    report = run_report(
+        world, early_fact(world), topic="alpha", record_cadence=1, collect_trajectories=True
+    )
+    assert report.to_json() == reference.to_json()
+
+
+def test_community_order_is_input(small_world, reference):
+    """The list order reaches every profile request and breaks assignment
+    ties, so reversing it is a different scenario with its own digest."""
+    scenario = small_world[0]
+    reordered = replace(scenario, communities=scenario.communities[::-1])
+    assert scenario.digest().startswith("1fcf8ab4599a")
+    assert reordered.digest().startswith("493f6d94778b")
+    world = build_world(reordered)
+    report = run_report(
+        world, early_fact(world), topic="alpha", record_cadence=1, collect_trajectories=True
+    )
+    assert content(report) != content(reference)

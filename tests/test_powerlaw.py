@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import zeta
 
+from madd import powerlaw
 from madd.errors import DegenerateSamples, InsufficientData
 from madd.powerlaw import (
     _COARSE_LAMBDAS,
@@ -101,14 +102,14 @@ def test_integral_float_samples_fit_like_ints():
 # Fit reprs on pure and truncated draws: a change to the fit's arithmetic
 # that moves any bit shows here.
 PINNED_FITS = [
-    ("zipf", (2.5, 4000, 3), "(2.4859916506998685, 0.00047278617562156416, 1)"),
+    ("zipf", (2.5, 4000, 3), "(2.485991645150628, 0.00047278356185593, 1)"),
     ("zipf", (1.8, 1500, 11), "(1.8231160436860034, 0.0, 1)"),
-    ("zipf", (3.2, 2000, 5), "(3.1315721553766434, 0.013693212560700517, 1)"),
-    ("zipf", (2.1, 800, 8), "(2.083169799227983, 0.00036974929899203843, 1)"),
-    ("truncated", (1.5, 0.01, 10, 3000, 1), "(3.4572880431605237, 0.0036713006802687456, 127)"),
-    ("truncated", (1.8, 0.02, 5, 2000, 99), "(1.7363594425713356, 0.020444969892213512, 7)"),
-    ("truncated", (2.2, 0.001, 1, 1500, 4), "(2.1502154467135837, 0.003975909602305329, 1)"),
-    ("truncated", (1.3, 0.1, 3, 1000, 12), "(1.2371527673926481, 0.11412481815554477, 12)"),
+    ("zipf", (3.2, 2000, 5), "(3.1315722018178396, 0.013693224494643316, 1)"),
+    ("zipf", (2.1, 800, 8), "(2.083169723186737, 0.000369751819009803, 1)"),
+    ("truncated", (1.5, 0.01, 10, 3000, 1), "(3.457288457999419, 0.003671299136105476, 127)"),
+    ("truncated", (1.8, 0.02, 5, 2000, 99), "(1.7363594529108766, 0.020444970426810722, 7)"),
+    ("truncated", (2.2, 0.001, 1, 1500, 4), "(2.1502154706245626, 0.003975902895137706, 1)"),
+    ("truncated", (1.3, 0.1, 3, 1000, 12), "(1.2371527529551845, 0.11412481476329354, 12)"),
 ]
 
 
@@ -137,7 +138,7 @@ def ascending_coarse_lambda(ll_at):
     return best_lam
 
 
-def test_descending_coarse_scan_matches_ascending_oracle():
+def test_coarse_lambda_matches_ascending_oracle():
     rng = np.random.default_rng(2009)
     cases = []  # (samples, x_min)
     for i in range(20):
@@ -154,21 +155,21 @@ def test_descending_coarse_scan_matches_ascending_oracle():
     picks, underflows, scans = set(), 0, 0
     for samples, x_min in cases:
         x_sorted = np.sort(samples)
-        loglik, n = _tail_likelihood(x_sorted, np.log(x_sorted.astype(np.float64)), x_min)
+        loglik = _tail_likelihood(x_sorted, np.log(x_sorted.astype(np.float64)), x_min)
         alphas = [1.001, 8.0, *rng.uniform(1.05, 4.0, 6).tolist()]
-        # lam-major order, so each lam's cutoff factors are reused across alphas
-        table = {lam: {a: loglik(a, lam) for a in alphas} for lam in _COARSE_LAMBDAS}
         for a in alphas:
-            ll_at = {lam: table[lam][a] for lam in _COARSE_LAMBDAS}
-            lam, ll = _coarse_lambda(lambda _a, l: ll_at[l], a, n)
+            ll_at = {lam: loglik(a, lam) for lam in _COARSE_LAMBDAS}
+            lam = _coarse_lambda(lambda _a, l: ll_at[l], a)
             assert lam == ascending_coarse_lambda(ll_at)
-            assert ll == ll_at[lam]
             picks.add(lam)
             underflows += ll_at[1.0] == -np.inf
             scans += 1
     assert scans >= 300
     assert 0.0 in picks and len(picks) >= 5
     assert underflows >= len(alphas)
+    # on a plateau the smallest lam wins
+    plateau = {lam: min(lam, _COARSE_LAMBDAS[5]) for lam in _COARSE_LAMBDAS}
+    assert _coarse_lambda(lambda _a, l: plateau[l], 2.0) == _COARSE_LAMBDAS[5]
 
 
 class TestCdf:
@@ -336,7 +337,21 @@ def test_small_lambda_bounded_cost(lam):
 
 def test_paper_world_fit_pinned(paper_world):
     fit = paper_world[-1]
-    assert repr((fit.alpha, fit.lam, fit.x_min)) == "(1.637056733114949, 0.010346201480021314, 11)"
+    assert repr((fit.alpha, fit.lam, fit.x_min)) == "(1.6370566948061214, 0.010346202180251396, 11)"
+
+
+def test_paper_world_fit_normalizer_calls_pinned(paper_world, monkeypatch):
+    """The fit's work as a count: a change to the search moves it exactly."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _norm_constant(*args)
+
+    monkeypatch.setattr(powerlaw, "_norm_constant", counted)
+    samples = [p.share_total for p in paper_world[1] if not p.is_bot and p.share_total >= 1]
+    assert fit_truncated_power_law(samples) == paper_world[-1]
+    assert len(calls) == 1_223
 
 
 def test_invalid_parameters_rejected():
