@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import MissingField, NoCorrectionAvailable, RangeViolation
+from .errors import MissingField, NoCorrectionAvailable, RangeViolation, ScenarioError
 from .evaluator import EvaluationRequest, Evaluator
 
 CONTENT_KINDS = ("disinformation", "correction")
@@ -69,6 +69,9 @@ class ContentItem:
         for name in ("content_id", "topic", "kind"):
             if name not in data:
                 raise MissingField(name, where)
+        unknown = set(data) - cls.__dataclass_fields__.keys()
+        if unknown:
+            raise ScenarioError(f"unknown key(s) in {where}: {sorted(unknown)}")
         try:
             return cls(
                 content_id=data["content_id"],

@@ -27,12 +27,11 @@ Semantics, fixed for determinism:
 * Every draw is keyed by (seed, purpose, agent[, item]), never by the
   order agents are processed in. Each regular agent owns one "act" stream,
   drawn once per run as a (steps, 2) block of activation and share
-  uniforms; step t reads row t-1. Each receiver owns one
-  "belief" and one "accept" stream over the run's claim, and its k-th
-  judgment of that kind takes the stream's k-th uniform. Judgment streams
-  are read in blocks of JUDGMENT_BLOCK uniforms: on PCG64, ``random(n)``
-  yields the same doubles as n scalar ``random()`` calls, so the k-th
-  judgment still takes the k-th uniform.
+  uniforms; step t reads row t-1. Its "belief" and "accept" streams over
+  the run's claim are derived at run start, one ``substreams`` pass per
+  kind over every regular agent; its k-th judgment of a kind takes that
+  stream's k-th uniform, read in blocks of JUDGMENT_BLOCK (on PCG64,
+  ``random(n)`` yields the same doubles as n scalar ``random()`` calls).
 
 Bots are instruments: only bots homed in the run topic's community act,
 each broadcasting on the steps of its drawn schedule alone - malicious ones
@@ -339,6 +338,10 @@ def run(
             raise ValueError(f"trust {trust} of {ids[i]} outside [0, 1]")
 
     rows = state.rows
+    for purpose, streams in state.streams.items():
+        labels = ((purpose, ids[i], disinfo.content_id) for i in rows)
+        for i, gen in zip(rows, rngmod.substreams(seed, labels)):
+            streams[i] = JudgmentStream(gen)
     draws = activation_draws(seed, [ids[i] for i in rows], params.total_steps)
     probs = np.array([members[i].activation_probs for i in rows], dtype=float)
     probs = probs.reshape(len(rows), HOURS_PER_DAY)
@@ -394,7 +397,7 @@ def run(
                 if exposed[i]:
                     spreading[i] = True
 
-            _deliver(state, outgoing, seed, disinfo.content_id, plausibility)
+            _deliver(state, outgoing, plausibility)
             if state.sends is not None:
                 state.sends.append((t, outgoing))
 
@@ -436,9 +439,8 @@ def _apply_trust_update(state: SimulationState, i: int, evaluator, params, topic
     pending.clear()
 
 
-def _deliver(state: SimulationState, outgoing, seed, claim_id, plausibility) -> None:
-    ids, audience, trust, latest, pending = (
-        state.ids, state.audience, state.trust, state.latest, state.pending)
+def _deliver(state: SimulationState, outgoing, plausibility) -> None:
+    audience, trust, latest, pending = state.audience, state.trust, state.latest, state.pending
     exposed, believes, streams = state.exposed, state.believes, state.streams
     da_of = {}  # receiver -> discernment; trust holds still while a step delivers
     for sender, kind in outgoing:
@@ -469,10 +471,6 @@ def _deliver(state: SimulationState, outgoing, seed, claim_id, plausibility) -> 
             # stream, so plans sharing a seed see aligned randomness until
             # their histories actually diverge
             stream = streams[purpose][r]
-            if stream is None:
-                stream = streams[purpose][r] = JudgmentStream(
-                    rngmod.substream(seed, purpose, ids[r], claim_id)
-                )
             if purpose == "belief":
                 believes[r] = believe_disinformation(da, stream)
             elif stream.random() < da:

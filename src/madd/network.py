@@ -28,13 +28,17 @@ class PropagationNetwork:
     """Undirected diffusion graph over agents, with community labels."""
 
     kinds: dict = field(default_factory=dict)  # agent_id -> agent kind
-    edges: set = field(default_factory=set)  # frozenset pairs -> stored as sorted tuples
     community_index: dict = field(default_factory=dict)  # community -> sorted members
-    _adjacency: dict = field(default_factory=dict, repr=False)
+    _adjacency: dict = field(default_factory=dict, repr=False)  # agent_id -> neighbour set
 
     @property
     def nodes(self) -> list:
         return sorted(self.kinds)
+
+    @property
+    def edges(self) -> list:
+        """Every edge once, as sorted ``(a, b)`` pairs with a < b."""
+        return sorted((a, b) for a, ns in self._adjacency.items() for b in ns if a < b)
 
     def add_node(self, agent_id: str, kind: str) -> None:
         self.kinds.setdefault(agent_id, kind)
@@ -43,10 +47,6 @@ class PropagationNetwork:
     def add_edge(self, a: str, b: str) -> None:
         if a == b:
             raise ValueError(f"self-loop on {a!r}")
-        pair = (a, b) if a < b else (b, a)
-        if pair in self.edges:
-            return
-        self.edges.add(pair)
         self._adjacency[a].add(b)
         self._adjacency[b].add(a)
 
@@ -55,9 +55,6 @@ class PropagationNetwork:
 
     def degree(self, agent_id: str) -> int:
         return len(self._adjacency.get(agent_id, ()))
-
-    def edge_list(self) -> list:
-        return sorted(self.edges)
 
     def to_dict(self) -> dict:
         memberships: dict[str, set] = {}
@@ -73,12 +70,12 @@ class PropagationNetwork:
                 }
                 for agent_id in self.nodes
             ],
-            "edges": [list(pair) for pair in self.edge_list()],
+            "edges": [list(pair) for pair in self.edges],
             "communities": {c: list(members) for c, members in self.community_index.items()},
         }
 
     def edge_text(self) -> str:
-        return "\n".join(f"{a}\t{b}" for a, b in self.edge_list()) + "\n"
+        return "\n".join(f"{a}\t{b}" for a, b in self.edges) + "\n"
 
 
 def assign_communities(profiles, tau: float, communities) -> dict:

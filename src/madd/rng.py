@@ -5,22 +5,21 @@ seed plus string labels, so results are reproducible regardless of evaluation
 order or platform (blake2b is stable; Python's builtin hash() is salted and
 never used here).
 
-``substream(seed, *labels)`` is the reference path. Its entropy words are
-the seed (one 32-bit word below 2**32, two from there up to 2**64; negative
-seeds are masked to 64 bits) followed by four words of blake2b over the
-labels joined as ``str``, so a ``bytes`` label hashes its repr. numpy's
-``SeedSequence`` mixes those words and its ``generate_state(4, uint64)``
+``substream(seed, *labels)`` is the reference path. Its uint32 entropy
+words are the seed's from ``_seed_words`` (masked to 64 bits; one word below
+2**32, two from there up), then the four little-endian words of blake2b
+over the labels joined as ``str`` (a ``bytes`` label hashes its repr).
+numpy's ``SeedSequence`` mixes them and its ``generate_state(4, uint64)``
 seeds ``PCG64`` (O'Neill, "PCG: A family of simple fast space-efficient
-statistically good algorithms for random number generation",
-HMC-CS-2014-0905).
+statistically good algorithms for random number generation", HMC-CS-2014-0905).
 
-``substreams(seed, labels_list)`` serves many label tuples at once. It
-repeats SeedSequence's entropy mixing and state hashing as uint32 array
-arithmetic over all rows, keeps each row's four 64-bit state words, and
-seeds a row's ``PCG64`` from them only when that row's generator is read.
-Contract: row i is bit-for-bit the generator ``substream(seed,
-*labels_list[i])`` returns - the same ``bit_generator.state`` and the same
-draws (tests/test_rng.py compares both).
+``substreams(seed, labels_list)`` serves many label tuples at once, from the
+same seed words. It repeats SeedSequence's entropy mixing and state hashing
+as uint32 array arithmetic over all rows, keeps each row's four 64-bit state
+words, and seeds a row's ``PCG64`` from them only when that row's generator
+is read; it pays off from about 15-20 rows. Contract: row i is bit-for-bit
+the generator ``substream(seed, *labels_list[i])`` returns - the same
+``bit_generator.state`` and the same draws (tests/test_rng.py compares both).
 """
 
 from __future__ import annotations
@@ -51,14 +50,15 @@ def _label_digest(labels) -> bytes:
     return hashlib.blake2b(joined, digest_size=16).digest()
 
 
-def _label_words(*labels: object) -> list[int]:
-    digest = _label_digest(labels)
-    return [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4)]
+def _seed_words(seed: int) -> list[int]:
+    seed = int(seed) & _MASK64
+    return [seed & _MASK32, seed >> 32] if seed >> 32 else [seed]
 
 
 def substream(seed: int, *labels: object) -> np.random.Generator:
     """Generator for the substream named by ``labels`` under ``seed``."""
-    entropy = [int(seed) & _MASK64] + _label_words(*labels)
+    label_words = np.frombuffer(_label_digest(labels), dtype="<u4")
+    entropy = np.concatenate((np.array(_seed_words(seed), dtype=np.uint32), label_words))
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
 
@@ -86,9 +86,7 @@ def _state_words(seed: int, label_words: np.ndarray) -> np.ndarray:
     """``SeedSequence([seed] + row).generate_state(4, np.uint64)`` for every
     row of the (n, 4) uint32 ``label_words``, as an (n, 4) uint64 array."""
     n = len(label_words)
-    seed = int(seed) & _MASK64
-    seed_words = [seed & _MASK32, seed >> 32] if seed >> 32 else [seed]
-    entropy = [np.full(n, w, dtype=np.uint32) for w in seed_words]
+    entropy = [np.full(n, w, dtype=np.uint32) for w in _seed_words(seed)]
     entropy += [label_words[:, j] for j in range(4)]
 
     # SeedSequence.mix_entropy; five or six words, so the pool needs no padding
@@ -127,10 +125,11 @@ def substreams(seed: int, labels_list: Iterable) -> Iterator[np.random.Generator
     Labels are hashed and mixed at call time and only 32 bytes of state are
     kept per row; each Generator is built when the iterator reaches it.
 
-    The array pass has a fixed cost: about 0.3 ms for one row and 0.4-0.5 ms
-    for 5-20 rows, against 30-40 us per ``substream`` call (2-vCPU VM,
-    Python 3.11, numpy 2.4). A batch breaks even with scalar ``substream``
-    calls at about 10-15 rows; below that, call ``substream`` per row.
+    The array pass has a fixed cost: about 0.3 ms for one row and 0.3-0.4 ms
+    for 5-20 rows, against about 20 us per ``substream`` call (each generator
+    read once; 2-vCPU VM, Python 3.11, numpy 2.4). A batch breaks even with
+    scalar ``substream`` calls at about 15-20 rows; below that, call
+    ``substream`` per row.
     """
     digests = b"".join(_label_digest(labels) for labels in labels_list)
     label_words = np.frombuffer(digests, dtype="<u4").reshape(-1, 4)

@@ -336,6 +336,10 @@ def scenario_from_dict(data, base_dir: Path | None = None) -> Scenario:
         raise RangeViolation("scenario", data, "a JSON object")
     if data.get("version") != 1:
         raise MissingField("version", "scenario (expected version: 1)")
+    unknown = set(data) - {"version", "params", "communities", "users", "users_file",
+                           "content_catalog", "evaluator"}
+    if unknown:
+        raise ScenarioError(f"unknown key(s) in scenario: {sorted(unknown)}")
     if "communities" not in data:
         raise MissingField("communities")
     communities = data["communities"]

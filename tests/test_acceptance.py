@@ -100,7 +100,7 @@ def test_criterion_03_network_properties():
     _, fit = degree_distribution(net, min_degree=2)
     assert fit is not None and 2.2 <= fit.alpha <= 3.5
     rebuilt = build_network(members, index, params, seed=4)
-    assert rebuilt.edge_list() == net.edge_list()
+    assert rebuilt.edges == net.edges
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0
     report_line(

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from madd.attributes import KIND_LBOT, AgentProfile
@@ -10,7 +12,7 @@ from madd.content import (
     score_plausibility,
 )
 from madd.engine import build_bot_schedules
-from madd.errors import NoCorrectionAvailable, RangeViolation
+from madd.errors import NoCorrectionAvailable, RangeViolation, ScenarioError
 from madd.evaluator import SyntheticEvaluator
 from madd.scenario import SimulationParams
 
@@ -46,6 +48,14 @@ class TestContentItem:
         data = {"content_id": "d7", "topic": "politics", "kind": "disinformation",
                 "strategy": "none", "text": "t", name: 5}
         with pytest.raises(RangeViolation, match=rf"^{name}\(d7\) = 5 violates a string"):
+            ContentItem.from_dict(data)
+
+    def test_unknown_key_rejected_naming_the_item(self):
+        # a misspelt plausibility would otherwise be scored by the evaluator
+        data = {"content_id": "disinfo_business", "topic": "business",
+                "kind": "disinformation", "plausability": 0.9}
+        message = "unknown key(s) in content item 'disinfo_business': ['plausability']"
+        with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
             ContentItem.from_dict(data)
 
 

@@ -696,6 +696,34 @@ class TestGoldenDigests:
                 endorsed[receiver] = endorsed.get(receiver, 0) + 1
         assert max(endorsed.values()) > engine.JUDGMENT_BLOCK
 
+    def test_dense_world_builds_no_single_judgment_stream(self, dense_world, monkeypatch):
+        # every belief and accept stream comes from the run-start batch, and
+        # the early_fact pin above still holds
+        single = rngmod.substream
+
+        def no_judgment_stream(seed, *labels):
+            if labels and labels[0] in ("belief", "accept"):
+                raise AssertionError(f"judgment stream {labels} built one at a time")
+            return single(seed, *labels)
+
+        monkeypatch.setattr(rngmod, "substream", no_judgment_stream)
+        scenario, profiles, _, network, fit = dense_world
+        report = engine.run(
+            scenario,
+            network,
+            profiles,
+            make_plan(scenario.params, "early", "fact_based"),
+            make_evaluator(scenario.evaluator_config, scenario.params.rng_seed),
+            seed=13,
+            fit=fit,
+            collect_trajectories=True,
+        )
+        assert report.complete
+        assert self.digests(report) == (
+            "8fd0541019e29488f450480a8ce58778b07d62264859095f096214c74a1db072",
+            "a80856f21781d505602172030650c7a5f0c8746957f27f3d43d67a1df9997b26",
+        )
+
 
 class TestActivationKeying:
     def regulars(self, small_world):

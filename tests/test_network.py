@@ -93,7 +93,7 @@ class TestBuildNetwork:
         params = SimulationParams(m0=5, m=2)
         a = build_network(members, index, params, seed=77)
         b = build_network(members, index, params, seed=77)
-        assert a.edge_list() == b.edge_list()
+        assert a.edges == b.edges
 
     def test_each_arrival_adds_m_edges(self):
         members = uniform_profiles(50, seed=2)
@@ -108,6 +108,13 @@ class TestBuildNetwork:
         net = build_network(members, index, SimulationParams(m0=5, m=3), seed=9)
         assert all(a != b for a, b in net.edges)
         assert len(net.edges) == len(set(net.edges))
+
+    def test_edges_listed_once_sorted(self):
+        members = uniform_profiles(120, seed=8)
+        index = {"only": [p.agent_id for p in members]}
+        net = build_network(members, index, SimulationParams(m0=5, m=3), seed=9)
+        assert net.edges == sorted(net.edges)
+        assert all(a < b for a, b in net.edges)
 
     def test_influence_attracts_degree(self):
         """Hubs should be high-influence members nearly always."""

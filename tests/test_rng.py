@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from madd import rng as rngmod
 
@@ -61,3 +63,31 @@ def test_rows_independent_of_batch():
 
 def test_empty_list():
     assert list(rngmod.substreams(3, [])) == []
+
+
+def int_list_generator(seed, labels):
+    """The generator numpy builds from ``[seed & (2**64 - 1)]`` plus the label
+    digest's four little-endian words as Python ints, coerced by SeedSequence."""
+    digest = rngmod._label_digest(labels)
+    words = [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4)]
+    entropy = np.random.SeedSequence([seed & (2**64 - 1)] + words)
+    return np.random.Generator(np.random.PCG64(entropy))
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**32 + 7, 2**64 - 1, -1])
+def test_substream_matches_int_list_entropy(seed):
+    for labels in LABELS:
+        expected = int_list_generator(seed, labels)
+        assert rngmod.substream(seed, *labels).bit_generator.state == (
+            expected.bit_generator.state
+        ), labels
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(-(2**64), 2**65 - 1),
+    labels=st.lists(st.one_of(st.text(), st.binary(), st.integers()), max_size=4),
+)
+def test_substream_matches_int_list_entropy_for_any_seed(seed, labels):
+    expected = int_list_generator(seed, labels)
+    assert rngmod.substream(seed, *labels).bit_generator.state == expected.bit_generator.state

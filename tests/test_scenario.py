@@ -116,6 +116,19 @@ class TestLoading:
         with pytest.raises(ScenarioError, match="unknown parameter"):
             scenario_from_dict(minimal_scenario_dict(thetta=0.4))
 
+    def test_unknown_top_level_key_rejected(self):
+        # a misspelt "params" would otherwise run every default
+        data = minimal_scenario_dict(total_steps=36)
+        data["param"] = data.pop("params")
+        with pytest.raises(ScenarioError, match=r"^unknown key\(s\) in scenario: \['param'\]$"):
+            scenario_from_dict(data)
+
+    def test_unknown_catalog_item_key_rejected(self):
+        data = minimal_scenario_dict()
+        data["content_catalog"][0]["plausability"] = 0.9
+        with pytest.raises(ScenarioError, match=r"in content item 'd1': \['plausability'\]"):
+            scenario_from_dict(data)
+
     @pytest.mark.parametrize(
         "name, value",
         [
