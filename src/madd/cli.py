@@ -184,7 +184,7 @@ def _write_profiles(writer, profiles) -> None:
 
 def _write_network(writer, net) -> None:
     writer.write_text("edges.txt", net.edge_text())
-    writer.write_text("network.json", json.dumps(net.to_dict(), indent=2, sort_keys=True) + "\n")
+    writer.write_text("network.json", net.json_text())
 
 
 def _cmd_validate(args) -> int:

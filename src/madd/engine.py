@@ -28,9 +28,10 @@ Semantics, fixed for determinism:
   order agents are processed in. Each regular agent owns one "act" stream,
   drawn once per run as a (steps, 2) block of activation and share
   uniforms; step t reads row t-1. Its "belief" and "accept" streams over
-  the run's claim are derived at run start, one ``substreams`` pass per
-  kind over every regular agent; its k-th judgment of a kind takes that
-  stream's k-th uniform, read in blocks of JUDGMENT_BLOCK (on PCG64,
+  the run's claim are derived at run start, one ``substream_states`` pass
+  per kind over every regular agent, and each seeds its generator at its
+  first judgment; its k-th judgment of a kind takes that stream's k-th
+  uniform, read in blocks of JUDGMENT_BLOCK (on PCG64,
   ``random(n)`` yields the same doubles as n scalar ``random()`` calls).
 
 Bots are instruments: only bots homed in the run topic's community act,
@@ -86,20 +87,24 @@ JUDGMENT_BLOCK = 32  # uniforms a judgment stream draws per refill
 class JudgmentStream:
     """One receiver's uniforms for one kind of judgment, handed out in order.
 
+    The stream keeps its row of ``rng.substream_states`` and seeds its
+    generator on the first ``random()``, so a stream never read holds none.
     The generator is read ``JUDGMENT_BLOCK`` doubles at a time; the k-th
     ``random()`` call returns the generator's k-th scalar ``random()``, so a
     stream stands in for the generator wherever one uniform is drawn at a
     time (``dynamics.believe_disinformation`` takes either).
     """
 
-    __slots__ = ("_gen", "_block", "_next")
+    __slots__ = ("_words", "_gen", "_block", "_next")
 
-    def __init__(self, gen: np.random.Generator):
-        self._gen, self._block, self._next = gen, None, JUDGMENT_BLOCK
+    def __init__(self, words: np.ndarray):
+        self._words, self._gen, self._block, self._next = words, None, None, JUDGMENT_BLOCK
 
     def random(self) -> float:
         i = self._next
         if i == JUDGMENT_BLOCK:
+            if self._gen is None:
+                self._gen = rngmod.generator(self._words)
             self._block = self._gen.random(JUDGMENT_BLOCK).tolist()
             i = 0
         self._next = i + 1
@@ -340,8 +345,8 @@ def run(
     rows = state.rows
     for purpose, streams in state.streams.items():
         labels = ((purpose, ids[i], disinfo.content_id) for i in rows)
-        for i, gen in zip(rows, rngmod.substreams(seed, labels)):
-            streams[i] = JudgmentStream(gen)
+        for i, words in zip(rows, rngmod.substream_states(seed, labels)):
+            streams[i] = JudgmentStream(words)
     draws = activation_draws(seed, [ids[i] for i in rows], params.total_steps)
     probs = np.array([members[i].activation_probs for i in rows], dtype=float)
     probs = probs.reshape(len(rows), HOURS_PER_DAY)

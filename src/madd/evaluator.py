@@ -57,12 +57,32 @@ class EvaluationRequest:
         object.__setattr__(self, "subject_texts", tuple(self.subject_texts))
 
     def canonical_bytes(self) -> bytes:
-        payload = {
-            "kind": self.kind,
-            "texts": list(self.subject_texts),
-            "context": self.context,
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        """``json.dumps({"kind", "texts", "context"}, sort_keys=True,
+        separators=(",", ":"))`` of the request, UTF-8 encoded."""
+        return _canonical(self.kind, _encode(self.subject_texts), _encode(self.context))
+
+
+# json.dumps builds an encoder per call when given options; this one is built
+# once. Its output is ASCII, and a tuple encodes as a JSON array.
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _canonical(kind: str, texts_json: str, context_json: str) -> bytes:
+    """A request's canonical bytes from its encoded texts and context: the
+    payload's keys in sorted order, as ``sort_keys`` writes them."""
+    return f'{{"context":{context_json},"kind":{_encode(kind)},"texts":{texts_json}}}'.encode()
+
+
+def _canonical_all(requests) -> Iterator[bytes]:
+    """``canonical_bytes`` of each request. A request that holds the same
+    texts and context objects as the one before it (the kinds one subject
+    is scored on) reuses their encodings."""
+    texts = context = None
+    for request in requests:
+        if request.subject_texts is not texts or request.context is not context:
+            texts, context = request.subject_texts, request.context
+            texts_json, context_json = _encode(texts), _encode(context)
+        yield _canonical(request.kind, texts_json, context_json)
 
 
 @dataclass(frozen=True)
@@ -276,7 +296,7 @@ class SyntheticEvaluator(Evaluator):
             return super().evaluate_many(requests)
         requests = list(requests)
         streams = rngmod.substreams(
-            self.seed, (("evaluator", request.canonical_bytes()) for request in requests)
+            self.seed, (("evaluator", data) for data in _canonical_all(requests))
         )
         return map(self.evaluate, requests, streams)
 
@@ -297,10 +317,10 @@ class SyntheticEvaluator(Evaluator):
         return scores
 
     def _eval_trust_threshold(self, request: EvaluationRequest, rng) -> dict:
-        return {
-            community: min(1.0, max(0.0, float(rng.normal(TT_MEAN, TT_STD))))
-            for community in request.context["communities"]
-        }
+        communities = request.context["communities"]
+        # one array draw gives the doubles of len(communities) scalar draws
+        draws = rng.normal(TT_MEAN, TT_STD, len(communities)).tolist()
+        return {community: min(1.0, max(0.0, v)) for community, v in zip(communities, draws)}
 
     def _eval_plausibility(self, request: EvaluationRequest, rng) -> dict:
         text = request.subject_texts[0] if request.subject_texts else ""

@@ -14,6 +14,7 @@ arises solely from users who belong to several communities.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -30,6 +31,8 @@ class PropagationNetwork:
     kinds: dict = field(default_factory=dict)  # agent_id -> agent kind
     community_index: dict = field(default_factory=dict)  # community -> sorted members
     _adjacency: dict = field(default_factory=dict, repr=False)  # agent_id -> neighbour set
+    # the sorted edge list, built on first use after the last add_edge
+    _sorted_edges: list | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def nodes(self) -> list:
@@ -38,7 +41,14 @@ class PropagationNetwork:
     @property
     def edges(self) -> list:
         """Every edge once, as sorted ``(a, b)`` pairs with a < b."""
-        return sorted((a, b) for a, ns in self._adjacency.items() for b in ns if a < b)
+        return list(self._edge_list())
+
+    def _edge_list(self) -> list:
+        if self._sorted_edges is None:
+            self._sorted_edges = sorted(
+                (a, b) for a, ns in self._adjacency.items() for b in ns if a < b
+            )
+        return self._sorted_edges
 
     def add_node(self, agent_id: str, kind: str) -> None:
         self.kinds.setdefault(agent_id, kind)
@@ -49,6 +59,7 @@ class PropagationNetwork:
             raise ValueError(f"self-loop on {a!r}")
         self._adjacency[a].add(b)
         self._adjacency[b].add(a)
+        self._sorted_edges = None
 
     def neighbors(self, agent_id: str) -> list:
         return sorted(self._adjacency.get(agent_id, ()))
@@ -74,8 +85,44 @@ class PropagationNetwork:
             "communities": {c: list(members) for c, members in self.community_index.items()},
         }
 
+    def json_text(self) -> str:
+        """``json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"``,
+        written without building the dict: on Python 3.11 ``json.dumps``
+        falls back to its pure-Python encoder whenever ``indent`` is set.
+        Strings go through the encoder's own ``encode_basestring_ascii``."""
+        quoted = {agent_id: encode_basestring_ascii(agent_id) for agent_id in self.kinds}
+        memberships: dict[str, list] = {}
+        communities = []
+        for community in sorted(self.community_index):
+            name = encode_basestring_ascii(community)
+            members = self.community_index[community]
+            for agent_id in members:
+                memberships.setdefault(agent_id, []).append(name)
+            communities.append(f"{name}: " + _json_array([quoted[a] for a in members], 4))
+        nodes = [
+            f'{{\n      "agent_id": {quoted[agent_id]},\n      "communities": '
+            f"{_json_array(memberships.get(agent_id, ()), 6)},\n"
+            f'      "kind": {encode_basestring_ascii(self.kinds[agent_id])}\n    }}'
+            for agent_id in self.nodes
+        ]
+        edges = [f"[\n      {quoted[a]},\n      {quoted[b]}\n    ]" for a, b in self._edge_list()]
+        body = "{\n    " + ",\n    ".join(communities) + "\n  }" if communities else "{}"
+        return (
+            f'{{\n  "communities": {body},\n  "edges": {_json_array(edges, 2)},'
+            f'\n  "nodes": {_json_array(nodes, 2)}\n}}\n'
+        )
+
     def edge_text(self) -> str:
-        return "\n".join(f"{a}\t{b}" for a, b in self.edges) + "\n"
+        return "\n".join(f"{a}\t{b}" for a, b in self._edge_list()) + "\n"
+
+
+def _json_array(items, depth: int) -> str:
+    """A JSON array of encoded items, laid out as ``json.dumps(indent=2)``
+    lays out an array ``depth`` spaces in."""
+    if not items:
+        return "[]"
+    inner = " " * (depth + 2)
+    return f"[\n{inner}" + f",\n{inner}".join(items) + "\n" + " " * depth + "]"
 
 
 def assign_communities(profiles, tau: float, communities) -> dict:

@@ -136,7 +136,8 @@ def _coarse_lambda(loglik, alpha: float) -> float:
 
 @dataclass(frozen=True)
 class PowerLawFit:
-    """Fitted truncated power law with cached distribution tables."""
+    """Fitted truncated power law. For lam > 0 the cdf reads a cumulative
+    table that grows, in doubling chunks, only as far as the largest k asked."""
 
     alpha: float
     lam: float
@@ -172,23 +173,46 @@ class PowerLawFit:
         if self.lam <= 0.0:
             p = float(1.0 - zeta(self.alpha, k + 1.0) / self.normalization)
             return min(max(p, 0.0), 1.0)
-        table = self._table
-        return float(table[int(min(k - self.x_min, len(table) - 1))])
+        size = _table_size(self.lam)
+        i = int(min(k - self.x_min, size - 1))
+        sums = self.__dict__.get("_sums", _NO_SUMS)
+        if i >= sums.size:  # grow in doubling chunks up to the largest k asked
+            grown = min(max(i + 1, 2 * sums.size), size)
+            sums = self.__dict__["_sums"] = _running_sums(
+                self.alpha, self.lam, self.x_min, grown, sums
+            )
+        return min(max(float(sums[i]) / self.normalization, 0.0), 1.0)
 
-    @cached_property
-    def _table(self) -> np.ndarray:
-        """Cumulative probabilities from x_min out to where the cutoff has
-        extinguished all but ~1e-15 of the mass (queries beyond clamp to the
-        last entry). Only used for lam > 0."""
-        return _cumulative(self.alpha, self.lam, self.x_min, self.normalization)
+
+def _table_size(lam: float) -> int:
+    """Entries of the cumulative table (lam > 0): k from x_min out to where the
+    cutoff has extinguished all but ~1e-15 of the mass; later k read the last."""
+    return int(min(np.ceil(_CUTOFF_SPAN / lam), _MAX_TABLE)) + 1
 
 
-def _cumulative(alpha: float, lam: float, x_min: int, z: float, last=math.inf) -> np.ndarray:
-    """P(X <= k) for k = x_min .. min(last, x_min + _CUTOFF_SPAN / lam), lam > 0;
-    summed in k order, so stopping at ``last`` keeps the full table's bits."""
-    end = x_min + int(min(np.ceil(_CUTOFF_SPAN / lam), _MAX_TABLE))
-    ks = np.arange(x_min, min(last, end) + 1, dtype=np.float64)
-    return np.clip(np.cumsum(ks**-alpha * np.exp(-lam * ks)) / z, 0.0, 1.0)
+_NO_SUMS = np.empty(0)
+
+
+def _running_sums(alpha: float, lam: float, x_min: int, size: int, sums=_NO_SUMS) -> np.ndarray:
+    """Running sums of k^-alpha e^(-lam k) for the first ``size`` k from x_min.
+
+    ``sums``, the first ``sums.size`` of them, is carried on from its last
+    entry: adding it to the next term before the chunk's cumsum keeps the
+    sequential order of one ``np.cumsum`` from x_min, so every entry has its bits.
+    """
+    ks = np.arange(x_min + sums.size, x_min + size, dtype=np.float64)
+    terms = ks**-alpha * np.exp(-lam * ks)
+    if not sums.size:
+        return np.cumsum(terms)
+    terms[0] += sums[-1]
+    return np.concatenate((sums, np.cumsum(terms)))
+
+
+def _cumulative(alpha: float, lam: float, x_min: int, z: float, last: int) -> np.ndarray:
+    """P(X <= k) for k = x_min .. min(last, the table's last k), lam > 0: the
+    entries ``PowerLawFit.cdf`` reads, from the same running sums."""
+    size = min(last - x_min + 1, _table_size(lam))
+    return np.clip(_running_sums(alpha, lam, x_min, size) / z, 0.0, 1.0)
 
 
 def fit_truncated_power_law(samples) -> PowerLawFit:

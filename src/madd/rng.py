@@ -14,10 +14,11 @@ seeds ``PCG64`` (O'Neill, "PCG: A family of simple fast space-efficient
 statistically good algorithms for random number generation", HMC-CS-2014-0905).
 
 ``substreams(seed, labels_list)`` serves many label tuples at once, from the
-same seed words. It repeats SeedSequence's entropy mixing and state hashing
-as uint32 array arithmetic over all rows, keeps each row's four 64-bit state
-words, and seeds a row's ``PCG64`` from them only when that row's generator
-is read; it pays off from about 15-20 rows. Contract: row i is bit-for-bit
+same seed words. ``substream_states`` repeats SeedSequence's entropy mixing
+and state hashing as uint32 array arithmetic over all rows and keeps each
+row's four 64-bit state words; ``generator`` seeds a row's ``PCG64`` from
+them, which ``substreams`` does only when that row's generator is read. It
+pays off from about 15-20 rows. Contract: row i is bit-for-bit
 the generator ``substream(seed, *labels_list[i])`` returns - the same
 ``bit_generator.state`` and the same draws (tests/test_rng.py compares both).
 """
@@ -46,7 +47,7 @@ _XSHIFT = np.uint32(16)
 
 
 def _label_digest(labels) -> bytes:
-    joined = "\x1f".join(str(x) for x in labels).encode("utf-8")
+    joined = "\x1f".join(map(str, labels)).encode("utf-8")
     return hashlib.blake2b(joined, digest_size=16).digest()
 
 
@@ -118,6 +119,20 @@ class _StateWords(ISeedSequence):
         return self._words
 
 
+def substream_states(seed: int, labels_list: Iterable) -> np.ndarray:
+    """The PCG64 state words of ``substream(seed, *labels)`` for every label
+    tuple in ``labels_list``, as an (n, 4) uint64 array: row i seeds, through
+    ``generator``, the generator ``substream`` returns for the i-th tuple."""
+    digests = b"".join(_label_digest(labels) for labels in labels_list)
+    label_words = np.frombuffer(digests, dtype="<u4").reshape(-1, 4)
+    return _state_words(seed, label_words)
+
+
+def generator(words: np.ndarray) -> np.random.Generator:
+    """The generator seeded by one row of ``substream_states``."""
+    return np.random.Generator(np.random.PCG64(_StateWords(words)))
+
+
 def substreams(seed: int, labels_list: Iterable) -> Iterator[np.random.Generator]:
     """The generators ``substream(seed, *labels)`` for every label tuple in
     ``labels_list``, in order.
@@ -131,7 +146,4 @@ def substreams(seed: int, labels_list: Iterable) -> Iterator[np.random.Generator
     scalar ``substream`` calls at about 15-20 rows; below that, call
     ``substream`` per row.
     """
-    digests = b"".join(_label_digest(labels) for labels in labels_list)
-    label_words = np.frombuffer(digests, dtype="<u4").reshape(-1, 4)
-    states = _state_words(seed, label_words)
-    return (np.random.Generator(np.random.PCG64(_StateWords(row))) for row in states)
+    return map(generator, substream_states(seed, labels_list))

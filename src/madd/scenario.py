@@ -15,6 +15,8 @@ import io
 import json
 import sys
 from dataclasses import asdict, dataclass, field, replace
+from itertools import chain, repeat
+from operator import lt
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -183,18 +185,19 @@ class UserRecord:
     def __post_init__(self):
         if not isinstance(self.user_id, str):
             raise RangeViolation("user_id", self.user_id, "a string")
-        for name in _COUNT_FIELDS:
-            if getattr(self, name) < 0:
-                raise RangeViolation(f"{name}({self.user_id})", getattr(self, name), ">= 0")
+        if (self.follower_count < 0 or self.following_count < 0 or self.post_count < 0
+                or self.retweet_count < 0 or self.quote_count < 0):
+            name = next(name for name in _COUNT_FIELDS if getattr(self, name) < 0)
+            raise RangeViolation(f"{name}({self.user_id})", getattr(self, name), ">= 0")
         if not isinstance(self.description, str):
             raise RangeViolation(f"description({self.user_id})", self.description, "a string")
-        if not all(isinstance(text, str) for pair in self.historical_texts for text in pair):
+        if not all(map(isinstance, chain.from_iterable(self.historical_texts), repeat(str))):
             raise RangeViolation(f"historical_texts({self.user_id})", self.historical_texts,
                                  "[kind, text] string pairs")
         if len(self.activity_histogram) != HOURS_PER_DAY:
             raise RangeViolation(f"activity_histogram({self.user_id})",
                                  len(self.activity_histogram), f"exactly {HOURS_PER_DAY} buckets")
-        if any(v < 0 for v in self.activity_histogram):
+        if any(map(lt, self.activity_histogram, repeat(0))):
             raise RangeViolation(f"activity_histogram({self.user_id})", self.activity_histogram,
                                  "counts >= 0")
 
@@ -232,9 +235,9 @@ class UserRecord:
             user_id = str(user_id)
         if "follower_count" not in data:
             raise MissingField("follower_count", f"user record {user_id!r}")
-        unknown = set(data) - cls.__dataclass_fields__.keys()
-        if unknown:
-            raise ScenarioError(f"unknown key(s) in user record {user_id!r}: {sorted(unknown)}")
+        if not data.keys() <= _USER_FIELDS:
+            unknown = sorted(data.keys() - _USER_FIELDS)
+            raise ScenarioError(f"unknown key(s) in user record {user_id!r}: {unknown}")
         values = {**data, "user_id": user_id}
         for name, convert, expected in _READERS:
             if name in values:
@@ -245,11 +248,26 @@ class UserRecord:
         return cls(**values)
 
 
+_USER_FIELDS = frozenset(UserRecord.__dataclass_fields__)
+
+
 def _count(value) -> int:
     """``value`` as an int; int() would cut 12.7 to 12 and read True as 1."""
+    if type(value) is int:
+        return value
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"{value!r} is not a whole number")
     return int(value)
+
+
+def _counts(value) -> tuple:
+    """Histogram cells as a tuple of ints; a list of ints is taken as it is."""
+    if type(value) is list and {*map(type, value)} <= _INT:
+        return tuple(value)
+    return tuple(_count(count) for count in value)
+
+
+_INT = frozenset((int,))
 
 
 def _text_pairs(value) -> tuple:
@@ -259,15 +277,14 @@ def _text_pairs(value) -> tuple:
         isinstance(pair, list) and len(pair) == 2 for pair in value
     ):
         raise TypeError("historical_texts must be a list of [kind, text] pairs")
-    return tuple(tuple(pair) for pair in value)
+    return tuple(map(tuple, value))
 
 
 # (field, conversion, what the field must be) for UserRecord.from_dict
 _READERS = (
     *((name, _count, "an integer") for name in _COUNT_FIELDS),
     ("historical_texts", _text_pairs, "a list of [kind, text] pairs"),
-    ("activity_histogram", lambda v: tuple(_count(count) for count in v),
-     "a list of integer counts"),
+    ("activity_histogram", _counts, "a list of integer counts"),
 )
 
 
@@ -366,7 +383,7 @@ def scenario_from_dict(data, base_dir: Path | None = None) -> Scenario:
 def _records(rows, where: str, build) -> tuple:
     if not isinstance(rows, list):
         raise RangeViolation(where, rows, "a JSON array")
-    return tuple(build(row) for row in rows)
+    return tuple(map(build, rows))
 
 
 def _read_json(path: Path, what: str):

@@ -472,6 +472,45 @@ def test_malformed_input_exits_1(path, value):
     assert err.startswith("error:") and "unexpected error" not in err
 
 
+@pytest.mark.parametrize(
+    "path, value, line",
+    [
+        (("users", 0, "activity_histogram"), [1] * 23 + [2.5],
+         f"activity_histogram(user_00000) = {[1] * 23 + [2.5]} violates a list of integer counts"),
+        (("users", 0, "retweet_count"), True, "retweet_count(user_00000) = True violates an integer"),
+        (("users", 0, "quote_count"), -3, "quote_count(user_00000) = -3 violates >= 0"),
+        (("users", 0, "activity_histogram"), [1] * 23,
+         "activity_histogram(user_00000) = 23 violates exactly 24 buckets"),
+        (("users", 0, "activity_histogram"), [-1] + [1] * 23,
+         f"activity_histogram(user_00000) = {(-1,) + (1,) * 23} violates counts >= 0"),
+        (("users", 0, "historical_texts"), 0,
+         "historical_texts(user_00000) = 0 violates a list of [kind, text] pairs"),
+    ],
+    ids=["histogram-cell-fraction", "count-bool", "count-negative", "histogram-23-cells",
+         "histogram-cell-negative", "history-zero"],
+)
+def test_user_record_error_line_pinned(path, value, line):
+    assert _validate(_replaced(path, value)) == (1, f"error: {line}\n")
+
+
+@pytest.mark.parametrize("value", ["12", 12.0])
+def test_whole_count_validates_as_the_integer(value):
+    """A numeric string or an integral float reads as the integer: the
+    scenario digest `madd validate` prints is that of ``12``."""
+    def ok_line(v):
+        data = _replaced(("users", 0, "follower_count"), v)
+        data["users"][0]["activity_histogram"] = [v] * 24
+        out = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "scenario.json"
+            path.write_text(json.dumps(data))
+            with contextlib.redirect_stdout(out):
+                assert main(["validate", "--scenario", str(path)]) == 0
+        return out.getvalue()
+
+    assert ok_line(value) == ok_line(12)
+
+
 def test_network_subcommand_needs_no_share_fit(tmp_path):
     """30 users have too few sharers for the power-law fit, which only the
     engine uses; building the network does not need it."""

@@ -305,10 +305,25 @@ class TestDeliver:
 
     def test_judgment_stream_reads_blocks_in_scalar_order(self):
         n = 3 * engine.JUDGMENT_BLOCK + 5
-        labels = (13, "belief", "u1", "claim_alpha")
-        stream = engine.JudgmentStream(rngmod.substream(*labels))
-        scalar = rngmod.substream(*labels)
+        labels = ("belief", "u1", "claim_alpha")
+        (words,) = rngmod.substream_states(13, [labels])
+        stream = engine.JudgmentStream(words)
+        scalar = rngmod.substream(13, *labels)
         assert [stream.random() for _ in range(n)] == [scalar.random() for _ in range(n)]
+
+    def test_unread_judgment_streams_hold_no_generator(self, paper_world):
+        """Every regular agent gets a belief and an accept stream at run
+        start, but a generator is seeded only for a stream a judgment reads."""
+        scenario, profiles, _, network, fit = paper_world
+        states = []
+        engine.run(scenario, network, profiles, CONTROL_PLAN,
+                   make_evaluator(scenario.evaluator_config, 3), seed=3, fit=fit,
+                   topic="politics", state_out=states)
+        streams = [s for kind in states[0].streams.values() for s in kind if s is not None]
+        seeded = [s for s in streams if s._gen is not None]
+        assert all(s._block is not None for s in seeded)
+        assert all(s._block is None for s in streams if s._gen is None)
+        assert (len(seeded), len(streams)) == (511, 2 * 689)
 
 
 @pytest.fixture(scope="module")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from madd import evaluator as evaluator_module
 from madd import rng as rngmod
+from madd.attributes import _profile_requests
 from madd.errors import MalformedEvaluatorResponse, RemoteUnavailable, ScenarioError
 from madd.evaluator import (
     EvaluationRequest,
@@ -19,7 +20,7 @@ from madd.evaluator import (
     make_evaluator,
     render_prompt,
 )
-from madd.scenario import config_from_dict
+from madd.scenario import UserRecord, config_from_dict
 
 COMMUNITIES = ["business", "education", "entertainment", "politics", "sports", "technology"]
 
@@ -411,3 +412,41 @@ def test_citation_markers_digit_scan_matches_per_character_scan(text):
     lower = text.lower()
     old = any(ch.isdigit() for ch in text) or any(m in lower for m in evaluator_module._CITATION_MARKERS)
     assert evaluator_module._has_citation_markers(text) == old
+
+
+def json_dumps_bytes(request) -> bytes:
+    payload = {"kind": request.kind, "texts": list(request.subject_texts),
+               "context": request.context}
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+
+
+COUNTS = st.integers(min_value=0, max_value=2**70)
+
+
+@given(
+    user=st.builds(
+        UserRecord,
+        user_id=st.text(),
+        follower_count=COUNTS,
+        following_count=COUNTS,
+        description=st.text(),
+        historical_texts=st.lists(st.tuples(st.text(), st.text()), max_size=4).map(tuple),
+    ),
+    communities=st.lists(st.text(), min_size=1, max_size=4),
+    other_texts=st.lists(st.text(), max_size=2).map(tuple),
+)
+def test_profile_request_bytes_are_json_dumps(user, communities, other_texts):
+    """The bytes that key each profile request's stream: every request's own
+    encoding, and the batch encoding that encodes a user's shared texts and
+    context once for both kinds, equal json.dumps of the payload."""
+    requests = _profile_requests(user, communities)
+    # the same context with other texts, and the same texts with another context
+    requests += [
+        EvaluationRequest(kind="trust_threshold", subject_texts=other_texts,
+                          context=requests[0].context),
+        EvaluationRequest(kind="interest_community", subject_texts=other_texts,
+                          context={**requests[0].context, "user_id": "other"}),
+    ]
+    expected = [json_dumps_bytes(request) for request in requests]
+    assert [request.canonical_bytes() for request in requests] == expected
+    assert list(evaluator_module._canonical_all(requests)) == expected

@@ -1,11 +1,13 @@
-import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from madd.attributes import AgentProfile, KIND_REGULAR, derive_profiles
+from madd.cli import ArtifactWriter, _write_network, _write_profiles
 from madd.errors import CommunityTooSmall
 from madd.evaluator import make_evaluator
 from madd.network import (
@@ -291,43 +293,43 @@ class TestGoldenSetupBytes:
     """
 
     @staticmethod
-    def digests(scenario):
+    def digests(scenario, out_dir):
+        """The setup artifacts' sha256, as the CLI's writers record them."""
         params = scenario.params
         evaluator = make_evaluator(scenario.evaluator_config, params.rng_seed)
         profiles = derive_profiles(scenario, evaluator)
         index = assign_communities(profiles, params.tau, scenario.communities)
         net = build_network(profiles, index, params, params.rng_seed)
-        texts = (
-            json.dumps([p.to_dict() for p in profiles], indent=2, sort_keys=True) + "\n",
-            net.edge_text(),
-            json.dumps(net.to_dict(), indent=2, sort_keys=True) + "\n",
-        )
-        return profiles, index, [hashlib.sha256(t.encode()).hexdigest() for t in texts]
+        writer = ArtifactWriter(out_dir)
+        _write_profiles(writer, profiles)
+        _write_network(writer, net)
+        names = ("profiles.json", "edges.txt", "network.json")
+        return profiles, index, [writer.files[name] for name in names]
 
-    def test_paper_world(self, paper_scenario):
-        _, _, digests = self.digests(paper_scenario)
+    def test_paper_world(self, paper_scenario, tmp_path):
+        _, _, digests = self.digests(paper_scenario, tmp_path)
         assert digests == [
             "1b361fe4607558217106f4e09813a99d12804be8edcae9ce4bc5d15f13572f2b",
             "37231bdc11bbc0a489c47d27b01d51146c7231eed37659ca8505439dc7443e27",
             "74a1f0eff2741f1160f4480ae10db200d49b6603d37db1ff8281209fbc7f4306",
         ]
 
-    def test_two_word_seed_world(self, two_word_seed_scenario):
+    def test_two_word_seed_world(self, two_word_seed_scenario, tmp_path):
         # profile scoring and the bot-si draws keyed by two seed words
-        _, _, digests = self.digests(two_word_seed_scenario)
+        _, _, digests = self.digests(two_word_seed_scenario, tmp_path)
         assert digests == [
             "706407d079cc0d62b062a804475b1d6243ec8d458bb068eafc81ce65864b0693",
             "581fb9906afe69f965d77861282de21433a54768e78fbe01e6786c64d5cff9a4",
             "e6107a2dfa55f48c1485054c89b6a23ed326341fa33b3cdcf7e605f013de16ed",
         ]
 
-    def test_tau_one_world_bots_join_every_community(self):
+    def test_tau_one_world_bots_join_every_community(self, tmp_path):
         # at tau = 1 every bot clears every community, so each community's
         # influence renormalization runs over other communities' bots too
         scenario = build_synthetic_scenario(
             n_users=300, communities=("politics", "sports", "business"), seed=5, tau=1.0
         )
-        profiles, index, digests = self.digests(scenario)
+        profiles, index, digests = self.digests(scenario, tmp_path)
         bots = {p.agent_id for p in profiles if p.is_bot}
         assert len(bots) == 180
         assert all(bots <= set(members) for members in index.values())
@@ -336,3 +338,40 @@ class TestGoldenSetupBytes:
             "079cbb4d530b957abc205c4646c3714581434e0b1ad5ba98a0ce64d3d4689d6a",
             "e26a14c2198807214420ee1eea8d8ed09dbee9ecf3d161e06a874791fd48f541",
         ]
+
+
+@st.composite
+def small_networks(draw):
+    """Networks whose ids, kinds and community names are arbitrary text:
+    quotes, backslashes, control characters and non-ASCII included."""
+    ids = draw(st.lists(st.text(max_size=6), unique=True, max_size=8))
+    net = PropagationNetwork()
+    for agent_id in ids:
+        net.add_node(agent_id, draw(st.text(max_size=4)))
+    names = draw(st.lists(st.text(max_size=6), unique=True, max_size=4))
+    net.community_index = {
+        name: sorted(draw(st.lists(st.sampled_from(ids), unique=True))) if ids else []
+        for name in names
+    }
+    if len(ids) > 1:
+        pairs = st.tuples(st.sampled_from(ids), st.sampled_from(ids)).filter(lambda p: p[0] != p[1])
+        for a, b in draw(st.lists(pairs, max_size=12)):
+            net.add_edge(a, b)
+    return net
+
+
+@settings(max_examples=300, deadline=None)
+@given(net=small_networks())
+def test_json_text_is_json_dumps_of_to_dict(net):
+    assert net.json_text() == json.dumps(net.to_dict(), indent=2, sort_keys=True) + "\n"
+    assert net.edge_text() == "\n".join(f"{a}\t{b}" for a, b in net.edges) + "\n"
+
+
+def test_edges_sorted_again_after_a_new_edge():
+    net = PropagationNetwork()
+    for agent_id in "abc":
+        net.add_node(agent_id, "regular")
+    net.add_edge("b", "c")
+    assert net.edges == [("b", "c")] and net.edge_text() == "b\tc\n"
+    net.add_edge("a", "c")
+    assert net.edges == [("a", "c"), ("b", "c")] and net.edge_text() == "a\tc\nb\tc\n"

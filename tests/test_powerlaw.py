@@ -19,6 +19,13 @@ from madd.powerlaw import (
 )
 
 
+def full_table(alpha, lam, x_min, z):
+    """The whole cumulative table (lam > 0), in one np.cumsum: P(X <= k) from
+    x_min until e^(-lam k) has fallen by e^-40, at most 2**24 entries."""
+    ks = np.arange(x_min, x_min + int(min(np.ceil(40.0 / lam), 1 << 24)) + 1, dtype=np.float64)
+    return np.clip(np.cumsum(ks**-alpha * np.exp(-lam * ks)) / z, 0.0, 1.0)
+
+
 def sample_truncated_power_law(alpha, lam, x_min, n, seed):
     """Generation oracle: explicit pmf over a wide support, then choice.
 
@@ -222,7 +229,8 @@ class TestCdf:
         """Every kind of number reads the floor of its value, as a float, with
         the bits of the law's table (lam > 0) or of 1 - zeta(alpha, k + 1) / Z."""
         fit = PowerLawFit(alpha=1.6, lam=lam, x_min=12)
-        past_table = 12 + 2 * len(fit._table) if lam > 0.0 else 10**9
+        table = full_table(1.6, lam, 12, fit.normalization) if lam > 0.0 else None
+        past_table = 12 + 2 * len(table) if lam > 0.0 else 10**9
         values = [1, 11, 11.999, 12, 12.0, 12.5, 13, 57, 999.75, 10**5, past_table,
                   np.int64(40), np.float64(40.5), np.float32(12.25), -3.0, 1e300, np.inf]
         for v in values:
@@ -232,7 +240,7 @@ class TestCdf:
             if k < 12:
                 want = 0.0
             elif lam > 0.0:
-                want = fit._table[int(min(k - 12, len(fit._table) - 1))]
+                want = table[int(min(k - 12, len(table) - 1))]
             else:
                 want = np.clip(1.0 - zeta(1.6, k + 1.0) / fit.normalization, 0.0, 1.0)
             assert got == want
@@ -251,7 +259,7 @@ def test_ks_distance_matches_scalar_cdf(lam):
     bits: with a value past the table's end and one at 10**12, and on a
     narrow tail whose largest gap is at its largest value."""
     alpha, x_min = 1.7, 5
-    past_table = x_min + 2 * len(PowerLawFit(alpha, lam, x_min)._table) if lam > 0.0 else 10**7
+    past_table = x_min + 2 * len(full_table(alpha, lam, x_min, 1.0)) if lam > 0.0 else 10**7
     wide = np.concatenate([np.random.default_rng(18).zipf(alpha, 400) + 1, [past_table, 10**12]])
     narrow = np.arange(x_min, x_min + 6).repeat(20)
     for samples in (wide, narrow):
@@ -333,6 +341,29 @@ def test_small_lambda_bounded_cost(lam):
     assert abs(z - series) <= 1e-15 * z
     prefix = _cumulative(1.5, lam, 1, z, last=10)
     assert prefix.size == 10 and prefix[-1] < 1.0
+
+
+def test_table_grown_in_chunks_equals_full_table():
+    """However the queries arrive, each cdf reads the bits of the table built
+    in one np.cumsum; queries past its end read its last entry."""
+    rng = np.random.default_rng(26)
+    for _ in range(60):
+        alpha, lam = rng.uniform(1.05, 4.0), 10 ** rng.uniform(-5, 0)
+        x_min = int(rng.integers(1, 30))
+        fit = PowerLawFit(alpha, lam, x_min)
+        table = full_table(alpha, lam, x_min, fit.normalization)
+        ks = rng.integers(x_min, x_min + 3 * len(table), 25)
+        for k in sorted(ks.tolist(), key=lambda _: rng.random()):
+            assert fit.cdf(k) == table[min(k - x_min, len(table) - 1)]
+
+
+def test_table_holds_only_the_entries_asked():
+    """A small lam's table would hold 2**24 entries; a query at 5 builds five."""
+    fit = PowerLawFit(1.5, 1e-7, 1)
+    fit.cdf(5)
+    assert fit.__dict__["_sums"].size == 5
+    fit.cdf(6)
+    assert fit.__dict__["_sums"].size == 10
 
 
 def test_paper_world_fit_pinned(paper_world):
