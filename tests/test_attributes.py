@@ -200,6 +200,19 @@ class TestDeriveProfiles:
             derive_profiles(scenario, Failing(seed=9))
 
 
+def test_paper_world_setup_ledger_pinned(paper_scenario):
+    """Profile scoring meters one call per request, in the global bucket,
+    with the synthetic backend's whitespace-token estimate."""
+    evaluator = make_evaluator(paper_scenario.evaluator_config, paper_scenario.params.rng_seed)
+    derive_profiles(paper_scenario, evaluator)
+    entry = {"llm_calls": 1378, "tokens": 99530, "wall_time": 0.0}
+    assert evaluator.ledger_snapshot() == {
+        "per_community": {"global": entry},
+        "totals": entry,
+        "approximate": True,
+    }
+
+
 def test_trust_scores_cluster_around_half(paper_world):
     _, profiles, _, _, _ = paper_world
     values = [

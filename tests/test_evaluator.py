@@ -291,6 +291,41 @@ class TestRemote:
         assert snapshot["totals"]["tokens"] == 120
         assert snapshot["approximate"] is False
 
+    @pytest.mark.parametrize(
+        "usage", [None, {"prompt_tokens": 100}, {"completion_tokens": 20}]
+    )
+    def test_usage_without_both_counts_estimated_from_text(self, monkeypatch, usage):
+        content = {"Score": 0.5, "Reasoning": "plain and short"}
+        evaluator = remote(monkeypatch, [reply(content, usage=usage)])
+        request = EvaluationRequest(kind="persuasiveness", subject_texts=("t",), context={})
+        evaluator.evaluate(request)
+        snapshot = evaluator.ledger_snapshot()
+        words = len(render_prompt(request).split()) + len(json.dumps(content).split())
+        assert snapshot["totals"]["tokens"] == words
+        assert snapshot["approximate"] is True
+
+    def test_exact_and_estimated_usage_in_one_ledger(self, monkeypatch):
+        # a ledger is approximate once any call in it was estimated
+        monkeypatch.setattr(evaluator_module, "time", SimpleNamespace(monotonic=lambda: 0.0))
+        exact = reply({"Score": 0.5}, usage={"prompt_tokens": 100, "completion_tokens": 20})
+        estimated = reply({"Score": 0.25})
+        request = EvaluationRequest(kind="persuasiveness", subject_texts=("t",),
+                                    context={"community": "politics"})
+        words = len(render_prompt(request).split()) + len(json.dumps({"Score": 0.25}).split())
+        for replies in ([exact, estimated], [estimated, exact]):
+            evaluator = remote(monkeypatch, replies)
+            evaluator.evaluate(request)
+            evaluator.evaluate(request)
+            entry = {"llm_calls": 2, "tokens": 120 + words, "wall_time": 0.0}
+            assert evaluator.ledger_snapshot() == {
+                "per_community": {"politics": entry},
+                "totals": entry,
+                "approximate": True,
+            }
+        only_exact = remote(monkeypatch, [exact])
+        only_exact.evaluate(request)
+        assert only_exact.ledger_snapshot()["approximate"] is False
+
 
 def batch_requests():
     """One request of every kind, across ledger buckets, one of them twice."""
