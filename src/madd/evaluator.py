@@ -2,8 +2,9 @@
 
 All judgment calls the simulation delegates to a language model flow through
 one contract: build an :class:`EvaluationRequest`, call ``evaluate``, read
-its range-checked scores dict back; ``evaluate_many`` does the same for a
-list of requests, in order. Two backends implement it:
+its scores dict back, each passed through :func:`_check_score`;
+``evaluate_many`` does the same for a list of requests, in order. Two
+backends implement it:
 
 * ``SyntheticEvaluator`` - the default. Every response is a pure function of
   (request bytes, scenario seed), drawn from fixed per-kind
@@ -11,22 +12,21 @@ list of requests, in order. Two backends implement it:
   the same scores as one request at a time; it only derives the random
   streams of all its requests together.
 * ``RemoteEvaluator`` - renders a prompt template, POSTs it to a
-  chat-completion endpoint, parses the strict JSON reply (one retry on
-  malformed output) and range-checks every score before anything reaches the
-  engine.
+  chat-completion endpoint and parses the strict JSON reply, with one
+  retry on malformed output.
 
-Both meter every ``evaluate`` call into a :class:`ResourceLedger` keyed by
-community, and neither keeps a memo: the engine asks each receiver's
-persuasiveness question once per run and keeps the answer itself.
+Both meter each ``evaluate`` call with one ``ResourceLedger.record`` under
+the request's community, and neither keeps a memo: the engine asks each
+receiver's persuasiveness question once per run and keeps the answer itself.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 import threading
 import time
+from collections import defaultdict
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -85,47 +85,37 @@ def _canonical_all(requests) -> Iterator[bytes]:
         yield _canonical(request.kind, texts_json, context_json)
 
 
-@dataclass(frozen=True)
-class Usage:
-    tokens_in: int = 0
-    tokens_out: int = 0
-    latency: float = 0.0
-    approximate: bool = True
-
-
 class ResourceLedger:
     """Per-community call/token/time accounting. Thread-safe."""
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._per_community: dict[str, dict] = {}
+        # per community: [llm calls, tokens, wall time]
+        self._per_community: defaultdict[str, list] = defaultdict(lambda: [0, 0, 0.0])
         self._approximate = False
 
-    def record(self, community: str, usage: Usage) -> None:
+    def record(self, community: str, tokens: int, latency: float, approximate: bool) -> None:
+        """One evaluate call: its tokens, its latency in seconds, and whether
+        the tokens are an estimate rather than the provider's count."""
         with self._lock:
-            entry = self._per_community.setdefault(
-                community, {"llm_calls": 0, "tokens": 0, "wall_time": 0.0}
-            )
-            entry["llm_calls"] += 1  # one Usage per evaluate call
-            entry["tokens"] += usage.tokens_in + usage.tokens_out
-            entry["wall_time"] += usage.latency
-            self._approximate = self._approximate or usage.approximate
+            entry = self._per_community[community]
+            entry[0] += 1
+            entry[1] += tokens
+            entry[2] += latency
+            self._approximate = self._approximate or approximate
 
     def snapshot(self) -> dict:
         with self._lock:
             per_community = {
-                name: dict(entry) for name, entry in sorted(self._per_community.items())
+                name: {"llm_calls": calls, "tokens": tokens, "wall_time": wall_time}
+                for name, (calls, tokens, wall_time) in sorted(self._per_community.items())
             }
+            approximate = self._approximate
         totals = {
-            "llm_calls": sum(e["llm_calls"] for e in per_community.values()),
-            "tokens": sum(e["tokens"] for e in per_community.values()),
-            "wall_time": sum(e["wall_time"] for e in per_community.values()),
+            key: sum(e[key] for e in per_community.values())
+            for key in ("llm_calls", "tokens", "wall_time")
         }
-        return {
-            "per_community": per_community,
-            "totals": totals,
-            "approximate": self._approximate,
-        }
+        return {"per_community": per_community, "totals": totals, "approximate": approximate}
 
 
 # Synthetic backend distributions. They encode the directional assumptions
@@ -186,6 +176,26 @@ def _whitespace_tokens(*texts: str) -> int:
     return sum(len(t.split()) for t in texts)
 
 
+def _check_score(kind: str, key: str, value) -> float:
+    """``value`` as a ``kind`` score from either backend. A number-like
+    string reads as its number and "Insufficient Data" as the range floor
+    (no evidence reads as minimal interest or trust); any other non-number,
+    a bool included, or a value outside the range raises."""
+    lo, hi = _RANGES[kind]
+    if isinstance(value, str):
+        if value.strip().lower() == "insufficient data":
+            return lo
+        try:
+            value = float(value)
+        except ValueError:
+            pass  # still a str: non-numeric below
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise MalformedEvaluatorResponse(f"{kind} score {key!r}: non-numeric score {value!r}")
+    if not lo <= value <= hi:  # NaN compares false
+        raise MalformedEvaluatorResponse(f"{kind} score {key!r} = {value!r} outside [{lo}, {hi}]")
+    return float(value)
+
+
 class Evaluator:
     """Backend-independent surface the rest of the package talks to.
 
@@ -198,7 +208,7 @@ class Evaluator:
         self.ledger = ResourceLedger()
 
     def evaluate(self, request: EvaluationRequest) -> dict:
-        """The request's range-checked scores; every call is metered."""
+        """The request's checked scores; every call is metered."""
         raise NotImplementedError
 
     def evaluate_many(self, requests) -> Iterator[dict]:
@@ -238,18 +248,6 @@ class Evaluator:
             )
         )["score"]
 
-    def _record(self, request: EvaluationRequest, usage: Usage) -> None:
-        self.ledger.record(request.context.get("community", GLOBAL_BUCKET), usage)
-
-    @staticmethod
-    def _check_range(kind: str, key: str, value: float) -> float:
-        lo, hi = _RANGES[kind]
-        if not isinstance(value, (int, float)) or math.isnan(value) or not lo <= value <= hi:
-            raise MalformedEvaluatorResponse(
-                f"{kind} score {key!r} = {value!r} outside [{lo}, {hi}]"
-            )
-        return float(value)
-
 
 class SyntheticEvaluator(Evaluator):
     """Deterministic offline backend: scores are seeded draws, not opinions.
@@ -270,30 +268,21 @@ class SyntheticEvaluator(Evaluator):
         the one it prepared, else built here."""
         if rng is None:
             rng = rngmod.substream(self.seed, "evaluator", request.canonical_bytes())
-        handler = getattr(self, f"_eval_{request.kind}")
+        kind = request.kind
         scores = {
-            name: self._check_range(request.kind, name, value)
-            for name, value in handler(request, rng).items()
+            name: _check_score(kind, name, value)
+            for name, value in getattr(self, f"_eval_{kind}")(request, rng).items()
         }
-        usage = Usage(
-            tokens_in=_whitespace_tokens(*request.subject_texts),
-            tokens_out=8 * max(1, len(scores)),
-            latency=0.0,  # keeps reports byte-identical across replays
-            approximate=True,
-        )
-        self._record(request, usage)
+        # estimated tokens: the subject's words in, eight per score out; a
+        # latency of 0 keeps reports byte-identical across replays
+        tokens = _whitespace_tokens(*request.subject_texts) + 8 * max(1, len(scores))
+        self.ledger.record(request.context.get("community", GLOBAL_BUCKET), tokens, 0.0, True)
         return scores
 
     def evaluate_many(self, requests) -> Iterator[dict]:
-        """``self.evaluate`` of each request, in request order, each passed
-        the stream ``substream(seed, "evaluator", request bytes)`` that
-        ``rng.substreams`` derives for the whole list at call time.
-
-        A subclass that overrides ``evaluate`` gets the base loop instead,
-        without prepared streams.
-        """
-        if type(self).evaluate is not SyntheticEvaluator.evaluate:
-            return super().evaluate_many(requests)
+        """``self.evaluate(request, stream)`` of each request, in request
+        order, every stream derived at call time in one ``rng.substreams``
+        pass; so a subclass's ``evaluate`` takes ``rng=None`` and passes it on."""
         requests = list(requests)
         streams = rngmod.substreams(
             self.seed, (("evaluator", data) for data in _canonical_all(requests))
@@ -410,28 +399,14 @@ class RemoteEvaluator(Evaluator):
             except MalformedEvaluatorResponse as exc:
                 last_error = exc
                 continue
-            usage = self._usage(prompt, raw, latency)
-            self._record(request, usage)
+            tokens, approximate = _reply_tokens(prompt, raw)
+            self.ledger.record(
+                request.context.get("community", GLOBAL_BUCKET), tokens, latency, approximate
+            )
             return scores
         if isinstance(last_error, MalformedEvaluatorResponse):
             raise last_error
         raise RemoteUnavailable(f"remote evaluator failed after retry: {last_error}")
-
-    def _usage(self, prompt: str, raw: dict, latency: float) -> Usage:
-        usage = raw.get("usage") or {}
-        tokens_in = usage.get("prompt_tokens")
-        tokens_out = usage.get("completion_tokens")
-        approximate = tokens_in is None or tokens_out is None
-        if approximate:
-            content = _reply_content(raw)
-            tokens_in = _whitespace_tokens(prompt)
-            tokens_out = _whitespace_tokens(content)
-        return Usage(
-            tokens_in=int(tokens_in),
-            tokens_out=int(tokens_out),
-            latency=latency,
-            approximate=approximate,
-        )
 
     # -- parsing -------------------------------------------------------------
 
@@ -447,8 +422,7 @@ class RemoteEvaluator(Evaluator):
         kind = request.kind
         if kind in ("plausibility", "persuasiveness"):  # one score
             name = "PlausibilityScore" if kind == "plausibility" else "Score"
-            value = _coerce_score(body.get(name), kind)
-            return {"score": self._check_range(kind, "score", value)}
+            return {"score": _check_score(kind, "score", body.get(name))}
         key = {  # one row per community
             "interest_community": "Interest Community Scores",
             "trust_threshold": "Trust Threshold Scores",
@@ -458,14 +432,17 @@ class RemoteEvaluator(Evaluator):
             raise MalformedEvaluatorResponse(f"missing {key!r} list")
         scores = {}
         for row in rows:
-            if not isinstance(row, dict) or "Community" not in row:
+            community = row.get("Community") if isinstance(row, dict) else None
+            if not isinstance(community, str):
                 raise MalformedEvaluatorResponse(f"bad row in {key!r}: {row!r}")
-            scores[row["Community"]] = _coerce_score(row.get("Score"), kind)
+            if community in scores:
+                raise MalformedEvaluatorResponse(f"{community!r} scored twice in {key!r}")
+            scores[community] = _check_score(kind, community, row.get("Score"))
         expected = request.context.get("communities", ())
         missing = [c for c in expected if c not in scores]
         if missing:
             raise MalformedEvaluatorResponse(f"communities missing from reply: {missing}")
-        return {c: self._check_range(kind, c, scores[c]) for c in expected}
+        return {c: scores[c] for c in expected}
 
 
 def _reply_content(raw: dict) -> str:
@@ -475,18 +452,15 @@ def _reply_content(raw: dict) -> str:
         raise MalformedEvaluatorResponse(f"no message content in reply: {exc}") from exc
 
 
-def _coerce_score(value, kind: str) -> float:
-    if isinstance(value, str):
-        if value.strip().lower() == "insufficient data":
-            # documented floor: no evidence reads as minimal interest/trust
-            return _RANGES[kind][0]
-        try:
-            return float(value)
-        except ValueError as exc:
-            raise MalformedEvaluatorResponse(f"non-numeric score {value!r}") from exc
-    if isinstance(value, (int, float)):
-        return float(value)
-    raise MalformedEvaluatorResponse(f"non-numeric score {value!r}")
+def _reply_tokens(prompt: str, raw: dict) -> tuple[int, bool]:
+    """(tokens, approximate) for one reply: the provider's prompt plus
+    completion counts, or, when its ``usage`` lacks either, the whitespace
+    tokens of the prompt and of the reply content as an estimate."""
+    usage = raw.get("usage") or {}
+    counts = usage.get("prompt_tokens"), usage.get("completion_tokens")
+    if None in counts:
+        return _whitespace_tokens(prompt, _reply_content(raw)), True
+    return sum(map(int, counts)), False
 
 
 def load_template(kind: str) -> str:

@@ -193,7 +193,7 @@ class TestDeriveProfiles:
         scenario = build_synthetic_scenario(n_users=60, communities=("alpha",), seed=9)
 
         class Failing(SyntheticEvaluator):
-            def evaluate(self, request):
+            def evaluate(self, request, rng=None):
                 raise EvaluatorFailure("backend down")
 
         with pytest.raises(EvaluatorFailure, match="user_00000"):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from madd.cli import main
 from madd.content import ContentItem
 from madd.errors import EvaluatorFailure
-from madd.evaluator import EvaluatorConfig, SyntheticEvaluator
+from madd.evaluator import EvaluatorConfig, RemoteEvaluator, SyntheticEvaluator
 from madd.scenario import SimulationParams, UserRecord, save_scenario
 from madd.synthdata import DEFAULT_COMMUNITIES, build_synthetic_scenario
 from madd.synthdata import main as synthdata_main
@@ -229,10 +229,10 @@ def test_record_cadence_below_one_exits_1(scenario_path, tmp_path, capsys, caden
 
 
 class _FailsPersuasiveness(SyntheticEvaluator):
-    def evaluate(self, request):
+    def evaluate(self, request, rng=None):
         if request.kind == "persuasiveness":
             raise EvaluatorFailure("backend down")
-        return super().evaluate(request)
+        return super().evaluate(request, rng)
 
 
 @pytest.mark.parametrize("command", ["run", "experiment"])
@@ -260,6 +260,30 @@ def test_incomplete_run_writes_artifacts_then_exits_2(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "runtime error: evaluator failed mid-run, incomplete arm(s): control" in captured.err
+
+
+def test_remote_boolean_score_leaves_run_incomplete(scenario_path, tmp_path, monkeypatch, capsys):
+    """A boolean score is malformed: retried once, then the run stops
+    incomplete and exits 2, with its report and manifest written."""
+    data = json.loads(scenario_path.read_text())
+    data["evaluator"]["endpoint"] = "http://localhost:9/v1"
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    content = {
+        "Interest Community Scores": [{"Community": c, "Score": 9} for c in ("alpha", "beta")],
+        "Trust Threshold Scores": [{"Community": c, "Score": 0.5} for c in ("alpha", "beta")],
+        "PlausibilityScore": 0.7,
+        "Score": True,
+    }
+    body = {"choices": [{"message": {"content": json.dumps(content)}}]}
+    monkeypatch.setattr(RemoteEvaluator, "_post", lambda self, prompt: body)
+    out = tmp_path / "run"
+    args = ["run", "--backend", "remote", "--scenario", str(path), "--seed", "13"]
+    assert main([*args, "--out", str(out)]) == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest["files"]) == {"report.json", "report.csv"}
+    assert json.loads((out / "report.json").read_text())["complete"] is False
+    assert "incomplete arm(s): control" in capsys.readouterr().err
 
 
 def test_run_writes_report_and_manifest(scenario_path, tmp_path, capsys):

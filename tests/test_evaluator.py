@@ -16,7 +16,6 @@ from madd.evaluator import (
     RemoteEvaluator,
     ResourceLedger,
     SyntheticEvaluator,
-    Usage,
     make_evaluator,
     render_prompt,
 )
@@ -181,7 +180,7 @@ class TestLedger:
     def test_counts_calls_and_tokens(self):
         ledger = ResourceLedger()
         for _ in range(3):
-            ledger.record("politics", Usage(tokens_in=60, tokens_out=40))
+            ledger.record("politics", 100, 0.0, True)
         snapshot = ledger.snapshot()
         assert snapshot["totals"]["llm_calls"] == 3
         assert snapshot["totals"]["tokens"] == 300
@@ -266,6 +265,53 @@ class TestRemote:
         evaluator = remote(monkeypatch, [reply({"Interest Community Scores": rows})])
         scores = evaluator.evaluate(ic_request())
         assert scores[COMMUNITIES[2]] == 1.0
+
+    @pytest.mark.parametrize("text, value", [("2.5", 2.5), (" 7 ", 7.0), ("1e1", 10.0)])
+    def test_number_like_string_reads_as_number(self, monkeypatch, text, value):
+        rows = [{"Community": c, "Score": 5} for c in COMMUNITIES]
+        rows[0]["Score"] = text
+        evaluator = remote(monkeypatch, [reply({"Interest Community Scores": rows})])
+        assert evaluator.evaluate(ic_request())[COMMUNITIES[0]] == value
+
+    @pytest.mark.parametrize(
+        "score, message",
+        [
+            (True, "non-numeric score True"),
+            (False, "non-numeric score False"),
+            ("high", "non-numeric score 'high'"),
+            (None, "non-numeric score None"),
+            ([0.5], r"non-numeric score \[0.5\]"),
+            (1.5, r"= 1.5 outside \[0.0, 1.0\]"),
+            ("-0.5", r"= -0.5 outside \[0.0, 1.0\]"),
+            pytest.param(10**400, r"outside \[0.0, 1.0\]", id="huge-int"),
+        ],
+    )
+    def test_malformed_score_retried_once_then_raised(self, monkeypatch, score, message):
+        request = EvaluationRequest(kind="persuasiveness", subject_texts=("t",), context={})
+        bad = reply({"Score": score})
+        recovered = remote(monkeypatch, [bad, reply({"Score": 0.5})])
+        assert recovered.evaluate(request) == {"score": 0.5}
+        evaluator = remote(monkeypatch, [bad, bad])
+        with pytest.raises(MalformedEvaluatorResponse, match=message):
+            evaluator.evaluate(request)
+        assert evaluator.ledger_snapshot()["totals"]["llm_calls"] == 0
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ({"Community": ["politics"], "Score": 9}, "bad row"),
+            ({"Community": 3, "Score": 9}, "bad row"),
+            ({"Community": "politics", "Score": True}, "non-numeric score True"),
+            ({"Community": "politics", "Score": 9}, "'politics' scored twice"),
+        ],
+    )
+    def test_malformed_row_retried_once_then_raised(self, monkeypatch, row, message):
+        rows = [{"Community": c, "Score": 5} for c in COMMUNITIES]
+        bad = reply({"Interest Community Scores": [row, *rows]})
+        good = reply({"Interest Community Scores": rows})
+        assert remote(monkeypatch, [bad, good]).evaluate(ic_request())["politics"] == 5.0
+        with pytest.raises(MalformedEvaluatorResponse, match=message):
+            remote(monkeypatch, [bad, bad]).evaluate(ic_request())
 
     def test_retries_once_on_malformed_then_succeeds(self, monkeypatch):
         bad = {"choices": [{"message": {"content": "not json"}}]}
