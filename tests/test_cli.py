@@ -286,6 +286,15 @@ def test_remote_boolean_score_leaves_run_incomplete(scenario_path, tmp_path, mon
     assert "incomplete arm(s): control" in capsys.readouterr().err
 
 
+def test_strategy_without_stage_is_a_usage_error(scenario_path, tmp_path, capsys):
+    out = tmp_path / "run"
+    args = ["run", "--scenario", str(scenario_path), "--seed", "13", "--strategy", "fact",
+            "--out", str(out)]
+    assert main(args) == 1
+    assert capsys.readouterr().err == "error: --strategy requires --stage\n"
+    assert not out.exists()
+
+
 def test_run_writes_report_and_manifest(scenario_path, tmp_path, capsys):
     out = tmp_path / "run1"
     code = main(

@@ -58,6 +58,16 @@ class TestContentItem:
         with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
             ContentItem.from_dict(data)
 
+    @pytest.mark.parametrize("name, value, message", [
+        ("kind", "rumour", "kind(d7) = 'rumour' violates one of ('disinformation', 'correction')"),
+        ("strategy", "satire",
+         "strategy(d7) = 'satire' violates one of ('none', 'fact_based', 'narrative_based')"),
+    ])
+    def test_unknown_kind_or_strategy_rejected_naming_the_item(self, name, value, message):
+        data = {"content_id": "d7", "topic": "politics", "kind": "disinformation", name: value}
+        with pytest.raises(RangeViolation, match=f"^{re.escape(message)}$"):
+            ContentItem.from_dict(data)
+
 
 class TestCorrectionLookup:
     def test_fact_based_selected(self):
@@ -102,6 +112,24 @@ class TestInterventionPlans:
     def test_staged_plan_requires_strategy(self):
         with pytest.raises(RangeViolation):
             InterventionPlan(stage="early", window=(12, 72), strategy="none")
+
+    @pytest.mark.parametrize("stage, window, strategy, message", [
+        ("never", (12, 72), "fact_based",
+         "stage = 'never' violates one of ('early', 'mid', 'late', 'control')"),
+        ("early", (12, 72), "satire",
+         "strategy = 'satire' violates one of ('none', 'fact_based', 'narrative_based')"),
+        ("early", (20, 10), "fact_based", "window = (20, 10) violates non-empty inclusive step range"),
+        ("early", None, "fact_based", "window = None violates non-empty inclusive step range"),
+    ])
+    def test_malformed_plan_rejected(self, stage, window, strategy, message):
+        with pytest.raises(RangeViolation, match=f"^{re.escape(message)}$"):
+            InterventionPlan(stage=stage, window=window, strategy=strategy)
+
+    def test_stage_without_window_rejected(self):
+        params = SimulationParams(intervention_windows={"early": (12, 72)})
+        message = "stage = 'late' violates a stage with a configured window"
+        with pytest.raises(RangeViolation, match=f"^{re.escape(message)}$"):
+            make_plan(params, "late", "fact_based")
 
 
 class TestPlausibilityScoring:

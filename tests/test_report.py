@@ -144,6 +144,25 @@ class TestComparison:
                 [make_report(digest="a"), make_report(digest="b", strategy="fact_based", stage="early")]
             )
 
+    def test_single_report_rejected(self):
+        with pytest.raises(MismatchedRuns, match="^need at least two reports to compare$"):
+            compare_interventions([make_report()])
+
+    def test_mismatched_communities_rejected(self):
+        fact = make_report(strategy="fact_based", stage="early")
+        del fact.ratios["sports"]
+        message = "run early:fact_based covers different communities than control"
+        with pytest.raises(MismatchedRuns, match=f"^{message}$"):
+            compare_interventions([make_report(), fact])
+
+    def test_step_missing_in_control_rejected(self):
+        control = make_report()
+        for series in control.ratios.values():
+            del series[-1]
+        message = "run early:fact_based recorded step 72 missing in control"
+        with pytest.raises(MismatchedRuns, match=f"^{message}$"):
+            compare_interventions([control, make_report(strategy="fact_based", stage="early")])
+
     def test_missing_control_rejected(self):
         with pytest.raises(MismatchedRuns):
             compare_interventions(

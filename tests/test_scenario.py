@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from dataclasses import replace
 
 import pytest
@@ -268,6 +269,35 @@ class TestSidecarUsers:
         (tmp_path / "users.csv").write_text("user_id,follower_count,retweets_count\nu0,100,")
         with pytest.raises(ScenarioError, match=r"'u0'.*'retweets_count'"):
             load_scenario(tmp_path / "scenario.json")
+
+
+class TestScenarioShape:
+    def test_duplicate_community_names_rejected(self):
+        data = minimal_scenario_dict()
+        data["communities"] = ["alpha", "beta", "alpha"]
+        with pytest.raises(ScenarioError, match="^community names must be unique$"):
+            scenario_from_dict(data)
+
+    @pytest.mark.parametrize("users_file, error, message", [
+        (5, RangeViolation, "users_file = 5 violates a file name"),
+        ("users.txt", ScenarioError, "unsupported users_file extension: '.txt'"),
+    ])
+    def test_bad_users_file_rejected(self, tmp_path, users_file, error, message):
+        data = minimal_scenario_dict()
+        data.pop("users")
+        data["users_file"] = users_file
+        (tmp_path / "users.txt").write_text("u0 100\n")
+        (tmp_path / "scenario.json").write_text(json.dumps(data))
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            load_scenario(tmp_path / "scenario.json")
+
+    def test_users_file_needs_a_scenario_path(self):
+        data = minimal_scenario_dict()
+        data.pop("users")
+        data["users_file"] = "users.json"
+        message = "users_file reference requires a scenario path"
+        with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+            scenario_from_dict(data)
 
 
 class TestValidateParams:
