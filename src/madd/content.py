@@ -50,16 +50,8 @@ class ContentItem:
             raise RangeViolation("plausibility", self.plausibility, "[0, 1]")
 
     def to_dict(self) -> dict:
-        out = {
-            "content_id": self.content_id,
-            "topic": self.topic,
-            "kind": self.kind,
-            "strategy": self.strategy,
-            "text": self.text,
-        }
-        if self.plausibility is not None:
-            out["plausibility"] = self.plausibility
-        return out
+        """The fields in declaration order, less a plausibility left unset (None)."""
+        return {name: value for name, value in vars(self).items() if value is not None}
 
     @classmethod
     def from_dict(cls, data) -> "ContentItem":
@@ -73,14 +65,7 @@ class ContentItem:
         if unknown:
             raise ScenarioError(f"unknown key(s) in {where}: {sorted(unknown)}")
         try:
-            return cls(
-                content_id=data["content_id"],
-                topic=data["topic"],
-                kind=data["kind"],
-                strategy=data.get("strategy", "none"),
-                text=data.get("text", ""),
-                plausibility=data.get("plausibility"),
-            )
+            return cls(**data)
         except RangeViolation as exc:
             raise RangeViolation(
                 f"{exc.field}({data['content_id']})", exc.value, exc.constraint

@@ -33,16 +33,19 @@ from dataclasses import dataclass, field
 from . import rng as rngmod
 from .errors import MalformedEvaluatorResponse, RangeViolation, RemoteUnavailable, ScenarioError
 
-# score range per request kind
-_RANGES = {
-    "interest_community": (1.0, 10.0),
-    "trust_threshold": (0.0, 1.0),
-    "plausibility": (0.0, 1.0),
-    "persuasiveness": (0.0, 1.0),
+# request kind: (score range, remote reply key, one score per community)
+_KINDS = {
+    "interest_community": ((1.0, 10.0), "Interest Community Scores", True),
+    "trust_threshold": ((0.0, 1.0), "Trust Threshold Scores", True),
+    "plausibility": ((0.0, 1.0), "PlausibilityScore", False),
+    "persuasiveness": ((0.0, 1.0), "Score", False),
 }
-KINDS = tuple(_RANGES)
 
 GLOBAL_BUCKET = "global"
+# the persuasiveness prompt's words on the sender's stance; none reads as an endorsement
+_ENDORSE = "The person who shared this message with you endorses it."
+_DISPUTE = ("The person who shared this message with you disputes it: they quote it to\n"
+            "argue that it is false. Judge how persuasive their dispute is.")
 
 
 @dataclass(frozen=True)
@@ -52,7 +55,7 @@ class EvaluationRequest:
     context: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown request kind {self.kind!r}")
         object.__setattr__(self, "subject_texts", tuple(self.subject_texts))
 
@@ -181,7 +184,7 @@ def _check_score(kind: str, key: str, value) -> float:
     string reads as its number and "Insufficient Data" as the range floor
     (no evidence reads as minimal interest or trust); any other non-number,
     a bool included, or a value outside the range raises."""
-    lo, hi = _RANGES[kind]
+    lo, hi = _KINDS[kind][0]
     if isinstance(value, str):
         if value.strip().lower() == "insufficient data":
             return lo
@@ -420,14 +423,10 @@ class RemoteEvaluator(Evaluator):
             raise MalformedEvaluatorResponse("reply JSON is not an object")
 
         kind = request.kind
-        if kind in ("plausibility", "persuasiveness"):  # one score
-            name = "PlausibilityScore" if kind == "plausibility" else "Score"
-            return {"score": _check_score(kind, "score", body.get(name))}
-        key = {  # one row per community
-            "interest_community": "Interest Community Scores",
-            "trust_threshold": "Trust Threshold Scores",
-        }[kind]
-        rows = body.get(key)
+        _, key, per_community = _KINDS[kind]
+        if not per_community:
+            return {"score": _check_score(kind, "score", body.get(key))}
+        rows = body.get(key)  # one row per community
         if not isinstance(rows, list):
             raise MalformedEvaluatorResponse(f"missing {key!r} list")
         scores = {}
@@ -453,14 +452,14 @@ def _reply_content(raw: dict) -> str:
 
 
 def _reply_tokens(prompt: str, raw: dict) -> tuple[int, bool]:
-    """(tokens, approximate) for one reply: the provider's prompt plus
-    completion counts, or, when its ``usage`` lacks either, the whitespace
-    tokens of the prompt and of the reply content as an estimate."""
-    usage = raw.get("usage") or {}
+    """(tokens, approximate) for one reply: the provider's prompt plus completion
+    counts when its ``usage`` object holds both as integers >= 0, not booleans; else
+    the whitespace tokens of the prompt and of the reply content as an estimate."""
+    usage = raw["usage"] if isinstance(raw.get("usage"), dict) else {}
     counts = usage.get("prompt_tokens"), usage.get("completion_tokens")
-    if None in counts:
-        return _whitespace_tokens(prompt, _reply_content(raw)), True
-    return sum(map(int, counts)), False
+    if all(type(count) is int and count >= 0 for count in counts):
+        return sum(counts), False
+    return _whitespace_tokens(prompt, _reply_content(raw)), True
 
 
 def load_template(kind: str) -> str:
@@ -481,6 +480,7 @@ def render_prompt(request: EvaluationRequest) -> str:
         "description": ctx.get("description", ""),
         "follower_count": ctx.get("follower_count", ""),
         "following_count": ctx.get("following_count", ""),
+        "stance": _DISPUTE if ctx.get("stance") == "dispute" else _ENDORSE,
     }
     return template.format(**values)
 

@@ -57,6 +57,7 @@ _LAM_SERIES = 1e-200
 # 16-point Gauss-Legendre rule, built on first use (its eigensolver makes LAPACK take ~1 MB)
 _gauss_legendre = cache(partial(np.polynomial.legendre.leggauss, 16))
 _EM_COEFFS = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600)  # B_2j / (2j)!, j = 1..4
+_EM_BINOMIALS = tuple(tuple(math.comb(o, i) for i in range(o + 1)) for o in (1, 3, 5, 7))
 
 
 def _norm_constant(alpha: float, lam: float, x_min: int) -> float:
@@ -97,9 +98,15 @@ def _norm_constant(alpha: float, lam: float, x_min: int) -> float:
     nodes, weights = _gauss_legendre()
     x = (a[:-1] + half)[:, None] + half[:, None] * nodes
     integral = float(half @ ((x**-alpha * np.exp(-lam * x)) @ weights))
-    join, rising = 0.5, [math.prod(alpha + j for j in range(i)) for i in range(8)]  # alpha^(i)
-    for c, o in zip(_EM_COEFFS, (1, 3, 5, 7)):
-        join += c * sum(math.comb(o, i) * rising[i] * m**-i * lam ** (o - i) for i in range(o + 1))
+    rising = [1]  # alpha^(i), i = 0..7, multiplied left to right
+    for j in range(7):
+        rising.append(rising[-1] * (alpha + j))
+    inv_m, lam_k, join = [m**-i for i in range(8)], [lam**k for k in range(8)], 0.5
+    for c, binomials in zip(_EM_COEFFS, _EM_BINOMIALS):
+        o, term = len(binomials) - 1, 0
+        for i, b in enumerate(binomials):  # added left to right
+            term += b * rising[i] * inv_m[i] * lam_k[o - i]
+        join += c * term
     return head + (integral + f * join)
 
 
@@ -241,11 +248,9 @@ def fit_truncated_power_law(samples) -> PowerLawFit:
 
     x_sorted = np.sort(x)
     log_sorted = np.log(x_sorted.astype(np.float64))
-    # Candidates: unique values that keep at least MIN_TAIL samples above them.
+    # Candidates: values that keep >= MIN_TAIL samples in their tail; the smallest keeps all.
     tail_counts = x.size - np.searchsorted(x_sorted, uniq, side="left")
     candidates = uniq[tail_counts >= MIN_TAIL]
-    if candidates.size == 0:
-        candidates = uniq[:1]
     if candidates.size > MAX_CANDIDATES:
         idx = np.linspace(0, candidates.size - 1, MAX_CANDIDATES).round().astype(int)
         candidates = candidates[np.unique(idx)]

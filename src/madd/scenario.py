@@ -207,17 +207,9 @@ class UserRecord:
         return self.retweet_count + self.quote_count
 
     def to_dict(self) -> dict:
-        return {
-            "user_id": self.user_id,
-            "follower_count": self.follower_count,
-            "following_count": self.following_count,
-            "description": self.description,
-            "post_count": self.post_count,
-            "retweet_count": self.retweet_count,
-            "quote_count": self.quote_count,
-            "historical_texts": [list(pair) for pair in self.historical_texts],
-            "activity_histogram": list(self.activity_histogram),
-        }
+        """The fields in declaration order, as stored: JSON encodes the
+        tuples of ``historical_texts`` and ``activity_histogram`` as arrays."""
+        return {name: getattr(self, name) for name in _USER_FIELDS}
 
     @classmethod
     def from_dict(cls, data) -> "UserRecord":
@@ -248,7 +240,7 @@ class UserRecord:
         return cls(**values)
 
 
-_USER_FIELDS = frozenset(UserRecord.__dataclass_fields__)
+_USER_FIELDS = UserRecord.__dataclass_fields__.keys()  # in declaration order
 
 
 def _count(value) -> int:
@@ -414,8 +406,7 @@ def save_scenario(scenario: Scenario, path) -> None:
     )
 
 
-_CSV_COLUMNS = frozenset(("user_id", "follower_count", "following_count", "description",
-                          "post_count", "retweet_count", "quote_count", "activity_histogram"))
+_CSV_COLUMNS = _USER_FIELDS - {"historical_texts"}
 
 
 def _load_user_sidecar(path: Path) -> tuple:

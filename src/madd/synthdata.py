@@ -98,13 +98,11 @@ def make_history(rng, user_id: str, n_texts: int) -> tuple:
 
 
 def make_histogram(rng) -> tuple:
-    """Counts concentrated on a handful of active hours."""
+    """Counts of 1-29 on 4-10 active hours, so never all zero."""
     active_hours = rng.choice(HOURS_PER_DAY, size=int(rng.integers(4, 11)), replace=False)
     histogram = [0] * HOURS_PER_DAY
     for hour in active_hours:
         histogram[int(hour)] = int(rng.integers(1, 30))
-    if sum(histogram) == 0:
-        histogram[int(rng.integers(0, HOURS_PER_DAY))] = 1
     return tuple(histogram)
 
 

@@ -286,6 +286,30 @@ def test_remote_boolean_score_leaves_run_incomplete(scenario_path, tmp_path, mon
     assert "incomplete arm(s): control" in capsys.readouterr().err
 
 
+def test_remote_malformed_usage_is_estimated(scenario_path, tmp_path, monkeypatch):
+    """A usage count that is not an integer is no count: the run completes
+    and its ledger is marked approximate."""
+    data = json.loads(scenario_path.read_text())
+    data["evaluator"]["endpoint"] = "http://localhost:9/v1"
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    content = {
+        "Interest Community Scores": [{"Community": c, "Score": 9} for c in ("alpha", "beta")],
+        "Trust Threshold Scores": [{"Community": c, "Score": 0.5} for c in ("alpha", "beta")],
+        "PlausibilityScore": 0.7,
+        "Score": 0.5,
+    }
+    body = {
+        "choices": [{"message": {"content": json.dumps(content)}}],
+        "usage": {"prompt_tokens": "n/a", "completion_tokens": 20},
+    }
+    monkeypatch.setattr(RemoteEvaluator, "_post", lambda self, prompt: body)
+    out = tmp_path / "run"
+    args = ["run", "--backend", "remote", "--scenario", str(path), "--seed", "13"]
+    assert main([*args, "--out", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text())["resource_ledger"]["approximate"] is True
+
+
 def test_strategy_without_stage_is_a_usage_error(scenario_path, tmp_path, capsys):
     out = tmp_path / "run"
     args = ["run", "--scenario", str(scenario_path), "--seed", "13", "--strategy", "fact",

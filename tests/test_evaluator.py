@@ -350,6 +350,24 @@ class TestRemote:
         assert snapshot["totals"]["tokens"] == words
         assert snapshot["approximate"] is True
 
+    @pytest.mark.parametrize("usage", [
+        {"prompt_tokens": "n/a", "completion_tokens": 20},
+        5,
+        {"prompt_tokens": True, "completion_tokens": 20},
+        {"prompt_tokens": -4, "completion_tokens": 20},
+        {"prompt_tokens": 1.5, "completion_tokens": 20},
+    ], ids=["string", "not-an-object", "boolean", "negative", "fraction"])
+    def test_malformed_usage_estimated_from_text(self, monkeypatch, usage):
+        # each count must be a JSON integer >= 0; anything else is no count
+        content = {"Score": 0.5, "Reasoning": "plain and short"}
+        evaluator = remote(monkeypatch, [reply(content, usage=usage)])
+        request = EvaluationRequest(kind="persuasiveness", subject_texts=("t",), context={})
+        evaluator.evaluate(request)
+        snapshot = evaluator.ledger_snapshot()
+        words = len(render_prompt(request).split()) + len(json.dumps(content).split())
+        assert snapshot["totals"]["tokens"] == words
+        assert snapshot["approximate"] is True
+
     def test_exact_and_estimated_usage_in_one_ledger(self, monkeypatch):
         # a ledger is approximate once any call in it was estimated
         monkeypatch.setattr(evaluator_module, "time", SimpleNamespace(monotonic=lambda: 0.0))
@@ -480,6 +498,23 @@ def test_templates_render_for_every_kind():
         prompt = render_prompt(request)
         assert "{subject_text" not in prompt and "{communities}" not in prompt
         assert len(prompt) > 50
+
+
+def test_persuasiveness_prompt_states_the_stance():
+    """The engine asks both stances of one message; the prompt tells them
+    apart, and a request without a stance reads as an endorsement."""
+    def prompt(**stance):
+        context = {"history": "h", **stance}
+        request = EvaluationRequest(kind="persuasiveness", subject_texts=("claim",),
+                                    context=context)
+        return render_prompt(request)
+
+    endorse, dispute = prompt(stance="endorse"), prompt(stance="dispute")
+    assert endorse != dispute
+    assert "disputes it: they quote it to\nargue that it is false" in dispute
+    assert "endorses it" in endorse and "disputes" not in endorse
+    assert prompt() == endorse
+    assert "{stance}" not in endorse
 
 
 @given(

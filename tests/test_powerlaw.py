@@ -1,5 +1,8 @@
+import math
 import time
 import warnings
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -383,6 +386,48 @@ def test_paper_world_fit_normalizer_calls_pinned(paper_world, monkeypatch):
     samples = [p.share_total for p in paper_world[1] if not p.is_bot and p.share_total >= 1]
     assert fit_truncated_power_law(samples) == paper_world[-1]
     assert len(calls) == 1_223
+
+
+def old_join_norm_constant(alpha, lam, x_min):
+    """_norm_constant's Euler-Maclaurin path with its join as first written:
+    nested generators and ``math.prod``, each ``sum`` spelled as the left-to-right
+    additions it made before Python 3.12."""
+    n = powerlaw._HEAD
+    assert math.ceil(powerlaw._DIRECT_SPAN / lam) > powerlaw._DIRECT_TERMS  # the join applies
+    k = np.arange(x_min, x_min + n, dtype=np.float64)
+    head = float(np.sum(k**-alpha * np.exp(-lam * k)))
+    m = float(x_min + n)
+    f = m**-alpha * math.exp(-lam * m)
+    edges, end, width = [m], m + powerlaw._CUTOFF_SPAN / lam, 4.0 / lam
+    while edges[-1] < end:
+        edges.append(edges[-1] + min(edges[-1], width))
+    a = np.array(edges)
+    half = (a[1:] - a[:-1]) / 2.0
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    x = (a[:-1] + half)[:, None] + half[:, None] * nodes
+    integral = float(half @ ((x**-alpha * np.exp(-lam * x)) @ weights))
+    join, rising = 0.5, [math.prod(alpha + j for j in range(i)) for i in range(8)]  # alpha^(i)
+    for c, o in zip(powerlaw._EM_COEFFS, (1, 3, 5, 7)):
+        join += c * reduce(add, (math.comb(o, i) * rising[i] * m**-i * lam ** (o - i)
+                                 for i in range(o + 1)), 0)
+    return head + (integral + f * join)
+
+
+def test_norm_constant_join_matches_old_formula():
+    """Bit for bit on seeded cases that take the Euler-Maclaurin join."""
+    rng = np.random.default_rng(28)
+    n = 2_000
+    alphas = rng.uniform(1.001, 8.0, n)
+    lams = 10.0 ** rng.uniform(-12.0, np.log10(0.04), n)
+    x_mins = rng.integers(1, 101, n)
+    for a, lam, x in zip(alphas.tolist(), lams.tolist(), x_mins.tolist()):
+        assert _norm_constant(a, lam, x) == old_join_norm_constant(a, lam, x), (a, lam, x)
+
+
+def test_candidates_never_empty():
+    """The smallest value keeps every sample in its tail: a fit that has
+    MIN_SAMPLES samples always has one x_min candidate."""
+    assert powerlaw.MIN_TAIL <= powerlaw.MIN_SAMPLES
 
 
 def test_invalid_parameters_rejected():
