@@ -403,7 +403,7 @@ def old_join_norm_constant(alpha, lam, x_min):
         edges.append(edges[-1] + min(edges[-1], width))
     a = np.array(edges)
     half = (a[1:] - a[:-1]) / 2.0
-    nodes, weights = np.polynomial.legendre.leggauss(16)
+    nodes, weights = powerlaw._gauss_legendre()
     x = (a[:-1] + half)[:, None] + half[:, None] * nodes
     integral = float(half @ ((x**-alpha * np.exp(-lam * x)) @ weights))
     join, rising = 0.5, [math.prod(alpha + j for j in range(i)) for i in range(8)]  # alpha^(i)
