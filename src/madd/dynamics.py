@@ -39,10 +39,7 @@ def discernment(trust: float, plausibility: float) -> float:
     return 1.0 - (1.0 - trust) * plausibility
 
 
-def believe_disinformation(da: float, rng) -> bool:
-    """Seeded Bernoulli realization: believes with probability 1 - da.
-
-    ``rng`` is anything with a ``random()`` method returning one uniform
-    double, such as a numpy Generator or an engine judgment stream.
-    """
-    return rng.random() < 1.0 - da
+def believe_disinformation(da: float, u: float) -> bool:
+    """Bernoulli realization from one seeded uniform ``u`` in [0, 1):
+    believes with probability 1 - da."""
+    return u < 1.0 - da

@@ -84,31 +84,15 @@ DEFAULT_RECORD_CADENCE = 12
 JUDGMENT_BLOCK = 32  # uniforms a judgment stream draws per refill
 
 
-class JudgmentStream:
-    """One receiver's uniforms for one kind of judgment, handed out in order.
-
-    The stream keeps its row of ``rng.substream_states`` and seeds its
-    generator on the first ``random()``, so a stream never read holds none.
-    The generator is read ``JUDGMENT_BLOCK`` doubles at a time; the k-th
-    ``random()`` call returns the generator's k-th scalar ``random()``, so a
-    stream stands in for the generator wherever one uniform is drawn at a
-    time (``dynamics.believe_disinformation`` takes either).
-    """
-
-    __slots__ = ("_words", "_gen", "_block", "_next")
-
-    def __init__(self, words: np.ndarray):
-        self._words, self._gen, self._block, self._next = words, None, None, JUDGMENT_BLOCK
-
-    def random(self) -> float:
-        i = self._next
-        if i == JUDGMENT_BLOCK:
-            if self._gen is None:
-                self._gen = rngmod.generator(self._words)
-            self._block = self._gen.random(JUDGMENT_BLOCK).tolist()
-            i = 0
-        self._next = i + 1
-        return self._block[i]
+def judgment_draws(words: np.ndarray):
+    """One receiver's uniforms for one kind of judgment, in order: the k-th
+    ``next`` is the k-th scalar ``random()`` of the generator seeded from
+    ``words`` (a row of ``rng.substream_states``), read ``JUDGMENT_BLOCK``
+    doubles at a time. The body runs at the first ``next``, so a stream
+    never read seeds no generator."""
+    gen = rngmod.generator(words)
+    while True:
+        yield from gen.random(JUDGMENT_BLOCK).tolist()
 
 
 @dataclass
@@ -135,7 +119,7 @@ class SimulationState:
         self.receipts = ([0] * n, [0] * n)  # per item: receipts per index
         self.pending = [{} for _ in range(n)]  # sender -> kind received since last activation
         self.strengths = [[None] * len(KIND_STANCE) for _ in range(n)]  # kind -> persuasiveness
-        self.streams = {"belief": [None] * n, "accept": [None] * n}  # JudgmentStreams
+        self.streams = {"belief": [None] * n, "accept": [None] * n}  # judgment_draws
 
     @property
     def delivery_log(self) -> DeliveryLog:
@@ -346,7 +330,7 @@ def run(
     for purpose, streams in state.streams.items():
         labels = ((purpose, ids[i], disinfo.content_id) for i in rows)
         for i, words in zip(rows, rngmod.substream_states(seed, labels)):
-            streams[i] = JudgmentStream(words)
+            streams[i] = judgment_draws(words)
     draws = activation_draws(seed, [ids[i] for i in rows], params.total_steps)
     probs = np.array([members[i].activation_probs for i in rows], dtype=float)
     probs = probs.reshape(len(rows), HOURS_PER_DAY)
@@ -475,10 +459,10 @@ def _deliver(state: SimulationState, outgoing, plausibility) -> None:
             # the k-th judgment of this kind takes the k-th draw of its own
             # stream, so plans sharing a seed see aligned randomness until
             # their histories actually diverge
-            stream = streams[purpose][r]
+            u = next(streams[purpose][r])
             if purpose == "belief":
-                believes[r] = believe_disinformation(da, stream)
-            elif stream.random() < da:
+                believes[r] = believe_disinformation(da, u)
+            elif u < da:
                 believes[r] = False
 
 

@@ -29,6 +29,7 @@ import time
 from collections import defaultdict
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import cache
 
 from . import rng as rngmod
 from .errors import MalformedEvaluatorResponse, RangeViolation, RemoteUnavailable, ScenarioError
@@ -462,6 +463,7 @@ def _reply_tokens(prompt: str, raw: dict) -> tuple[int, bool]:
     return _whitespace_tokens(prompt, _reply_content(raw)), True
 
 
+@cache  # at most one entry per request kind
 def load_template(kind: str) -> str:
     from importlib import resources
 

@@ -14,6 +14,8 @@ arises solely from users who belong to several communities.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import combinations
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -24,48 +26,41 @@ from .powerlaw import PowerLawFit, fit_truncated_power_law
 from .scenario import SimulationParams
 
 
-@dataclass
+@dataclass(frozen=True)
 class PropagationNetwork:
-    """Undirected diffusion graph over agents, with community labels."""
+    """Undirected diffusion graph over agents, with community labels; built
+    whole by ``from_edges`` and never changed after."""
 
-    kinds: dict = field(default_factory=dict)  # agent_id -> agent kind
-    community_index: dict = field(default_factory=dict)  # community -> sorted members
-    _adjacency: dict = field(default_factory=dict, repr=False)  # agent_id -> neighbour set
-    # the sorted edge list, built on first use after the last add_edge
-    _sorted_edges: list | None = field(default=None, init=False, repr=False, compare=False)
+    kinds: dict  # agent_id -> agent kind
+    community_index: dict  # community -> sorted members
+    adjacency: dict = field(repr=False)  # agent_id -> neighbour set
+
+    @classmethod
+    def from_edges(cls, kinds: dict, community_index: dict, edges) -> PropagationNetwork:
+        """The network over ``kinds``' agents with the given ``(a, b)`` edges;
+        an edge given twice, or in either direction, counts once."""
+        adjacency = {agent_id: set() for agent_id in kinds}
+        for a, b in edges:
+            if a == b:
+                raise ValueError(f"self-loop on {a!r}")
+            adjacency[a].add(b)
+            adjacency[b].add(a)
+        return cls(kinds, community_index, adjacency)
 
     @property
     def nodes(self) -> list:
         return sorted(self.kinds)
 
-    @property
+    @cached_property
     def edges(self) -> list:
         """Every edge once, as sorted ``(a, b)`` pairs with a < b."""
-        return list(self._edge_list())
-
-    def _edge_list(self) -> list:
-        if self._sorted_edges is None:
-            self._sorted_edges = sorted(
-                (a, b) for a, ns in self._adjacency.items() for b in ns if a < b
-            )
-        return self._sorted_edges
-
-    def add_node(self, agent_id: str, kind: str) -> None:
-        self.kinds.setdefault(agent_id, kind)
-        self._adjacency.setdefault(agent_id, set())
-
-    def add_edge(self, a: str, b: str) -> None:
-        if a == b:
-            raise ValueError(f"self-loop on {a!r}")
-        self._adjacency[a].add(b)
-        self._adjacency[b].add(a)
-        self._sorted_edges = None
+        return sorted((a, b) for a, ns in self.adjacency.items() for b in ns if a < b)
 
     def neighbors(self, agent_id: str) -> list:
-        return sorted(self._adjacency.get(agent_id, ()))
+        return sorted(self.adjacency.get(agent_id, ()))
 
     def degree(self, agent_id: str) -> int:
-        return len(self._adjacency.get(agent_id, ()))
+        return len(self.adjacency.get(agent_id, ()))
 
     def to_dict(self) -> dict:
         memberships: dict[str, set] = {}
@@ -105,7 +100,7 @@ class PropagationNetwork:
             f'      "kind": {encode_basestring_ascii(self.kinds[agent_id])}\n    }}'
             for agent_id in self.nodes
         ]
-        edges = [f"[\n      {quoted[a]},\n      {quoted[b]}\n    ]" for a, b in self._edge_list()]
+        edges = [f"[\n      {quoted[a]},\n      {quoted[b]}\n    ]" for a, b in self.edges]
         body = "{\n    " + ",\n    ".join(communities) + "\n  }" if communities else "{}"
         return (
             f'{{\n  "communities": {body},\n  "edges": {_json_array(edges, 2)},'
@@ -113,7 +108,7 @@ class PropagationNetwork:
         )
 
     def edge_text(self) -> str:
-        return "\n".join(f"{a}\t{b}" for a, b in self._edge_list()) + "\n"
+        return "\n".join(f"{a}\t{b}" for a, b in self.edges) + "\n"
 
 
 def _json_array(items, depth: int) -> str:
@@ -162,14 +157,9 @@ def build_network(
     """
     check_community_sizes(community_index, params.m0)
     by_id = {p.agent_id: p for p in profiles}
-    network = PropagationNetwork()
+    kinds = {a: by_id[a].kind for members in community_index.values() for a in members}
+    edges = []
     for community, members in community_index.items():
-        for agent_id in members:
-            network.add_node(agent_id, by_id[agent_id].kind)
-    network.community_index = {c: sorted(m) for c, m in community_index.items()}
-
-    for community in community_index:
-        members = community_index[community]
         influence = {a: by_id[a].social_influence.get(community, 0.0) for a in members}
         order = sorted(members, key=lambda a: (-influence[a], a))
         weights = np.array([influence[a] for a in order], dtype=np.float64)
@@ -177,19 +167,15 @@ def build_network(
         positive = np.cumsum(weights > 0.0)
         rng = rngmod.substream(seed, "network", community)
 
-        seeds = order[: params.m0]
-        for i, a in enumerate(seeds):
-            for b in seeds[i + 1 :]:
-                network.add_edge(a, b)
-
+        edges.extend(combinations(order[: params.m0], 2))
         for k in range(params.m0, len(order)):
             # members present on arrival k are order[:k]
             picks = _draw_without_replacement(
                 rng, weights[:k], cum[:k], int(positive[k - 1]), min(params.m, k)
             )
-            for position in picks:
-                network.add_edge(order[position], order[k])
-    return network
+            edges.extend((order[position], order[k]) for position in picks)
+    community_index = {c: sorted(m) for c, m in community_index.items()}
+    return PropagationNetwork.from_edges(kinds, community_index, edges)
 
 
 def _draw_without_replacement(

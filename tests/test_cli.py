@@ -262,13 +262,18 @@ def test_incomplete_run_writes_artifacts_then_exits_2(
     assert "runtime error: evaluator failed mid-run, incomplete arm(s): control" in captured.err
 
 
-def test_remote_boolean_score_leaves_run_incomplete(scenario_path, tmp_path, monkeypatch, capsys):
-    """A boolean score is malformed: retried once, then the run stops
-    incomplete and exits 2, with its report and manifest written."""
+def _remote_scenario(scenario_path, tmp_path) -> Path:
     data = json.loads(scenario_path.read_text())
     data["evaluator"]["endpoint"] = "http://localhost:9/v1"
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(data))
+    return path
+
+
+def test_remote_boolean_score_leaves_run_incomplete(scenario_path, tmp_path, monkeypatch, capsys):
+    """A boolean score is malformed: retried once, then the run stops
+    incomplete and exits 2, with its report and manifest written."""
+    path = _remote_scenario(scenario_path, tmp_path)
     content = {
         "Interest Community Scores": [{"Community": c, "Score": 9} for c in ("alpha", "beta")],
         "Trust Threshold Scores": [{"Community": c, "Score": 0.5} for c in ("alpha", "beta")],
@@ -289,10 +294,7 @@ def test_remote_boolean_score_leaves_run_incomplete(scenario_path, tmp_path, mon
 def test_remote_malformed_usage_is_estimated(scenario_path, tmp_path, monkeypatch):
     """A usage count that is not an integer is no count: the run completes
     and its ledger is marked approximate."""
-    data = json.loads(scenario_path.read_text())
-    data["evaluator"]["endpoint"] = "http://localhost:9/v1"
-    path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(data))
+    path = _remote_scenario(scenario_path, tmp_path)
     content = {
         "Interest Community Scores": [{"Community": c, "Score": 9} for c in ("alpha", "beta")],
         "Trust Threshold Scores": [{"Community": c, "Score": 0.5} for c in ("alpha", "beta")],
@@ -308,6 +310,45 @@ def test_remote_malformed_usage_is_estimated(scenario_path, tmp_path, monkeypatc
     args = ["run", "--backend", "remote", "--scenario", str(path), "--seed", "13"]
     assert main([*args, "--out", str(out)]) == 0
     assert json.loads((out / "report.json").read_text())["resource_ledger"]["approximate"] is True
+
+
+def _refused(self, prompt):
+    raise ConnectionError("refused")
+
+
+@pytest.mark.parametrize(
+    "post, reason",
+    [
+        (_refused, "remote evaluator failed after retry: refused"),
+        (lambda self, prompt: {"choices": [{"message": {"content": "Score: 9"}}]},
+         "reply is not JSON: Expecting value: line 1 column 1 (char 0)"),
+    ],
+    ids=["refused", "reply-not-json"],
+)
+def test_remote_failure_during_setup_exits_2_and_writes_nothing(
+    scenario_path, tmp_path, monkeypatch, capsys, post, reason
+):
+    monkeypatch.setattr(RemoteEvaluator, "_post", post)
+    out = tmp_path / "profiles"
+    argv = ["profiles", "--backend", "remote", "--scenario",
+            str(_remote_scenario(scenario_path, tmp_path)), "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"runtime error: scoring interest_community for user 'user_00000': {reason}\n")
+    assert not out.exists()
+
+
+def test_unexpected_exception_exits_2(scenario_path, tmp_path, monkeypatch, capsys):
+    def broken(scenario, evaluator):
+        raise RuntimeError("scorer broke")
+
+    monkeypatch.setattr("madd.cli.derive_profiles", broken)
+    out = tmp_path / "profiles"
+    assert main(["profiles", "--scenario", str(scenario_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "unexpected error: RuntimeError: scorer broke\n"
+    assert not out.exists()
 
 
 def test_strategy_without_stage_is_a_usage_error(scenario_path, tmp_path, capsys):
@@ -548,6 +589,29 @@ def test_malformed_input_exits_1(path, value):
 )
 def test_user_record_error_line_pinned(path, value, line):
     assert _validate(_replaced(path, value)) == (1, f"error: {line}\n")
+
+
+@pytest.mark.parametrize(
+    "data, line",
+    [
+        ([1, 2], "scenario = [1, 2] violates a JSON object"),
+        (_replaced(("communities",), DELETE), "missing required field 'communities' in scenario"),
+        (_replaced(("communities",), "alpha"),
+         "communities = 'alpha' violates a JSON array of names"),
+        (_replaced(("communities",), ["alpha", 3]),
+         "communities = ['alpha', 3] violates a JSON array of names"),
+        (_replaced(("users", 0), 5), "user record = 5 violates a JSON object"),
+        (_replaced(("users", 0, "user_id"), DELETE),
+         "missing required field 'user_id' in user record"),
+        (_replaced(("users", 0, "follower_count"), DELETE),
+         "missing required field 'follower_count' in user record 'user_00000'"),
+        (_replaced(("evaluator", "backend"), "foo"), "unknown evaluator backend 'foo'"),
+    ],
+    ids=["top-level-array", "no-communities", "communities-string", "communities-number",
+         "user-number", "user-without-id", "user-without-follower-count", "backend-unknown"],
+)
+def test_scenario_shape_error_line_pinned(data, line):
+    assert _validate(data) == (1, f"error: {line}\n")
 
 
 @pytest.mark.parametrize("value", ["12", 12.0])

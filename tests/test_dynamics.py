@@ -99,13 +99,13 @@ class TestDiscernment:
 class TestBelief:
     def test_certain_discernment_never_believes(self):
         rng = np.random.default_rng(0)
-        assert not any(believe_disinformation(1.0, rng) for _ in range(1000))
+        assert not any(believe_disinformation(1.0, rng.random()) for _ in range(1000))
 
     def test_zero_discernment_always_believes(self):
         rng = np.random.default_rng(0)
-        assert all(believe_disinformation(0.0, rng) for _ in range(1000))
+        assert all(believe_disinformation(0.0, rng.random()) for _ in range(1000))
 
     def test_belief_frequency_matches_probability(self):
         rng = np.random.default_rng(1234)
-        hits = sum(believe_disinformation(0.8, rng) for _ in range(10_000))
+        hits = sum(believe_disinformation(0.8, rng.random()) for _ in range(10_000))
         assert abs(hits / 10_000 - 0.2) < 0.01

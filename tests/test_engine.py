@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 from dataclasses import replace
 
@@ -15,7 +16,7 @@ from madd.attributes import (
     activation_probability,
 )
 from madd.content import CONTROL_PLAN, InterventionPlan, make_plan
-from madd.errors import EvaluatorFailure, WindowTooSmall
+from madd.errors import EvaluatorFailure, RangeViolation, WindowTooSmall
 from madd.evaluator import SyntheticEvaluator, make_evaluator
 from madd.network import PropagationNetwork
 from madd.powerlaw import PowerLawFit
@@ -87,12 +88,11 @@ def path_world(total_steps=4):
             social_influence={"alpha": 0.2},
         ),
     ]
-    network = PropagationNetwork()
-    for p in profiles:
-        network.add_node(p.agent_id, p.kind)
-    network.add_edge("mbot", "a_user")
-    network.add_edge("a_user", "b_user")
-    network.community_index = {"alpha": sorted(p.agent_id for p in profiles)}
+    network = PropagationNetwork.from_edges(
+        {p.agent_id: p.kind for p in profiles},
+        {"alpha": sorted(p.agent_id for p in profiles)},
+        [("mbot", "a_user"), ("a_user", "b_user")],
+    )
     fit = PowerLawFit(alpha=1.5, lam=0.01, x_min=10)
     return scenario, profiles, network, fit
 
@@ -285,6 +285,16 @@ class TestDeliver:
             )
         assert events == []  # step 0 is recorded before step 1 runs
 
+    def test_record_cadence_below_one_raises_before_recording(self):
+        scenario, profiles, network, fit = path_world(total_steps=2)
+        events = []
+        with pytest.raises(RangeViolation, match=r"^record_cadence = 0 violates >= 1$"):
+            engine.run(
+                scenario, network, profiles, CONTROL_PLAN, SyntheticEvaluator(seed=1),
+                seed=1, fit=fit, record_cadence=0, progress=events.append,
+            )
+        assert events == []
+
     def test_run_judges_through_dynamics(self, monkeypatch):
         scenario, profiles, network, fit = path_world(total_steps=4)
         fix_bot_steps(monkeypatch, {1, 2, 3})
@@ -307,9 +317,9 @@ class TestDeliver:
         n = 3 * engine.JUDGMENT_BLOCK + 5
         labels = ("belief", "u1", "claim_alpha")
         (words,) = rngmod.substream_states(13, [labels])
-        stream = engine.JudgmentStream(words)
+        stream = engine.judgment_draws(words)
         scalar = rngmod.substream(13, *labels)
-        assert [stream.random() for _ in range(n)] == [scalar.random() for _ in range(n)]
+        assert [next(stream) for _ in range(n)] == [scalar.random() for _ in range(n)]
 
     def test_unread_judgment_streams_hold_no_generator(self, paper_world):
         """Every regular agent gets a belief and an accept stream at run
@@ -320,9 +330,8 @@ class TestDeliver:
                    make_evaluator(scenario.evaluator_config, 3), seed=3, fit=fit,
                    topic="politics", state_out=states)
         streams = [s for kind in states[0].streams.values() for s in kind if s is not None]
-        seeded = [s for s in streams if s._gen is not None]
-        assert all(s._block is not None for s in seeded)
-        assert all(s._block is None for s in streams if s._gen is None)
+        seeded = [s for s in streams if inspect.getgeneratorstate(s) != inspect.GEN_CREATED]
+        assert all(inspect.getgeneratorstate(s) == inspect.GEN_SUSPENDED for s in seeded)
         assert (len(seeded), len(streams)) == (511, 2 * 689)
 
 

@@ -500,6 +500,23 @@ def test_templates_render_for_every_kind():
         assert len(prompt) > 50
 
 
+def test_template_read_once_per_kind(monkeypatch):
+    import importlib.resources
+
+    reads = []
+    files = importlib.resources.files
+
+    def counted(package):
+        reads.append(package)
+        return files(package)
+
+    evaluator_module.load_template.cache_clear()
+    monkeypatch.setattr(importlib.resources, "files", counted)
+    request = EvaluationRequest(kind="plausibility", subject_texts=("claim",), context={})
+    assert render_prompt(request) == render_prompt(request)
+    assert reads == ["madd"]
+
+
 def test_persuasiveness_prompt_states_the_stance():
     """The engine asks both stances of one message; the prompt tells them
     apart, and a request without a stance reads as an endorsement."""

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import json
 import math
 
@@ -200,22 +202,17 @@ def _assert_matches_oracle(seed: int, weights: np.ndarray, n: int, count: int) -
 
 class TestDegreeDistribution:
     def test_star_graph_histogram(self):
-        net = PropagationNetwork()
-        net.add_node("hub", KIND_REGULAR)
-        for i in range(6):
-            net.add_node(f"leaf{i}", KIND_REGULAR)
-            net.add_edge("hub", f"leaf{i}")
+        leaves = [f"leaf{i}" for i in range(6)]
+        kinds = dict.fromkeys(["hub", *leaves], KIND_REGULAR)
+        net = PropagationNetwork.from_edges(kinds, {}, [("hub", leaf) for leaf in leaves])
         histogram, fit = degree_distribution(net)
         assert histogram == {1: 6, 6: 1}
         assert fit is None  # far too small to fit
 
     def test_complete_graph_degrees(self):
-        net = PropagationNetwork()
-        for i in range(5):
-            net.add_node(f"k{i}", KIND_REGULAR)
-        for i in range(5):
-            for j in range(i + 1, 5):
-                net.add_edge(f"k{i}", f"k{j}")
+        ids = [f"k{i}" for i in range(5)]
+        net = PropagationNetwork.from_edges(
+            dict.fromkeys(ids, KIND_REGULAR), {}, itertools.combinations(ids, 2))
         histogram, _ = degree_distribution(net)
         assert histogram == {4: 5}
 
@@ -229,10 +226,11 @@ class TestDegreeDistribution:
 
 
 def test_to_dict_lists_every_community_of_a_node_sorted():
-    network = PropagationNetwork()
-    for agent_id in ("u1", "u2", "u3"):
-        network.add_node(agent_id, KIND_REGULAR)
-    network.community_index = {"zeta": ["u1", "u2"], "alpha": ["u1", "u3"]}
+    network = PropagationNetwork.from_edges(
+        dict.fromkeys(("u1", "u2", "u3"), KIND_REGULAR),
+        {"zeta": ["u1", "u2"], "alpha": ["u1", "u3"]},
+        (),
+    )
     nodes = {node["agent_id"]: node["communities"] for node in network.to_dict()["nodes"]}
     assert nodes == {"u1": ["alpha", "zeta"], "u2": ["zeta"], "u3": ["alpha"]}
 
@@ -345,19 +343,17 @@ def small_networks(draw):
     """Networks whose ids, kinds and community names are arbitrary text:
     quotes, backslashes, control characters and non-ASCII included."""
     ids = draw(st.lists(st.text(max_size=6), unique=True, max_size=8))
-    net = PropagationNetwork()
-    for agent_id in ids:
-        net.add_node(agent_id, draw(st.text(max_size=4)))
+    kinds = {agent_id: draw(st.text(max_size=4)) for agent_id in ids}
     names = draw(st.lists(st.text(max_size=6), unique=True, max_size=4))
-    net.community_index = {
+    community_index = {
         name: sorted(draw(st.lists(st.sampled_from(ids), unique=True))) if ids else []
         for name in names
     }
+    edges = []
     if len(ids) > 1:
         pairs = st.tuples(st.sampled_from(ids), st.sampled_from(ids)).filter(lambda p: p[0] != p[1])
-        for a, b in draw(st.lists(pairs, max_size=12)):
-            net.add_edge(a, b)
-    return net
+        edges = draw(st.lists(pairs, max_size=12))
+    return PropagationNetwork.from_edges(kinds, community_index, edges)
 
 
 @settings(max_examples=300, deadline=None)
@@ -367,11 +363,22 @@ def test_json_text_is_json_dumps_of_to_dict(net):
     assert net.edge_text() == "\n".join(f"{a}\t{b}" for a, b in net.edges) + "\n"
 
 
-def test_edges_sorted_again_after_a_new_edge():
-    net = PropagationNetwork()
-    for agent_id in "abc":
-        net.add_node(agent_id, "regular")
-    net.add_edge("b", "c")
-    assert net.edges == [("b", "c")] and net.edge_text() == "b\tc\n"
-    net.add_edge("a", "c")
-    assert net.edges == [("a", "c"), ("b", "c")] and net.edge_text() == "a\tc\nb\tc\n"
+class TestFromEdges:
+    def test_self_loop_rejected(self):
+        with pytest.raises(ValueError, match=r"^self-loop on 'b'$"):
+            PropagationNetwork.from_edges(dict.fromkeys("abc", KIND_REGULAR), {}, [("a", "b"), ("b", "b")])
+
+    def test_repeated_or_reversed_edge_counts_once(self):
+        net = PropagationNetwork.from_edges(
+            dict.fromkeys("abc", KIND_REGULAR), {}, [("b", "c"), ("c", "b"), ("a", "c"), ("b", "c")])
+        assert net.edges == [("a", "c"), ("b", "c")]
+        assert net.edge_text() == "a\tc\nb\tc\n"
+        assert [net.degree(a) for a in "abc"] == [1, 1, 2]
+        assert net.neighbors("c") == ["a", "b"]
+
+    def test_built_network_is_frozen(self):
+        net = PropagationNetwork.from_edges({"a": KIND_REGULAR, "b": KIND_REGULAR}, {}, [("a", "b")])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            net.adjacency = {}
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            net.community_index = {"c": ["a"]}

@@ -1,11 +1,12 @@
 import hashlib
 import json
+import re
 
 import pytest
 
 from madd import engine
 from madd.content import CONTROL_PLAN, make_plan
-from madd.errors import MismatchedRuns
+from madd.errors import MismatchedRuns, UnknownCommunity
 from madd.evaluator import make_evaluator
 from madd.report import (
     RatioRecord,
@@ -53,6 +54,9 @@ class TestTrustStats:
         mean, std = population_stats([0.5, 0.5, 0.5])
         assert (mean, std) == (0.5, 0.0)
 
+    def test_empty_population(self):
+        assert population_stats([]) == (0.0, 0.0)
+
     def test_two_point_population_std(self):
         mean, std = population_stats([0.4, 0.6])
         assert abs(mean - 0.5) < 1e-12
@@ -99,6 +103,26 @@ class TestValidation:
         report.ratios["politics"][3] = RatioRecord(36, 0.9, 0.1, 0.0, 0.0)
         with pytest.raises(ValueError, match="ER decreased"):
             report.validate()
+
+    @pytest.mark.parametrize(
+        "table, community, row, column, value, message",
+        [
+            ("ratios", "politics", 2, 3, 0.1, "IR + UR > ER at step 24 in 'politics'"),
+            ("trust", "sports", 1, 1, 1.5, "trust stats out of range at step 12 in 'sports'"),
+            ("trust", "sports", 1, 1, -0.2, "trust stats out of range at step 12 in 'sports'"),
+        ],
+        ids=["ir-plus-ur-above-er", "trust-mean-above-1", "trust-mean-below-0"],
+    )
+    def test_tampered_dict_rejected_on_ingest(self, table, community, row, column, value, message):
+        data = make_report().to_dict()
+        data[table][community][row][column] = value
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            RunReport.from_dict(data)
+
+    def test_ir_series_of_unknown_community(self):
+        report = RunReport.from_dict(make_report().to_dict())
+        with pytest.raises(UnknownCommunity, match=r"^unknown community 'cooking' \(report ratios\)$"):
+            report.ir_series("cooking")
 
 
 class TestComparison:
