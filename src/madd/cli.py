@@ -20,9 +20,9 @@ from pathlib import Path
 from . import engine
 from .attributes import derive_profiles
 from .content import CONTROL_PLAN, correction_for, make_plan
-from .errors import MaddError, ScenarioError
+from .errors import DegenerateSamples, InsufficientData, MaddError, ScenarioError
 from .evaluator import make_evaluator
-from .network import assign_communities, build_network, check_community_sizes
+from .network import assign_communities, build_network
 from .powerlaw import MIN_DISTINCT, MIN_SAMPLES, fit_truncated_power_law
 from .report import compare_interventions
 from .scenario import defaults_as_json, load_scenario, with_seed
@@ -149,14 +149,18 @@ def _prepare(scenario):
     return profiles, build_network(profiles, index, scenario.params, seed)
 
 
-def _share_counts(agents) -> list:
-    """The power-law fit's input: share counts of the agents that shared."""
-    return [a.share_total for a in agents if a.share_total >= 1]
-
-
-def _share_fit(profiles):
-    """Power-law fit of the regular users' share counts, for the engine."""
-    return fit_truncated_power_law(_share_counts(p for p in profiles if not p.is_bot))
+def _share_fit(scenario):
+    """Power-law fit of the share counts of the users who shared, for the
+    engine; too few of them, or too few distinct counts, is a validation
+    error."""
+    shares = [u.share_total for u in scenario.users if u.share_total >= 1]
+    try:
+        return fit_truncated_power_law(shares)
+    except (InsufficientData, DegenerateSamples) as exc:
+        raise _CliError(
+            f"the share-count fit needs >= {MIN_SAMPLES} users who shared, with >= "
+            f"{MIN_DISTINCT} distinct counts; got {len(shares)} users / {len(set(shares))} distinct"
+        ) from exc
 
 
 def _finish(reports, message: str) -> int:
@@ -190,21 +194,11 @@ def _write_network(writer, net) -> None:
 def _cmd_validate(args) -> int:
     scenario = _load(args)  # loading raises on the first violation
     scenario.disinformation_for(None)  # every run needs a claim
-    shares = _share_counts(scenario.users)  # the users are the regular agents
-    distinct = len(set(shares))
-    if len(shares) < MIN_SAMPLES or distinct < MIN_DISTINCT:
-        raise _CliError(
-            f"the share-count fit needs >= {MIN_SAMPLES} users who shared, with >= "
-            f"{MIN_DISTINCT} distinct counts; got {len(shares)} users / {distinct} distinct"
-        )
-    params = scenario.params
-    evaluator = make_evaluator(scenario.evaluator_config, params.rng_seed)
+    _share_fit(scenario)
     if scenario.evaluator_config.backend == "synthetic":
-        # community sizes come from scoring every user's interests
-        profiles = derive_profiles(scenario, evaluator)
-        index = assign_communities(profiles, params.tau, scenario.communities)
-        check_community_sizes(index, params.m0)
+        _prepare(scenario)  # community sizes come from scoring every user's interests
     else:
+        make_evaluator(scenario.evaluator_config, scenario.params.rng_seed)
         sys.stderr.write("note: community sizes not checked: they need remote evaluator calls\n")
     print(
         f"OK: {len(scenario.users)} users, {len(scenario.communities)} communities, "
@@ -237,13 +231,14 @@ def _cmd_network(args) -> int:
 def _simulate(args, scenario, plans: dict, trajectories: bool = False):
     """Setup, then one engine run per plan, each report written under the
     path prefix that keys its plan; returns the writer and the reports.
-    Catalog and setup errors raise before anything is written."""
+    Catalog, fit and setup errors raise before anything is written, and the
+    fit reads the users before any evaluator call."""
     disinfo = scenario.disinformation_for(args.topic)
     for plan in plans.values():
         if plan.strategy != "none":
             correction_for(disinfo, plan.strategy, scenario.content_catalog)
+    fit = _share_fit(scenario)
     profiles, net = _prepare(scenario)
-    fit = _share_fit(profiles)
     writer = ArtifactWriter(Path(args.out))
     reports = []
     for prefix, plan in plans.items():

@@ -28,11 +28,12 @@ Semantics, fixed for determinism:
   order agents are processed in. Each regular agent owns one "act" stream,
   drawn once per run as a (steps, 2) block of activation and share
   uniforms; step t reads row t-1. Its "belief" and "accept" streams over
-  the run's claim are derived at run start, one ``substream_states`` pass
-  per kind over every regular agent, and each seeds its generator at its
-  first judgment; its k-th judgment of a kind takes that stream's k-th
-  uniform, read in blocks of JUDGMENT_BLOCK (on PCG64,
-  ``random(n)`` yields the same doubles as n scalar ``random()`` calls).
+  the run's claim are keyed at run start, one ``substream_states`` array
+  per kind over every regular agent, and a stream's ``judgment_draws``
+  generator is made at its first judgment; its k-th judgment of a kind
+  takes that stream's k-th uniform, read in blocks of JUDGMENT_BLOCK (on
+  PCG64, ``random(n)`` yields the same doubles as n scalar ``random()``
+  calls).
 
 Bots are instruments: only bots homed in the run topic's community act,
 each broadcasting on the steps of its drawn schedule alone - malicious ones
@@ -119,7 +120,9 @@ class SimulationState:
         self.receipts = ([0] * n, [0] * n)  # per item: receipts per index
         self.pending = [{} for _ in range(n)]  # sender -> kind received since last activation
         self.strengths = [[None] * len(KIND_STANCE) for _ in range(n)]  # kind -> persuasiveness
-        self.streams = {"belief": [None] * n, "accept": [None] * n}  # judgment_draws
+        # purpose -> (n, 4) substream_states rows, and the judgment_draws made from them
+        self.stream_states = {}
+        self.streams = {"belief": [None] * n, "accept": [None] * n}
 
     @property
     def delivery_log(self) -> DeliveryLog:
@@ -327,10 +330,10 @@ def run(
             raise ValueError(f"trust {trust} of {ids[i]} outside [0, 1]")
 
     rows = state.rows
-    for purpose, streams in state.streams.items():
+    for purpose in state.streams:
         labels = ((purpose, ids[i], disinfo.content_id) for i in rows)
-        for i, words in zip(rows, rngmod.substream_states(seed, labels)):
-            streams[i] = judgment_draws(words)
+        words = state.stream_states[purpose] = np.zeros((len(ids), 4), dtype=np.uint64)
+        words[rows] = rngmod.substream_states(seed, labels)
     draws = activation_draws(seed, [ids[i] for i in rows], params.total_steps)
     probs = np.array([members[i].activation_probs for i in rows], dtype=float)
     probs = probs.reshape(len(rows), HOURS_PER_DAY)
@@ -430,7 +433,8 @@ def _apply_trust_update(state: SimulationState, i: int, evaluator, params, topic
 
 def _deliver(state: SimulationState, outgoing, plausibility) -> None:
     audience, trust, latest, pending = state.audience, state.trust, state.latest, state.pending
-    exposed, believes, streams = state.exposed, state.believes, state.streams
+    exposed, believes = state.exposed, state.believes
+    streams, stream_states = state.streams, state.stream_states
     da_of = {}  # receiver -> discernment; trust holds still while a step delivers
     for sender, kind in outgoing:
         counts = state.receipts[KIND_ITEM[kind]]
@@ -459,7 +463,10 @@ def _deliver(state: SimulationState, outgoing, plausibility) -> None:
             # the k-th judgment of this kind takes the k-th draw of its own
             # stream, so plans sharing a seed see aligned randomness until
             # their histories actually diverge
-            u = next(streams[purpose][r])
+            stream = streams[purpose][r]
+            if stream is None:
+                stream = streams[purpose][r] = judgment_draws(stream_states[purpose][r])
+            u = next(stream)
             if purpose == "belief":
                 believes[r] = believe_disinformation(da, u)
             elif u < da:

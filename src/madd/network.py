@@ -136,14 +136,6 @@ def assign_communities(profiles, tau: float, communities) -> dict:
     return {c: sorted(members) for c, members in index.items()}
 
 
-def check_community_sizes(community_index: dict, m0: int) -> None:
-    """Raise CommunityTooSmall for the first community with fewer than m0
-    members: its seed graph could not be built."""
-    for community, members in community_index.items():
-        if len(members) < m0:
-            raise CommunityTooSmall(community, len(members), m0)
-
-
 def build_network(
     profiles,
     community_index: dict,
@@ -153,9 +145,13 @@ def build_network(
     """Grow the network community by community (deterministic under seed).
 
     Arrival order within a community is descending influence, ties by
-    agent_id: influential accounts predate their followers.
+    agent_id: influential accounts predate their followers. The first
+    community with fewer than m0 members, whose seed graph could not be
+    built, raises CommunityTooSmall before any growth.
     """
-    check_community_sizes(community_index, params.m0)
+    for community, members in community_index.items():
+        if len(members) < params.m0:
+            raise CommunityTooSmall(community, len(members), params.m0)
     by_id = {p.agent_id: p for p in profiles}
     kinds = {a: by_id[a].kind for members in community_index.values() for a in members}
     edges = []

@@ -198,14 +198,85 @@ def test_validate_reports_violations(tmp_path, capsys):
     assert main(["validate", "--scenario", str(path)]) == 1
 
 
-def test_validate_rejects_too_few_sharers_for_fit(tmp_path, capsys):
-    """30 users leave 26 sharers with 13 distinct counts; `run` could only
-    fail in the power-law fit, so `validate` refuses the scenario."""
+def _few_sharers():
+    """30 users in one community: 26 of them shared, with 13 distinct counts."""
+    return build_synthetic_scenario(n_users=30, communities=("politics",), seed=3)
+
+
+def _equal_share_counts():
+    scenario = build_synthetic_scenario(n_users=60, communities=("politics",), seed=3)
+    users = tuple(replace(u, retweet_count=4, quote_count=0) for u in scenario.users)
+    return replace(scenario, users=users)
+
+
+def _without_claim():
+    scenario = build_synthetic_scenario(n_users=60, seed=6)
+    catalog = tuple(c for c in scenario.content_catalog if c.kind != "disinformation")
+    return replace(scenario, content_catalog=catalog)
+
+
+def _remote_without_endpoint():
+    scenario = build_synthetic_scenario(n_users=60, seed=6)
+    remote = replace(scenario.evaluator_config, backend="remote", endpoint="")
+    return replace(scenario, evaluator_config=remote)
+
+
+FIT_NEEDS = (
+    "error: the share-count fit needs >= 50 users who shared, with >= 10 distinct counts; "
+)
+
+
+@pytest.mark.parametrize(
+    "build, expected",
+    [
+        (_few_sharers, re.escape(f"{FIT_NEEDS}got 26 users / 13 distinct\n")),
+        (_equal_share_counts, re.escape(f"{FIT_NEEDS}got 60 users / 1 distinct\n")),
+        (lambda: build_synthetic_scenario(n_users=60, seed=6, m0=61), TOO_SMALL.pattern),
+        (_without_claim, "error: content catalog holds no disinformation item\n"),
+        (_remote_without_endpoint, "error: remote backend requires an endpoint URL\n"),
+    ],
+    ids=["too-few-sharers", "equal-share-counts", "community-below-m0", "no-claim",
+         "remote-without-endpoint"],
+)
+def test_validate_agrees_with_run_on_malformed_scenario(tmp_path, capsys, build, expected):
+    """`validate`, `run` and `experiment` walk one setup path: on a scenario
+    that cannot run, all three exit 1 with the same `error:` line, and
+    none creates its --out."""
     path = tmp_path / "scenario.json"
-    save_scenario(build_synthetic_scenario(n_users=30, seed=3), path)
-    assert main(["validate", "--scenario", str(path)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "got 26 users / 13 distinct" in err
+    save_scenario(build(), path)
+    common = ["--scenario", str(path), "--seed", "3"]
+    outs = {"run": tmp_path / "run", "experiment": tmp_path / "exp"}
+    results = []
+    for argv in (
+        ["validate", *common],
+        ["run", *common, "--out", str(outs["run"])],
+        ["experiment", *common, "--stage", "early", "--out", str(outs["experiment"])],
+    ):
+        code = main(argv)
+        captured = capsys.readouterr()
+        results.append((code, captured.out, captured.err))
+    assert results == [(1, "", results[0][2])] * 3
+    assert re.fullmatch(expected, results[0][2])
+    assert not any(out.exists() for out in outs.values())
+
+
+def test_remote_run_without_enough_sharers_makes_no_evaluator_call(
+    tmp_path, monkeypatch, capsys
+):
+    """The share-count fit reads the users before any profile is scored."""
+    scenario = _few_sharers()
+    remote = replace(scenario.evaluator_config, endpoint="http://127.0.0.1:9/v1")
+    path = tmp_path / "scenario.json"
+    save_scenario(replace(scenario, evaluator_config=remote), path)
+    posts = []
+    monkeypatch.setattr(RemoteEvaluator, "_post", lambda self, prompt: posts.append(prompt))
+    out = tmp_path / "run"
+    argv = ["run", "--backend", "remote", "--scenario", str(path), "--seed", "3",
+            "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: the share-count fit needs")
+    assert len(posts) == 0
+    assert not out.exists()
 
 
 def test_missing_scenario_file_is_validation_failure(tmp_path):

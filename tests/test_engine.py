@@ -322,17 +322,19 @@ class TestDeliver:
         assert [next(stream) for _ in range(n)] == [scalar.random() for _ in range(n)]
 
     def test_unread_judgment_streams_hold_no_generator(self, paper_world):
-        """Every regular agent gets a belief and an accept stream at run
-        start, but a generator is seeded only for a stream a judgment reads."""
+        """Every regular agent's belief and accept streams are keyed at run
+        start, but a generator object is made only for a stream a judgment
+        reads, and every one made has been advanced."""
         scenario, profiles, _, network, fit = paper_world
         states = []
         engine.run(scenario, network, profiles, CONTROL_PLAN,
                    make_evaluator(scenario.evaluator_config, 3), seed=3, fit=fit,
                    topic="politics", state_out=states)
-        streams = [s for kind in states[0].streams.values() for s in kind if s is not None]
-        seeded = [s for s in streams if inspect.getgeneratorstate(s) != inspect.GEN_CREATED]
-        assert all(inspect.getgeneratorstate(s) == inspect.GEN_SUSPENDED for s in seeded)
-        assert (len(seeded), len(streams)) == (511, 2 * 689)
+        state = states[0]
+        generators = [s for kind in state.streams.values() for s in kind if s is not None]
+        assert all(inspect.getgeneratorstate(s) == inspect.GEN_SUSPENDED for s in generators)
+        keyed = sum(int(w[state.rows].any(axis=1).sum()) for w in state.stream_states.values())
+        assert (len(generators), keyed) == (511, 2 * 689)
 
 
 @pytest.fixture(scope="module")
