@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import engine
 from .attributes import derive_profiles
-from .content import CONTROL_PLAN, correction_for, make_plan
+from .content import CONTROL_PLAN, WINDOW_STAGES, correction_for, make_plan
 from .errors import DegenerateSamples, InsufficientData, MaddError, ScenarioError
 from .evaluator import make_evaluator
 from .network import assign_communities, build_network
@@ -110,7 +110,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("run", help="run one simulation")
     add_engine_run(p)
-    p.add_argument("--stage", choices=["early", "mid", "late"],
+    p.add_argument("--stage", choices=WINDOW_STAGES,
                    help="intervention stage (omit for a control run)")
     p.add_argument("--strategy", choices=["fact", "narrative"],
                    help="correction strategy (requires --stage)")
@@ -119,7 +119,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("experiment", help="control + strategy runs + comparison")
     add_engine_run(p)
-    p.add_argument("--stage", choices=["early", "mid", "late"], required=True)
+    p.add_argument("--stage", choices=WINDOW_STAGES, required=True)
     p.add_argument("--strategy", choices=["fact", "narrative", "both"], default="both")
     return parser
 

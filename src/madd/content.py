@@ -9,7 +9,8 @@ from .evaluator import EvaluationRequest, Evaluator
 
 CONTENT_KINDS = ("disinformation", "correction")
 STRATEGIES = ("none", "fact_based", "narrative_based")
-STAGES = ("early", "mid", "late", "control")
+WINDOW_STAGES = ("early", "mid", "late")  # each acts inside its window in the run parameters
+STAGES = (*WINDOW_STAGES, "control")
 
 
 @dataclass(frozen=True)
@@ -74,10 +75,10 @@ class ContentItem:
 
 @dataclass(frozen=True)
 class InterventionPlan:
-    """When legitimate bots may act and which corrective strategy they push."""
+    """Which corrective strategy legitimate bots push, and at which stage;
+    the stage's window comes from the run parameters (:func:`stage_window`)."""
 
     stage: str
-    window: tuple[int, int] | None
     strategy: str
 
     def __post_init__(self):
@@ -86,28 +87,31 @@ class InterventionPlan:
         if self.strategy not in STRATEGIES:
             raise RangeViolation("strategy", self.strategy, f"one of {STRATEGIES}")
         if self.stage == "control":
-            if self.strategy != "none" or self.window is not None:
+            if self.strategy != "none":
                 raise RangeViolation(
                     "strategy", self.strategy, "control plans have no strategy or window"
                 )
-        else:
-            if self.strategy == "none":
-                raise RangeViolation("strategy", self.strategy, "staged plans need a strategy")
-            if self.window is None or self.window[0] > self.window[1]:
-                raise RangeViolation("window", self.window, "non-empty inclusive step range")
+        elif self.strategy == "none":
+            raise RangeViolation("strategy", self.strategy, "staged plans need a strategy")
 
 
-CONTROL_PLAN = InterventionPlan(stage="control", window=None, strategy="none")
+CONTROL_PLAN = InterventionPlan(stage="control", strategy="none")
 
 
-def make_plan(params, stage: str, strategy: str) -> InterventionPlan:
-    """Plan for a stage using the window configured in the run parameters."""
-    if stage == "control":
-        return CONTROL_PLAN
+def stage_window(params, stage: str) -> tuple[int, int]:
+    """The inclusive step range configured for ``stage`` in the run parameters."""
     window = params.intervention_windows.get(stage)
     if window is None:
         raise RangeViolation("stage", stage, "a stage with a configured window")
-    return InterventionPlan(stage=stage, window=tuple(window), strategy=strategy)
+    return window
+
+
+def make_plan(params, stage: str, strategy: str) -> InterventionPlan:
+    """Plan for a stage that has a window in the run parameters."""
+    if stage == "control":
+        return CONTROL_PLAN
+    stage_window(params, stage)  # a stage without a window raises here, as in the engine
+    return InterventionPlan(stage=stage, strategy=strategy)
 
 
 def score_plausibility(item: ContentItem, evaluator: Evaluator) -> float:

@@ -38,7 +38,8 @@ Semantics, fixed for determinism:
 Bots are instruments: only bots homed in the run topic's community act,
 each broadcasting on the steps of its drawn schedule alone - malicious ones
 the disinformation item anywhere in the run, legitimate ones the plan's
-correction inside the intervention window (never under a control plan).
+correction inside its stage's window in the run parameters (never under a
+control plan).
 Bots never appear in status tallies.
 
 State layout: acting bots and regular agents share one integer index in
@@ -59,9 +60,9 @@ import numpy as np
 from . import rng as rngmod
 from .attributes import KIND_MBOT, KIND_REGULAR, AgentProfile, dissemination_tendency
 from .attributes import activation_probability  # noqa: F401 - active_agents vectorizes it
-from .content import InterventionPlan, correction_for, score_plausibility
+from .content import InterventionPlan, correction_for, score_plausibility, stage_window
 from .dynamics import believe_disinformation, discernment, update_trust
-from .errors import EvaluatorFailure, RangeViolation, WindowTooSmall
+from .errors import EvaluatorFailure, RangeViolation
 from .evaluator import Evaluator
 from .network import PropagationNetwork
 from .powerlaw import PowerLawFit
@@ -190,10 +191,11 @@ def build_bot_schedules(
 
     Malicious activation counts draw from the malicious range and land
     anywhere in [1, T]; legitimate counts draw from the legitimate range and
-    land inside the plan's window. Control plans produce empty legitimate
-    schedules. Counts clamp to the hosting range length; a window shorter
-    than the legitimate minimum raises WindowTooSmall.
+    land inside the plan's stage window in ``params`` (a stage without one
+    raises RangeViolation). Control plans produce empty legitimate
+    schedules. Counts clamp to the hosting range length.
     """
+    window = None if plan.stage == "control" else stage_window(params, plan.stage)
     schedules: dict[str, frozenset] = {}
     drawn = []  # (agent id, first step, span, lo, hi) of each bot that draws
     for profile in sorted(profiles, key=lambda p: p.agent_id):
@@ -202,15 +204,13 @@ def build_bot_schedules(
         if profile.kind == KIND_MBOT:
             first, span = 1, params.total_steps
             lo, hi = params.malicious_freq_range
-        elif plan.stage == "control":
+        elif window is None:
             schedules[profile.agent_id] = frozenset()
             continue
         else:
-            first, last = plan.window
+            first, last = window
             span = last - first + 1
             lo, hi = params.legitimate_freq_range
-            if lo > span:
-                raise WindowTooSmall(span, lo)
         hi = min(hi, span)
         drawn.append((profile.agent_id, first, span, min(lo, hi), hi))
     streams = rngmod.substreams(seed, (("schedule", bot[0]) for bot in drawn))

@@ -71,13 +71,5 @@ class RemoteUnavailable(EvaluatorFailure):
     """Remote backend unreachable or persistently malformed after retry."""
 
 
-class WindowTooSmall(MaddError):
-    def __init__(self, window_len: int, minimum: int):
-        super().__init__(
-            f"intervention window of {window_len} steps cannot host "
-            f"the minimum of {minimum} bot activations"
-        )
-
-
 class MismatchedRuns(MaddError):
     """Reports being compared do not share a scenario digest and seed."""

@@ -54,11 +54,17 @@ class RunReport:
         return [(r.step, r.ir) for r in self.ratios[community]]
 
     def final_ir(self, community: str) -> float:
-        return self.ratios[community][-1].ir
+        return self.ir_series(community)[-1][1]
 
     def validate(self) -> None:
         """Re-check the engine's structural guarantees on ingest."""
+        if self.trust.keys() != self.ratios.keys():
+            raise ValueError("trust and ratio records cover different communities")
         for community, series in self.ratios.items():
+            if [r.step for r in self.trust[community]] != [r.step for r in series]:
+                raise ValueError(
+                    f"trust records of {community!r} are not at the steps of its ratio records"
+                )
             prev_er = -1.0
             for record in series:
                 if abs(record.sr + record.er - 1.0) > 1e-9:
@@ -133,20 +139,15 @@ class RunReport:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
     def to_csv(self) -> str:
+        """One row per ratio record, beside the trust record of its step
+        (``validate`` pairs the two series record by record)."""
         lines = [CSV_HEADER]
-        trust_by_step = {
-            community: {record.step: record for record in series}
-            for community, series in self.trust.items()
-        }
         for community in sorted(self.ratios):
-            for record in self.ratios[community]:
-                trust = trust_by_step.get(community, {}).get(record.step)
-                mean = trust.mean if trust else 0.0
-                std = trust.std if trust else 0.0
+            for record, trust in zip(self.ratios[community], self.trust[community], strict=True):
                 lines.append(
                     f"{record.step},{community}"
                     f",{record.sr:.9f},{record.er:.9f},{record.ir:.9f},{record.ur:.9f}"
-                    f",{mean:.9f},{std:.9f}"
+                    f",{trust.mean:.9f},{trust.std:.9f}"
                 )
         return "\n".join(lines) + "\n"
 

@@ -20,7 +20,7 @@ from operator import lt
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
-from .content import ContentItem
+from .content import WINDOW_STAGES, ContentItem
 from .errors import (
     DuplicateUserId,
     MissingField,
@@ -94,8 +94,8 @@ class SimulationParams:
             )
             check(ok, name, rng, "integer pair 0 <= lo <= hi")
         for stage, window in self.intervention_windows.items():
-            check(stage in ("early", "mid", "late"), "intervention_windows", stage,
-                  "stages are early/mid/late")
+            check(stage in WINDOW_STAGES, "intervention_windows", stage,
+                  f"stages are {'/'.join(WINDOW_STAGES)}")
             ok = (
                 len(window) == 2
                 and 1 <= window[0] <= window[1] <= self.total_steps
@@ -110,11 +110,8 @@ class SimulationParams:
 
 def scaled_windows(total_steps: int) -> dict:
     """Stage windows proportional to the run length (T/6, T/2, 2T/3)."""
-    return {
-        "early": (max(1, total_steps // 6), total_steps),
-        "mid": (max(1, total_steps // 2), total_steps),
-        "late": (max(1, (2 * total_steps) // 3), total_steps),
-    }
+    starts = (total_steps // 6, total_steps // 2, (2 * total_steps) // 3)
+    return {stage: (max(1, start), total_steps) for stage, start in zip(WINDOW_STAGES, starts)}
 
 
 def config_from_dict(cls, data, where: str):
@@ -356,6 +353,8 @@ def scenario_from_dict(data, base_dir: Path | None = None) -> Scenario:
         raise RangeViolation("communities", communities, "a JSON array of names")
     params = config_from_dict(SimulationParams, data.get("params", {}), "params")
 
+    if "users" in data and "users_file" in data:
+        raise ScenarioError("scenario holds both users and users_file; give one of them")
     if "users" in data:
         users = _records(data["users"], "users", UserRecord.from_dict)
     elif "users_file" in data:

@@ -10,6 +10,7 @@ from madd.content import (
     correction_for,
     make_plan,
     score_plausibility,
+    stage_window,
 )
 from madd.engine import build_bot_schedules
 from madd.errors import NoCorrectionAvailable, RangeViolation, ScenarioError
@@ -91,7 +92,8 @@ class TestInterventionPlans:
 
     def test_early_window_matches_config(self):
         plan = make_plan(self.params(), "early", "fact_based")
-        assert plan.window == (12, 72)
+        assert plan == InterventionPlan("early", "fact_based")
+        assert stage_window(self.params(), plan.stage) == (12, 72)
 
     def test_full_count_schedules_every_window_step(self):
         bot = AgentProfile(agent_id="l0", kind=KIND_LBOT, interest_scores={"alpha": 10.0})
@@ -107,23 +109,21 @@ class TestInterventionPlans:
 
     def test_control_plan_rejects_strategy(self):
         with pytest.raises(RangeViolation):
-            InterventionPlan(stage="control", window=None, strategy="fact_based")
+            InterventionPlan(stage="control", strategy="fact_based")
 
     def test_staged_plan_requires_strategy(self):
         with pytest.raises(RangeViolation):
-            InterventionPlan(stage="early", window=(12, 72), strategy="none")
+            InterventionPlan(stage="early", strategy="none")
 
-    @pytest.mark.parametrize("stage, window, strategy, message", [
-        ("never", (12, 72), "fact_based",
+    @pytest.mark.parametrize("stage, strategy, message", [
+        ("never", "fact_based",
          "stage = 'never' violates one of ('early', 'mid', 'late', 'control')"),
-        ("early", (12, 72), "satire",
+        ("early", "satire",
          "strategy = 'satire' violates one of ('none', 'fact_based', 'narrative_based')"),
-        ("early", (20, 10), "fact_based", "window = (20, 10) violates non-empty inclusive step range"),
-        ("early", None, "fact_based", "window = None violates non-empty inclusive step range"),
     ])
-    def test_malformed_plan_rejected(self, stage, window, strategy, message):
+    def test_malformed_plan_rejected(self, stage, strategy, message):
         with pytest.raises(RangeViolation, match=f"^{re.escape(message)}$"):
-            InterventionPlan(stage=stage, window=window, strategy=strategy)
+            InterventionPlan(stage=stage, strategy=strategy)
 
     def test_stage_without_window_rejected(self):
         params = SimulationParams(intervention_windows={"early": (12, 72)})

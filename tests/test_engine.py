@@ -1,6 +1,7 @@
 import hashlib
 import inspect
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +17,7 @@ from madd.attributes import (
     activation_probability,
 )
 from madd.content import CONTROL_PLAN, InterventionPlan, make_plan
-from madd.errors import EvaluatorFailure, RangeViolation, WindowTooSmall
+from madd.errors import EvaluatorFailure, RangeViolation
 from madd.evaluator import SyntheticEvaluator, make_evaluator
 from madd.network import PropagationNetwork
 from madd.powerlaw import PowerLawFit
@@ -210,11 +211,14 @@ class TestBotSchedules:
         schedules = engine.build_bot_schedules(self.bots(), params, CONTROL_PLAN, seed=5)
         assert all(len(schedules[f"m{i}"]) == 3 for i in range(3))
 
-    def test_window_too_small(self):
-        params = self.params(legitimate_freq_range=(10, 12))
-        plan = InterventionPlan("early", (70, 72), "fact_based")
-        with pytest.raises(WindowTooSmall):
-            engine.build_bot_schedules(self.bots(), params, plan, seed=5)
+    def test_stage_without_window_rejected(self):
+        # a hand-built plan meets the same window lookup as make_plan
+        params = self.params(intervention_windows={"early": (12, 72)})
+        message = "stage = 'late' violates a stage with a configured window"
+        with pytest.raises(RangeViolation, match=f"^{re.escape(message)}$"):
+            engine.build_bot_schedules(
+                self.bots(), params, InterventionPlan("late", "fact_based"), seed=5
+            )
 
     def test_deterministic(self):
         a = engine.build_bot_schedules(self.bots(), self.params(), CONTROL_PLAN, seed=5)
@@ -529,7 +533,7 @@ def test_legitimate_bots_only_act_inside_window(small_world):
         fit=fit,
         state_out=states,
     )
-    lo, hi = plan.window
+    lo, hi = scenario.params.intervention_windows["late"]
     for step, sender, _, content_id, _ in states[0].delivery_log:
         if sender.startswith("lbot"):
             assert lo <= step <= hi

@@ -49,6 +49,13 @@ def make_report(strategy="none", stage="control", seed=9, digest="abc", ir_bump=
     )
 
 
+def set_cell(table, community, row, column, value):
+    """A tamper that overwrites one cell of a report dict."""
+    def tamper(data):
+        data[table][community][row][column] = value
+    return tamper
+
+
 class TestTrustStats:
     def test_constant_values(self):
         mean, std = population_stats([0.5, 0.5, 0.5])
@@ -105,17 +112,24 @@ class TestValidation:
             report.validate()
 
     @pytest.mark.parametrize(
-        "table, community, row, column, value, message",
+        "tamper, message",
         [
-            ("ratios", "politics", 2, 3, 0.1, "IR + UR > ER at step 24 in 'politics'"),
-            ("trust", "sports", 1, 1, 1.5, "trust stats out of range at step 12 in 'sports'"),
-            ("trust", "sports", 1, 1, -0.2, "trust stats out of range at step 12 in 'sports'"),
+            (set_cell("ratios", "politics", 2, 3, 0.1), "IR + UR > ER at step 24 in 'politics'"),
+            (set_cell("trust", "sports", 1, 1, 1.5),
+             "trust stats out of range at step 12 in 'sports'"),
+            (set_cell("trust", "sports", 1, 1, -0.2),
+             "trust stats out of range at step 12 in 'sports'"),
+            (lambda data: data["trust"]["sports"].pop(3),
+             "trust records of 'sports' are not at the steps of its ratio records"),
+            (lambda data: data["ratios"].update(cooking=data["ratios"]["sports"]),
+             "trust and ratio records cover different communities"),
         ],
-        ids=["ir-plus-ur-above-er", "trust-mean-above-1", "trust-mean-below-0"],
+        ids=["ir-plus-ur-above-er", "trust-mean-above-1", "trust-mean-below-0",
+             "trust-row-dropped", "extra-ratio-community"],
     )
-    def test_tampered_dict_rejected_on_ingest(self, table, community, row, column, value, message):
+    def test_tampered_dict_rejected_on_ingest(self, tamper, message):
         data = make_report().to_dict()
-        data[table][community][row][column] = value
+        tamper(data)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             RunReport.from_dict(data)
 
@@ -123,6 +137,12 @@ class TestValidation:
         report = RunReport.from_dict(make_report().to_dict())
         with pytest.raises(UnknownCommunity, match=r"^unknown community 'cooking' \(report ratios\)$"):
             report.ir_series("cooking")
+
+    def test_final_ir_of_unknown_community(self):
+        report = RunReport.from_dict(make_report().to_dict())
+        assert report.final_ir("politics") == report.ratios["politics"][-1].ir
+        with pytest.raises(UnknownCommunity, match=r"^unknown community 'cooking' \(report ratios\)$"):
+            report.final_ir("cooking")
 
 
 class TestComparison:

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from madd import cli
 from madd.errors import (
     DuplicateUserId,
     MissingField,
@@ -291,6 +292,17 @@ class TestScenarioShape:
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             load_scenario(tmp_path / "scenario.json")
 
+    def test_inline_users_and_users_file_rejected_together(self, tmp_path, capsys):
+        # the sidecar named here does not exist: the pair is refused before any read
+        data = minimal_scenario_dict()
+        data["users_file"] = "users.json"
+        (tmp_path / "scenario.json").write_text(json.dumps(data))
+        message = "scenario holds both users and users_file; give one of them"
+        with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+            load_scenario(tmp_path / "scenario.json")
+        assert cli.main(["validate", "--scenario", str(tmp_path / "scenario.json")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_users_file_needs_a_scenario_path(self):
         data = minimal_scenario_dict()
         data.pop("users")
@@ -316,6 +328,11 @@ class TestValidateParams:
                 intervention_windows={"early": (12, 80), "mid": (36, 72), "late": (48, 72)},
             )
         assert "early" in exc.value.field
+
+    def test_reversed_window_rejected(self):
+        message = "intervention_windows[early] = (20, 10) violates sub-range of [1, 72]"
+        with pytest.raises(RangeViolation, match=f"^{re.escape(message)}$"):
+            SimulationParams(intervention_windows={"early": (20, 10)})
 
     def test_ratio_sum_capped(self):
         with pytest.raises(RangeViolation) as exc:
