@@ -111,7 +111,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("run", help="run one simulation")
     add_engine_run(p)
     p.add_argument("--stage", choices=WINDOW_STAGES,
-                   help="intervention stage (omit for a control run)")
+                   help="intervention stage (requires --strategy; omit both for a control run)")
     p.add_argument("--strategy", choices=["fact", "narrative"],
                    help="correction strategy (requires --stage)")
     p.add_argument("--trajectories", action="store_true",
@@ -267,16 +267,15 @@ def _simulate(args, scenario, plans: dict, trajectories: bool = False):
 
 def _cmd_run(args) -> int:
     scenario = _load(args)
-    if args.strategy and not args.stage:
-        raise _CliError("--strategy requires --stage")
-    plan = (
-        make_plan(scenario.params, args.stage, _STRATEGY_BY_FLAG[args.strategy])
-        if args.stage and args.strategy
-        else CONTROL_PLAN
-    )
+    if bool(args.stage) != bool(args.strategy):
+        given, missing = ("--stage", "--strategy") if args.stage else ("--strategy", "--stage")
+        raise _CliError(f"{given} requires {missing}")
+    plan = CONTROL_PLAN
+    if args.stage:
+        plan = make_plan(scenario.params, args.stage, _STRATEGY_BY_FLAG[args.strategy])
     writer, (report,) = _simulate(args, scenario, {"": plan}, args.trajectories)
     writer.write_manifest(scenario.digest(), scenario.params.rng_seed)
-    final = {c: report.ratios[c][-1] for c in sorted(report.ratios)}
+    final = {c: report.series[c][-1] for c in sorted(report.series)}
     for community, record in final.items():
         sys.stderr.write(
             f"final {community}: SR={record.sr:.3f} ER={record.er:.3f} "

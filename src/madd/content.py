@@ -108,8 +108,6 @@ def stage_window(params, stage: str) -> tuple[int, int]:
 
 def make_plan(params, stage: str, strategy: str) -> InterventionPlan:
     """Plan for a stage that has a window in the run parameters."""
-    if stage == "control":
-        return CONTROL_PLAN
     stage_window(params, stage)  # a stage without a window raises here, as in the engine
     return InterventionPlan(stage=stage, strategy=strategy)
 

@@ -66,7 +66,7 @@ from .errors import EvaluatorFailure, RangeViolation
 from .evaluator import Evaluator
 from .network import PropagationNetwork
 from .powerlaw import PowerLawFit
-from .report import RatioRecord, RunReport, TrustRecord, population_stats
+from .report import RunReport, StepRecord, population_stats
 from .scenario import HOURS_PER_DAY, Scenario
 
 STATUS_SUSCEPTIBLE = "susceptible"
@@ -349,18 +349,16 @@ def run(
     report = RunReport(
         scenario_digest=scenario.digest(), seed=int(seed), topic=topic,
         plan_stage=plan.stage, plan_strategy=plan.strategy, record_cadence=record_cadence,
-        total_steps=params.total_steps, ratios={c: [] for c in network.community_index},
-        trust={c: [] for c in network.community_index}, resource_ledger={},
+        total_steps=params.total_steps, series={c: [] for c in network.community_index},
     )
     trust, latest, receipts, pending = state.trust, state.latest, state.receipts, state.pending
     exposed, believes, spreading = state.exposed, state.believes, state.spreading
 
     def record(step: int) -> None:
         for community, community_rows in state.community_rows.items():
-            sr, er, ir, ur = snapshot_ratios(state, community)
-            report.ratios[community].append(RatioRecord(step, sr, er, ir, ur))
-            mean, std = population_stats([trust[i] for i in community_rows])
-            report.trust[community].append(TrustRecord(step, mean, std))
+            ratios = snapshot_ratios(state, community)
+            stats = population_stats([trust[i] for i in community_rows])
+            report.series[community].append(StepRecord(step, *ratios, *stats))
         if collect_trajectories:
             for i in rows:
                 report.trajectories.setdefault(ids[i], []).append((step, trust[i]))

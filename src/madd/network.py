@@ -62,29 +62,12 @@ class PropagationNetwork:
     def degree(self, agent_id: str) -> int:
         return len(self.adjacency.get(agent_id, ()))
 
-    def to_dict(self) -> dict:
-        memberships: dict[str, set] = {}
-        for community, members in self.community_index.items():
-            for agent_id in members:
-                memberships.setdefault(agent_id, set()).add(community)
-        return {
-            "nodes": [
-                {
-                    "agent_id": agent_id,
-                    "kind": self.kinds[agent_id],
-                    "communities": sorted(memberships.get(agent_id, ())),
-                }
-                for agent_id in self.nodes
-            ],
-            "edges": [list(pair) for pair in self.edges],
-            "communities": {c: list(members) for c, members in self.community_index.items()},
-        }
-
     def json_text(self) -> str:
-        """``json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"``,
-        written without building the dict: on Python 3.11 ``json.dumps``
-        falls back to its pure-Python encoder whenever ``indent`` is set.
-        Strings go through the encoder's own ``encode_basestring_ascii``."""
+        """The ``network.json`` text, laid out as ``json.dumps(indent=2,
+        sort_keys=True) + "\n"`` lays out its communities, edges and nodes,
+        but without building that object: on Python 3.11 ``json.dumps`` falls
+        back to its pure-Python encoder whenever ``indent`` is set. Strings
+        go through the encoder's own ``encode_basestring_ascii``."""
         quoted = {agent_id: encode_basestring_ascii(agent_id) for agent_id in self.kinds}
         memberships: dict[str, list] = {}
         communities = []

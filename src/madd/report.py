@@ -1,9 +1,9 @@
 """Run reports and intervention comparisons.
 
-A RunReport carries the recorded per-community ratio series, trust
-trajectory statistics, final state sets and the resource ledger for one
-simulation. Reports serialize byte-stably (sorted keys, fixed float
-formatting) so determinism can be checked by comparing files.
+A RunReport carries one row per community and recorded step (the group
+ratios beside the trust statistics), the final state sets and the resource
+ledger for one simulation. Reports serialize byte-stably (sorted keys,
+fixed float formatting) so determinism can be checked by comparing files.
 """
 
 from __future__ import annotations
@@ -18,18 +18,17 @@ from .errors import MismatchedRuns, UnknownCommunity
 CSV_HEADER = "step,community,SR,ER,IR,UR,tt_mean,tt_std"
 
 
-class RatioRecord(NamedTuple):
+class StepRecord(NamedTuple):
+    """One community at one recorded step: its SR/ER/IR/UR ratios and the
+    mean and population standard deviation of its members' trust."""
+
     step: int
     sr: float
     er: float
     ir: float
     ur: float
-
-
-class TrustRecord(NamedTuple):
-    step: int
-    mean: float
-    std: float
+    tt_mean: float
+    tt_std: float
 
 
 @dataclass
@@ -41,49 +40,35 @@ class RunReport:
     plan_strategy: str
     record_cadence: int
     total_steps: int
-    ratios: dict = field(default_factory=dict)  # community -> [RatioRecord]
-    trust: dict = field(default_factory=dict)  # community -> [TrustRecord]
+    series: dict = field(default_factory=dict)  # community -> [StepRecord]
     trajectories: dict = field(default_factory=dict)  # agent -> [[step, tt]] (optional)
     final_states: dict = field(default_factory=dict)  # status -> sorted agent ids
     resource_ledger: dict = field(default_factory=dict)
     complete: bool = True
 
     def ir_series(self, community: str) -> list:
-        if community not in self.ratios:
+        if community not in self.series:
             raise UnknownCommunity(community, "report ratios")
-        return [(r.step, r.ir) for r in self.ratios[community]]
+        return [(r.step, r.ir) for r in self.series[community]]
 
     def final_ir(self, community: str) -> float:
         return self.ir_series(community)[-1][1]
 
     def validate(self) -> None:
         """Re-check the engine's structural guarantees on ingest."""
-        if self.trust.keys() != self.ratios.keys():
-            raise ValueError("trust and ratio records cover different communities")
-        for community, series in self.ratios.items():
-            if [r.step for r in self.trust[community]] != [r.step for r in series]:
-                raise ValueError(
-                    f"trust records of {community!r} are not at the steps of its ratio records"
-                )
+        for community, rows in self.series.items():
             prev_er = -1.0
-            for record in series:
+            for record in rows:
+                where = f"at step {record.step} in {community!r}"
                 if abs(record.sr + record.er - 1.0) > 1e-9:
-                    raise ValueError(
-                        f"SR + ER != 1 at step {record.step} in {community!r}"
-                    )
+                    raise ValueError(f"SR + ER != 1 {where}")
                 if record.ir + record.ur > record.er + 1e-9:
-                    raise ValueError(
-                        f"IR + UR > ER at step {record.step} in {community!r}"
-                    )
+                    raise ValueError(f"IR + UR > ER {where}")
                 if record.er + 1e-12 < prev_er:
-                    raise ValueError(f"ER decreased at step {record.step} in {community!r}")
+                    raise ValueError(f"ER decreased {where}")
+                if not 0.0 <= record.tt_mean <= 1.0 or record.tt_std < 0.0:
+                    raise ValueError(f"trust stats out of range {where}")
                 prev_er = record.er
-        for community, series in self.trust.items():
-            for record in series:
-                if not 0.0 <= record.mean <= 1.0 or record.std < 0.0:
-                    raise ValueError(
-                        f"trust stats out of range at step {record.step} in {community!r}"
-                    )
 
     def to_dict(self) -> dict:
         out = {
@@ -93,8 +78,8 @@ class RunReport:
             "plan": {"stage": self.plan_stage, "strategy": self.plan_strategy},
             "record_cadence": self.record_cadence,
             "total_steps": self.total_steps,
-            "ratios": {c: [list(r) for r in series] for c, series in self.ratios.items()},
-            "trust": {c: [list(r) for r in series] for c, series in self.trust.items()},
+            "ratios": {c: [list(r[:5]) for r in rows] for c, rows in self.series.items()},
+            "trust": {c: [[r.step, *r[5:]] for r in rows] for c, rows in self.series.items()},
             "final_states": {k: list(v) for k, v in self.final_states.items()},
             "resource_ledger": self.resource_ledger,
             "complete": self.complete,
@@ -108,6 +93,21 @@ class RunReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunReport":
+        """The report of ``to_dict``'s data; each ``ratios`` row is paired with
+        the ``trust`` row of its community and step, then ``validate`` runs."""
+        ratios, trust = data["ratios"], data["trust"]
+        if trust.keys() != ratios.keys():
+            raise ValueError("trust and ratio records cover different communities")
+        paired = {}
+        for community, rows in ratios.items():
+            if [t[0] for t in trust[community]] != [r[0] for r in rows]:
+                raise ValueError(
+                    f"trust records of {community!r} are not at the steps of its ratio records"
+                )
+            paired[community] = [
+                StepRecord(step, sr, er, ir, ur, mean, std)
+                for (step, sr, er, ir, ur), (_, mean, std) in zip(rows, trust[community])
+            ]
         report = cls(
             scenario_digest=data["scenario_digest"],
             seed=data["seed"],
@@ -116,14 +116,7 @@ class RunReport:
             plan_strategy=data["plan"]["strategy"],
             record_cadence=data["record_cadence"],
             total_steps=data["total_steps"],
-            ratios={
-                c: [RatioRecord(*row) for row in series]
-                for c, series in data["ratios"].items()
-            },
-            trust={
-                c: [TrustRecord(*row) for row in series]
-                for c, series in data["trust"].items()
-            },
+            series=paired,
             trajectories={
                 agent: [tuple(point) for point in series]
                 for agent, series in data.get("trajectories", {}).items()
@@ -139,15 +132,13 @@ class RunReport:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
     def to_csv(self) -> str:
-        """One row per ratio record, beside the trust record of its step
-        (``validate`` pairs the two series record by record)."""
+        """One line per community and recorded step, communities sorted."""
         lines = [CSV_HEADER]
-        for community in sorted(self.ratios):
-            for record, trust in zip(self.ratios[community], self.trust[community], strict=True):
+        for community in sorted(self.series):
+            for r in self.series[community]:
                 lines.append(
-                    f"{record.step},{community}"
-                    f",{record.sr:.9f},{record.er:.9f},{record.ir:.9f},{record.ur:.9f}"
-                    f",{trust.mean:.9f},{trust.std:.9f}"
+                    f"{r.step},{community},{r.sr:.9f},{r.er:.9f},{r.ir:.9f},{r.ur:.9f}"
+                    f",{r.tt_mean:.9f},{r.tt_std:.9f}"
                 )
         return "\n".join(lines) + "\n"
 
@@ -198,15 +189,15 @@ def compare_interventions(reports) -> ComparisonReport:
         seed=control.seed,
         control_stage=control.plan_stage,
     )
-    control_ir = {c: dict(control.ir_series(c)) for c in control.ratios}
+    control_ir = {c: dict(control.ir_series(c)) for c in control.series}
     for run in others:
         label = f"{run.plan_stage}:{run.plan_strategy}"
-        if set(run.ratios) != set(control.ratios):
+        if set(run.series) != set(control.series):
             raise MismatchedRuns(f"run {label} covers different communities than control")
         per_community = {}
         finals = {}
         peaks = {}
-        for community in sorted(run.ratios):
+        for community in sorted(run.series):
             base = control_ir[community]
             series = []
             for step, ir in run.ir_series(community):

@@ -14,6 +14,8 @@ import hashlib
 import io
 import json
 import sys
+from collections.abc import Mapping
+from copy import deepcopy
 from dataclasses import asdict, dataclass, field, replace
 from itertools import chain, repeat
 from operator import lt
@@ -60,8 +62,9 @@ class SimulationParams:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.intervention_windows is None:
-            object.__setattr__(self, "intervention_windows", scaled_windows(self.total_steps))
+        windows = self.intervention_windows
+        windows = scaled_windows(self.total_steps) if windows is None else windows
+        object.__setattr__(self, "intervention_windows", _Windows(windows))
 
         def check(cond: bool, field_name: str, value, constraint: str):
             if not cond:
@@ -106,6 +109,32 @@ class SimulationParams:
             least = self.legitimate_freq_range[0]
             check(window[1] - window[0] + 1 >= least, f"intervention_windows[{stage}]",
                   tuple(window), f"at least legitimate_freq_range[0] = {least} steps")
+
+    def __deepcopy__(self, memo):
+        return self  # frozen, with read-only windows
+
+
+class _Windows(Mapping):
+    """Stage windows, read-only once checked. A deep copy, and so ``asdict``,
+    is a plain dict, which keeps every JSON form as it was."""
+
+    def __init__(self, windows):
+        self._windows = {stage: tuple(window) for stage, window in windows.items()}
+
+    def __getitem__(self, stage):
+        return self._windows[stage]
+
+    def __iter__(self):
+        return iter(self._windows)
+
+    def __len__(self):
+        return len(self._windows)
+
+    def __repr__(self):
+        return repr(self._windows)
+
+    def __deepcopy__(self, memo):
+        return deepcopy(self._windows, memo)
 
 
 def scaled_windows(total_steps: int) -> dict:

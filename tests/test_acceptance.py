@@ -181,7 +181,7 @@ def test_criterion_06_simulation_invariants_at_scale(paper_world, canonical_run)
     scenario, profiles, _, network, fit = paper_world
     report, state, first_elapsed = canonical_run
 
-    for community, series in report.ratios.items():
+    for community, series in report.series.items():
         previous_er = 0.0
         for record in series:
             assert abs(record.sr + record.er - 1.0) < 1e-9
@@ -249,11 +249,11 @@ def test_criterion_07_intervention_direction(paper_world):
 
 def test_criterion_08_control_trust_drifts_up(canonical_run):
     report, _, _ = canonical_run
-    series = report.trust[TOPIC]
-    assert series[-1].mean >= series[0].mean
+    series = report.series[TOPIC]
+    assert series[-1].tt_mean >= series[0].tt_mean
     report_line(
         8,
-        f"control trust mean {series[0].mean:.6f} -> {series[-1].mean:.6f} "
+        f"control trust mean {series[0].tt_mean:.6f} -> {series[-1].tt_mean:.6f} "
         f"over {report.total_steps} steps",
     )
 
@@ -318,11 +318,11 @@ def test_criterion_10_long_run_smoke():
     elapsed = time.perf_counter() - started
     assert report.complete
     assert report.total_steps == 120
-    assert [r.step for r in report.ratios["business"]][-1] == 120
-    for record in report.ratios["business"]:
+    assert [r.step for r in report.series["business"]][-1] == 120
+    for record in report.series["business"]:
         assert abs(record.sr + record.er - 1.0) < 1e-9
         assert record.ir + record.ur <= record.er + 1e-9
-    ers = [r.er for r in report.ratios["business"]]
+    ers = [r.er for r in report.series["business"]]
     assert all(b >= a - 1e-12 for a, b in zip(ers, ers[1:]))
     for series in report.trajectories.values():
         assert all(0.0 <= tt <= 1.0 for _, tt in series)

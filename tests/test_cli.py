@@ -431,6 +431,16 @@ def test_strategy_without_stage_is_a_usage_error(scenario_path, tmp_path, capsys
     assert not out.exists()
 
 
+def test_stage_without_strategy_is_a_usage_error(scenario_path, tmp_path, capsys):
+    """A stage alone used to run, and report, a control plan."""
+    out = tmp_path / "run"
+    args = ["run", "--scenario", str(scenario_path), "--seed", "13", "--stage", "late",
+            "--out", str(out)]
+    assert main(args) == 1
+    assert capsys.readouterr().err == "error: --stage requires --strategy\n"
+    assert not out.exists()
+
+
 def test_run_writes_report_and_manifest(scenario_path, tmp_path, capsys):
     out = tmp_path / "run1"
     code = main(

@@ -121,7 +121,7 @@ class TestHandTraces:
             fit=fit,
             record_cadence=1,
         )
-        first, last = report.ratios["alpha"][0], report.ratios["alpha"][-1]
+        first, last = report.series["alpha"][0], report.series["alpha"][-1]
         assert (first.sr, first.er) == (1.0, 0.0)
         assert (last.sr, last.er, last.ir, last.ur) == (1.0, 0.0, 0.0, 0.0)
 
@@ -167,7 +167,7 @@ class TestHandTraces:
         state = states[0]
         assert state.agents["a_user"].status == engine.STATUS_EXPOSED
         assert state.agents["b_user"].status == engine.STATUS_SUSCEPTIBLE
-        assert report.ratios["alpha"][-1].er == 0.5
+        assert report.series["alpha"][-1].er == 0.5
 
 
 class TestBotSchedules:
@@ -364,7 +364,7 @@ def run_outputs(small_world):
 class TestRunInvariants:
     def test_partition_and_monotonicity(self, run_outputs):
         _, _, _, report, _ = run_outputs
-        for community, series in report.ratios.items():
+        for community, series in report.series.items():
             previous_er = 0.0
             for record in series:
                 assert abs(record.sr + record.er - 1.0) < 1e-9
@@ -516,7 +516,7 @@ def test_step_zero_trust_mean_matches_profiles(small_world):
             m for m in network.community_index[community] if not by_id[m].is_bot
         ]
         expected = sum(by_id[m].trust_thresholds["alpha"] for m in members) / len(members)
-        assert abs(report.trust[community][0].mean - expected) < 1e-12
+        assert abs(report.series[community][0].tt_mean - expected) < 1e-12
 
 
 def test_legitimate_bots_only_act_inside_window(small_world):

@@ -8,32 +8,22 @@ from madd import engine
 from madd.content import CONTROL_PLAN, make_plan
 from madd.errors import MismatchedRuns, UnknownCommunity
 from madd.evaluator import make_evaluator
-from madd.report import (
-    RatioRecord,
-    RunReport,
-    TrustRecord,
-    compare_interventions,
-    population_stats,
-)
+from madd.report import RunReport, StepRecord, compare_interventions, population_stats
 
 COMMUNITIES = ["business", "education", "entertainment", "politics", "sports", "technology"]
 STEPS = [0, 12, 24, 36, 48, 60, 72]
 
 
 def make_report(strategy="none", stage="control", seed=9, digest="abc", ir_bump=0.0):
-    ratios = {}
-    trust = {}
+    series = {}
     for ci, community in enumerate(COMMUNITIES):
-        series = []
-        tseries = []
+        rows = []
         for si, step in enumerate(STEPS):
             er = min(1.0, 0.1 * si)
             ir = min(er, max(0.0, 0.02 * si + ir_bump)) if si else 0.0
             ur = max(0.0, er - ir - 0.01) if si else 0.0
-            series.append(RatioRecord(step, 1.0 - er, er, ir, ur))
-            tseries.append(TrustRecord(step, 0.5 + 0.001 * si, 0.1))
-        ratios[community] = series
-        trust[community] = tseries
+            rows.append(StepRecord(step, 1.0 - er, er, ir, ur, 0.5 + 0.001 * si, 0.1))
+        series[community] = rows
     return RunReport(
         scenario_digest=digest,
         seed=seed,
@@ -42,11 +32,16 @@ def make_report(strategy="none", stage="control", seed=9, digest="abc", ir_bump=
         plan_strategy=strategy,
         record_cadence=12,
         total_steps=72,
-        ratios=ratios,
-        trust=trust,
+        series=series,
         final_states={"susceptible": [], "exposed": [], "infected_spreader": [], "uninfected_spreader": []},
         resource_ledger={"per_community": {}, "totals": {"llm_calls": 0, "tokens": 0, "wall_time": 0.0}, "approximate": True},
     )
+
+
+def set_ratios(report, community, row, sr, er, ir, ur):
+    """Overwrite the ratios of one row, keeping its step and trust statistics."""
+    rows = report.series[community]
+    rows[row] = rows[row]._replace(sr=sr, er=er, ir=ir, ur=ur)
 
 
 def set_cell(table, community, row, column, value):
@@ -83,14 +78,14 @@ class TestSerialization:
 
     def test_json_round_trip_full_precision(self):
         report = make_report()
-        report.ratios["politics"][1] = RatioRecord(12, 1 - 0.123456789123, 0.123456789123, 0.1, 0.01)
+        set_ratios(report, "politics", 1, 1 - 0.123456789123, 0.123456789123, 0.1, 0.01)
         again = RunReport.from_dict(json.loads(report.to_json()))
-        assert again.ratios["politics"][1].er == 0.123456789123
+        assert again.series["politics"][1].er == 0.123456789123
         assert again.to_json() == report.to_json()
 
     def test_csv_nine_decimal_places(self):
         report = make_report()
-        report.ratios["politics"][1] = RatioRecord(12, 1 - 0.1234567891234, 0.1234567891234, 0.0, 0.0)
+        set_ratios(report, "politics", 1, 1 - 0.1234567891234, 0.1234567891234, 0.0, 0.0)
         row = [l for l in report.to_csv().splitlines() if l.startswith("12,politics")][0]
         assert row.split(",")[3] == "0.123456789"
 
@@ -101,13 +96,13 @@ class TestSerialization:
 class TestValidation:
     def test_partition_violation_caught(self):
         report = make_report()
-        report.ratios["politics"][2] = RatioRecord(24, 0.5, 0.6, 0.0, 0.0)
+        set_ratios(report, "politics", 2, 0.5, 0.6, 0.0, 0.0)
         with pytest.raises(ValueError, match="SR \\+ ER"):
             report.validate()
 
     def test_er_decrease_caught(self):
         report = make_report()
-        report.ratios["politics"][3] = RatioRecord(36, 0.9, 0.1, 0.0, 0.0)
+        set_ratios(report, "politics", 3, 0.9, 0.1, 0.0, 0.0)
         with pytest.raises(ValueError, match="ER decreased"):
             report.validate()
 
@@ -140,7 +135,7 @@ class TestValidation:
 
     def test_final_ir_of_unknown_community(self):
         report = RunReport.from_dict(make_report().to_dict())
-        assert report.final_ir("politics") == report.ratios["politics"][-1].ir
+        assert report.final_ir("politics") == report.series["politics"][-1].ir
         with pytest.raises(UnknownCommunity, match=r"^unknown community 'cooking' \(report ratios\)$"):
             report.final_ir("cooking")
 
@@ -194,14 +189,14 @@ class TestComparison:
 
     def test_mismatched_communities_rejected(self):
         fact = make_report(strategy="fact_based", stage="early")
-        del fact.ratios["sports"]
+        del fact.series["sports"]
         message = "run early:fact_based covers different communities than control"
         with pytest.raises(MismatchedRuns, match=f"^{message}$"):
             compare_interventions([make_report(), fact])
 
     def test_step_missing_in_control_rejected(self):
         control = make_report()
-        for series in control.ratios.values():
+        for series in control.series.values():
             del series[-1]
         message = "run early:fact_based recorded step 72 missing in control"
         with pytest.raises(MismatchedRuns, match=f"^{message}$"):

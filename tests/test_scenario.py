@@ -1,7 +1,8 @@
+import copy
 import hashlib
 import json
 import re
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -107,6 +108,27 @@ class TestLoading:
         assert SimulationParams().intervention_windows == {
             "early": (12, 72), "mid": (36, 72), "late": (48, 72),
         }
+
+    def test_windows_are_read_only_once_checked(self, tmp_path):
+        path = tmp_path / "scenario.json"
+        save_scenario(build_synthetic_scenario(n_users=40, seed=7), path)
+        scenario = load_scenario(path)
+        digest, windows = scenario.digest(), dict(scenario.params.intervention_windows)
+        for params in (scenario.params, SimulationParams(), copy.deepcopy(scenario.params)):
+            with pytest.raises(TypeError):
+                params.intervention_windows["late"] = (72, 72)
+        assert scenario.params.intervention_windows == windows
+        late = SimulationParams(intervention_windows={"late": [48, 72]}).intervention_windows["late"]
+        assert late == (48, 72)  # a tuple: a list would stay open to edits
+        assert scenario.digest() == load_scenario(path).digest() == digest
+        # the JSON forms stay plain dicts that a caller may edit
+        data = scenario.to_dict()
+        for plain in (data["params"]["intervention_windows"],
+                      asdict(scenario.params)["intervention_windows"]):
+            assert type(plain) is dict and plain == windows
+            plain["late"] = (72, 72)
+        assert scenario.to_dict()["params"]["intervention_windows"] == windows
+        assert json.dumps(data, sort_keys=True) != json.dumps(scenario.to_dict(), sort_keys=True)
 
     def test_unknown_topic_rejected(self):
         data = minimal_scenario_dict()
