@@ -115,7 +115,7 @@ def dissemination_tendency(
 _PROFILE_KINDS = ("interest_community", "trust_threshold")
 
 
-def _profile_requests(user, communities: list):
+def _profile_requests(user, communities: list, kinds=_PROFILE_KINDS):
     texts = tuple(text for _, text in user.historical_texts)
     context = {
         "user_id": user.user_id,
@@ -125,7 +125,7 @@ def _profile_requests(user, communities: list):
         "following_count": user.following_count,
     }
     return [EvaluationRequest(kind=kind, subject_texts=texts, context=context)
-            for kind in _PROFILE_KINDS]
+            for kind in kinds]
 
 
 def _next_scores(scores, user, kind: str) -> dict:
@@ -144,9 +144,15 @@ def _half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def derive_profiles(scenario: Scenario, evaluator: Evaluator) -> list:
+def derive_profiles(scenario: Scenario, evaluator: Evaluator, *, trust: bool = True) -> list:
     """All agent profiles for a scenario: scored regular users plus the
     per-community bot populations.
+
+    ``trust=False`` asks the evaluator only each user's interest scores and
+    leaves regular trust thresholds empty, for callers that build the
+    network but run no engine. Every other value is the same either way:
+    each request draws from its own stream, so skipping the trust requests
+    moves no interest score.
 
     Bot counts are half-up-rounded ratio * community size (minimum one per
     community whenever the ratio is positive). Bot trust thresholds are
@@ -157,18 +163,20 @@ def derive_profiles(scenario: Scenario, evaluator: Evaluator) -> list:
     params = scenario.params
     profiles: list[AgentProfile] = []
     communities = list(scenario.communities)
+    kinds = _PROFILE_KINDS if trust else _PROFILE_KINDS[:1]
     scores = evaluator.evaluate_many(
-        request for user in scenario.users for request in _profile_requests(user, communities)
+        request for user in scenario.users
+        for request in _profile_requests(user, communities, kinds)
     )
     for user in scenario.users:
         ic = _next_scores(scores, user, "interest_community")
-        tt = _next_scores(scores, user, "trust_threshold")
+        tt = _next_scores(scores, user, "trust_threshold") if trust else None
         profiles.append(
             AgentProfile(
                 agent_id=user.user_id,
                 kind=KIND_REGULAR,
                 interest_scores={c: ic[c] for c in scenario.communities},
-                trust_thresholds={c: tt[c] for c in scenario.communities},
+                trust_thresholds={c: tt[c] for c in scenario.communities} if trust else {},
                 activation_probs=normalize_histogram(user.activity_histogram),
                 share_total=user.share_total,
                 follower_count=user.follower_count,

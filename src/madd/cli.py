@@ -140,11 +140,12 @@ def _progress_printer(payload: dict) -> None:
     sys.stderr.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
-def _prepare(scenario):
-    """Profiles and propagation network for a scenario."""
+def _prepare(scenario, *, trust: bool):
+    """Profiles and propagation network for a scenario; ``trust`` scores the
+    trust thresholds too, which only the engine reads."""
     seed = scenario.params.rng_seed
     evaluator = make_evaluator(scenario.evaluator_config, seed)
-    profiles = derive_profiles(scenario, evaluator)
+    profiles = derive_profiles(scenario, evaluator, trust=trust)
     index = assign_communities(profiles, scenario.params.tau, scenario.communities)
     return profiles, build_network(profiles, index, scenario.params, seed)
 
@@ -196,7 +197,7 @@ def _cmd_validate(args) -> int:
     scenario.disinformation_for(None)  # every run needs a claim
     _share_fit(scenario)
     if scenario.evaluator_config.backend == "synthetic":
-        _prepare(scenario)  # community sizes come from scoring every user's interests
+        _prepare(scenario, trust=False)  # community sizes come from scoring every user's interests
     else:
         make_evaluator(scenario.evaluator_config, scenario.params.rng_seed)
         sys.stderr.write("note: community sizes not checked: they need remote evaluator calls\n")
@@ -220,7 +221,7 @@ def _cmd_profiles(args) -> int:
 
 def _cmd_network(args) -> int:
     scenario = _load(args)
-    _, net = _prepare(scenario)
+    _, net = _prepare(scenario, trust=False)
     writer = ArtifactWriter(Path(args.out))
     _write_network(writer, net)
     writer.write_manifest(scenario.digest(), scenario.params.rng_seed)
@@ -238,7 +239,7 @@ def _simulate(args, scenario, plans: dict, trajectories: bool = False):
         if plan.strategy != "none":
             correction_for(disinfo, plan.strategy, scenario.content_catalog)
     fit = _share_fit(scenario)
-    profiles, net = _prepare(scenario)
+    profiles, net = _prepare(scenario, trust=True)
     writer = ArtifactWriter(Path(args.out))
     reports = []
     for prefix, plan in plans.items():

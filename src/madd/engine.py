@@ -282,9 +282,9 @@ def run(
 
     Judgment inputs are checked here, once: the plausibility (given or
     scored) and each regular agent's starting trust toward the topic must
-    lie in [0, 1], else ValueError before step 1. Trust then moves only
-    through ``update_trust``, which clips to [0, 1], so discernment needs no
-    check per receipt.
+    be present and lie in [0, 1], else ValueError before step 1. Trust then
+    moves only through ``update_trust``, which clips to [0, 1], so
+    discernment needs no check per receipt.
     """
     if record_cadence < 1:
         raise RangeViolation("record_cadence", record_cadence, ">= 1")
@@ -325,7 +325,10 @@ def run(
         sends=[] if state_out is not None else None,
     )
     for i in state.rows:
-        state.trust[i] = trust = members[i].trust_thresholds[topic]
+        trust = members[i].trust_thresholds.get(topic)
+        if trust is None:
+            raise ValueError(f"{ids[i]} has no trust threshold toward {topic!r}")
+        state.trust[i] = trust
         if not 0.0 <= trust <= 1.0:
             raise ValueError(f"trust {trust} of {ids[i]} outside [0, 1]")
 

@@ -369,8 +369,11 @@ class Scenario:
 def scenario_from_dict(data, base_dir: Path | None = None) -> Scenario:
     if not isinstance(data, dict):
         raise RangeViolation("scenario", data, "a JSON object")
-    if data.get("version") != 1:
+    if "version" not in data:
         raise MissingField("version", "scenario (expected version: 1)")
+    version = data["version"]
+    if type(version) is not int or version != 1:  # not true, not 1.0
+        raise RangeViolation("version", version, "1")
     unknown = set(data) - {"version", "params", "communities", "users", "users_file",
                            "content_catalog", "evaluator"}
     if unknown:

@@ -189,6 +189,18 @@ class TestDeriveProfiles:
         b = derive_profiles(scenario, SyntheticEvaluator(seed=9))
         assert [p.to_dict() for p in a] == [p.to_dict() for p in b]
 
+    def test_trust_scored_by_default_and_only_trust_dropped_without_it(self, small_scenario):
+        seed = small_scenario.params.rng_seed
+        full = derive_profiles(small_scenario, SyntheticEvaluator(seed=seed))
+        lean = derive_profiles(small_scenario, SyntheticEvaluator(seed=seed), trust=False)
+        assert all(set(p.trust_thresholds) == set(small_scenario.communities) for p in full)
+        # requests draw from their own streams: skipping the trust requests
+        # moves no interest score, community, influence or bot
+        assert [p.agent_id for p in lean] == [p.agent_id for p in full]
+        for f, p in zip(full, lean):
+            expected = f.to_dict() if f.is_bot else {**f.to_dict(), "trust_thresholds": {}}
+            assert p.to_dict() == expected
+
     def test_evaluator_failure_carries_user_context(self):
         scenario = build_synthetic_scenario(n_users=60, communities=("alpha",), seed=9)
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from madd.cli import main
 from madd.content import ContentItem
 from madd.errors import EvaluatorFailure
-from madd.evaluator import EvaluatorConfig, RemoteEvaluator, SyntheticEvaluator
+from madd.evaluator import EvaluatorConfig, RemoteEvaluator, SyntheticEvaluator, load_template
 from madd.scenario import SimulationParams, UserRecord, save_scenario
 from madd.synthdata import DEFAULT_COMMUNITIES, build_synthetic_scenario
 from madd.synthdata import main as synthdata_main
@@ -339,6 +339,28 @@ def _remote_scenario(scenario_path, tmp_path) -> Path:
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(data))
     return path
+
+
+def test_remote_network_posts_one_interest_prompt_per_user(
+    scenario_path, tmp_path, monkeypatch, capsys
+):
+    """`madd network` asks no trust question: the network reads none."""
+    path = _remote_scenario(scenario_path, tmp_path)
+    content = {
+        "Interest Community Scores": [{"Community": c, "Score": 9} for c in ("alpha", "beta")],
+    }
+    body = {"choices": [{"message": {"content": json.dumps(content)}}]}
+    posts = []
+    monkeypatch.setattr(
+        RemoteEvaluator, "_post", lambda self, prompt: posts.append(prompt) or body
+    )
+    argv = ["network", "--backend", "remote", "--scenario", str(path),
+            "--out", str(tmp_path / "net")]
+    assert main(argv) == 0
+    capsys.readouterr()
+    interest = load_template("interest_community").partition("{")[0]
+    assert len(posts) == len(json.loads(path.read_text())["users"])
+    assert all(prompt.startswith(interest) for prompt in posts)
 
 
 def test_remote_boolean_score_leaves_run_incomplete(scenario_path, tmp_path, monkeypatch, capsys):

@@ -289,6 +289,19 @@ class TestDeliver:
             )
         assert events == []  # step 0 is recorded before step 1 runs
 
+    def test_missing_trust_threshold_names_agent_and_topic(self):
+        # a profile scored without trust thresholds (as the network-only
+        # commands score them) cannot enter a run
+        scenario, profiles, network, fit = path_world(total_steps=2)
+        profiles[1] = replace(profiles[1], trust_thresholds={})
+        events = []
+        with pytest.raises(ValueError, match=r"^b_user has no trust threshold toward 'alpha'$"):
+            engine.run(
+                scenario, network, profiles, CONTROL_PLAN, SyntheticEvaluator(seed=1),
+                seed=1, fit=fit, record_cadence=1, progress=events.append,
+            )
+        assert events == []
+
     def test_record_cadence_below_one_raises_before_recording(self):
         scenario, profiles, network, fit = path_world(total_steps=2)
         events = []

@@ -1,4 +1,6 @@
+import collections
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -8,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from madd import cli
 from madd.attributes import AgentProfile, KIND_REGULAR, derive_profiles
 from madd.cli import ArtifactWriter, _write_network, _write_profiles
 from madd.errors import CommunityTooSmall
-from madd.evaluator import make_evaluator
+from madd.evaluator import SyntheticEvaluator, make_evaluator
 from madd.network import (
     PropagationNetwork,
     _draw_without_replacement,
@@ -21,7 +24,7 @@ from madd.network import (
     degree_distribution,
 )
 from madd.rng import substream
-from madd.scenario import SimulationParams
+from madd.scenario import SimulationParams, save_scenario
 from madd.synthdata import build_synthetic_scenario
 
 
@@ -332,6 +335,35 @@ class TestGoldenSetupBytes:
             "37231bdc11bbc0a489c47d27b01d51146c7231eed37659ca8505439dc7443e27",
             "74a1f0eff2741f1160f4480ae10db200d49b6603d37db1ff8281209fbc7f4306",
         ]
+
+    def test_paper_world_network_command_scores_interests_only(
+        self, paper_scenario, tmp_path, monkeypatch, capsys
+    ):
+        # `madd network` and synthetic `madd validate` ask each user one
+        # interest question and no trust question, and `madd network` writes
+        # the edges.txt and network.json pinned above for full scoring
+        asked = collections.Counter()
+        evaluate = SyntheticEvaluator.evaluate
+
+        def counting(self, request, rng=None):
+            asked[request.kind] += 1
+            return evaluate(self, request, rng)
+
+        monkeypatch.setattr(SyntheticEvaluator, "evaluate", counting)
+        path = tmp_path / "scenario.json"
+        save_scenario(paper_scenario, path)
+        out = tmp_path / "net"
+        assert cli.main(["network", "--scenario", str(path), "--out", str(out)]) == 0
+        assert asked == {"interest_community": 689}
+        assert cli.main(["validate", "--scenario", str(path)]) == 0
+        assert asked == {"interest_community": 2 * 689}
+        capsys.readouterr()
+        written = [
+            hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("edges.txt", "network.json")
+        ]
+        _, _, digests = self.digests(paper_scenario, tmp_path)
+        assert written == digests[1:]
 
     def test_two_word_seed_world(self, two_word_seed_scenario, tmp_path):
         # profile scoring and the bot-si draws keyed by two seed words

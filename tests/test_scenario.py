@@ -78,6 +78,22 @@ class TestLoading:
         with pytest.raises(MissingField, match="version"):
             load_scenario(path)
 
+    @pytest.mark.parametrize("version", [True, 1.0, 2, "1", None])
+    def test_version_must_be_integer_one(self, version):
+        data = minimal_scenario_dict()
+        data["version"] = version
+        line = f"version = {version!r} violates 1"
+        with pytest.raises(RangeViolation, match=f"^{re.escape(line)}$"):
+            scenario_from_dict(data)
+
+    def test_wrong_version_exits_1_naming_the_value(self, tmp_path, capsys):
+        data = minimal_scenario_dict()
+        data["version"] = 2
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(data))
+        assert cli.main(["validate", "--scenario", str(path)]) == 1
+        assert capsys.readouterr().err == "error: version = 2 violates 1\n"
+
     def test_users_required(self):
         data = minimal_scenario_dict()
         del data["users"]
