@@ -23,6 +23,10 @@ Fitting proceeds in two stages:
 2. Refinement: when the winner's lam > 0, a joint Nelder-Mead polish of
    (alpha, lam) starts from it with x_min frozen, and is kept only if it
    does not lower the log-likelihood.
+
+scipy is imported at the first fit or zeta evaluation, not with this module, so
+a process that never fits (``madd network``, ``profiles``, ``defaults``) never
+loads it: scipy.optimize and scipy.special add ~40 MB and ~0.5 s to a process.
 """
 
 from __future__ import annotations
@@ -32,8 +36,6 @@ from dataclasses import dataclass
 from functools import cache, cached_property, partial
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
-from scipy.special import zeta
 
 from .errors import DegenerateSamples, InsufficientData
 
@@ -60,6 +62,14 @@ _EM_COEFFS = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600)  # B_2j / (2j)!, j = 1.
 _EM_BINOMIALS = tuple(tuple(math.comb(o, i) for i in range(o + 1)) for o in (1, 3, 5, 7))
 
 
+@cache
+def _zeta():
+    """scipy.special.zeta, imported on the first call: scipy.special adds ~25 MB to a process."""
+    from scipy.special import zeta
+
+    return zeta
+
+
 def _norm_constant(alpha: float, lam: float, x_min: int) -> float:
     """Z = sum_{k >= x_min} k^-alpha e^(-lam k), at a cost bounded in lam.
 
@@ -78,9 +88,9 @@ def _norm_constant(alpha: float, lam: float, x_min: int) -> float:
     0.35 ms just above ``_LAM_SERIES`` (2-vCPU VM).
     """
     if lam <= 0.0:
-        return float(zeta(alpha, x_min))
+        return float(_zeta()(alpha, x_min))
     if lam < _LAM_SERIES:
-        z = float(zeta(alpha, x_min))
+        z = float(_zeta()(alpha, x_min))
         return z + math.gamma(1.0 - alpha) * lam ** (alpha - 1.0) if alpha < 2.0 else z
     direct = math.ceil(_DIRECT_SPAN / lam)
     n = direct if direct <= _DIRECT_TERMS else _HEAD
@@ -127,6 +137,8 @@ def _tail_likelihood(x_sorted: np.ndarray, log_sorted: np.ndarray, x_min: int):
 
 
 def _fit_alpha(loglik, lam: float) -> float:
+    from scipy.optimize import minimize_scalar
+
     res = minimize_scalar(
         lambda a: -loglik(a, lam),
         bounds=ALPHA_BOUNDS,
@@ -178,7 +190,7 @@ class PowerLawFit:
             return 0.0
         k = float(math.floor(x)) if x < math.inf else x
         if self.lam <= 0.0:
-            p = float(1.0 - zeta(self.alpha, k + 1.0) / self.normalization)
+            p = float(1.0 - _zeta()(self.alpha, k + 1.0) / self.normalization)
             return min(max(p, 0.0), 1.0)
         size = _table_size(self.lam)
         i = int(min(k - self.x_min, size - 1))
@@ -275,6 +287,8 @@ def fit_truncated_power_law(samples) -> PowerLawFit:
             l = float(np.clip(p[1], *LAMBDA_BOUNDS))
             return -loglik(a, l)
 
+        from scipy.optimize import minimize
+
         res = minimize(
             neg_ll,
             x0=[alpha, lam],
@@ -296,7 +310,7 @@ def _ks_distance(x_sorted: np.ndarray, alpha: float, lam: float, x_min: int) -> 
     ecdf = np.cumsum(counts) / tail.size
     z = _norm_constant(alpha, lam, x_min)
     if lam <= 0.0:
-        model = np.clip(1.0 - zeta(alpha, values + 1.0) / z, 0.0, 1.0)
+        model = np.clip(1.0 - _zeta()(alpha, values + 1.0) / z, 0.0, 1.0)
     else:
         prefix = _cumulative(alpha, lam, x_min, z, int(values[-1]))
         model = prefix[np.minimum(values - x_min, prefix.size - 1)]

@@ -2,7 +2,10 @@ import contextlib
 import copy
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from dataclasses import fields, replace
 from functools import lru_cache
@@ -12,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import madd
 from madd.cli import main
 from madd.content import ContentItem
 from madd.errors import EvaluatorFailure
@@ -574,6 +578,46 @@ def test_profiles_subcommand(scenario_path, tmp_path):
     payload = json.loads((out / "profiles.json").read_text())
     kinds = {p["kind"] for p in payload}
     assert kinds == {"regular", "malicious_bot", "legitimate_bot"}
+
+
+# Runs in a fresh interpreter, since this process already holds scipy: prints, as
+# one JSON line, the scipy modules loaded after each stage and validate's exit code.
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+scenario, out = sys.argv[1], sys.argv[2]
+loaded = {}
+import madd.engine, madd.network, madd.attributes, madd.powerlaw
+loaded["import"] = scipy_modules()
+from madd.cli import main
+loaded["import madd.cli"] = scipy_modules()
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    for argv in (["network", "--scenario", scenario, "--out", out + "/network"],
+                 ["profiles", "--scenario", scenario, "--out", out + "/profiles"],
+                 ["defaults"]):
+        loaded[argv[0]] = [main(argv)] + scipy_modules()
+    code = main(["validate", "--scenario", scenario])
+print(json.dumps({"loaded": loaded, "validate": code, "after_validate": scipy_modules()}))
+"""
+
+
+def test_only_the_share_count_fit_loads_scipy(scenario_path, tmp_path):
+    src = str(Path(madd.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, str(scenario_path), str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=300,
+        check=True,
+    )
+    result = json.loads(done.stdout)
+    assert result["loaded"] == {
+        "import": [], "import madd.cli": [], "network": [0], "profiles": [0], "defaults": [0],
+    }
+    assert result["validate"] == 0
+    assert {"scipy.optimize", "scipy.special"} <= set(result["after_validate"])
 
 
 # -- malformed input: validation failures exit 1, never "unexpected error" ---
