@@ -24,9 +24,13 @@ Fitting proceeds in two stages:
    (alpha, lam) starts from it with x_min frozen, and is kept only if it
    does not lower the log-likelihood.
 
-scipy is imported at the first fit or zeta evaluation, not with this module, so
-a process that never fits (``madd network``, ``profiles``, ``defaults``) never
-loads it: scipy.optimize and scipy.special add ~40 MB and ~0.5 s to a process.
+Both minimizers, bounded Brent for alpha and the Nelder-Mead polish, are
+ports of scipy.optimize's that evaluate the same points to the bit (at the
+end of this module). The one scipy function used is scipy.special.zeta,
+imported at the first zeta evaluation, not with this module: a process that
+never fits (``madd network``, ``profiles``, ``defaults``) never loads scipy,
+and one that fits (``validate``, ``run``, ``experiment``) loads only
+scipy.special, never scipy.optimize (~24 MB and ~0.4 s more).
 """
 
 from __future__ import annotations
@@ -64,7 +68,8 @@ _EM_BINOMIALS = tuple(tuple(math.comb(o, i) for i in range(o + 1)) for o in (1, 
 
 @cache
 def _zeta():
-    """scipy.special.zeta, imported on the first call: scipy.special adds ~25 MB to a process."""
+    """scipy.special.zeta, imported on the first call: scipy.special adds ~25 MB to a
+    process. The fit's only scipy function; its minimizers are ported below."""
     from scipy.special import zeta
 
     return zeta
@@ -137,15 +142,7 @@ def _tail_likelihood(x_sorted: np.ndarray, log_sorted: np.ndarray, x_min: int):
 
 
 def _fit_alpha(loglik, lam: float) -> float:
-    from scipy.optimize import minimize_scalar
-
-    res = minimize_scalar(
-        lambda a: -loglik(a, lam),
-        bounds=ALPHA_BOUNDS,
-        method="bounded",
-        options={"xatol": 1e-6},
-    )
-    return float(res.x)
+    return _bounded_brent(lambda a: -loglik(a, lam), ALPHA_BOUNDS, xatol=1e-6)[0]
 
 
 def _coarse_lambda(loglik, alpha: float) -> float:
@@ -287,17 +284,10 @@ def fit_truncated_power_law(samples) -> PowerLawFit:
             l = float(np.clip(p[1], *LAMBDA_BOUNDS))
             return -loglik(a, l)
 
-        from scipy.optimize import minimize
-
-        res = minimize(
-            neg_ll,
-            x0=[alpha, lam],
-            method="Nelder-Mead",
-            options={"xatol": 1e-7, "fatol": 1e-9, "maxiter": 500},
-        )
-        if -res.fun >= loglik(alpha, lam):
-            alpha = float(np.clip(res.x[0], *ALPHA_BOUNDS))
-            lam = float(np.clip(res.x[1], *LAMBDA_BOUNDS))
+        x, fun = _nelder_mead(neg_ll, [alpha, lam], xatol=1e-7, fatol=1e-9, maxiter=500)
+        if -fun >= loglik(alpha, lam):
+            alpha = float(np.clip(x[0], *ALPHA_BOUNDS))
+            lam = float(np.clip(x[1], *LAMBDA_BOUNDS))
 
     return PowerLawFit(alpha=float(alpha), lam=float(lam), x_min=int(x_min))
 
@@ -315,3 +305,171 @@ def _ks_distance(x_sorted: np.ndarray, alpha: float, lam: float, x_min: int) -> 
         prefix = _cumulative(alpha, lam, x_min, z, int(values[-1]))
         model = prefix[np.minimum(values - x_min, prefix.size - 1)]
     return float(np.max(np.abs(ecdf - model)))
+
+
+# _bounded_brent and _nelder_mead port scipy.optimize's _minimize_scalar_bounded
+# and _minimize_neldermead (SciPy 1.17), cut to the settings this fit uses. The
+# arithmetic is scipy's, in scipy's order, so every point they evaluate and every
+# result has the same bits as minimize_scalar(method="bounded") and
+# minimize(method="Nelder-Mead"); importing scipy.optimize would add ~24 MB and
+# ~0.4 s to every process that fits. The ported code is under SciPy's license:
+#
+# Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers.
+# All rights reserved.
+#
+# Redistribution and use in source and binary forms, with or without
+# modification, are permitted provided that the following conditions
+# are met:
+#
+# 1. Redistributions of source code must retain the above copyright
+#    notice, this list of conditions and the following disclaimer.
+#
+# 2. Redistributions in binary form must reproduce the above
+#    copyright notice, this list of conditions and the following
+#    disclaimer in the documentation and/or other materials provided
+#    with the distribution.
+#
+# 3. Neither the name of the copyright holder nor the names of its
+#    contributors may be used to endorse or promote products derived
+#    from this software without specific prior written permission.
+#
+# THIS SOFTWARE IS PROVIDED BY THE COPYRIGHT HOLDERS AND CONTRIBUTORS
+# "AS IS" AND ANY EXPRESS OR IMPLIED WARRANTIES, INCLUDING, BUT NOT
+# LIMITED TO, THE IMPLIED WARRANTIES OF MERCHANTABILITY AND FITNESS FOR
+# A PARTICULAR PURPOSE ARE DISCLAIMED. IN NO EVENT SHALL THE COPYRIGHT
+# OWNER OR CONTRIBUTORS BE LIABLE FOR ANY DIRECT, INDIRECT, INCIDENTAL,
+# SPECIAL, EXEMPLARY, OR CONSEQUENTIAL DAMAGES (INCLUDING, BUT NOT
+# LIMITED TO, PROCUREMENT OF SUBSTITUTE GOODS OR SERVICES; LOSS OF USE,
+# DATA, OR PROFITS; OR BUSINESS INTERRUPTION) HOWEVER CAUSED AND ON ANY
+# THEORY OF LIABILITY, WHETHER IN CONTRACT, STRICT LIABILITY, OR TORT
+# (INCLUDING NEGLIGENCE OR OTHERWISE) ARISING IN ANY WAY OUT OF THE USE
+# OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
+
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
+
+
+def _unit(d: float) -> float:
+    """np.sign(d) + (d == 0): -1 below 0, 1 at and above it, NaN at NaN."""
+    return -1.0 if d < 0 else 1.0 if d >= 0 else d
+
+
+def _bounded_brent(func, bounds, xatol: float):
+    """(x, func(x)) at the minimum of ``func`` on ``bounds``: Brent's method,
+    golden-section steps where a parabolic one is not acceptable, stopping
+    once x is known within ``xatol`` or after scipy's cap of 500 evaluations."""
+    a, b = bounds
+    fulc = a + _GOLDEN_MEAN * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        if abs(e) > tol1:  # try a parabola through the last three points
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * _unit(xm - xf)
+            else:
+                golden = True
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = _GOLDEN_MEAN * e
+        x = xf + _unit(rat) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= 500:
+            break
+    return xf, fx
+
+
+def _nelder_mead(func, x0, xatol: float, fatol: float, maxiter: int):
+    """(x, func(x)) at the best vertex of a Nelder-Mead simplex (standard,
+    non-adaptive coefficients) started at ``x0``: it stops once every vertex
+    is within ``xatol`` of the best and every value within ``fatol``, or after
+    ``maxiter`` iterations. ``func`` gets each point as a fresh float64 array."""
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    x0 = np.asarray(x0, dtype=np.float64)
+    n = x0.size
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for k in range(n):
+        y = x0.copy()
+        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        sim[k + 1] = y
+    fsim = np.full(n + 1, np.inf)
+    for k in range(n + 1):
+        fsim[k] = func(np.copy(sim[k]))
+    for _ in range(2):  # as scipy does: argsort need not keep ties in place
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    iterations = 1
+    while iterations < maxiter:
+        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = (1 + rho) * xbar - rho * sim[-1]
+        fxr = func(np.copy(xr))
+        if fxr < fsim[0]:
+            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+            fxe = func(np.copy(xe))
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:  # contract outside
+                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                fxc = func(np.copy(xc))
+                accept = fxc <= fxr
+            else:  # contract inside
+                xc = (1 - psi) * xbar + psi * sim[-1]
+                fxc = func(np.copy(xc))
+                accept = fxc < fsim[-1]
+            if accept:
+                sim[-1], fsim[-1] = xc, fxc
+            else:  # shrink toward the best vertex
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                    fsim[j] = func(np.copy(sim[j]))
+        iterations += 1
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    return sim[0], np.min(fsim)

@@ -581,7 +581,7 @@ def test_profiles_subcommand(scenario_path, tmp_path):
 
 
 # Runs in a fresh interpreter, since this process already holds scipy: prints, as
-# one JSON line, the scipy modules loaded after each stage and validate's exit code.
+# one JSON line, each command's exit code and the scipy modules loaded after it.
 _SCIPY_PROBE = """
 import contextlib, io, json, sys
 
@@ -589,7 +589,7 @@ def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
 scenario, out = sys.argv[1], sys.argv[2]
-loaded = {}
+loaded, codes = {}, {}
 import madd.engine, madd.network, madd.attributes, madd.powerlaw
 loaded["import"] = scipy_modules()
 from madd.cli import main
@@ -597,14 +597,18 @@ loaded["import madd.cli"] = scipy_modules()
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     for argv in (["network", "--scenario", scenario, "--out", out + "/network"],
                  ["profiles", "--scenario", scenario, "--out", out + "/profiles"],
-                 ["defaults"]):
-        loaded[argv[0]] = [main(argv)] + scipy_modules()
-    code = main(["validate", "--scenario", scenario])
-print(json.dumps({"loaded": loaded, "validate": code, "after_validate": scipy_modules()}))
+                 ["defaults"],
+                 ["validate", "--scenario", scenario],
+                 ["run", "--scenario", scenario, "--seed", "3", "--out", out + "/run"],
+                 ["experiment", "--scenario", scenario, "--seed", "3", "--stage", "early",
+                  "--out", out + "/experiment"]):
+        codes[argv[0]] = main(argv)
+        loaded[argv[0]] = scipy_modules()
+print(json.dumps({"loaded": loaded, "codes": codes}))
 """
 
 
-def test_only_the_share_count_fit_loads_scipy(scenario_path, tmp_path):
+def test_only_fitting_commands_load_scipy_and_none_loads_scipy_optimize(scenario_path, tmp_path):
     src = str(Path(madd.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
@@ -613,11 +617,14 @@ def test_only_the_share_count_fit_loads_scipy(scenario_path, tmp_path):
         check=True,
     )
     result = json.loads(done.stdout)
-    assert result["loaded"] == {
-        "import": [], "import madd.cli": [], "network": [0], "profiles": [0], "defaults": [0],
-    }
-    assert result["validate"] == 0
-    assert {"scipy.optimize", "scipy.special"} <= set(result["after_validate"])
+    loaded = result["loaded"]
+    no_fit = ["import", "import madd.cli", "network", "profiles", "defaults"]
+    fits = ["validate", "run", "experiment"]
+    assert list(loaded) == no_fit + fits
+    assert result["codes"] == dict.fromkeys(no_fit[2:] + fits, 0)
+    assert all(loaded[stage] == [] for stage in no_fit)
+    assert all("scipy.special" in loaded[command] for command in fits)
+    assert not [m for ms in loaded.values() for m in ms if m.startswith("scipy.optimize")]
 
 
 # -- malformed input: validation failures exit 1, never "unexpected error" ---

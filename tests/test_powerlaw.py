@@ -12,10 +12,14 @@ from madd import powerlaw
 from madd.errors import DegenerateSamples, InsufficientData
 from madd.powerlaw import (
     _COARSE_LAMBDAS,
+    ALPHA_BOUNDS,
+    LAMBDA_BOUNDS,
     PowerLawFit,
+    _bounded_brent,
     _coarse_lambda,
     _cumulative,
     _ks_distance,
+    _nelder_mead,
     _norm_constant,
     _tail_likelihood,
     fit_truncated_power_law,
@@ -386,6 +390,107 @@ def test_paper_world_fit_normalizer_calls_pinned(paper_world, monkeypatch):
     samples = [p.share_total for p in paper_world[1] if not p.is_bot and p.share_total >= 1]
     assert fit_truncated_power_law(samples) == paper_world[-1]
     assert len(calls) == 1_223
+
+
+def recorded(func):
+    """``func`` with the bytes of every point it is called at, in call order.
+    It overwrites each array it gets with NaN, so a minimizer that passed an
+    array it still reads, instead of a copy, takes another path."""
+    points = []
+
+    def wrapper(x):
+        points.append(np.asarray(x, dtype=np.float64).tobytes())
+        fx = func(x)
+        if isinstance(x, np.ndarray):
+            x.fill(np.nan)
+        return fx
+
+    return wrapper, points
+
+
+def bits(*values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def assert_brent_is_scipys(func):
+    """Returns the minimizing x."""
+    from scipy.optimize import minimize_scalar
+
+    theirs, their_points = recorded(func)
+    res = minimize_scalar(theirs, bounds=ALPHA_BOUNDS, method="bounded", options={"xatol": 1e-6})
+    ours, our_points = recorded(func)
+    x, fun = _bounded_brent(ours, ALPHA_BOUNDS, xatol=1e-6)
+    assert our_points == their_points
+    assert bits(x, fun) == bits(res.x, res.fun)
+    return x
+
+
+def assert_nelder_mead_is_scipys(func, x0):
+    """Returns scipy's result, whose nit and nfev tell which steps it took."""
+    from scipy.optimize import minimize
+
+    theirs, their_points = recorded(func)
+    res = minimize(
+        theirs, x0, method="Nelder-Mead", options={"xatol": 1e-7, "fatol": 1e-9, "maxiter": 500}
+    )
+    ours, our_points = recorded(func)
+    x, fun = _nelder_mead(ours, x0, xatol=1e-7, fatol=1e-9, maxiter=500)
+    assert our_points == their_points
+    assert bits(*x, fun) == bits(*res.x, res.fun)
+    return res
+
+
+def test_minimizers_are_scipys_on_the_paper_world(paper_world, monkeypatch):
+    """At every x_min candidate of the paper world's fit: Brent at lam = 0 and at
+    the candidate's coarse lam, then the Nelder-Mead polish from its (alpha, lam)."""
+    logliks = []
+
+    def kept(*args):
+        logliks.append(_tail_likelihood(*args))
+        return logliks[-1]
+
+    monkeypatch.setattr(powerlaw, "_tail_likelihood", kept)
+    samples = [p.share_total for p in paper_world[1] if not p.is_bot and p.share_total >= 1]
+    assert fit_truncated_power_law(samples) == paper_world[-1]
+    assert len(logliks) > 20
+    for loglik in logliks:
+        alpha = assert_brent_is_scipys(lambda a: -loglik(a, 0.0))
+        lam = _coarse_lambda(loglik, alpha)
+        if lam > 0.0:
+            alpha = assert_brent_is_scipys(lambda a: -loglik(a, lam))
+
+        def neg_ll(p):  # the polish's objective
+            a = float(np.clip(p[0], *ALPHA_BOUNDS))
+            return -loglik(a, float(np.clip(p[1], *LAMBDA_BOUNDS)))
+
+        assert_nelder_mead_is_scipys(neg_ll, [alpha, lam])
+
+
+def test_nelder_mead_is_scipys_through_shrinks_and_the_iteration_cap():
+    """Seeded quadratics read through a clip to the unit box, as the polish reads
+    (alpha, lam), flatten outside it and make the simplex shrink; stiff
+    Rosenbrock valleys run into the 500-iteration cap."""
+    rng = np.random.default_rng(35)
+    shrunk = capped = 0
+    for i in range(6):
+        c, w, s = rng.uniform(-1.0, 2.0, 2), rng.uniform(0.5, 5.0, 2), 10 ** rng.uniform(5.5, 7.0)
+        start = rng.uniform(0.1, 0.9, 2)
+        if i == 0:  # the first simplex steps a zero coordinate by a fixed 0.00025
+            start[0] = 0.0
+
+        def boxed(p, c=c, w=w):
+            x = np.clip(p, 0.0, 1.0)
+            return float(w @ (x - c) ** 2 + np.sin(3.0 * x[0] * x[1]))
+
+        def valley(p, s=s):
+            return s * (p[1] - p[0] ** 2) ** 2 + (1.0 - p[0]) ** 2
+
+        for func, x0 in ((boxed, start), (valley, rng.uniform(-2.0, 2.0, 2))):
+            res = assert_nelder_mead_is_scipys(func, x0.tolist())
+            # an iteration makes 1 or 2 evaluations, or 2 + 2 when it shrinks
+            shrunk += res.nfev - 3 > 2 * (res.nit - 1)
+            capped += res.nit == 500
+    assert shrunk >= 3 and capped >= 3
 
 
 def old_join_norm_constant(alpha, lam, x_min):
