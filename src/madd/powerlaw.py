@@ -24,13 +24,12 @@ Fitting proceeds in two stages:
    (alpha, lam) starts from it with x_min frozen, and is kept only if it
    does not lower the log-likelihood.
 
-Both minimizers, bounded Brent for alpha and the Nelder-Mead polish, are
-ports of scipy.optimize's that evaluate the same points to the bit (at the
-end of this module). The one scipy function used is scipy.special.zeta,
-imported at the first zeta evaluation, not with this module: a process that
-never fits (``madd network``, ``profiles``, ``defaults``) never loads scipy,
-and one that fits (``validate``, ``run``, ``experiment``) loads only
-scipy.special, never scipy.optimize (~24 MB and ~0.4 s more).
+The Hurwitz zeta is a port of Cephes' ``zeta`` (Moshier, Methods and Programs
+for Mathematical Functions, 1989) that returns scipy.special.zeta's bits, and
+both minimizers, bounded Brent for alpha and the Nelder-Mead polish, are ports
+of scipy.optimize's that evaluate the same points to the bit (at the end of
+this module). So no command loads scipy, whose scipy.special alone would add
+~24 MB and ~0.25 s to every process that fits; scipy is the tests' oracle.
 """
 
 from __future__ import annotations
@@ -66,19 +65,59 @@ _EM_COEFFS = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600)  # B_2j / (2j)!, j = 1.
 _EM_BINOMIALS = tuple(tuple(math.comb(o, i) for i in range(o + 1)) for o in (1, 3, 5, 7))
 
 
-@cache
-def _zeta():
-    """scipy.special.zeta, imported on the first call: scipy.special adds ~25 MB to a
-    process. The fit's only scipy function; its minimizers are ported below."""
-    from scipy.special import zeta
+# Cephes' zeta as scipy.special.zeta (SciPy 1.17) computes it: (2j)! / B_2j,
+# j = 1..12, for the Euler-Maclaurin tail, and its stopping tolerance.
+_ZETA_A = (
+    12.0, -720.0, 30240.0, -1209600.0, 47900160.0, -1.8924375803183791606e9, 7.47242496e10,
+    -2.950130727918164224e12, 1.1646782814350067249e14, -4.5979787224074726105e15,
+    1.8152105401943546773e17, -7.1661652561756670113e18,
+)
+_MACHEP = 2.0**-53
 
-    return zeta
+
+def _hurwitz_zeta(x: float, q: float) -> float:
+    """zeta(x, q) = sum_{k >= 0} (k + q)^-x for x > 1, q >= 1: Cephes' zeta, with
+    scipy.special.zeta's bits. Past q = 1e8 it is the asymptotic (1/(x - 1) +
+    1/(2q)) q^(1 - x) (NIST DLMF 25.11.43). Otherwise it sums the terms from k = 0
+    until k >= 9 and w = k + q > 9, stopping early once a term falls below 2**-53
+    of the sum, then adds the Euler-Maclaurin tail from w: w^(1 - x)/(x - 1) -
+    w^-x/2 and up to 12 Bernoulli terms, which stop the same way."""
+    if q > 1e8:
+        return (1 / (x - 1) + 1 / (2 * q)) * math.pow(q, 1 - x)
+    s = math.pow(q, -x)
+    if s == 0.0:  # every later term underflows too: Cephes' 0/0 tests fail and it returns 0
+        return 0.0
+    a, i = q, 0
+    while i < 9 or a <= 9.0:
+        i += 1
+        a += 1.0
+        b = math.pow(a, -x)
+        s += b
+        if b / s < _MACHEP:
+            return s
+    w = a
+    s += b * w / (x - 1)
+    s -= 0.5 * b
+    a, k = 1.0, 0.0
+    for c in _ZETA_A:
+        a *= x + k
+        b /= w
+        t = a * b / c
+        s += t
+        if abs(t / s) < _MACHEP:
+            return s
+        k += 1.0
+        a *= x + k
+        b /= w
+        k += 1.0
+    return s
 
 
 def _norm_constant(alpha: float, lam: float, x_min: int) -> float:
     """Z = sum_{k >= x_min} k^-alpha e^(-lam k), at a cost bounded in lam.
 
-    lam <= 0 gives the Hurwitz zeta, and lam < ``_LAM_SERIES`` the Mellin series
+    lam <= 0 gives the Hurwitz zeta (Cephes' algorithm, ``_hurwitz_zeta``), and
+    lam < ``_LAM_SERIES`` the Mellin series
     zeta(alpha, x_min) + Gamma(1 - alpha) lam^(alpha - 1) + O(lam). When e^(-lam k) falls
     by e^-45 within ``_DIRECT_TERMS`` terms, Z sums them. Otherwise Z sums ``_HEAD``
     terms, k in [x_min, M), and adds the Euler-Maclaurin join at M (NIST DLMF 2.10.1)
@@ -93,9 +132,9 @@ def _norm_constant(alpha: float, lam: float, x_min: int) -> float:
     0.35 ms just above ``_LAM_SERIES`` (2-vCPU VM).
     """
     if lam <= 0.0:
-        return float(_zeta()(alpha, x_min))
+        return _hurwitz_zeta(alpha, x_min)
     if lam < _LAM_SERIES:
-        z = float(_zeta()(alpha, x_min))
+        z = _hurwitz_zeta(alpha, x_min)
         return z + math.gamma(1.0 - alpha) * lam ** (alpha - 1.0) if alpha < 2.0 else z
     direct = math.ceil(_DIRECT_SPAN / lam)
     n = direct if direct <= _DIRECT_TERMS else _HEAD
@@ -187,7 +226,7 @@ class PowerLawFit:
             return 0.0
         k = float(math.floor(x)) if x < math.inf else x
         if self.lam <= 0.0:
-            p = float(1.0 - _zeta()(self.alpha, k + 1.0) / self.normalization)
+            p = 1.0 - _hurwitz_zeta(self.alpha, k + 1.0) / self.normalization
             return min(max(p, 0.0), 1.0)
         size = _table_size(self.lam)
         i = int(min(k - self.x_min, size - 1))
@@ -300,7 +339,8 @@ def _ks_distance(x_sorted: np.ndarray, alpha: float, lam: float, x_min: int) -> 
     ecdf = np.cumsum(counts) / tail.size
     z = _norm_constant(alpha, lam, x_min)
     if lam <= 0.0:
-        model = np.clip(1.0 - _zeta()(alpha, values + 1.0) / z, 0.0, 1.0)
+        zetas = np.array([_hurwitz_zeta(alpha, v) for v in (values + 1.0).tolist()])
+        model = np.clip(1.0 - zetas / z, 0.0, 1.0)
     else:
         prefix = _cumulative(alpha, lam, x_min, z, int(values[-1]))
         model = prefix[np.minimum(values - x_min, prefix.size - 1)]

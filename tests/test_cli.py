@@ -582,13 +582,17 @@ def test_profiles_subcommand(scenario_path, tmp_path):
 
 # Runs in a fresh interpreter, since this process already holds scipy: prints, as
 # one JSON line, each command's exit code and the scipy modules loaded after it.
+# Given "block", it first makes every scipy import fail.
 _SCIPY_PROBE = """
 import contextlib, io, json, sys
+
+scenario, out, mode = sys.argv[1:]
+if mode == "block":
+    sys.modules["scipy"] = None
 
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
-scenario, out = sys.argv[1], sys.argv[2]
 loaded, codes = {}, {}
 import madd.engine, madd.network, madd.attributes, madd.powerlaw
 loaded["import"] = scipy_modules()
@@ -608,23 +612,33 @@ print(json.dumps({"loaded": loaded, "codes": codes}))
 """
 
 
-def test_only_fitting_commands_load_scipy_and_none_loads_scipy_optimize(scenario_path, tmp_path):
+def run_scipy_probe(scenario_path, out, mode):
     src = str(Path(madd.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", _SCIPY_PROBE, str(scenario_path), str(tmp_path)],
+        [sys.executable, "-c", _SCIPY_PROBE, str(scenario_path), str(out), mode],
         env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=300,
         check=True,
     )
-    result = json.loads(done.stdout)
-    loaded = result["loaded"]
-    no_fit = ["import", "import madd.cli", "network", "profiles", "defaults"]
-    fits = ["validate", "run", "experiment"]
-    assert list(loaded) == no_fit + fits
-    assert result["codes"] == dict.fromkeys(no_fit[2:] + fits, 0)
-    assert all(loaded[stage] == [] for stage in no_fit)
-    assert all("scipy.special" in loaded[command] for command in fits)
-    assert not [m for ms in loaded.values() for m in ms if m.startswith("scipy.optimize")]
+    return json.loads(done.stdout)
+
+
+def tree_bytes(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_no_command_loads_scipy(scenario_path, tmp_path):
+    """No command imports scipy, and with every scipy import failing each one
+    exits 0 and writes the same bytes."""
+    free = run_scipy_probe(scenario_path, tmp_path / "free", "free")
+    blocked = run_scipy_probe(scenario_path, tmp_path / "blocked", "block")
+    commands = ["network", "profiles", "defaults", "validate", "run", "experiment"]
+    assert list(free["loaded"]) == ["import", "import madd.cli", *commands]
+    assert not [m for ms in free["loaded"].values() for m in ms]
+    assert free["codes"] == blocked["codes"] == dict.fromkeys(commands, 0)
+    written = tree_bytes(tmp_path / "free")
+    assert {name.split("/")[0] for name in written} == {"network", "profiles", "run", "experiment"}
+    assert tree_bytes(tmp_path / "blocked") == written
 
 
 # -- malformed input: validation failures exit 1, never "unexpected error" ---

@@ -18,6 +18,7 @@ from madd.powerlaw import (
     _bounded_brent,
     _coarse_lambda,
     _cumulative,
+    _hurwitz_zeta,
     _ks_distance,
     _nelder_mead,
     _norm_constant,
@@ -280,6 +281,33 @@ def test_ks_distance_matches_scalar_cdf(lam):
             assert _ks_distance(x_sorted, alpha, lam, lo) == float(np.max(np.abs(ecdf - model)))
 
 
+def test_hurwitz_zeta_is_scipys():
+    """The port returns scipy.special.zeta's bits on seeded (x, q): x in the fit's
+    alpha bounds, just above 1, and up to 400, where the summed head stops early;
+    q integer up to 10**6, non-integer, on both sides of the asymptotic branch at
+    1e8 and infinite; and where every term underflows, as the normalizer of
+    PowerLawFit(400, 0, 10**7) does."""
+    rng = np.random.default_rng(36)
+    n = 6_000
+    x = np.concatenate([
+        rng.uniform(*ALPHA_BOUNDS, 5 * n), np.full(n, 1.0000001), rng.uniform(8.0, 400.0, n)
+    ])
+    q = np.concatenate([
+        rng.integers(1, 10, n), rng.integers(1, 10**6 + 1, n),  # integer q
+        10 ** rng.uniform(0.0, 7.0, n),  # non-integer q
+        10 ** rng.uniform(7.5, 8.5, n),  # either side of q = 1e8
+        np.full(n, np.inf),
+        rng.choice([1.0, 7.5, 1e8, 2e8, np.inf], n),  # x just above 1
+        10 ** rng.uniform(0.0, 3.0, n),  # large x
+    ]).astype(np.float64)
+    x = np.concatenate([x, [400.0, 200.0, 400.0, 8.0]])
+    q = np.concatenate([q, [1e7, 1e6, 1.0, 1e300]])
+    ours = np.array([_hurwitz_zeta(a, b) for a, b in zip(x.tolist(), q.tolist())])
+    assert ours.tobytes() == zeta(x, q).tobytes()
+    assert ours[-4:-2].tolist() == [0.0, 0.0]
+    assert PowerLawFit(alpha=400, lam=0, x_min=10**7).normalization == 0.0
+
+
 def reference_norm_constant(alpha, lam, x_min):
     """The normalizer summed from a fixed first chunk of 65,536 terms, doubling after."""
     total, lo, chunk = 0.0, x_min, 1 << 16
@@ -390,6 +418,21 @@ def test_paper_world_fit_normalizer_calls_pinned(paper_world, monkeypatch):
     samples = [p.share_total for p in paper_world[1] if not p.is_bot and p.share_total >= 1]
     assert fit_truncated_power_law(samples) == paper_world[-1]
     assert len(calls) == 1_223
+
+
+def test_paper_world_fit_zeta_calls_pinned(paper_world, monkeypatch):
+    """The fit's zeta evaluations as a count: all are its normalizer's at lam = 0, since
+    no candidate's KS step is at lam = 0, which would add one per distinct tail value."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _hurwitz_zeta(*args)
+
+    monkeypatch.setattr(powerlaw, "_hurwitz_zeta", counted)
+    samples = [p.share_total for p in paper_world[1] if not p.is_bot and p.share_total >= 1]
+    assert fit_truncated_power_law(samples) == paper_world[-1]
+    assert len(calls) == 378
 
 
 def recorded(func):
