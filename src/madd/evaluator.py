@@ -63,30 +63,13 @@ class EvaluationRequest:
     def canonical_bytes(self) -> bytes:
         """``json.dumps({"kind", "texts", "context"}, sort_keys=True,
         separators=(",", ":"))`` of the request, UTF-8 encoded."""
-        return _canonical(self.kind, _encode(self.subject_texts), _encode(self.context))
+        return _encode({"kind": self.kind, "texts": self.subject_texts,
+                        "context": self.context}).encode()
 
 
 # json.dumps builds an encoder per call when given options; this one is built
 # once. Its output is ASCII, and a tuple encodes as a JSON array.
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-
-
-def _canonical(kind: str, texts_json: str, context_json: str) -> bytes:
-    """A request's canonical bytes from its encoded texts and context: the
-    payload's keys in sorted order, as ``sort_keys`` writes them."""
-    return f'{{"context":{context_json},"kind":{_encode(kind)},"texts":{texts_json}}}'.encode()
-
-
-def _canonical_all(requests) -> Iterator[bytes]:
-    """``canonical_bytes`` of each request. A request that holds the same
-    texts and context objects as the one before it (the kinds one subject
-    is scored on) reuses their encodings."""
-    texts = context = None
-    for request in requests:
-        if request.subject_texts is not texts or request.context is not context:
-            texts, context = request.subject_texts, request.context
-            texts_json, context_json = _encode(texts), _encode(context)
-        yield _canonical(request.kind, texts_json, context_json)
 
 
 class ResourceLedger:
@@ -257,9 +240,10 @@ class SyntheticEvaluator(Evaluator):
     """Deterministic offline backend: scores are seeded draws, not opinions.
 
     Each request draws from its own stream, keyed by the seed and the
-    request's canonical bytes, so ``evaluate_many`` (which derives the
-    streams of a whole list in one ``rng.substreams`` pass) and one-at-a-time
-    ``evaluate`` give the same scores and the same ledger.
+    request's ``canonical_bytes()`` in both ``evaluate`` and
+    ``evaluate_many`` (which derives the streams of a whole list in one
+    ``rng.substreams`` pass), so the two give the same scores and the same
+    ledger.
     """
 
     def __init__(self, seed: int):
@@ -289,7 +273,7 @@ class SyntheticEvaluator(Evaluator):
         pass; so a subclass's ``evaluate`` takes ``rng=None`` and passes it on."""
         requests = list(requests)
         streams = rngmod.substreams(
-            self.seed, (("evaluator", data) for data in _canonical_all(requests))
+            self.seed, (("evaluator", request.canonical_bytes()) for request in requests)
         )
         return map(self.evaluate, requests, streams)
 

@@ -205,6 +205,8 @@ class PowerLawFit:
             raise ValueError(f"lam must be non-negative, got {self.lam}")
         if self.x_min < 1:
             raise ValueError(f"x_min must be >= 1, got {self.x_min}")
+        if not 0.0 < self.normalization < math.inf:
+            raise ValueError(f"the law cannot be normalised: its normalizer is {self.normalization}")
 
     @cached_property
     def normalization(self) -> float:

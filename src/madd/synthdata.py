@@ -14,11 +14,13 @@ Run as a module to write a scenario file:
 from __future__ import annotations
 
 import argparse
+import sys
 
 import numpy as np
 
 from . import rng as rngmod
 from .content import ContentItem
+from .errors import ScenarioError
 from .scenario import (
     HOURS_PER_DAY,
     Scenario,
@@ -189,19 +191,30 @@ def build_synthetic_scenario(
     )
 
 
+def _users(text: str) -> int:
+    """--users, checked while parsing so a bad value writes nothing."""
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"users = {text} violates >= 1")
+    return int(text)
+
+
 def main(argv=None) -> int:
     # flags left out take build_synthetic_scenario's defaults
     parser = argparse.ArgumentParser(
         description="Write a synthetic scenario file.", argument_default=argparse.SUPPRESS
     )
-    parser.add_argument("--users", type=int, dest="n_users")
+    parser.add_argument("--users", type=_users, dest="n_users")
     parser.add_argument("--seed", type=int)
     parser.add_argument("--communities", nargs="+")
     parser.add_argument("--total-steps", type=int)
     parser.add_argument("--out", required=True)
     kwargs = vars(parser.parse_args(argv))
     out = kwargs.pop("out")
-    scenario = build_synthetic_scenario(**kwargs)
+    try:
+        scenario = build_synthetic_scenario(**kwargs)
+    except ScenarioError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     save_scenario(scenario, out)
     print(f"wrote {out} ({len(scenario.users)} users, {len(scenario.communities)} communities)")
     return 0

@@ -193,6 +193,25 @@ def test_synthdata_main_defaults_are_the_builders(tmp_path):
     assert out.read_bytes() == reference.read_bytes()
 
 
+@pytest.mark.parametrize("users", ["-5", "0"])
+def test_synthdata_rejects_users_below_one(tmp_path, capsys, users):
+    out = tmp_path / "cli.json"
+    with pytest.raises(SystemExit) as exit_info:
+        synthdata_main(["--users", users, "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert f"error: argument --users: users = {users} violates >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_synthdata_reports_a_parameter_error_in_one_line(tmp_path, capsys):
+    out = tmp_path / "cli.json"
+    assert synthdata_main(["--total-steps", "0", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: total_steps = 0 violates >= 1\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_validate_reports_violations(tmp_path, capsys):
     scenario = build_synthetic_scenario(n_users=60, communities=("alpha",), seed=3)
     data = scenario.to_dict()

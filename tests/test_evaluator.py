@@ -392,9 +392,13 @@ class TestRemote:
 
 
 def batch_requests():
-    """One request of every kind, across ledger buckets, one of them twice."""
+    """One request of every kind, across ledger buckets, one of them twice,
+    then one user's two profile requests, which share one texts tuple and
+    one context dict."""
     persuasion = dict(content_kind="correction", strategy="fact_based", stance="endorse",
                       history="h", community="politics")
+    user = UserRecord(user_id="c", follower_count=40, following_count=7, description="d",
+                      historical_texts=(("t1", "first post"), ("t2", "the 2021 report")))
     return [
         ic_request("a"),
         tt_request("a"),
@@ -405,6 +409,7 @@ def batch_requests():
                           context={**persuasion, "community": "sports"}),
         ic_request("b"),
         ic_request("a"),
+        *_profile_requests(user, COMMUNITIES),
     ]
 
 
@@ -422,6 +427,8 @@ def remote_replies():
         reply({"Score": 0.1}),
         rows("Interest Community Scores", 2),
         rows("Interest Community Scores", 3),
+        rows("Interest Community Scores", 8),
+        rows("Trust Threshold Scores", 0.7),
     ]
 
 
@@ -436,6 +443,8 @@ class TestEvaluateMany:
 
     def test_matches_one_at_a_time(self, make):
         requests = batch_requests()
+        interest, trust = requests[-2:]
+        assert interest.subject_texts is trust.subject_texts and interest.context is trust.context
         one, batch = make(), make()
         expected = [one.evaluate(request) for request in requests]
         assert list(batch.evaluate_many(requests)) == expected
@@ -569,9 +578,8 @@ COUNTS = st.integers(min_value=0, max_value=2**70)
     other_texts=st.lists(st.text(), max_size=2).map(tuple),
 )
 def test_profile_request_bytes_are_json_dumps(user, communities, other_texts):
-    """The bytes that key each profile request's stream: every request's own
-    encoding, and the batch encoding that encodes a user's shared texts and
-    context once for both kinds, equal json.dumps of the payload."""
+    """The bytes that key each profile request's stream equal json.dumps of
+    the payload."""
     requests = _profile_requests(user, communities)
     # the same context with other texts, and the same texts with another context
     requests += [
@@ -582,4 +590,3 @@ def test_profile_request_bytes_are_json_dumps(user, communities, other_texts):
     ]
     expected = [json_dumps_bytes(request) for request in requests]
     assert [request.canonical_bytes() for request in requests] == expected
-    assert list(evaluator_module._canonical_all(requests)) == expected

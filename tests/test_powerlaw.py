@@ -305,7 +305,7 @@ def test_hurwitz_zeta_is_scipys():
     ours = np.array([_hurwitz_zeta(a, b) for a, b in zip(x.tolist(), q.tolist())])
     assert ours.tobytes() == zeta(x, q).tobytes()
     assert ours[-4:-2].tolist() == [0.0, 0.0]
-    assert PowerLawFit(alpha=400, lam=0, x_min=10**7).normalization == 0.0
+    assert _hurwitz_zeta(400.0, 1e7) == 0.0
 
 
 def reference_norm_constant(alpha, lam, x_min):
@@ -407,7 +407,8 @@ def test_paper_world_fit_pinned(paper_world):
 
 
 def test_paper_world_fit_normalizer_calls_pinned(paper_world, monkeypatch):
-    """The fit's work as a count: a change to the search moves it exactly."""
+    """The fit's work as a count: a change to the search moves it exactly. The
+    last call is the returned law's own, made when it is constructed."""
     calls = []
 
     def counted(*args):
@@ -417,7 +418,7 @@ def test_paper_world_fit_normalizer_calls_pinned(paper_world, monkeypatch):
     monkeypatch.setattr(powerlaw, "_norm_constant", counted)
     samples = [p.share_total for p in paper_world[1] if not p.is_bot and p.share_total >= 1]
     assert fit_truncated_power_law(samples) == paper_world[-1]
-    assert len(calls) == 1_223
+    assert len(calls) == 1_224
 
 
 def test_paper_world_fit_zeta_calls_pinned(paper_world, monkeypatch):
@@ -585,3 +586,10 @@ def test_invalid_parameters_rejected():
         PowerLawFit(alpha=1.5, lam=-0.1, x_min=5)
     with pytest.raises(ValueError):
         PowerLawFit(alpha=1.5, lam=0.1, x_min=0)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_law_that_cannot_be_normalised_rejected(lam):
+    """Every term of x^-400 from 10**7 underflows, so the normalizer reads 0.0."""
+    with pytest.raises(ValueError, match="cannot be normalised"):
+        PowerLawFit(alpha=400, lam=lam, x_min=10**7)
