@@ -1,10 +1,11 @@
 """Per-agent attribute derivation.
 
 Each agent carries five per-community attributes: interest scores, trust
-thresholds, a dissemination tendency computed on demand from the fitted
-share-count distribution, a follower-share social influence, and an
-hour-of-day activation probability. Regular users get theirs from user
-records plus evaluator scoring; bots get pinned procedural values.
+thresholds, a dissemination tendency (a ``share_base`` mixing the fitted
+share-count CDF with interest, damped on demand by re-exposure), a
+follower-share social influence, and an hour-of-day activation
+probability. Regular users get theirs from user records plus evaluator
+scoring; bots get pinned procedural values.
 """
 
 from __future__ import annotations
@@ -89,25 +90,30 @@ def social_influence(followers) -> dict:
     return {agent_id: f / total for agent_id, f in followers}
 
 
-def dissemination_tendency(
-    profile: AgentProfile,
-    community: str,
-    fit: PowerLawFit,
-    params: SimulationParams,
-    exposure_n: int = 0,
-) -> float:
-    """Share probability: fitted-CDF and interest mix, damped by re-exposure.
+def share_base(
+    profile: AgentProfile, community: str, fit: PowerLawFit, params: SimulationParams
+) -> float | None:
+    """Share probability before re-exposure damping: the fitted-CDF and
+    interest mix theta * cdf(share_total) + (1 - theta) * ic / ic_max.
 
-    Bots always return 1. The fitted CDF reads as 0 below x_min, where the
-    fit is not trusted.
+    The fitted CDF reads as 0 below x_min, where the fit is not trusted.
+    Bots have no base (None): they always share.
     """
     if profile.is_bot:
-        return 1.0
+        return None
     ic = profile.interest_scores[community]
     ic_max = max(profile.interest_scores.values())
     cdf = fit.cdf(profile.share_total)
-    base = params.theta * cdf + (1.0 - params.theta) * (ic / ic_max)
-    value = base * math.exp(-params.xi * exposure_n)
+    return params.theta * cdf + (1.0 - params.theta) * (ic / ic_max)
+
+
+def dissemination_tendency(base: float | None, xi: float, exposure_n: int = 0) -> float:
+    """Share probability: a ``share_base`` damped by ``exposure_n`` earlier
+    receipts of the item, base * exp(-xi * exposure_n) clipped to [0, 1].
+    A bot's base (None) always gives 1."""
+    if base is None:
+        return 1.0
+    value = base * math.exp(-xi * exposure_n)
     return min(1.0, max(0.0, value))
 
 

@@ -124,6 +124,18 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _check_out(out: str) -> None:
+    """--out must be a directory or creatable as one: neither it nor any
+    existing path above it may be a non-directory. Checked before loading,
+    so a bad --out fails before any evaluator call."""
+    path = Path(out)
+    for p in (path, *path.parents):
+        if p.is_dir():
+            return
+        if p.exists() or p.is_symlink():
+            raise _CliError(f"--out {out}: {p} exists and is not a directory")
+
+
 def _load(args):
     scenario = load_scenario(args.scenario)
     if args.seed is not None:
@@ -311,6 +323,8 @@ def main(argv=None) -> int:
             return 0
         if args.command is None:
             raise _CliError("a subcommand is required (see --help)")
+        if getattr(args, "out", None) is not None:
+            _check_out(args.out)
         handler = {
             "validate": _cmd_validate,
             "profiles": _cmd_profiles,

@@ -2,8 +2,10 @@
 
 Trust moves through saturating exponential enhancement/decay terms so
 repeated exposure shows diminishing marginal effect, and never leaves
-[0, 1]. Discernment is affine in plausibility. Belief realizes discernment
-as a seeded Bernoulli draw, which keeps the core engine deterministic.
+[0, 1]; the update takes the two influence-weighted persuasiveness sums
+its caller adds up. Discernment is affine in plausibility. Belief
+realizes discernment as a seeded Bernoulli draw, which keeps the core
+engine deterministic.
 
 The rules take plain floats and check nothing: their inputs are checked
 where they enter (``SimulationParams`` construction for gamma/beta/delta,
@@ -16,18 +18,18 @@ from __future__ import annotations
 import math
 
 
-def update_trust(tt: float, corr, dis, gamma: float, beta: float, delta: float) -> float:
+def update_trust(
+    tt: float, s_corr: float, s_dis: float, gamma: float, beta: float, delta: float
+) -> float:
     """New trust threshold after the pending corrective/disinformation mix.
 
-    ``corr`` and ``dis`` hold (influence, persuasiveness) pairs for the
-    corrective and disinformation receipts respectively.
+    ``s_corr`` and ``s_dis`` are the influence-weighted persuasiveness sums,
+    sum(si * f), over the corrective and the disinformation receipts.
 
-    enhancement = gamma * (1 - exp(-beta * sum(si * f_corr)))
-    decay       = (1 - gamma) * (1 - exp(-delta * sum(si * f_dis)))
+    enhancement = gamma * (1 - exp(-beta * s_corr))
+    decay       = (1 - gamma) * (1 - exp(-delta * s_dis))
     result      = clip(tt + enhancement - decay, 0, 1)
     """
-    s_corr = sum(si * f for si, f in corr)
-    s_dis = sum(si * f for si, f in dis)
     enhancement = gamma * (1.0 - math.exp(-beta * s_corr))
     decay = (1.0 - gamma) * (1.0 - math.exp(-delta * s_dis))
     return min(1.0, max(0.0, tt + enhancement - decay))

@@ -11,14 +11,24 @@ Semantics, fixed for determinism:
   receiver's current trust.
   A corrective receipt makes an already-exposed receiver re-judge the
   run's claim the same way; belief is re-evaluated on every exposure, so
-  infected and uninfected spreader states stay revisitable.
+  infected and uninfected spreader states stay revisitable. Delivery runs
+  one receipt loop per kind: an endorsed claim exposes and re-draws belief
+  on every receipt; a disputed claim draws belief on a first sight of the
+  claim, and otherwise it, like a correction, draws an accept for a
+  believer.
+* Each regular agent's discernment sits beside its trust, recomputed at
+  the only two places trust is set (run start and the trust update). Trust
+  moves only in the activation phase, which runs before the step delivers,
+  so every receipt of a step judges at the same discernment it would
+  compute afresh.
 * Activation is where judgment happens: an active regular agent first
   applies the trust update over everything received since its previous
   activation, then decides whether to share the latest received item.
   The trust update weighs each message by its persuasiveness for the
   receiver, which depends only on the item, the stance, the receiver's
   history and the run topic: the evaluator is asked once per receiver and
-  (item, stance) in a run, and the receiver keeps the answer.
+  (item, stance) in a run, and the receiver keeps the answer. The share
+  decision damps the agent's ``share_base``, computed once per run.
 * Sharing classifies exposed agents as infected or uninfected spreaders by
   whether they currently believe the run's disinformation. Non-believers
   pass the item on with a disputing stance, which receivers experience as
@@ -58,7 +68,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng as rngmod
-from .attributes import KIND_MBOT, KIND_REGULAR, AgentProfile, dissemination_tendency
+from .attributes import KIND_MBOT, KIND_REGULAR, AgentProfile, dissemination_tendency, share_base
 from .attributes import activation_probability  # noqa: F401 - active_agents vectorizes it
 from .content import InterventionPlan, correction_for, score_plausibility, stage_window
 from .dynamics import believe_disinformation, discernment, update_trust
@@ -110,10 +120,12 @@ class SimulationState:
     weight: list = field(default_factory=list)  # index -> sender influence toward the topic
     audience: list = field(default_factory=list)  # index -> receiver indices, in neighbour order
     sends: list | None = None  # (step, [(sender, kind), ...]) per step, when recorded
+    plausibility: float = 0.0  # of the run's claim
 
     def __post_init__(self):
         n = len(self.ids)
         self.trust = [0.0] * n
+        self.da = [0.0] * n  # discernment(trust, plausibility), set wherever trust is
         self.exposed = [False] * n
         self.believes = [False] * n  # believes the run's claim
         self.spreading = [False] * n  # has shared while exposed
@@ -323,6 +335,7 @@ def run(
         # bots ignore what they receive
         audience=[[regular[n] for n in network.neighbors(a) if n in regular] for a in ids],
         sends=[] if state_out is not None else None,
+        plausibility=plausibility,
     )
     for i in state.rows:
         trust = members[i].trust_thresholds.get(topic)
@@ -331,6 +344,7 @@ def run(
         state.trust[i] = trust
         if not 0.0 <= trust <= 1.0:
             raise ValueError(f"trust {trust} of {ids[i]} outside [0, 1]")
+        state.da[i] = discernment(trust, plausibility)
 
     rows = state.rows
     for purpose in state.streams:
@@ -340,6 +354,9 @@ def run(
     draws = activation_draws(seed, [ids[i] for i in rows], params.total_steps)
     probs = np.array([members[i].activation_probs for i in rows], dtype=float)
     probs = probs.reshape(len(rows), HOURS_PER_DAY)
+    # the exposure-free share probability holds still through a run
+    bases = [share_base(members[i], topic, fit, params) for i in rows]
+    xi = params.xi
 
     # step -> the bot broadcasts sent at that step, in bot-id order
     broadcasts: dict[int, list] = {}
@@ -381,7 +398,7 @@ def run(
                 if kind is None:
                     continue
                 prior_receipts = receipts[KIND_ITEM[kind]][i] - 1
-                dt = dissemination_tendency(members[i], topic, fit, params, prior_receipts)
+                dt = dissemination_tendency(bases[row], xi, prior_receipts)
                 if draws[row, t - 1, 1] >= dt:
                     continue
                 if kind != CORRECTION:  # the claim: endorsed only by a believer
@@ -390,7 +407,7 @@ def run(
                 if exposed[i]:
                     spreading[i] = True
 
-            _deliver(state, outgoing, plausibility)
+            _deliver(state, outgoing)
             if state.sends is not None:
                 state.sends.append((t, outgoing))
 
@@ -410,10 +427,10 @@ def run(
 def _apply_trust_update(state: SimulationState, i: int, evaluator, params, topic: str) -> None:
     # the enhancement/decay sums run over neighbors, not messages: a sender
     # re-delivering since the last activation counts once, through the most
-    # recent thing it pushed
+    # recent thing it pushed; each sum adds in ascending sender order
     pending = state.pending[i]
     strengths, weight = state.strengths[i], state.weight
-    corr, dis = [], []
+    s_corr = s_dis = 0
     for sender in sorted(pending):
         kind = pending[sender]
         strength = strengths[kind]
@@ -424,54 +441,62 @@ def _apply_trust_update(state: SimulationState, i: int, evaluator, params, topic
                 receiver_history=state.profiles[i].history_summary, community=topic,
             )
         if kind == CLAIM_ENDORSE:
-            dis.append((weight[sender], strength))
+            s_dis += weight[sender] * strength
         else:  # a correction item, or a disputing quote of the claim
-            corr.append((weight[sender], strength))
-    state.trust[i] = update_trust(
-        state.trust[i], corr, dis, params.gamma, params.beta, params.delta)
+            s_corr += weight[sender] * strength
+    trust = state.trust[i] = update_trust(
+        state.trust[i], s_corr, s_dis, params.gamma, params.beta, params.delta)
+    # trust moves only here, in the activation phase, before the step delivers
+    state.da[i] = discernment(trust, state.plausibility)
     pending.clear()
 
 
-def _deliver(state: SimulationState, outgoing, plausibility) -> None:
-    audience, trust, latest, pending = state.audience, state.trust, state.latest, state.pending
-    exposed, believes = state.exposed, state.believes
-    streams, stream_states = state.streams, state.stream_states
-    da_of = {}  # receiver -> discernment; trust holds still while a step delivers
+def _deliver(state: SimulationState, outgoing) -> None:
+    # the k-th judgment of a kind takes the k-th draw of the receiver's own
+    # stream of that kind, so plans sharing a seed see aligned randomness
+    # until their histories actually diverge
+    audience, latest, pending = state.audience, state.latest, state.pending
+    exposed, believes, da = state.exposed, state.believes, state.da
+    claim_receipts, correction_receipts = state.receipts
+    belief, accept = state.streams["belief"], state.streams["accept"]
+    belief_states, accept_states = state.stream_states["belief"], state.stream_states["accept"]
     for sender, kind in outgoing:
-        counts = state.receipts[KIND_ITEM[kind]]
-        claim = kind != CORRECTION
-        endorsed = kind == CLAIM_ENDORSE
+        if kind == CLAIM_ENDORSE:
+            for r in audience[sender]:
+                latest[r] = kind
+                pending[r][sender] = kind
+                claim_receipts[r] += 1
+                # seeing the claim pushed at face value re-draws belief both ways
+                exposed[r] = True
+                stream = belief[r]
+                if stream is None:
+                    stream = belief[r] = judgment_draws(belief_states[r])
+                believes[r] = believe_disinformation(da[r], next(stream))
+            continue
+        disputed = kind == CLAIM_DISPUTE
+        counts = claim_receipts if disputed else correction_receipts
         for r in audience[sender]:
             latest[r] = kind
             pending[r][sender] = kind
             counts[r] += 1
-            if claim and (endorsed or not exposed[r]):
-                # seeing the claim pushed at face value (or for the first time,
-                # even inside a disputing quote) re-draws belief both ways
+            if disputed and not exposed[r]:
+                # a first sight of the claim, even inside a disputing quote,
+                # draws belief both ways
                 exposed[r] = True
-                purpose = "belief"
+                stream = belief[r]
+                if stream is None:
+                    stream = belief[r] = judgment_draws(belief_states[r])
+                believes[r] = believe_disinformation(da[r], next(stream))
             elif believes[r]:  # only an exposed agent can believe
                 # corrective pressure (a correction item, or a disputing quote of
                 # a claim already seen) flips a believer on a successful
                 # discernment event (probability DA); when it fails to land,
                 # belief is unchanged - a rejected debunk never creates a believer
-                purpose = "accept"
-            else:
-                continue
-            da = da_of.get(r)
-            if da is None:
-                da = da_of[r] = discernment(trust[r], plausibility)
-            # the k-th judgment of this kind takes the k-th draw of its own
-            # stream, so plans sharing a seed see aligned randomness until
-            # their histories actually diverge
-            stream = streams[purpose][r]
-            if stream is None:
-                stream = streams[purpose][r] = judgment_draws(stream_states[purpose][r])
-            u = next(stream)
-            if purpose == "belief":
-                believes[r] = believe_disinformation(da, u)
-            elif u < da:
-                believes[r] = False
+                stream = accept[r]
+                if stream is None:
+                    stream = accept[r] = judgment_draws(accept_states[r])
+                if next(stream) < da[r]:
+                    believes[r] = False
 
 
 def _final_states(state: SimulationState) -> dict:

@@ -29,7 +29,7 @@ import time
 from collections import defaultdict
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, lru_cache
 
 from . import rng as rngmod
 from .errors import MalformedEvaluatorResponse, RangeViolation, RemoteUnavailable, ScenarioError
@@ -154,7 +154,10 @@ _CITATION_MARKERS = (
 )
 
 
+@lru_cache(maxsize=256)
 def _has_citation_markers(text: str) -> bool:
+    # a property of the text alone, asked of the same few item texts on
+    # every persuasiveness request, so it is kept per text
     lower = text.lower()
     return any(map(str.isdigit, text)) or any(m in lower for m in _CITATION_MARKERS)
 

@@ -79,6 +79,8 @@ class SimulationParams:
         check(self.m >= 1, "m", self.m, ">= 1")
         check(self.m <= self.m0, "m", self.m, "m <= m0")
         check(self.total_steps >= 1, "total_steps", self.total_steps, ">= 1")
+        # streams key on the seed's 64 bits: a seed outside them would alias one inside
+        check(0 <= self.rng_seed < 2**64, "rng_seed", self.rng_seed, "within [0, 2**64)")
         for name in ("malicious_ratio", "legitimate_ratio"):
             value = getattr(self, name)
             check(0.0 <= value < 1.0, name, value, "within [0, 1)")

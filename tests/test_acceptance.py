@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from madd import engine
-from madd.attributes import dissemination_tendency
+from madd.attributes import dissemination_tendency, share_base
 from madd.content import CONTROL_PLAN, make_plan
 from madd.dynamics import discernment, update_trust
 from madd.evaluator import SyntheticEvaluator, make_evaluator
@@ -59,7 +59,7 @@ def canonical_run(paper_world):
 def test_criterion_01_equation_unit_suite():
     started = time.perf_counter()
     # influence-weighted corrective sum = 2, gamma = beta = delta = 0.5
-    enhanced = update_trust(0.5, ((1.0, 1.0), (1.0, 1.0)), (), 0.5, 0.5, 0.5)
+    enhanced = update_trust(0.5, 2.0, 0.0, 0.5, 0.5, 0.5)
     expected = 0.5 + 0.5 * (1.0 - math.exp(-1.0))
     assert abs(enhanced - expected) < 1e-9
     assert abs(enhanced - 0.8160602794142788) < 1e-9
@@ -67,8 +67,9 @@ def test_criterion_01_equation_unit_suite():
     da = discernment(0.6, 0.5)
     assert abs(da - 0.8) < 1e-9
 
-    floor = update_trust(0.01, (), ((1.0, 1.0),) * 30, 0.5, 0.5, 0.5)
-    ceiling = update_trust(0.99, ((1.0, 1.0),) * 30, (), 0.5, 0.5, 0.5)
+    # 30 receipts of influence 1 and persuasiveness 1 on one side
+    floor = update_trust(0.01, 0.0, 30.0, 0.5, 0.5, 0.5)
+    ceiling = update_trust(0.99, 30.0, 0.0, 0.5, 0.5, 0.5)
     assert floor == 0.0 and ceiling == 1.0
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0
@@ -163,7 +164,7 @@ def test_criterion_05_attribute_distributions(paper_world):
 
     tendencies = np.array(
         [
-            dissemination_tendency(p, c, fit, scenario.params, 0)
+            dissemination_tendency(share_base(p, c, fit, scenario.params), scenario.params.xi, 0)
             for p in regs
             for c in scenario.communities
         ]

@@ -12,6 +12,7 @@ from madd.attributes import (
     derive_profiles,
     dissemination_tendency,
     normalize_histogram,
+    share_base,
     social_influence,
 )
 from madd.errors import EvaluatorFailure
@@ -41,36 +42,38 @@ def regular(ic=None, share_total=25):
     )
 
 
+def tendency(profile, community, fit, params, exposure_n):
+    """dissemination_tendency of a profile's share_base."""
+    base = share_base(profile, community, fit, params)
+    return dissemination_tendency(base, params.xi, exposure_n)
+
+
 class TestDisseminationTendency:
     def params(self, **kw):
         return SimulationParams(**kw)
 
     def test_hand_derived_mix(self):
         # theta 0.5, cdf 0.8, top-interest community, no re-exposure
-        value = dissemination_tendency(regular(), "a", FixedCdf(0.8), self.params(), 0)
+        value = tendency(regular(), "a", FixedCdf(0.8), self.params(), 0)
         assert abs(value - 0.9) < 1e-12
 
     def test_heavy_reexposure_drives_tendency_to_zero(self):
-        value = dissemination_tendency(
-            regular(), "a", FixedCdf(0.8), self.params(xi=0.1), 200
-        )
+        value = tendency(regular(), "a", FixedCdf(0.8), self.params(xi=0.1), 200)
         assert value < 1e-8
 
     def test_theta_zero_reduces_to_interest_ratio(self):
-        value = dissemination_tendency(
-            regular(), "b", FixedCdf(0.8), self.params(theta=1e-9), 0
-        )
+        value = tendency(regular(), "b", FixedCdf(0.8), self.params(theta=1e-9), 0)
         assert abs(value - 0.5) < 1e-6
 
     def test_bots_always_share(self):
         bot = AgentProfile(agent_id="m", kind=KIND_MBOT, interest_scores={"a": 10.0})
-        assert dissemination_tendency(bot, "a", FixedCdf(0.0), self.params(), 50) == 1.0
+        assert tendency(bot, "a", FixedCdf(0.0), self.params(), 50) == 1.0
 
     @given(n=st.integers(min_value=0, max_value=50))
     def test_monotone_nonincreasing_in_exposure(self, n):
         params = self.params()
-        a = dissemination_tendency(regular(), "a", FixedCdf(0.5), params, n)
-        b = dissemination_tendency(regular(), "a", FixedCdf(0.5), params, n + 1)
+        a = tendency(regular(), "a", FixedCdf(0.5), params, n)
+        b = tendency(regular(), "a", FixedCdf(0.5), params, n + 1)
         assert b <= a + 1e-12
 
     @given(ic=st.floats(min_value=1.0, max_value=9.0), bump=st.floats(min_value=0.0, max_value=1.0))
@@ -78,8 +81,8 @@ class TestDisseminationTendency:
         params = self.params()
         low = regular(ic={"a": 10.0, "b": ic})
         high = regular(ic={"a": 10.0, "b": min(10.0, ic + bump)})
-        a = dissemination_tendency(low, "b", FixedCdf(0.5), params, 0)
-        b = dissemination_tendency(high, "b", FixedCdf(0.5), params, 0)
+        a = tendency(low, "b", FixedCdf(0.5), params, 0)
+        b = tendency(high, "b", FixedCdf(0.5), params, 0)
         assert b >= a - 1e-12
 
 

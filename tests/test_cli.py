@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import madd
+from madd import cli as cli_module
 from madd.cli import main
 from madd.content import ContentItem
 from madd.errors import EvaluatorFailure
@@ -552,6 +553,55 @@ def test_run_topic_without_claim_exits_1_and_writes_nothing(scenario_path, tmp_p
     assert main(argv) == 1
     assert "unknown community 'politics'" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_outside_64_bits_exits_1_and_writes_nothing(scenario_path, tmp_path, capsys, seed):
+    out = tmp_path / "run"
+    argv = ["run", "--scenario", str(scenario_path), "--seed", str(seed), "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: rng_seed = {seed} violates within [0, 2**64)\n"
+    assert not out.exists()
+
+
+def test_largest_seed_runs(scenario_path, tmp_path):
+    out = tmp_path / "run"
+    seed = 2**64 - 1
+    argv = ["run", "--scenario", str(scenario_path), "--seed", str(seed), "--out", str(out)]
+    assert main(argv) == 0
+    assert json.loads((out / "manifest.json").read_text())["seed"] == seed
+
+
+_OUT_COMMANDS = {
+    "profiles": [],
+    "network": [],
+    "run": ["--seed", "1"],
+    "experiment": ["--seed", "1", "--stage", "early"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_OUT_COMMANDS))
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
+def test_out_at_or_under_a_file_exits_1_before_setup(
+    scenario_path, tmp_path, monkeypatch, capsys, command, under
+):
+    """An --out that is an existing file, or lies under one, fails before the
+    scenario is loaded: exit 1, no evaluator made and nothing created."""
+    blocker = tmp_path / "blocker.json"
+    blocker.write_text("{}")
+    out = blocker / "sub" / "dir" if under else blocker
+    calls = []
+    monkeypatch.setattr(cli_module, "load_scenario", lambda *a: calls.append("load"))
+    monkeypatch.setattr(cli_module, "make_evaluator", lambda *a: calls.append("evaluator"))
+    argv = [command, "--scenario", str(scenario_path), *_OUT_COMMANDS[command], "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: --out {out}: {blocker} exists and is not a directory\n"
+    )
+    assert calls == []
+    assert blocker.read_text() == "{}"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker.json"]
 
 
 def test_run_seed_required(scenario_path, tmp_path):

@@ -15,8 +15,13 @@ DEFAULTS = SimulationParams()
 
 def trust_after(tt, corr=(), dis=(), gamma=DEFAULTS.gamma, beta=DEFAULTS.beta,
                 delta=DEFAULTS.delta):
-    """update_trust at the SimulationParams defaults unless overridden."""
-    return update_trust(tt, corr, dis, gamma, beta, delta)
+    """update_trust over (influence, persuasiveness) pairs, at the
+    SimulationParams defaults unless overridden."""
+    return update_trust(tt, weighted_sum(corr), weighted_sum(dis), gamma, beta, delta)
+
+
+def weighted_sum(pairs) -> float:
+    return sum(si * f for si, f in pairs)
 
 
 class TestUpdateTrust:
@@ -38,7 +43,7 @@ class TestUpdateTrust:
 
     @given(tt=unit, corr=pairs, dis=pairs, g=open_unit, b=open_unit, d=open_unit)
     def test_output_always_in_unit_interval(self, tt, corr, dis, g, b, d):
-        assert 0.0 <= update_trust(tt, corr, dis, g, b, d) <= 1.0
+        assert 0.0 <= update_trust(tt, weighted_sum(corr), weighted_sum(dis), g, b, d) <= 1.0
 
     @given(tt=unit, si=open_unit, f_low=unit, bump=open_unit)
     def test_monotone_in_corrective_persuasiveness(self, tt, si, f_low, bump):

@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from madd import engine
 from madd import rng as rngmod
@@ -16,7 +18,8 @@ from madd.attributes import (
     AgentProfile,
     activation_probability,
 )
-from madd.content import CONTROL_PLAN, InterventionPlan, make_plan
+from madd.content import CONTROL_PLAN, InterventionPlan, make_plan, score_plausibility
+from madd.dynamics import believe_disinformation, discernment
 from madd.errors import EvaluatorFailure, RangeViolation
 from madd.evaluator import SyntheticEvaluator, make_evaluator
 from madd.network import PropagationNetwork
@@ -352,6 +355,130 @@ class TestDeliver:
         assert all(inspect.getgeneratorstate(s) == inspect.GEN_SUSPENDED for s in generators)
         keyed = sum(int(w[state.rows].any(axis=1).sum()) for w in state.stream_states.values())
         assert (len(generators), keyed) == (511, 2 * 689)
+
+
+def reference_deliver(state, outgoing, plausibility) -> None:
+    """The generic delivery loop the engine's per-kind loops replaced: one
+    branch for every kind, and discernment computed per step from trust."""
+    audience, trust, latest, pending = state.audience, state.trust, state.latest, state.pending
+    exposed, believes = state.exposed, state.believes
+    streams, stream_states = state.streams, state.stream_states
+    da_of = {}
+    for sender, kind in outgoing:
+        counts = state.receipts[engine.KIND_ITEM[kind]]
+        claim = kind != engine.CORRECTION
+        endorsed = kind == engine.CLAIM_ENDORSE
+        for r in audience[sender]:
+            latest[r] = kind
+            pending[r][sender] = kind
+            counts[r] += 1
+            if claim and (endorsed or not exposed[r]):
+                exposed[r] = True
+                purpose = "belief"
+            elif believes[r]:
+                purpose = "accept"
+            else:
+                continue
+            da = da_of.get(r)
+            if da is None:
+                da = da_of[r] = discernment(trust[r], plausibility)
+            stream = streams[purpose][r]
+            if stream is None:
+                stream = streams[purpose][r] = engine.judgment_draws(stream_states[purpose][r])
+            u = next(stream)
+            if purpose == "belief":
+                believes[r] = believe_disinformation(da, u)
+            elif u < da:
+                believes[r] = False
+
+
+unit_floats = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+
+
+@st.composite
+def delivery_cases(draw):
+    """A small state and one step's sends: every kind, over overlapping
+    audiences, so one receiver gets several receipts in the step."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    agents = st.integers(min_value=0, max_value=n - 1)
+    kinds = st.integers(min_value=0, max_value=2)
+    exposed = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return {
+        "n": n,
+        "plausibility": draw(unit_floats),
+        "trust": draw(st.lists(unit_floats, min_size=n, max_size=n)),
+        "exposed": exposed,
+        # only an exposed agent can believe
+        "believes": [e and draw(st.booleans()) for e in exposed],
+        "pending": [draw(st.dictionaries(agents, kinds, max_size=3)) for _ in range(n)],
+        "audience": [draw(st.lists(agents, unique=True, max_size=n)) for _ in range(n)],
+        # judgments each receiver has already drawn per kind, across a block edge
+        "drawn": draw(st.lists(
+            st.tuples(st.integers(0, engine.JUDGMENT_BLOCK + 2), st.integers(0, 3)),
+            min_size=n, max_size=n,
+        )),
+        "outgoing": draw(st.lists(st.tuples(agents, kinds), max_size=8)),
+        "seed": draw(st.integers(min_value=0, max_value=2**64 - 1)),
+    }
+
+
+def delivery_state(case) -> engine.SimulationState:
+    n = case["n"]
+    ids = [f"u{i}" for i in range(n)]
+    state = engine.SimulationState(
+        ids=ids, rows=list(range(n)), community_rows={}, audience=case["audience"],
+        plausibility=case["plausibility"],
+    )
+    state.trust[:] = case["trust"]
+    state.da[:] = [discernment(t, case["plausibility"]) for t in case["trust"]]
+    state.exposed[:] = case["exposed"]
+    state.believes[:] = case["believes"]
+    state.pending[:] = [dict(p) for p in case["pending"]]
+    for k, purpose in enumerate(("belief", "accept")):
+        labels = [(purpose, agent_id, "claim") for agent_id in ids]
+        state.stream_states[purpose] = rngmod.substream_states(case["seed"], labels)
+        for r, drawn in enumerate(case["drawn"]):
+            if drawn[k]:
+                stream = engine.judgment_draws(state.stream_states[purpose][r])
+                state.streams[purpose][r] = stream
+                for _ in range(drawn[k]):
+                    next(stream)
+    return state
+
+
+class TestDeliveryLoops:
+    @settings(max_examples=300, deadline=None)
+    @given(case=delivery_cases())
+    def test_kind_split_loops_match_generic_loop(self, case):
+        expected, actual = delivery_state(case), delivery_state(case)
+        reference_deliver(expected, case["outgoing"], case["plausibility"])
+        engine._deliver(actual, case["outgoing"])
+        for name in ("latest", "pending", "receipts", "exposed", "believes"):
+            assert getattr(actual, name) == getattr(expected, name), name
+        for purpose in ("belief", "accept"):
+            for a, b in zip(actual.streams[purpose], expected.streams[purpose]):
+                assert (a is None) == (b is None)
+                if a is not None:
+                    assert next(a) == next(b)
+
+    def test_discernment_kept_beside_trust(self, dense_world):
+        scenario, profiles, _, network, fit = dense_world
+        disinfo = scenario.disinformation_for(None)
+        evaluator = make_evaluator(scenario.evaluator_config, scenario.params.rng_seed)
+        plausibility = disinfo.plausibility
+        if plausibility is None:
+            plausibility = score_plausibility(disinfo, make_evaluator(
+                scenario.evaluator_config, scenario.params.rng_seed))
+        states = []
+        engine.run(
+            scenario, network, profiles, make_plan(scenario.params, "early", "fact_based"),
+            evaluator, seed=13, fit=fit, state_out=states,
+        )
+        state = states[0]
+        assert any(t != p.trust_thresholds["politics"]
+                   for t, p in zip(state.trust, state.profiles) if not p.is_bot)
+        for i in state.rows:
+            assert state.da[i] == discernment(state.trust[i], plausibility)
 
 
 @pytest.fixture(scope="module")
@@ -699,26 +826,34 @@ class TestGoldenDigests:
         )
 
     @pytest.mark.parametrize(
-        "stage, digests",
+        "stage, strategy, digests",
         [
-            ("control", (
+            ("control", None, (
                 "d10941bda00ce8b7fed8ee5cc59d983bb0092142894763eeba09db50d2426978",
                 "da3d0f5beae3ae185842c29ab026834bb3dbf2b101e2a39aa09a92fe13959593",
             )),
-            ("early", (
+            ("early", "fact_based", (
                 "8fd0541019e29488f450480a8ce58778b07d62264859095f096214c74a1db072",
                 "a80856f21781d505602172030650c7a5f0c8746957f27f3d43d67a1df9997b26",
             )),
+            ("late", "fact_based", (
+                "3c9c9123359d09b66a6353f53e901bc9966e503a41ee475c5b768149ffd43b2a",
+                "58b27cc82dbad5363ab1f9b46164f62b713d60cf5653c6f13588e5c6a7d0ac9a",
+            )),
+            ("early", "narrative_based", (
+                "5028fdac1f087998cc4d54255c4e9b45ee142b6b6332fa0ca64ea8f76e5630ae",
+                "241ebc5d4b8b8c7ce4d27a325530932ad20b60de24a4116346194509459181b3",
+            )),
         ],
-        ids=["control", "early_fact"],
+        ids=["control", "early_fact", "late_fact", "early_narrative"],
     )
-    def test_dense_world(self, dense_world, stage, digests):
+    def test_dense_world(self, dense_world, stage, strategy, digests):
         # one busy politics community: receivers judge the claim far more
-        # often than one judgment block holds, so block refills are pinned
+        # often than one judgment block holds, so block refills are pinned;
+        # the correction arms pin accepts and disputes reaching receivers
+        # that have already seen the claim
         scenario, profiles, _, network, fit = dense_world
-        plan = CONTROL_PLAN if stage == "control" else make_plan(
-            scenario.params, stage, "fact_based"
-        )
+        plan = CONTROL_PLAN if stage == "control" else make_plan(scenario.params, stage, strategy)
         states = []
         report = engine.run(
             scenario,

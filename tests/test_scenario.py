@@ -181,6 +181,13 @@ class TestLoading:
         with pytest.raises(RangeViolation, match=f"params.{name}"):
             scenario_from_dict(minimal_scenario_dict(**{name: value}))
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 10**23])
+    def test_rng_seed_outside_64_bits_rejected(self, seed):
+        # the streams key on the seed's low 64 bits, so these would alias a seed inside
+        line = f"params.rng_seed = {seed!r} violates within [0, 2**64)"
+        with pytest.raises(RangeViolation, match=f"^{re.escape(line)}$"):
+            scenario_from_dict(minimal_scenario_dict(rng_seed=seed))
+
     @pytest.mark.parametrize(
         "texts",
         [{"ab": 1}, ["ok"], [["post", "text", "extra"]]],
