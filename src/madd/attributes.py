@@ -21,7 +21,7 @@ from .errors import EvaluatorFailure
 from .evaluator import EvaluationRequest, Evaluator
 from .network import assign_communities
 from .powerlaw import PowerLawFit
-from .scenario import HOURS_PER_DAY, Scenario, SimulationParams
+from .scenario import HOURS_PER_DAY, Scenario, SimulationParams, bot_id
 
 logger = logging.getLogger(__name__)
 
@@ -92,27 +92,21 @@ def social_influence(followers) -> dict:
 
 def share_base(
     profile: AgentProfile, community: str, fit: PowerLawFit, params: SimulationParams
-) -> float | None:
-    """Share probability before re-exposure damping: the fitted-CDF and
-    interest mix theta * cdf(share_total) + (1 - theta) * ic / ic_max.
+) -> float:
+    """A regular agent's share probability before re-exposure damping: the
+    fitted-CDF and interest mix theta * cdf(share_total) + (1 - theta) * ic / ic_max.
 
     The fitted CDF reads as 0 below x_min, where the fit is not trusted.
-    Bots have no base (None): they always share.
     """
-    if profile.is_bot:
-        return None
     ic = profile.interest_scores[community]
     ic_max = max(profile.interest_scores.values())
     cdf = fit.cdf(profile.share_total)
     return params.theta * cdf + (1.0 - params.theta) * (ic / ic_max)
 
 
-def dissemination_tendency(base: float | None, xi: float, exposure_n: int = 0) -> float:
+def dissemination_tendency(base: float, xi: float, exposure_n: int = 0) -> float:
     """Share probability: a ``share_base`` damped by ``exposure_n`` earlier
-    receipts of the item, base * exp(-xi * exposure_n) clipped to [0, 1].
-    A bot's base (None) always gives 1."""
-    if base is None:
-        return 1.0
+    receipts of the item, base * exp(-xi * exposure_n) clipped to [0, 1]."""
     value = base * math.exp(-xi * exposure_n)
     return min(1.0, max(0.0, value))
 
@@ -210,7 +204,7 @@ def derive_profiles(scenario: Scenario, evaluator: Evaluator, *, trust: bool = T
                 continue
             for i in range(max(1, _half_up(ratio * len(members)))):
                 bots.append(AgentProfile(
-                    agent_id=f"{prefix}_{community}_{i:03d}",
+                    agent_id=bot_id(prefix, community, i),
                     kind=kind,
                     interest_scores={
                         c: (10.0 if c == community else 1.0) for c in scenario.communities

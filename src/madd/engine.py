@@ -6,8 +6,9 @@ Semantics, fixed for determinism:
   regular shares alike) is delivered when t ends, so an agent activated at
   t reads only messages delivered at steps <= t-1.
 * Delivery is where exposure happens: a receipt becomes the agent's latest
-  message, bumps the per-item exposure counter, and (for disinformation)
-  flips a susceptible agent to exposed and re-draws belief at the
+  message and bumps the per-item receipt count. An agent is exposed exactly
+  when its claim-receipt count is positive, so its first sight of the claim
+  is that count reaching 1; an endorsed claim re-draws belief at the
   receiver's current trust.
   A corrective receipt makes an already-exposed receiver re-judge the
   run's claim the same way; belief is re-evaluated on every exposure, so
@@ -38,12 +39,12 @@ Semantics, fixed for determinism:
   order agents are processed in. Each regular agent owns one "act" stream,
   drawn once per run as a (steps, 2) block of activation and share
   uniforms; step t reads row t-1. Its "belief" and "accept" streams over
-  the run's claim are keyed at run start, one ``substream_states`` array
-  per kind over every regular agent, and a stream's ``judgment_draws``
-  generator is made at its first judgment; its k-th judgment of a kind
-  takes that stream's k-th uniform, read in blocks of JUDGMENT_BLOCK (on
-  PCG64, ``random(n)`` yields the same doubles as n scalar ``random()``
-  calls).
+  the run's claim are keyed at run start, one ``JudgmentStreams`` table
+  per kind over the ``substream_states`` rows of every regular agent, and
+  the table makes a receiver's ``judgment_draws`` generator at its first
+  judgment; its k-th judgment of a kind takes that stream's k-th uniform,
+  read in blocks of JUDGMENT_BLOCK (on PCG64, ``random(n)`` yields the same
+  doubles as n scalar ``random()`` calls).
 
 Bots are instruments: only bots homed in the run topic's community act,
 each broadcasting on the steps of its drawn schedule alone - malicious ones
@@ -107,6 +108,21 @@ def judgment_draws(words: np.ndarray):
         yield from gen.random(JUDGMENT_BLOCK).tolist()
 
 
+class JudgmentStreams(dict):
+    """One judgment kind's streams over a run's claim: receiver index ->
+    its ``judgment_draws`` generator, made from row r of ``words`` (an
+    ``(n, 4)`` array of ``rng.substream_states`` rows) when r is first
+    looked up, so an unread stream holds no generator."""
+
+    def __init__(self, words: np.ndarray):
+        super().__init__()
+        self.words = words
+
+    def __missing__(self, r: int):
+        stream = self[r] = judgment_draws(self.words[r])
+        return stream
+
+
 @dataclass
 class SimulationState:
     """One run's agents on one index in agent-id order; the per-agent lists
@@ -126,16 +142,15 @@ class SimulationState:
         n = len(self.ids)
         self.trust = [0.0] * n
         self.da = [0.0] * n  # discernment(trust, plausibility), set wherever trust is
-        self.exposed = [False] * n
         self.believes = [False] * n  # believes the run's claim
         self.spreading = [False] * n  # has shared while exposed
         self.latest = [None] * n  # kind code of the latest receipt
-        self.receipts = ([0] * n, [0] * n)  # per item: receipts per index
+        self.receipts = ([0] * n, [0] * n)  # per item: receipts per index; exposed = claim's > 0
         self.pending = [{} for _ in range(n)]  # sender -> kind received since last activation
         self.strengths = [[None] * len(KIND_STANCE) for _ in range(n)]  # kind -> persuasiveness
-        # purpose -> (n, 4) substream_states rows, and the judgment_draws made from them
-        self.stream_states = {}
-        self.streams = {"belief": [None] * n, "accept": [None] * n}
+        # purpose -> JudgmentStreams; run() keys the regular rows' words at run start
+        self.streams = {purpose: JudgmentStreams(np.zeros((n, 4), dtype=np.uint64))
+                        for purpose in ("belief", "accept")}
 
     @property
     def delivery_log(self) -> DeliveryLog:
@@ -153,7 +168,7 @@ class SimulationState:
                     outbox[sender].append((t, content_id, KIND_STANCE[kind]))
         return {
             self.ids[i]: AgentView(
-                STATUS_EXPOSED if self.exposed[i] else STATUS_SUSCEPTIBLE,
+                STATUS_EXPOSED if self.receipts[0][i] else STATUS_SUSCEPTIBLE,
                 self.trust[i],
                 {item.content_id: n[i] for item, n in zip(self.items, self.receipts) if n[i]},
                 outbox[i],
@@ -190,7 +205,8 @@ def snapshot_ratios(state: SimulationState, community: str) -> tuple:
     n = len(members)
     if n == 0:
         return (1.0, 0.0, 0.0, 0.0)
-    exposed = sum([state.exposed[i] for i in members])
+    claims = state.receipts[0]  # an agent is exposed when it has any
+    exposed = len([i for i in members if claims[i]])
     spreaders = [i for i in members if state.spreading[i]]
     infected = sum([state.believes[i] for i in spreaders])
     return ((n - exposed) / n, exposed / n, infected / n, (len(spreaders) - infected) / n)
@@ -347,10 +363,9 @@ def run(
         state.da[i] = discernment(trust, plausibility)
 
     rows = state.rows
-    for purpose in state.streams:
+    for purpose, streams in state.streams.items():
         labels = ((purpose, ids[i], disinfo.content_id) for i in rows)
-        words = state.stream_states[purpose] = np.zeros((len(ids), 4), dtype=np.uint64)
-        words[rows] = rngmod.substream_states(seed, labels)
+        streams.words[rows] = rngmod.substream_states(seed, labels)
     draws = activation_draws(seed, [ids[i] for i in rows], params.total_steps)
     probs = np.array([members[i].activation_probs for i in rows], dtype=float)
     probs = probs.reshape(len(rows), HOURS_PER_DAY)
@@ -372,7 +387,7 @@ def run(
         total_steps=params.total_steps, series={c: [] for c in network.community_index},
     )
     trust, latest, receipts, pending = state.trust, state.latest, state.receipts, state.pending
-    exposed, believes, spreading = state.exposed, state.believes, state.spreading
+    believes, spreading = state.believes, state.spreading
 
     def record(step: int) -> None:
         for community, community_rows in state.community_rows.items():
@@ -404,7 +419,7 @@ def run(
                 if kind != CORRECTION:  # the claim: endorsed only by a believer
                     kind = CLAIM_ENDORSE if believes[i] else CLAIM_DISPUTE
                 outgoing.append((i, kind))
-                if exposed[i]:
+                if receipts[0][i]:  # exposed
                     spreading[i] = True
 
             _deliver(state, outgoing)
@@ -456,10 +471,9 @@ def _deliver(state: SimulationState, outgoing) -> None:
     # stream of that kind, so plans sharing a seed see aligned randomness
     # until their histories actually diverge
     audience, latest, pending = state.audience, state.latest, state.pending
-    exposed, believes, da = state.exposed, state.believes, state.da
+    believes, da = state.believes, state.da
     claim_receipts, correction_receipts = state.receipts
     belief, accept = state.streams["belief"], state.streams["accept"]
-    belief_states, accept_states = state.stream_states["belief"], state.stream_states["accept"]
     for sender, kind in outgoing:
         if kind == CLAIM_ENDORSE:
             for r in audience[sender]:
@@ -467,11 +481,7 @@ def _deliver(state: SimulationState, outgoing) -> None:
                 pending[r][sender] = kind
                 claim_receipts[r] += 1
                 # seeing the claim pushed at face value re-draws belief both ways
-                exposed[r] = True
-                stream = belief[r]
-                if stream is None:
-                    stream = belief[r] = judgment_draws(belief_states[r])
-                believes[r] = believe_disinformation(da[r], next(stream))
+                believes[r] = believe_disinformation(da[r], next(belief[r]))
             continue
         disputed = kind == CLAIM_DISPUTE
         counts = claim_receipts if disputed else correction_receipts
@@ -479,24 +489,16 @@ def _deliver(state: SimulationState, outgoing) -> None:
             latest[r] = kind
             pending[r][sender] = kind
             counts[r] += 1
-            if disputed and not exposed[r]:
+            if disputed and counts[r] == 1:
                 # a first sight of the claim, even inside a disputing quote,
                 # draws belief both ways
-                exposed[r] = True
-                stream = belief[r]
-                if stream is None:
-                    stream = belief[r] = judgment_draws(belief_states[r])
-                believes[r] = believe_disinformation(da[r], next(stream))
-            elif believes[r]:  # only an exposed agent can believe
+                believes[r] = believe_disinformation(da[r], next(belief[r]))
+            elif believes[r] and next(accept[r]) < da[r]:  # only an exposed agent believes
                 # corrective pressure (a correction item, or a disputing quote of
                 # a claim already seen) flips a believer on a successful
                 # discernment event (probability DA); when it fails to land,
                 # belief is unchanged - a rejected debunk never creates a believer
-                stream = accept[r]
-                if stream is None:
-                    stream = accept[r] = judgment_draws(accept_states[r])
-                if next(stream) < da[r]:
-                    believes[r] = False
+                believes[r] = False
 
 
 def _final_states(state: SimulationState) -> dict:
@@ -504,7 +506,7 @@ def _final_states(state: SimulationState) -> dict:
     out = {status: [] for status in statuses}
     for i in state.rows:
         agent_id = state.ids[i]
-        out[STATUS_EXPOSED if state.exposed[i] else STATUS_SUSCEPTIBLE].append(agent_id)
+        out[STATUS_EXPOSED if state.receipts[0][i] else STATUS_SUSCEPTIBLE].append(agent_id)
         if state.spreading[i]:
             out[SPREADER_INFECTED if state.believes[i] else SPREADER_UNINFECTED].append(agent_id)
     return out

@@ -194,10 +194,32 @@ _COUNT_FIELDS = ("follower_count", "following_count", "post_count", "retweet_cou
                  "quote_count")
 
 
+def bot_id(prefix: str, community: str, i: int) -> str:
+    """The id of a community's i-th generated bot of one kind (prefix "mbot"
+    or "lbot"). A Scenario reserves every id of this form for its communities."""
+    return f"{prefix}_{community}_{i:03d}"
+
+
+def _is_bot_id(user_id: str, communities) -> bool:
+    """Whether ``user_id`` is ``bot_id(prefix, c, i)`` for a c in ``communities``."""
+    if not user_id.startswith(("mbot_", "lbot_")):
+        return False
+    community, _, number = user_id[5:].rpartition("_")
+    # the {i:03d} of an i >= 0: ASCII digits, zero-padded to three and no further
+    return (community in communities and number.isascii() and number.isdigit()
+            and number.lstrip("0").zfill(3) == number)
+
+
+def _breaks_lines(text: str) -> bool:
+    """Whether ``text`` holds a line boundary that str.splitlines splits on."""
+    return "".join(text.splitlines()) != text
+
+
 @dataclass(frozen=True)
 class UserRecord:
     """One ingested user. Construction checks that the id, the description
-    and the history are strings, that counts are >= 0 and that the activity
+    and the history are strings, that counts are >= 0 with a share total
+    below 2**63 (the share-count fit reads int64) and that the activity
     histogram holds 24 counts >= 0."""
 
     user_id: str
@@ -217,6 +239,9 @@ class UserRecord:
                 or self.retweet_count < 0 or self.quote_count < 0):
             name = next(name for name in _COUNT_FIELDS if getattr(self, name) < 0)
             raise RangeViolation(f"{name}({self.user_id})", getattr(self, name), ">= 0")
+        if self.share_total >= 2**63:
+            raise RangeViolation(f"retweet_count+quote_count({self.user_id})", self.share_total,
+                                 "< 2**63")
         if not isinstance(self.description, str):
             raise RangeViolation(f"description({self.user_id})", self.description, "a string")
         if not all(map(isinstance, chain.from_iterable(self.historical_texts), repeat(str))):
@@ -311,9 +336,11 @@ _READERS = (
 @dataclass(frozen=True)
 class Scenario:
     """A whole run's input. Construction stores users, communities and
-    catalog as tuples and checks that communities are present and unique,
-    that user ids are unique, and that catalog ids are unique with known
-    topics."""
+    catalog as tuples and checks that communities are present and unique
+    with names free of tabs, line breaks, ',' and '"', that user ids are
+    unique, free of tabs and line breaks and none a generated bot's id (the
+    artifacts write names and ids unquoted), and that catalog ids are unique
+    with known topics."""
 
     params: SimulationParams
     users: tuple
@@ -328,10 +355,18 @@ class Scenario:
             raise MissingField("communities")
         if len(set(self.communities)) != len(self.communities):
             raise ScenarioError("community names must be unique")
+        for name in self.communities:
+            if any(c in name for c in '\t,"') or _breaks_lines(name):
+                raise RangeViolation("communities", name,
+                                     "a name free of tabs, line breaks, ',' and '\"'")
         user_ids: set[str] = set()
         for user in self.users:
             if user.user_id in user_ids:
                 raise DuplicateUserId(user.user_id)
+            if "\t" in user.user_id or _breaks_lines(user.user_id):
+                raise RangeViolation("user_id", user.user_id, "an id free of tabs and line breaks")
+            if _is_bot_id(user.user_id, self.communities):
+                raise RangeViolation("user_id", user.user_id, "an id no generated bot takes")
             user_ids.add(user.user_id)
         content_ids: set[str] = set()
         for item in self.content_catalog:

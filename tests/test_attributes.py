@@ -65,10 +65,6 @@ class TestDisseminationTendency:
         value = tendency(regular(), "b", FixedCdf(0.8), self.params(theta=1e-9), 0)
         assert abs(value - 0.5) < 1e-6
 
-    def test_bots_always_share(self):
-        bot = AgentProfile(agent_id="m", kind=KIND_MBOT, interest_scores={"a": 10.0})
-        assert tendency(bot, "a", FixedCdf(0.0), self.params(), 50) == 1.0
-
     @given(n=st.integers(min_value=0, max_value=50))
     def test_monotone_nonincreasing_in_exposure(self, n):
         params = self.params()

@@ -12,7 +12,7 @@ from functools import lru_cache
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import madd
@@ -210,6 +210,15 @@ def test_synthdata_reports_a_parameter_error_in_one_line(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == "error: total_steps = 0 violates >= 1\n"
     assert captured.out == ""
+    assert not out.exists()
+
+
+def test_synthdata_rejects_a_community_name_with_a_comma(tmp_path, capsys):
+    out = tmp_path / "cli.json"
+    assert synthdata_main(["--communities", "a,b", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: communities = 'a,b' violates a name free of tabs, line breaks, ',' and '\"'\n")
     assert not out.exists()
 
 
@@ -786,6 +795,13 @@ def _validate(data: dict) -> tuple:
         (("users", 0, "historical_texts"), [[1, None]]),
         # a misspelt key is an error, not a silent default
         (("users", 0, "retweets_count"), 522),
+        # a share total the share-count fit cannot hold in int64
+        (("users", 0, "retweet_count"), 2**63),
+        # the id derive_profiles gives alpha's first malicious bot
+        (("users", 0, "user_id"), "mbot_alpha_000"),
+        # edges.txt writes ids unquoted, tab-separated, one edge a line
+        (("users", 0, "user_id"), "user\t00000"),
+        (("users", 0, "user_id"), "user\n00000"),
     ],
     ids=[
         "evaluator-unknown-key", "synthetic-removed", "evaluator-timeout-string",
@@ -798,7 +814,8 @@ def _validate(data: dict) -> tuple:
         "repost-probability-removed",
         "duplicate-content-id",
         "user-id-null", "user-id-bool", "user-id-float", "description-null",
-        "history-non-string-pair", "user-unknown-key",
+        "history-non-string-pair", "user-unknown-key", "share-total-past-int64",
+        "user-id-of-a-bot", "user-id-tab", "user-id-newline",
     ],
 )
 def test_malformed_input_exits_1(path, value):
@@ -820,12 +837,30 @@ def test_malformed_input_exits_1(path, value):
          f"activity_histogram(user_00000) = {(-1,) + (1,) * 23} violates counts >= 0"),
         (("users", 0, "historical_texts"), 0,
          "historical_texts(user_00000) = 0 violates a list of [kind, text] pairs"),
+        (("users", 0, "retweet_count"), 2**63,
+         # user_00000 quotes twice
+         f"retweet_count+quote_count(user_00000) = {2**63 + 2} violates < 2**63"),
     ],
     ids=["histogram-cell-fraction", "count-bool", "count-negative", "histogram-23-cells",
-         "histogram-cell-negative", "history-zero"],
+         "histogram-cell-negative", "history-zero", "share-total-past-int64"],
 )
 def test_user_record_error_line_pinned(path, value, line):
     assert _validate(_replaced(path, value)) == (1, f"error: {line}\n")
+
+
+def test_community_name_with_a_comma_exits_1_and_writes_nothing(tmp_path, capsys):
+    """report.csv writes community names unquoted: 'al,pha' would split its rows."""
+    data = _replaced(("communities",), ["al,pha"])
+    for item in data["content_catalog"]:
+        item["topic"] = "al,pha"
+    line = "error: communities = 'al,pha' violates a name free of tabs, line breaks, ',' and '\"'\n"
+    assert _validate(data) == (1, line)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "run"
+    assert main(["run", "--scenario", str(path), "--seed", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == line
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -909,6 +944,8 @@ JSON_VALUES = st.recursive(
 
 @settings(max_examples=150, deadline=None)
 @given(path=st.sampled_from(_field_paths()), value=JSON_VALUES)
+@example(path=("users", 0, "retweet_count"), value=2**63)
+@example(path=("users", 0, "user_id"), value="user\t00000")
 def test_any_field_value_keeps_exit_code_contract(path, value):
     code, err = _validate(_replaced(path, value))
     assert code in (0, 1), err

@@ -236,7 +236,7 @@ class TestSnapshotRatios:
         state = engine.SimulationState(ids=ids, rows=rows, community_rows={"alpha": rows})
         for i, agent_id in enumerate(ids):
             status, spreader = statuses[agent_id]
-            state.exposed[i] = status == engine.STATUS_EXPOSED
+            state.receipts[0][i] = int(status == engine.STATUS_EXPOSED)
             state.spreading[i] = spreader is not None
             state.believes[i] = spreader == engine.SPREADER_INFECTED
         return state
@@ -351,9 +351,9 @@ class TestDeliver:
                    make_evaluator(scenario.evaluator_config, 3), seed=3, fit=fit,
                    topic="politics", state_out=states)
         state = states[0]
-        generators = [s for kind in state.streams.values() for s in kind if s is not None]
+        generators = [s for kind in state.streams.values() for s in kind.values()]
         assert all(inspect.getgeneratorstate(s) == inspect.GEN_SUSPENDED for s in generators)
-        keyed = sum(int(w[state.rows].any(axis=1).sum()) for w in state.stream_states.values())
+        keyed = sum(int(s.words[state.rows].any(axis=1).sum()) for s in state.streams.values())
         assert (len(generators), keyed) == (511, 2 * 689)
 
 
@@ -361,8 +361,7 @@ def reference_deliver(state, outgoing, plausibility) -> None:
     """The generic delivery loop the engine's per-kind loops replaced: one
     branch for every kind, and discernment computed per step from trust."""
     audience, trust, latest, pending = state.audience, state.trust, state.latest, state.pending
-    exposed, believes = state.exposed, state.believes
-    streams, stream_states = state.streams, state.stream_states
+    believes, streams = state.believes, state.streams
     da_of = {}
     for sender, kind in outgoing:
         counts = state.receipts[engine.KIND_ITEM[kind]]
@@ -371,9 +370,9 @@ def reference_deliver(state, outgoing, plausibility) -> None:
         for r in audience[sender]:
             latest[r] = kind
             pending[r][sender] = kind
+            seen = state.receipts[0][r] > 0  # exposed before this receipt
             counts[r] += 1
-            if claim and (endorsed or not exposed[r]):
-                exposed[r] = True
+            if claim and (endorsed or not seen):
                 purpose = "belief"
             elif believes[r]:
                 purpose = "accept"
@@ -382,10 +381,7 @@ def reference_deliver(state, outgoing, plausibility) -> None:
             da = da_of.get(r)
             if da is None:
                 da = da_of[r] = discernment(trust[r], plausibility)
-            stream = streams[purpose][r]
-            if stream is None:
-                stream = streams[purpose][r] = engine.judgment_draws(stream_states[purpose][r])
-            u = next(stream)
+            u = next(streams[purpose][r])
             if purpose == "belief":
                 believes[r] = believe_disinformation(da, u)
             elif u < da:
@@ -402,14 +398,14 @@ def delivery_cases(draw):
     n = draw(st.integers(min_value=1, max_value=6))
     agents = st.integers(min_value=0, max_value=n - 1)
     kinds = st.integers(min_value=0, max_value=2)
-    exposed = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    claims = draw(st.lists(st.integers(min_value=0, max_value=3), min_size=n, max_size=n))
     return {
         "n": n,
         "plausibility": draw(unit_floats),
         "trust": draw(st.lists(unit_floats, min_size=n, max_size=n)),
-        "exposed": exposed,
+        "claims": claims,  # claim receipts so far; an agent with any is exposed
         # only an exposed agent can believe
-        "believes": [e and draw(st.booleans()) for e in exposed],
+        "believes": [c > 0 and draw(st.booleans()) for c in claims],
         "pending": [draw(st.dictionaries(agents, kinds, max_size=3)) for _ in range(n)],
         "audience": [draw(st.lists(agents, unique=True, max_size=n)) for _ in range(n)],
         # judgments each receiver has already drawn per kind, across a block edge
@@ -431,16 +427,16 @@ def delivery_state(case) -> engine.SimulationState:
     )
     state.trust[:] = case["trust"]
     state.da[:] = [discernment(t, case["plausibility"]) for t in case["trust"]]
-    state.exposed[:] = case["exposed"]
+    state.receipts[0][:] = case["claims"]
     state.believes[:] = case["believes"]
     state.pending[:] = [dict(p) for p in case["pending"]]
     for k, purpose in enumerate(("belief", "accept")):
         labels = [(purpose, agent_id, "claim") for agent_id in ids]
-        state.stream_states[purpose] = rngmod.substream_states(case["seed"], labels)
+        streams = state.streams[purpose]
+        streams.words[:] = rngmod.substream_states(case["seed"], labels)
         for r, drawn in enumerate(case["drawn"]):
             if drawn[k]:
-                stream = engine.judgment_draws(state.stream_states[purpose][r])
-                state.streams[purpose][r] = stream
+                stream = streams[r]
                 for _ in range(drawn[k]):
                     next(stream)
     return state
@@ -453,13 +449,13 @@ class TestDeliveryLoops:
         expected, actual = delivery_state(case), delivery_state(case)
         reference_deliver(expected, case["outgoing"], case["plausibility"])
         engine._deliver(actual, case["outgoing"])
-        for name in ("latest", "pending", "receipts", "exposed", "believes"):
+        for name in ("latest", "pending", "receipts", "believes"):
             assert getattr(actual, name) == getattr(expected, name), name
         for purpose in ("belief", "accept"):
-            for a, b in zip(actual.streams[purpose], expected.streams[purpose]):
-                assert (a is None) == (b is None)
-                if a is not None:
-                    assert next(a) == next(b)
+            a, b = actual.streams[purpose], expected.streams[purpose]
+            assert a.keys() == b.keys()
+            for r in a:
+                assert next(a[r]) == next(b[r])
 
     def test_discernment_kept_beside_trust(self, dense_world):
         scenario, profiles, _, network, fit = dense_world

@@ -324,6 +324,52 @@ class TestScenarioShape:
         with pytest.raises(ScenarioError, match="^community names must be unique$"):
             scenario_from_dict(data)
 
+    @pytest.mark.parametrize("name", [
+        "al,pha", 'al"pha', "al\tpha", "al\npha", "alpha\r", "al\u2028pha", "al\x1cpha",
+    ])
+    def test_community_name_artifacts_cannot_write_rejected(self, name):
+        data = minimal_scenario_dict()
+        data["communities"] = [name, "beta"]
+        data["content_catalog"][0]["topic"] = name
+        with pytest.raises(RangeViolation) as exc:
+            scenario_from_dict(data)
+        assert (exc.value.field, exc.value.value) == ("communities", name)
+
+    @pytest.mark.parametrize("user_id", ["u\t0", "u\n0", "u0\r\n", "\x0b", "u\x850"])
+    def test_user_id_artifacts_cannot_write_rejected(self, user_id):
+        data = minimal_scenario_dict()
+        data["users"][0]["user_id"] = user_id
+        with pytest.raises(RangeViolation) as exc:
+            scenario_from_dict(data)
+        assert (exc.value.field, exc.value.value) == ("user_id", user_id)
+
+    @pytest.mark.parametrize("user_id", [
+        "mbot_alpha_000", "lbot_beta_007", "mbot_alpha_999", "lbot_alpha_1000",
+    ])
+    def test_generated_bot_id_rejected(self, user_id):
+        data = minimal_scenario_dict()
+        data["users"][1]["user_id"] = user_id
+        with pytest.raises(RangeViolation) as exc:
+            scenario_from_dict(data)
+        assert str(exc.value) == f"user_id = {user_id!r} violates an id no generated bot takes"
+
+    @pytest.mark.parametrize("user_id", [
+        "mbot_gamma_000", "mbot_alpha_00", "mbot_alpha_0001", "xbot_alpha_000", "mbot_alpha_x",
+        "mbot_alpha_\u0663\u0663\u0663", "mbot_alpha",
+    ])
+    def test_id_no_bot_takes_loads(self, user_id):
+        data = minimal_scenario_dict()
+        data["users"][1]["user_id"] = user_id
+        assert scenario_from_dict(data).users[1].user_id == user_id
+
+    def test_bot_ids_follow_the_community_names(self):
+        """A community whose name holds '_' still reserves its bots' ids."""
+        data = minimal_scenario_dict()
+        data["communities"] = ["alpha", "alpha_000"]
+        data["users"][0]["user_id"] = "lbot_alpha_000_012"
+        with pytest.raises(RangeViolation, match="no generated bot takes"):
+            scenario_from_dict(data)
+
     @pytest.mark.parametrize("users_file, error, message", [
         (5, RangeViolation, "users_file = 5 violates a file name"),
         ("users.txt", ScenarioError, "unsupported users_file extension: '.txt'"),
@@ -421,6 +467,18 @@ def test_file_range_error_names_field_path(section, name, value, field):
     with pytest.raises(RangeViolation) as exc:
         scenario_from_dict(data)
     assert exc.value.field == field
+
+
+@pytest.mark.parametrize("retweets, quotes", [(2**63, 0), (2**63 - 1, 1), (0, 10**30)])
+def test_share_total_past_int64_rejected(retweets, quotes):
+    with pytest.raises(RangeViolation) as exc:
+        UserRecord(user_id="u", follower_count=1, retweet_count=retweets, quote_count=quotes)
+    assert str(exc.value) == f"retweet_count+quote_count(u) = {retweets + quotes} violates < 2**63"
+
+
+def test_largest_share_total_loads():
+    user = UserRecord(user_id="u", follower_count=1, retweet_count=2**63 - 2, quote_count=1)
+    assert user.share_total == 2**63 - 1
 
 
 def test_share_total_is_retweets_plus_quotes():
