@@ -49,16 +49,17 @@ Semantics, fixed for determinism:
 Bots are instruments: only bots homed in the run topic's community act,
 each broadcasting on the steps of its drawn schedule alone - malicious ones
 the disinformation item anywhere in the run, legitimate ones the plan's
-correction inside its stage's window in the run parameters (never under a
-control plan).
+correction inside its stage's window in the run parameters (an empty
+schedule under a control plan, so such a bot never broadcasts).
 Bots never appear in status tallies.
 
-State layout: acting bots and regular agents share one integer index in
-agent-id order. Per-agent state sits in flat lists by index, an audience is
-a list of receiver indices, and a send is a kind code (claim endorsed, claim
-disputed, correction). Only a run given ``state_out`` keeps each step's
-(sender, kind) sends; its SimulationState expands them on access into
-``delivery_log`` tuples and ``agents[id]`` views (``outbox``, ``exposure_counts``).
+State layout: the regular agents and every bot homed in the run topic share
+one integer index in agent-id order, the same for every plan. Per-agent
+state sits in flat lists by index, an audience is a list of receiver
+indices, and a send is a kind code (claim endorsed, claim disputed,
+correction). Only a run given ``state_out`` keeps each step's (sender, kind)
+sends; its SimulationState expands them on access into ``delivery_log``
+tuples and ``agents[id]`` views (``outbox``, ``exposure_counts``).
 """
 
 from __future__ import annotations
@@ -331,12 +332,10 @@ def run(
     if plan.strategy != "none":
         correction = correction_for(disinfo, plan.strategy, scenario.content_catalog)
 
-    # only bots homed in the topic act, so only they get schedules
-    bots = [p for p in profiles if p.is_bot and p.home_community() == topic]
-    schedules = build_bot_schedules(bots, params, plan, seed)
-
-    # one index over the acting bots and the regular agents, in id order
-    members = [p for p in profiles if p.kind == KIND_REGULAR or schedules.get(p.agent_id)]
+    # the same index for every plan, so a plan reaches the run only through
+    # its correction and its legitimate bots' schedules
+    members = [p for p in profiles if p.kind == KIND_REGULAR or p.home_community() == topic]
+    schedules = build_bot_schedules([p for p in members if p.is_bot], params, plan, seed)
     ids = [p.agent_id for p in members]
     regular = {p.agent_id: i for i, p in enumerate(members) if p.kind == KIND_REGULAR}
     state = SimulationState(

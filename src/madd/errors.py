@@ -16,11 +16,17 @@ class MissingField(ScenarioError):
 
 
 class RangeViolation(ScenarioError):
+    """A value outside its field's constraint; the message shows at most the
+    first 200 characters of its repr (then "..."), ``value`` keeps all of it."""
+
     def __init__(self, field: str, value, constraint: str):
         self.field = field
         self.value = value
         self.constraint = constraint
-        super().__init__(f"{field} = {value!r} violates {constraint}")
+        shown = repr(value)
+        if len(shown) > 200:
+            shown = shown[:200] + "..."
+        super().__init__(f"{field} = {shown} violates {constraint}")
 
 
 class DuplicateUserId(ScenarioError):

@@ -452,6 +452,8 @@ def _read_json(path: Path, what: str):
         return json.loads(_read_text(path, what))
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{what} {path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ScenarioError(f"{what} {path} is nested too deep for the JSON reader") from exc
 
 
 def _read_text(path: Path, what: str) -> str:
@@ -484,7 +486,12 @@ def _load_user_sidecar(path: Path) -> tuple:
     if suffix != ".csv":
         raise ScenarioError(f"unsupported users_file extension: {path.suffix!r}")
     reader = csv.DictReader(io.StringIO(_read_text(path, "users_file"), newline=""))
-    return tuple(UserRecord.from_dict(_csv_cells(row)) for row in reader)
+    try:
+        return tuple(UserRecord.from_dict(_csv_cells(row)) for row in reader)
+    except csv.Error as exc:  # e.g. a cell past csv.field_size_limit(), a process-wide setting
+        # DictReader.line_num counts only the rows it returned; its csv reader's
+        # counts the line being read
+        raise ScenarioError(f"users_file {path} line {reader.reader.line_num}: {exc}") from exc
 
 
 def _csv_cells(row: dict) -> dict:

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import csv
 import io
 import json
 import os
@@ -878,12 +879,76 @@ def test_community_name_with_a_comma_exits_1_and_writes_nothing(tmp_path, capsys
         (_replaced(("users", 0, "follower_count"), DELETE),
          "missing required field 'follower_count' in user record 'user_00000'"),
         (_replaced(("evaluator", "backend"), "foo"), "unknown evaluator backend 'foo'"),
+        # a value whose repr runs past 200 characters shows its first 200, then "..."
+        (json.loads(_valid_scenario_json())["users"],
+         f"scenario = {repr(json.loads(_valid_scenario_json())['users'])[:200]}... "
+         "violates a JSON object"),
     ],
     ids=["top-level-array", "no-communities", "communities-string", "communities-number",
-         "user-number", "user-without-id", "user-without-follower-count", "backend-unknown"],
+         "user-number", "user-without-id", "user-without-follower-count", "backend-unknown",
+         "top-level-user-array"],
 )
 def test_scenario_shape_error_line_pinned(data, line):
     assert _validate(data) == (1, f"error: {line}\n")
+
+
+@lru_cache(maxsize=1)
+def _users_120() -> str:
+    scenario = build_synthetic_scenario(n_users=120, communities=("alpha", "beta"), seed=3)
+    return json.dumps(scenario.to_dict())
+
+
+def _unreadable_scenario(tmp_path, case) -> tuple:
+    """(scenario path, its expected error line) for an input the JSON or CSV
+    reader refuses, or one whose offending value is the whole file."""
+    data = json.loads(_users_120())
+    path = tmp_path / "scenario.json"
+    if case == "communities-5000-deep":
+        del data["communities"]
+        path.write_text(json.dumps(data)[:-1] + ', "communities": ' + "[" * 5000 + "]" * 5000 + "}")
+        return path, f"error: scenario file {path} is nested too deep for the JSON reader\n"
+    if case == "csv-cell-200000-chars":
+        users = data.pop("users")
+        users[0]["description"] = "x" * 200_000
+        data["users_file"] = "users.csv"
+        columns = ["user_id", "follower_count", "following_count", "post_count",
+                   "retweet_count", "quote_count", "description", "activity_histogram"]
+        with open(tmp_path / "users.csv", "w", newline="") as f:
+            writer = csv.DictWriter(f, columns, extrasaction="ignore")
+            writer.writeheader()
+            for user in users:
+                cells = " ".join(map(str, user["activity_histogram"]))
+                writer.writerow({**user, "activity_histogram": f"[{cells}]"})
+        path.write_text(json.dumps(data))
+        return path, (f"error: users_file {tmp_path / 'users.csv'} line 2: "
+                      "field larger than field limit (131072)\n")
+    path.write_text(json.dumps(data["users"]))  # the user list saved as the scenario
+    return path, None
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["validate"], ["profiles"], ["network"], ["run", "--seed", "1"],
+     ["experiment", "--seed", "1", "--stage", "early"]],
+    ids=lambda args: args[0],
+)
+@pytest.mark.parametrize(
+    "case", ["communities-5000-deep", "csv-cell-200000-chars", "bare-user-array"]
+)
+def test_unreadable_scenario_exits_1_and_writes_nothing(tmp_path, capsys, args, case):
+    path, line = _unreadable_scenario(tmp_path, case)
+    out = tmp_path / "out"
+    argv = [*args, "--scenario", str(path)] + (["--out", str(out)] if args[0] != "validate" else [])
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    if line is None:  # the value shown is cut at 200 characters of its repr
+        assert err.startswith("error: scenario = [{")
+        assert err.endswith("... violates a JSON object\n")
+        assert len(err.encode()) <= 300
+    else:
+        assert err == line
+    assert csv.field_size_limit() == 131072  # a process-wide setting, left as it is
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("value", ["12", 12.0])

@@ -676,6 +676,31 @@ def test_legitimate_bots_only_act_inside_window(small_world):
             assert content_id.startswith("fact_")
 
 
+@pytest.mark.parametrize(
+    "world, topic, seed",
+    [("small_world", "alpha", 13), ("small_world", "beta", 13), ("paper_world", "politics", 11)],
+)
+def test_every_plan_indexes_the_same_agents(request, world, topic, seed):
+    """A run indexes the regular agents and every bot homed in the topic, in
+    id order, whatever the plan: a control run indexes the legitimate bots
+    its plan leaves silent, so each arm shares control's index."""
+    scenario, profiles, _, network, fit = request.getfixturevalue(world)
+    expected = sorted(
+        p.agent_id for p in profiles if p.kind == KIND_REGULAR or p.home_community() == topic
+    )
+    assert any(p.kind == KIND_LBOT and p.agent_id in expected for p in profiles)
+    plans = [CONTROL_PLAN] + [
+        make_plan(scenario.params, stage, strategy)
+        for stage in ("early", "mid", "late") for strategy in ("fact_based", "narrative_based")
+    ]
+    for plan in plans:
+        states = []
+        engine.run(scenario, network, profiles, plan,
+                   make_evaluator(scenario.evaluator_config, scenario.params.rng_seed),
+                   seed=seed, fit=fit, topic=topic, state_out=states)
+        assert states[0].ids == expected, plan
+
+
 def test_each_persuasiveness_question_asked_once_per_receiver(dense_world, monkeypatch):
     scenario, profiles, _, network, fit = dense_world
     item_by_text = {item.text: item.content_id for item in scenario.content_catalog}

@@ -7,15 +7,20 @@ run before it. Reports are compared without ``scenario_digest``, which
 hashes the input's listed order. A save and load of the scenario leaves
 the report whole, digest included. The order of ``communities`` is input
 too, but unlike the users' order it moves the report, not only the digest.
+An arm and control at one (seed, topic) are paired: every arm's rows equal
+control's until its first legitimate send.
 """
 
 import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from madd import engine
-from madd.content import CONTROL_PLAN, make_plan
+from madd.attributes import KIND_LBOT
+from madd.content import CONTROL_PLAN, WINDOW_STAGES, make_plan
 from madd.evaluator import make_evaluator
 from madd.scenario import load_scenario, save_scenario
 
@@ -135,3 +140,53 @@ def test_community_order_is_input(small_world, reference):
         world, early_fact(world), topic="alpha", record_cadence=1, collect_trajectories=True
     )
     assert content(report) != content(reference)
+
+
+ARMS = [
+    (stage, strategy) for stage in WINDOW_STAGES for strategy in ("fact_based", "narrative_based")
+]
+
+
+def first_legitimate_send(world, plan, topic, seed) -> int:
+    """The least step any legitimate bot homed in the topic broadcasts at
+    under ``plan``, or one past the run when none does."""
+    scenario, profiles = world[0], world[1]
+    bots = [p for p in profiles if p.is_bot and p.home_community() == topic]
+    schedules = engine.build_bot_schedules(bots, scenario.params, plan, seed)
+    steps = [s for p in bots if p.kind == KIND_LBOT for s in schedules[p.agent_id]]
+    return min(steps, default=scenario.params.total_steps + 1)
+
+
+def assert_arms_paired_with_control(world, seed, topic) -> None:
+    """Every arm's rows equal control's before its first legitimate send:
+    the plan reaches a run only through its correction and its legitimate
+    schedules, and every draw is keyed by agent id, so until a correction
+    is sent an arm replays control."""
+    scenario, profiles, _, network, fit = world
+
+    def series(plan):
+        evaluator = make_evaluator(scenario.evaluator_config, scenario.params.rng_seed)
+        return engine.run(scenario, network, profiles, plan, evaluator,
+                          seed=seed, fit=fit, topic=topic, record_cadence=1).series
+
+    control = series(CONTROL_PLAN)
+    for stage, strategy in ARMS:
+        plan = make_plan(scenario.params, stage, strategy)
+        first = first_legitimate_send(world, plan, topic, seed)
+        arm = series(plan)
+        for community, rows in control.items():
+            before = [row for row in rows if row.step < first]
+            assert [row for row in arm[community] if row.step < first] == before, (
+                stage, strategy, community, first)
+
+
+@pytest.mark.parametrize("topic", ["alpha", "beta"])
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_arms_equal_control_until_the_first_legitimate_send(small_world, seed, topic):
+    assert_arms_paired_with_control(small_world, seed, topic)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), topic=st.sampled_from(["alpha", "beta"]))
+def test_arms_equal_control_until_the_first_legitimate_send_any_seed(small_world, seed, topic):
+    assert_arms_paired_with_control(small_world, seed, topic)

@@ -1,4 +1,5 @@
 import copy
+import csv
 import hashlib
 import json
 import re
@@ -237,6 +238,33 @@ class TestLoading:
         with pytest.raises(ScenarioError, match="not valid JSON"):
             load_scenario(path)
 
+    @pytest.mark.parametrize("depth", [987, 5000])
+    def test_json_nested_too_deep_reported(self, tmp_path, depth):
+        """The JSON reader raises RecursionError past its nesting limit."""
+        data = minimal_scenario_dict()
+        del data["communities"]
+        path = tmp_path / "deep.json"
+        nested = "[" * depth + "]" * depth
+        path.write_text(json.dumps(data)[:-1] + f', "communities": {nested}}}')
+        message = f"scenario file {path} is nested too deep for the JSON reader"
+        with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+            load_scenario(path)
+
+    @pytest.mark.parametrize("where", ["scenario", "users"])
+    def test_long_offending_value_shown_cut(self, where):
+        """A value whose repr runs past 200 characters shows its first 200;
+        the exception keeps the whole value."""
+        data = build_synthetic_scenario(n_users=120, communities=("alpha", "beta"), seed=3)
+        data = json.loads(json.dumps(data.to_dict()))
+        value = data["users"] if where == "scenario" else {"users": data["users"]}
+        if where == "users":
+            data["users"] = value
+        with pytest.raises(RangeViolation) as exc:
+            scenario_from_dict(value if where == "scenario" else data)
+        assert exc.value.value == value
+        constraint = "a JSON object" if where == "scenario" else "a JSON array"
+        assert str(exc.value) == f"{where} = {repr(value)[:200]}... violates {constraint}"
+
 
 class TestRoundTrip:
     def test_save_load_equality(self, tmp_path):
@@ -315,6 +343,36 @@ class TestSidecarUsers:
         (tmp_path / "users.csv").write_text("user_id,follower_count,retweets_count\nu0,100,")
         with pytest.raises(ScenarioError, match=r"'u0'.*'retweets_count'"):
             load_scenario(tmp_path / "scenario.json")
+
+    def test_json_sidecar_nested_too_deep_reported(self, tmp_path):
+        data = minimal_scenario_dict()
+        data.pop("users")
+        data["users_file"] = "users.json"
+        (tmp_path / "users.json").write_text("[" * 5000 + "]" * 5000)
+        (tmp_path / "scenario.json").write_text(json.dumps(data))
+        message = f"users_file {tmp_path / 'users.json'} is nested too deep for the JSON reader"
+        with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+            load_scenario(tmp_path / "scenario.json")
+
+    def test_csv_cell_past_field_limit_names_file_and_line(self, tmp_path):
+        """The csv module refuses a cell over 131,072 characters; the loader
+        names the file and the line, and leaves the process-wide limit alone.
+        The same description loads inline."""
+        description = "x" * 200_000
+        data = minimal_scenario_dict()
+        data["users"][1]["description"] = description
+        assert scenario_from_dict(data).users[1].description == description
+        data.pop("users")
+        data["users_file"] = "users.csv"
+        rows = ["user_id,follower_count,description", "u0,10,a", f"u1,20,{description}", "u2,30,b"]
+        (tmp_path / "users.csv").write_text("\n".join(rows))
+        (tmp_path / "scenario.json").write_text(json.dumps(data))
+        limit = csv.field_size_limit()
+        message = (f"users_file {tmp_path / 'users.csv'} line 3: "
+                   f"field larger than field limit ({limit})")
+        with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+            load_scenario(tmp_path / "scenario.json")
+        assert csv.field_size_limit() == limit == 131072
 
 
 class TestScenarioShape:
@@ -436,6 +494,15 @@ class TestValidateParams:
         assert exc.value.field == "xi"
         assert exc.value.value == -1.0
         assert ">= 0" in exc.value.constraint
+
+    def test_violation_shows_at_most_200_characters_of_the_value(self):
+        """A repr of 200 characters is shown whole; a longer one is cut to
+        its first 200, then "..."; the exception keeps the whole value."""
+        for length, shown in [(198, "'" + "x" * 198 + "'"), (199, "'" + "x" * 199 + "..."),
+                              (5000, "'" + "x" * 199 + "...")]:
+            exc = RangeViolation("description", "x" * length, "short")
+            assert str(exc) == f"description = {shown} violates short"
+            assert exc.value == "x" * length
 
 
 @pytest.mark.parametrize(
