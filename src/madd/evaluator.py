@@ -3,14 +3,12 @@
 All judgment calls the simulation delegates to a language model flow through
 one contract: build an :class:`EvaluationRequest`, call ``evaluate``, read
 its scores dict back, each passed through :func:`_check_score`;
-``evaluate_many`` does the same for a list of requests, in order. Two
-backends implement it:
+``evaluate_many`` does the same for a list of requests, in order, one
+``evaluate`` call each. Two backends implement it:
 
 * ``SyntheticEvaluator`` - the default. Every response is a pure function of
   (request bytes, scenario seed), drawn from fixed per-kind
-  distributions, so whole runs replay bit-for-bit offline. A batch gives
-  the same scores as one request at a time; it only derives the random
-  streams of all its requests together.
+  distributions, so whole runs replay bit-for-bit offline.
 * ``RemoteEvaluator`` - renders a prompt template, POSTs it to a
   chat-completion endpoint and parses the strict JSON reply, with one
   retry on malformed output.
@@ -190,8 +188,7 @@ class Evaluator:
     """Backend-independent surface the rest of the package talks to.
 
     Subclasses implement ``evaluate``; ``evaluate_many`` serves a list of
-    requests through it, in order, and a backend overrides it only to
-    prepare shared work for the whole list.
+    requests through it, in order.
     """
 
     def __init__(self):
@@ -242,23 +239,18 @@ class Evaluator:
 class SyntheticEvaluator(Evaluator):
     """Deterministic offline backend: scores are seeded draws, not opinions.
 
-    Each request draws from its own stream, keyed by the seed and the
-    request's ``canonical_bytes()`` in both ``evaluate`` and
-    ``evaluate_many`` (which derives the streams of a whole list in one
-    ``rng.substreams`` pass), so the two give the same scores and the same
-    ledger.
+    Each request draws from its own stream, ``rng.substream(seed,
+    "evaluator", request.canonical_bytes())``, so a request's scores do not
+    depend on the requests before it or on how they are listed.
     """
 
     def __init__(self, seed: int):
         super().__init__()
         self.seed = int(seed)
 
-    def evaluate(self, request: EvaluationRequest, rng=None) -> dict:
-        """Scores drawn from the request's own stream, ``substream(seed,
-        "evaluator", request bytes)``: ``rng`` when ``evaluate_many`` passes
-        the one it prepared, else built here."""
-        if rng is None:
-            rng = rngmod.substream(self.seed, "evaluator", request.canonical_bytes())
+    def evaluate(self, request: EvaluationRequest) -> dict:
+        """Scores drawn from the request's own stream."""
+        rng = rngmod.substream(self.seed, "evaluator", request.canonical_bytes())
         kind = request.kind
         scores = {
             name: _check_score(kind, name, value)
@@ -269,16 +261,6 @@ class SyntheticEvaluator(Evaluator):
         tokens = _whitespace_tokens(*request.subject_texts) + 8 * max(1, len(scores))
         self.ledger.record(request.context.get("community", GLOBAL_BUCKET), tokens, 0.0, True)
         return scores
-
-    def evaluate_many(self, requests) -> Iterator[dict]:
-        """``self.evaluate(request, stream)`` of each request, in request
-        order, every stream derived at call time in one ``rng.substreams``
-        pass; so a subclass's ``evaluate`` takes ``rng=None`` and passes it on."""
-        requests = list(requests)
-        streams = rngmod.substreams(
-            self.seed, (("evaluator", request.canonical_bytes()) for request in requests)
-        )
-        return map(self.evaluate, requests, streams)
 
     # -- per-kind handlers ---------------------------------------------------
 

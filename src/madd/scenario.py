@@ -457,9 +457,10 @@ def _read_json(path: Path, what: str):
 
 
 def _read_text(path: Path, what: str) -> str:
-    """File text without newline translation (CSV quoting needs raw line ends)."""
+    """File text without newline translation (CSV quoting needs raw line ends)
+    and without a leading UTF-8 byte-order mark, as spreadsheet exports write."""
     try:
-        return path.read_bytes().decode("utf-8")
+        return path.read_bytes().decode("utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read {what} {path}: {exc}") from exc
 

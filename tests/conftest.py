@@ -64,8 +64,8 @@ def dense_world():
 
 @pytest.fixture(scope="session")
 def two_word_seed_scenario():
-    """The small world's shape at a seed of 2**32 or more, which enters
-    seeding as two 32-bit entropy words instead of one."""
+    """The small world's shape at a seed of 2**32 or more: every stream key
+    uses the seed's high bytes too."""
     return build_synthetic_scenario(
         n_users=140, communities=("alpha", "beta"), seed=2**32 + 7, total_steps=24
     )

@@ -204,7 +204,7 @@ class TestDeriveProfiles:
         scenario = build_synthetic_scenario(n_users=60, communities=("alpha",), seed=9)
 
         class Failing(SyntheticEvaluator):
-            def evaluate(self, request, rng=None):
+            def evaluate(self, request):
                 raise EvaluatorFailure("backend down")
 
         with pytest.raises(EvaluatorFailure, match="user_00000"):
@@ -216,7 +216,7 @@ def test_paper_world_setup_ledger_pinned(paper_scenario):
     with the synthetic backend's whitespace-token estimate."""
     evaluator = make_evaluator(paper_scenario.evaluator_config, paper_scenario.params.rng_seed)
     derive_profiles(paper_scenario, evaluator)
-    entry = {"llm_calls": 1378, "tokens": 99530, "wall_time": 0.0}
+    entry = {"llm_calls": 1378, "tokens": 100126, "wall_time": 0.0}
     assert evaluator.ledger_snapshot() == {
         "per_community": {"global": entry},
         "totals": entry,

@@ -1,3 +1,4 @@
+import codecs
 import contextlib
 import copy
 import csv
@@ -263,7 +264,7 @@ FIT_NEEDS = (
 @pytest.mark.parametrize(
     "build, expected",
     [
-        (_few_sharers, re.escape(f"{FIT_NEEDS}got 26 users / 13 distinct\n")),
+        (_few_sharers, re.escape(f"{FIT_NEEDS}got 29 users / 13 distinct\n")),
         (_equal_share_counts, re.escape(f"{FIT_NEEDS}got 60 users / 1 distinct\n")),
         (lambda: build_synthetic_scenario(n_users=60, seed=6, m0=61), TOO_SMALL.pattern),
         (_without_claim, "error: content catalog holds no disinformation item\n"),
@@ -334,10 +335,10 @@ def test_record_cadence_below_one_exits_1(scenario_path, tmp_path, capsys, caden
 
 
 class _FailsPersuasiveness(SyntheticEvaluator):
-    def evaluate(self, request, rng=None):
+    def evaluate(self, request):
         if request.kind == "persuasiveness":
             raise EvaluatorFailure("backend down")
-        return super().evaluate(request, rng)
+        return super().evaluate(request)
 
 
 @pytest.mark.parametrize("command", ["run", "experiment"])
@@ -839,8 +840,8 @@ def test_malformed_input_exits_1(path, value):
         (("users", 0, "historical_texts"), 0,
          "historical_texts(user_00000) = 0 violates a list of [kind, text] pairs"),
         (("users", 0, "retweet_count"), 2**63,
-         # user_00000 quotes twice
-         f"retweet_count+quote_count(user_00000) = {2**63 + 2} violates < 2**63"),
+         # user_00000 quotes nothing
+         f"retweet_count+quote_count(user_00000) = {2**63} violates < 2**63"),
     ],
     ids=["histogram-cell-fraction", "count-bool", "count-negative", "histogram-23-cells",
          "histogram-cell-negative", "history-zero", "share-total-past-int64"],
@@ -898,6 +899,17 @@ def _users_120() -> str:
     return json.dumps(scenario.to_dict())
 
 
+def _write_users_csv(path, users) -> None:
+    columns = ["user_id", "follower_count", "following_count", "post_count",
+               "retweet_count", "quote_count", "description", "activity_histogram"]
+    with open(path, "w", newline="") as f:
+        writer = csv.DictWriter(f, columns, extrasaction="ignore")
+        writer.writeheader()
+        for user in users:
+            cells = " ".join(map(str, user["activity_histogram"]))
+            writer.writerow({**user, "activity_histogram": f"[{cells}]"})
+
+
 def _unreadable_scenario(tmp_path, case) -> tuple:
     """(scenario path, its expected error line) for an input the JSON or CSV
     reader refuses, or one whose offending value is the whole file."""
@@ -911,14 +923,7 @@ def _unreadable_scenario(tmp_path, case) -> tuple:
         users = data.pop("users")
         users[0]["description"] = "x" * 200_000
         data["users_file"] = "users.csv"
-        columns = ["user_id", "follower_count", "following_count", "post_count",
-                   "retweet_count", "quote_count", "description", "activity_histogram"]
-        with open(tmp_path / "users.csv", "w", newline="") as f:
-            writer = csv.DictWriter(f, columns, extrasaction="ignore")
-            writer.writeheader()
-            for user in users:
-                cells = " ".join(map(str, user["activity_histogram"]))
-                writer.writerow({**user, "activity_histogram": f"[{cells}]"})
+        _write_users_csv(tmp_path / "users.csv", users)
         path.write_text(json.dumps(data))
         return path, (f"error: users_file {tmp_path / 'users.csv'} line 2: "
                       "field larger than field limit (131072)\n")
@@ -949,6 +954,31 @@ def test_unreadable_scenario_exits_1_and_writes_nothing(tmp_path, capsys, args, 
         assert err == line
     assert csv.field_size_limit() == 131072  # a process-wide setting, left as it is
     assert not out.exists()
+
+
+@pytest.mark.parametrize("bom_file", ["scenario.json", "users.json", "users.csv"])
+def test_byte_order_mark_validates_as_its_twin(tmp_path, capsys, bom_file):
+    """A scenario or user file saved with a leading UTF-8 byte-order mark, as
+    spreadsheet "CSV UTF-8" exports are, validates with its twin's digest."""
+    data = json.loads(_users_120())
+    if bom_file != "scenario.json":
+        users = data.pop("users")
+        data["users_file"] = bom_file
+    outputs = []
+    for name, bom in (("plain", b""), ("bom", codecs.BOM_UTF8)):
+        folder = tmp_path / name
+        folder.mkdir()
+        if bom_file == "users.csv":
+            _write_users_csv(folder / "users.csv", users)
+        elif bom_file == "users.json":
+            (folder / "users.json").write_text(json.dumps(users))
+        (folder / "scenario.json").write_text(json.dumps(data))
+        path = folder / bom_file
+        path.write_bytes(bom + path.read_bytes())
+        assert main(["validate", "--scenario", str(folder / "scenario.json")]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[1] == outputs[0]
+    assert outputs[1].out.startswith("OK: 120 users, 2 communities")
 
 
 @pytest.mark.parametrize("value", ["12", 12.0])

@@ -354,7 +354,7 @@ class TestDeliver:
         generators = [s for kind in state.streams.values() for s in kind.values()]
         assert all(inspect.getgeneratorstate(s) == inspect.GEN_SUSPENDED for s in generators)
         keyed = sum(int(s.words[state.rows].any(axis=1).sum()) for s in state.streams.values())
-        assert (len(generators), keyed) == (511, 2 * 689)
+        assert (len(generators), keyed) == (244, 2 * 689)
 
 
 def reference_deliver(state, outgoing, plausibility) -> None:
@@ -779,20 +779,20 @@ class TestGoldenDigests:
 
     def test_small_world_control(self, small_world):
         assert self.small_world_digests(small_world, CONTROL_PLAN) == (
-            "975cf0762d8b648d70c8c5edad4f9909d3f458c3c527b768ff239fe5bbfefaec",
-            "5781e7955a83f9af2409688584f130ac05c21ef4d32a4c31504759268591a886",
+            "c3cb6d8298b4dda50b04bbb8488fc6aa5d4a2b5219a572a8b048295b8b6a56dd",
+            "1f65f7465b2cd63e0295077a5b0974b56688b4a07e5f77c3ba4ebe7e462f052e",
         )
 
     @pytest.mark.parametrize(
         "strategy, digests",
         [
             ("fact_based", (
-                "212ec7af61182fe63f5e63480916ad98b107b0975f85c640b60d901f5edf4245",
-                "f45032e306aca48762a6f29a5bede68c18c48bc281bb1cd2adf78a46cc6bd9d8",
+                "44baeea9abb18c1c8993c0a1da57247f0f5a7691b7170128f0db2e7589c4d406",
+                "c8646eed46399803ab9548126a9ee6dd75f50a325ce84b4ffc4840ffd82ebfe0",
             )),
             ("narrative_based", (
-                "c64a34e8d1550e11e72a71d754f4d97d978f53f63fafee526a117dbe22115d70",
-                "48ef3b92d6a09d86f3b9e221b0bf39fbad44e3625d3cd279ad8f84ac8dec0589",
+                "ad9b6993d6534c436f852fd584639bcee3ce8ce90715648d0132aac1ea6def66",
+                "43a893ba3a6cde36205cbdfb36c710a92597f395265ff667a5837ff8e7e1db83",
             )),
         ],
         ids=["fact_based", "narrative_based"],
@@ -806,13 +806,13 @@ class TestGoldenDigests:
         # pins the late-window broadcast path
         plan = make_plan(small_world[0].params, "late", "fact_based")
         assert self.small_world_digests(small_world, plan) == (
-            "00ae775658e1e5c181b7ad933c7b4fd6eed49871ea412ee01edb6931c5ca0b4b",
-            "81b3288a91ec92b279de9b566ac32be6bd67d4e14682f436b458d5d8eaca3c16",
+            "2c3b07c28aefd8ee270fe670f4221d00d7485fdbee79bc94fab364a059ef8c7c",
+            "64621f2f6d3aca70e797540ab4391f1592f9a2e5e6fa1c8c8292d0acb1c0270d",
         )
 
     def test_two_word_seed_world(self, two_word_seed_world):
         # seed 2**32 + 7 keys the activation blocks, the bot schedules and the
-        # evaluator with two seed words; the early plan adds legitimate bots
+        # evaluator past 32 bits; the early plan adds legitimate bots
         scenario, profiles, _, network, fit = two_word_seed_world
         report = engine.run(
             scenario,
@@ -824,8 +824,8 @@ class TestGoldenDigests:
             fit=fit,
         )
         assert self.digests(report) == (
-            "033524d3b3d9537e6fbf323dac3ba4b91d54d2339a92357f8048685638978a4f",
-            "297c7649a64e5dcc12c02145eeb58d87d8591c2dab368ba330101e428d5128ce",
+            "797e5696e3aa62f80826ac86fbf4ddfd69910e7635f7b313a6c22cd984972aa1",
+            "d58191ff1d62424407c6b3a5058291de69f0a2f15762753a70a08238f298b3ef",
         )
 
     def test_paper_world_canonical_control(self, paper_world):
@@ -842,28 +842,28 @@ class TestGoldenDigests:
             collect_trajectories=True,
         )
         assert self.digests(report) == (
-            "93882f562009a3dbb01c440865cb06580effc6a21f1c8e364138e39ed130fd4e",
-            "e216131647a939429c34352b329ef08bfc4182fcac4cb5420f0fde8cad225c1b",
+            "0fd0ab093f29ba140f04db06e7ee8e5cc57b196bdd7e8c242d28f1350354895a",
+            "2da90523cb30a71f91ed427a4a285fde13622ffa49509626b514c34f6c303f61",
         )
 
     @pytest.mark.parametrize(
         "stage, strategy, digests",
         [
             ("control", None, (
-                "d10941bda00ce8b7fed8ee5cc59d983bb0092142894763eeba09db50d2426978",
-                "da3d0f5beae3ae185842c29ab026834bb3dbf2b101e2a39aa09a92fe13959593",
+                "51e91b2791964ad06df0c0e9776c28c1f874996787e35d516a4c9d13a5c4489c",
+                "1400e07ef5a0e45d1dea2a444f3f4c501859643fd9a58149a5f05971932be615",
             )),
             ("early", "fact_based", (
-                "8fd0541019e29488f450480a8ce58778b07d62264859095f096214c74a1db072",
-                "a80856f21781d505602172030650c7a5f0c8746957f27f3d43d67a1df9997b26",
+                "17c074dda5e0debe18a48d9f894874ca69f5eee2660c008c8601e551f57adcef",
+                "bb03536649241165b0e7e57932cad730111ae6383ad5e4e9e07d1f5aae6395af",
             )),
             ("late", "fact_based", (
-                "3c9c9123359d09b66a6353f53e901bc9966e503a41ee475c5b768149ffd43b2a",
-                "58b27cc82dbad5363ab1f9b46164f62b713d60cf5653c6f13588e5c6a7d0ac9a",
+                "4cb0aa4b5eb6ce03fb5d0e0bc61dea6b00d7f52985f33223e9d4aa052f9db453",
+                "467389ae24156848652ed67b408555f9fda3ff3d779930eb51fa174a4b2063b9",
             )),
             ("early", "narrative_based", (
-                "5028fdac1f087998cc4d54255c4e9b45ee142b6b6332fa0ca64ea8f76e5630ae",
-                "241ebc5d4b8b8c7ce4d27a325530932ad20b60de24a4116346194509459181b3",
+                "50c64ec678a07b0d463e69d47a2e6e4d961e3f816c411aeea2f5a674eda76da8",
+                "94600cadb7304eccabb67dfbdc42245add9821c35f9ea3fa292884b509c64a26",
             )),
         ],
         ids=["control", "early_fact", "late_fact", "early_narrative"],
@@ -919,8 +919,8 @@ class TestGoldenDigests:
         )
         assert report.complete
         assert self.digests(report) == (
-            "8fd0541019e29488f450480a8ce58778b07d62264859095f096214c74a1db072",
-            "a80856f21781d505602172030650c7a5f0c8746957f27f3d43d67a1df9997b26",
+            "17c074dda5e0debe18a48d9f894874ca69f5eee2660c008c8601e551f57adcef",
+            "bb03536649241165b0e7e57932cad730111ae6383ad5e4e9e07d1f5aae6395af",
         )
 
 

@@ -7,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from madd import evaluator as evaluator_module
-from madd import rng as rngmod
 from madd.attributes import _profile_requests
 from madd.errors import MalformedEvaluatorResponse, RemoteUnavailable, ScenarioError
 from madd.evaluator import (
@@ -468,16 +467,6 @@ class TestEvaluateMany:
         with pytest.raises(MalformedEvaluatorResponse):
             next(scores)
         assert batch.ledger_snapshot() == before.ledger_snapshot()
-
-    def test_synthetic_batch_builds_no_single_stream(self, monkeypatch):
-        requests = batch_requests()
-        expected = [SyntheticEvaluator(seed=3).evaluate(request) for request in requests]
-
-        def single(*labels):
-            raise AssertionError("evaluate_many built a stream one request at a time")
-
-        monkeypatch.setattr(rngmod, "substream", single)
-        assert list(SyntheticEvaluator(seed=3).evaluate_many(requests)) == expected
 
 
 class TestBackendSelection:

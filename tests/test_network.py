@@ -331,9 +331,9 @@ class TestGoldenSetupBytes:
     def test_paper_world(self, paper_scenario, tmp_path):
         _, _, digests = self.digests(paper_scenario, tmp_path)
         assert digests == [
-            "1b361fe4607558217106f4e09813a99d12804be8edcae9ce4bc5d15f13572f2b",
-            "37231bdc11bbc0a489c47d27b01d51146c7231eed37659ca8505439dc7443e27",
-            "74a1f0eff2741f1160f4480ae10db200d49b6603d37db1ff8281209fbc7f4306",
+            "7959912e6a0513fffb6e8c50433c4ab6bff891d56c680ee7b339fcf6a305433a",
+            "9b8459287c97e0f984f5623fb5d0b5cec3a061c4609885b29993cc5d5e5d7041",
+            "02b083358c3d128e85442e5396f653504d60e19ae36a3db4ecabb368e37d180c",
         ]
 
     def test_paper_world_network_command_scores_interests_only(
@@ -345,9 +345,9 @@ class TestGoldenSetupBytes:
         asked = collections.Counter()
         evaluate = SyntheticEvaluator.evaluate
 
-        def counting(self, request, rng=None):
+        def counting(self, request):
             asked[request.kind] += 1
-            return evaluate(self, request, rng)
+            return evaluate(self, request)
 
         monkeypatch.setattr(SyntheticEvaluator, "evaluate", counting)
         path = tmp_path / "scenario.json"
@@ -366,12 +366,12 @@ class TestGoldenSetupBytes:
         assert written == digests[1:]
 
     def test_two_word_seed_world(self, two_word_seed_scenario, tmp_path):
-        # profile scoring and the bot-si draws keyed by two seed words
+        # profile scoring and the bot-si draws keyed by a seed past 32 bits
         _, _, digests = self.digests(two_word_seed_scenario, tmp_path)
         assert digests == [
-            "706407d079cc0d62b062a804475b1d6243ec8d458bb068eafc81ce65864b0693",
-            "581fb9906afe69f965d77861282de21433a54768e78fbe01e6786c64d5cff9a4",
-            "e6107a2dfa55f48c1485054c89b6a23ed326341fa33b3cdcf7e605f013de16ed",
+            "45b26f8f17e5da8552159769e7bf94fcd26b0e895ab2e7f6d2f56ff4683d28bc",
+            "411e3f403039a64881ad0e273ea66c051bb4b4bd87ef38921343652f4b7f707f",
+            "1217dd240453efd18e969fe7931e94dccae35a61186b5078c71bca96cc18dcc8",
         ]
 
     def test_tau_one_world_bots_join_every_community(self, tmp_path):
@@ -385,9 +385,9 @@ class TestGoldenSetupBytes:
         assert len(bots) == 180
         assert all(bots <= set(members) for members in index.values())
         assert digests == [
-            "564940a1ee60c431ca83c640c6e6c81beaaeb5e803fcb2f584c79654a0db8022",
-            "079cbb4d530b957abc205c4646c3714581434e0b1ad5ba98a0ce64d3d4689d6a",
-            "e26a14c2198807214420ee1eea8d8ed09dbee9ecf3d161e06a874791fd48f541",
+            "33c3f690cefdec973dd0e2e74203e70585ad0109fd3e4734b85615eba942d39a",
+            "a46c26ead00fa8894c4dcc4df9a6a31aab901b9192af26606a301013d8c52122",
+            "95ad45f5ec6ec7692866de1faa1ae2cc709f3f9f8de2bbca6f76e6025b14bcf3",
         ]
 
 

@@ -403,7 +403,7 @@ def test_table_holds_only_the_entries_asked():
 
 def test_paper_world_fit_pinned(paper_world):
     fit = paper_world[-1]
-    assert repr((fit.alpha, fit.lam, fit.x_min)) == "(1.6370566948061214, 0.010346202180251396, 11)"
+    assert repr((fit.alpha, fit.lam, fit.x_min)) == "(1.8204604925732841, 0.005414012274470207, 10)"
 
 
 def test_paper_world_fit_normalizer_calls_pinned(paper_world, monkeypatch):
@@ -418,7 +418,7 @@ def test_paper_world_fit_normalizer_calls_pinned(paper_world, monkeypatch):
     monkeypatch.setattr(powerlaw, "_norm_constant", counted)
     samples = [p.share_total for p in paper_world[1] if not p.is_bot and p.share_total >= 1]
     assert fit_truncated_power_law(samples) == paper_world[-1]
-    assert len(calls) == 1_224
+    assert len(calls) == 924
 
 
 def test_paper_world_fit_zeta_calls_pinned(paper_world, monkeypatch):
@@ -433,7 +433,7 @@ def test_paper_world_fit_zeta_calls_pinned(paper_world, monkeypatch):
     monkeypatch.setattr(powerlaw, "_hurwitz_zeta", counted)
     samples = [p.share_total for p in paper_world[1] if not p.is_bot and p.share_total >= 1]
     assert fit_truncated_power_law(samples) == paper_world[-1]
-    assert len(calls) == 378
+    assert len(calls) == 426
 
 
 def recorded(func):

@@ -234,6 +234,6 @@ def test_small_world_comparison_bytes(small_world):
     ]
     comparison = compare_interventions(reports).to_json()
     assert hashlib.sha256(comparison.encode()).hexdigest() == (
-        "8fe0689cc4adfd91d337682ccccef019772b6321ad31639e77dbf7c148f7ec49"
+        "810fd135bff50d39bd94fd29c4f03ef8aea5d11dc534e136974d405489dc0bfb"
     )
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,8 +35,7 @@ def assert_same_generators(seed, labels_list):
     ids=["zero", "seven", "top-one-word", "two-words", "two-words-plus-7", "max", "minus-one"],
 )
 def test_substreams_match_substream(seed):
-    # a seed at or above 2**32 enters SeedSequence as two entropy words, so
-    # its rows mix six words instead of five; -1 is masked to 2**64 - 1
+    # a seed at or above 2**32 is just a larger key; -1 is masked to 2**64 - 1
     assert_same_generators(seed, LABELS)
 
 
@@ -65,19 +66,33 @@ def test_empty_list():
     assert list(rngmod.substreams(3, [])) == []
 
 
-def int_list_generator(seed, labels):
-    """The generator numpy builds from ``[seed & (2**64 - 1)]`` plus the label
-    digest's four little-endian words as Python ints, coerced by SeedSequence."""
-    digest = rngmod._label_digest(labels)
-    words = [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4)]
-    entropy = np.random.SeedSequence([seed & (2**64 - 1)] + words)
-    return np.random.Generator(np.random.PCG64(entropy))
+class _Words(np.random.bit_generator.ISeedSequence):
+    def __init__(self, words):
+        self.words = np.array(words, dtype=np.uint64)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def hashlib_words(seed, labels):
+    """The four little-endian 64-bit words of blake2b over the labels joined
+    with "\\x1f", keyed by the seed masked to 64 bits as eight little-endian
+    bytes, as Python ints."""
+    key = (seed & (2**64 - 1)).to_bytes(8, "little")
+    joined = "\x1f".join(map(str, labels)).encode("utf-8")
+    digest = hashlib.blake2b(joined, digest_size=32, key=key).digest()
+    return [int.from_bytes(digest[i : i + 8], "little") for i in range(0, 32, 8)]
+
+
+def hashlib_generator(seed, labels):
+    """The generator PCG64 seeds from ``hashlib_words``, built without madd.rng."""
+    return np.random.Generator(np.random.PCG64(_Words(hashlib_words(seed, labels))))
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**32 + 7, 2**64 - 1, -1])
-def test_substream_matches_int_list_entropy(seed):
+def test_substream_matches_hashlib_reference(seed):
     for labels in LABELS:
-        expected = int_list_generator(seed, labels)
+        expected = hashlib_generator(seed, labels)
         assert rngmod.substream(seed, *labels).bit_generator.state == (
             expected.bit_generator.state
         ), labels
@@ -88,6 +103,29 @@ def test_substream_matches_int_list_entropy(seed):
     seed=st.integers(-(2**64), 2**65 - 1),
     labels=st.lists(st.one_of(st.text(), st.binary(), st.integers()), max_size=4),
 )
-def test_substream_matches_int_list_entropy_for_any_seed(seed, labels):
-    expected = int_list_generator(seed, labels)
+def test_substream_matches_hashlib_reference_for_any_seed(seed, labels):
+    expected = hashlib_generator(seed, labels)
     assert rngmod.substream(seed, *labels).bit_generator.state == expected.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "seed, labels, doubles",
+    [
+        (7, ("act", "user_00000"),
+         [0.6683327396211814, 0.08815469572309675, 0.5242312117304374]),
+        (2**32 + 7, ("evaluator", b'{"kind":"trust_threshold"}'),
+         [0.6890446262462384, 0.4138751632655253, 0.880885747446523]),
+        (2**64 - 1, (), [0.6262227685389702, 0.6801151333251672, 0.9617019950195022]),
+    ],
+    ids=["act", "evaluator-bytes", "top-seed-no-labels"],
+)
+def test_first_doubles_pinned(seed, labels, doubles):
+    # a change in numpy's PCG64 seeding or draws fails here, before any digest
+    assert rngmod.substream(seed, *labels).random(3).tolist() == doubles
+
+
+def test_substream_states_are_native_uint64():
+    states = rngmod.substream_states(2**32 + 7, LABELS)
+    assert states.dtype == np.dtype("=u8")
+    assert states.shape == (len(LABELS), 4)
+    assert states.tolist() == [hashlib_words(2**32 + 7, labels) for labels in LABELS]

@@ -1,3 +1,4 @@
+import codecs
 import copy
 import csv
 import hashlib
@@ -344,6 +345,31 @@ class TestSidecarUsers:
         with pytest.raises(ScenarioError, match=r"'u0'.*'retweets_count'"):
             load_scenario(tmp_path / "scenario.json")
 
+    @pytest.mark.parametrize("bom_file", ["scenario.json", "users.json", "users.csv"])
+    def test_byte_order_mark_loads_as_its_twin(self, tmp_path, bom_file):
+        """A file saved with a leading UTF-8 byte-order mark, as spreadsheet
+        "CSV UTF-8" exports are, loads as the same file without it."""
+        data = minimal_scenario_dict()
+        texts = {}
+        if bom_file == "users.json":
+            texts[bom_file] = json.dumps(data.pop("users"))
+        elif bom_file == "users.csv":
+            data.pop("users")
+            texts[bom_file] = "user_id,follower_count,retweet_count\nu0,100,4\nu1,50,1\nu2,10,0\n"
+        if bom_file != "scenario.json":
+            data["users_file"] = bom_file
+        texts["scenario.json"] = json.dumps(data)
+        loaded = []
+        for name, bom in (("plain", b""), ("bom", codecs.BOM_UTF8)):
+            folder = tmp_path / name
+            folder.mkdir()
+            for file, text in texts.items():
+                (folder / file).write_bytes((bom if file == bom_file else b"") + text.encode())
+            loaded.append(load_scenario(folder / "scenario.json"))
+        plain, with_bom = loaded
+        assert [u.user_id for u in with_bom.users] == ["u0", "u1", "u2"]
+        assert with_bom == plain and with_bom.digest() == plain.digest()
+
     def test_json_sidecar_nested_too_deep_reported(self, tmp_path):
         data = minimal_scenario_dict()
         data.pop("users")
@@ -592,13 +618,13 @@ def test_all_model_inputs_reachable_from_scenario():
     [
         (
             "paper",
-            "21dca087e8f8e62cb9c1db839cc9194cb10a58789b8d0b688b3e149d64db8564",
-            "c70c5aaa285ddfe36dfd3d0ec0921473eada8f5abe6987ed9ba6df01b2488807",
+            "30f784c1ff76dca2d687d91e2767ac27c928d2e7a797be3b2e3dfc5f51d113c8",
+            "4c751aa663c01ef9bf67d23b69d444d8169d38b1d175774af580d2fb99c10f57",
         ),
         (
             "small",
-            "1fcf8ab4599a42abcb0d1722dc9cd83d9bf83981a3a6c207d9b79a341b571895",
-            "805591a1c927097e0a9116c43a742fd8bfd9f631bafb6c8a47f581941ad5ce6e",
+            "3f7a98f9a96ab8cbeb04bc6842134e97f6ffb9ea9ce2f37d8531df28914b657a",
+            "9f02514aa8d8cb4b9f08cc168f6107e953fba68bea7552872313b99e6d4e3b8a",
         ),
     ],
     ids=["paper", "small"],
