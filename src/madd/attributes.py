@@ -164,10 +164,11 @@ def derive_profiles(scenario: Scenario, evaluator: Evaluator, *, trust: bool = T
     profiles: list[AgentProfile] = []
     communities = list(scenario.communities)
     kinds = _PROFILE_KINDS if trust else _PROFILE_KINDS[:1]
-    scores = evaluator.evaluate_many(
-        request for user in scenario.users
-        for request in _profile_requests(user, communities, kinds)
-    )
+    requests = (request for user in scenario.users
+                for request in _profile_requests(user, communities, kinds))
+    # each request is scored when read, so a failure surfaces at its own
+    # user, after the requests before it have been scored and metered
+    scores = map(evaluator.evaluate, requests)
     for user in scenario.users:
         ic = _next_scores(scores, user, "interest_community")
         tt = _next_scores(scores, user, "trust_threshold") if trust else None
@@ -211,8 +212,8 @@ def derive_profiles(scenario: Scenario, evaluator: Evaluator, *, trust: bool = T
                     },
                     trust_thresholds={c: 1.0 for c in scenario.communities},
                 ))
-        streams = rngmod.substreams(params.rng_seed, (("bot-si", b.agent_id) for b in bots))
-        for bot, rng in zip(bots, streams):
+        for bot in bots:
+            rng = rngmod.substream(params.rng_seed, "bot-si", bot.agent_id)
             influence[bot.agent_id] = float(rng.choice(si_pool))
             by_id[bot.agent_id] = bot
             profiles.append(bot)

@@ -36,15 +36,15 @@ Semantics, fixed for determinism:
   corrective pressure - the spontaneous-debunker channel that operates
   even in control runs.
 * Every draw is keyed by (seed, purpose, agent[, item]), never by the
-  order agents are processed in. Each regular agent owns one "act" stream,
-  drawn once per run as a (steps, 2) block of activation and share
-  uniforms; step t reads row t-1. Its "belief" and "accept" streams over
-  the run's claim are keyed at run start, one ``JudgmentStreams`` table
-  per kind over the ``substream_states`` rows of every regular agent, and
-  the table makes a receiver's ``judgment_draws`` generator at its first
-  judgment; its k-th judgment of a kind takes that stream's k-th uniform,
-  read in blocks of JUDGMENT_BLOCK (on PCG64, ``random(n)`` yields the same
-  doubles as n scalar ``random()`` calls).
+  order agents are processed in, and every stream is one
+  ``rng.substream``. Each regular agent owns one "act" stream, drawn once
+  per run as a (steps, 2) block of activation and share uniforms; step t
+  reads row t-1. Its "belief" and "accept" streams over the run's claim
+  sit in one ``JudgmentStreams`` table per kind, which builds a receiver's
+  ``judgment_draws`` stream at its first judgment, so a stream no judgment
+  reads is never built; its k-th judgment of a kind takes that stream's
+  k-th uniform, read in blocks of JUDGMENT_BLOCK (on PCG64, ``random(n)``
+  yields the same doubles as n scalar ``random()`` calls).
 
 Bots are instruments: only bots homed in the run topic's community act,
 each broadcasting on the steps of its drawn schedule alone - malicious ones
@@ -98,29 +98,29 @@ DEFAULT_RECORD_CADENCE = 12
 JUDGMENT_BLOCK = 32  # uniforms a judgment stream draws per refill
 
 
-def judgment_draws(words: np.ndarray):
-    """One receiver's uniforms for one kind of judgment, in order: the k-th
-    ``next`` is the k-th scalar ``random()`` of the generator seeded from
-    ``words`` (a row of ``rng.substream_states``), read ``JUDGMENT_BLOCK``
-    doubles at a time. The body runs at the first ``next``, so a stream
-    never read seeds no generator."""
-    gen = rngmod.generator(words)
+def judgment_draws(seed: int, purpose: str, agent_id: str, content_id: str):
+    """One receiver's uniforms for one kind of judgment over one item, in
+    order: the k-th ``next`` is the k-th scalar ``random()`` of
+    ``rng.substream(seed, purpose, agent_id, content_id)``, read
+    ``JUDGMENT_BLOCK`` doubles at a time. The body runs at the first
+    ``next``, so a stream never read is never built."""
+    gen = rngmod.substream(seed, purpose, agent_id, content_id)
     while True:
         yield from gen.random(JUDGMENT_BLOCK).tolist()
 
 
 class JudgmentStreams(dict):
-    """One judgment kind's streams over a run's claim: receiver index ->
-    its ``judgment_draws`` generator, made from row r of ``words`` (an
-    ``(n, 4)`` array of ``rng.substream_states`` rows) when r is first
-    looked up, so an unread stream holds no generator."""
+    """One judgment kind's streams over a run's claim: receiver index r ->
+    its ``judgment_draws(seed, purpose, ids[r], content_id)`` generator,
+    made when r is first looked up, so an unread stream holds no
+    generator."""
 
-    def __init__(self, words: np.ndarray):
+    def __init__(self, seed: int, purpose: str, ids: list, content_id: str):
         super().__init__()
-        self.words = words
+        self.seed, self.purpose, self.ids, self.content_id = seed, purpose, ids, content_id
 
     def __missing__(self, r: int):
-        stream = self[r] = judgment_draws(self.words[r])
+        stream = self[r] = judgment_draws(self.seed, self.purpose, self.ids[r], self.content_id)
         return stream
 
 
@@ -138,6 +138,7 @@ class SimulationState:
     audience: list = field(default_factory=list)  # index -> receiver indices, in neighbour order
     sends: list | None = None  # (step, [(sender, kind), ...]) per step, when recorded
     plausibility: float = 0.0  # of the run's claim
+    streams: dict = field(default_factory=dict)  # purpose -> JudgmentStreams over the claim
 
     def __post_init__(self):
         n = len(self.ids)
@@ -149,9 +150,6 @@ class SimulationState:
         self.receipts = ([0] * n, [0] * n)  # per item: receipts per index; exposed = claim's > 0
         self.pending = [{} for _ in range(n)]  # sender -> kind received since last activation
         self.strengths = [[None] * len(KIND_STANCE) for _ in range(n)]  # kind -> persuasiveness
-        # purpose -> JudgmentStreams; run() keys the regular rows' words at run start
-        self.streams = {purpose: JudgmentStreams(np.zeros((n, 4), dtype=np.uint64))
-                        for purpose in ("belief", "accept")}
 
     @property
     def delivery_log(self) -> DeliveryLog:
@@ -226,7 +224,6 @@ def build_bot_schedules(
     """
     window = None if plan.stage == "control" else stage_window(params, plan.stage)
     schedules: dict[str, frozenset] = {}
-    drawn = []  # (agent id, first step, span, lo, hi) of each bot that draws
     for profile in sorted(profiles, key=lambda p: p.agent_id):
         if profile.kind == KIND_REGULAR:
             continue
@@ -241,12 +238,10 @@ def build_bot_schedules(
             span = last - first + 1
             lo, hi = params.legitimate_freq_range
         hi = min(hi, span)
-        drawn.append((profile.agent_id, first, span, min(lo, hi), hi))
-    streams = rngmod.substreams(seed, (("schedule", bot[0]) for bot in drawn))
-    for (agent_id, first, span, lo, hi), rng in zip(drawn, streams):
-        count = int(rng.integers(lo, hi + 1))
+        rng = rngmod.substream(seed, "schedule", profile.agent_id)
+        count = int(rng.integers(min(lo, hi), hi + 1))
         steps = rng.choice(span, size=count, replace=False) + first
-        schedules[agent_id] = frozenset(int(s) for s in steps)
+        schedules[profile.agent_id] = frozenset(int(s) for s in steps)
     return schedules
 
 
@@ -260,9 +255,8 @@ def activation_draws(seed: int, agent_ids, total_steps: int) -> np.ndarray:
     agents are in the block.
     """
     draws = np.empty((len(agent_ids), total_steps, 2))
-    streams = rngmod.substreams(seed, (("act", agent_id) for agent_id in agent_ids))
-    for i, stream in enumerate(streams):
-        draws[i] = stream.random((total_steps, 2))
+    for i, agent_id in enumerate(agent_ids):
+        draws[i] = rngmod.substream(seed, "act", agent_id).random((total_steps, 2))
     return draws
 
 
@@ -351,6 +345,8 @@ def run(
         audience=[[regular[n] for n in network.neighbors(a) if n in regular] for a in ids],
         sends=[] if state_out is not None else None,
         plausibility=plausibility,
+        streams={purpose: JudgmentStreams(seed, purpose, ids, disinfo.content_id)
+                 for purpose in ("belief", "accept")},
     )
     for i in state.rows:
         trust = members[i].trust_thresholds.get(topic)
@@ -362,9 +358,6 @@ def run(
         state.da[i] = discernment(trust, plausibility)
 
     rows = state.rows
-    for purpose, streams in state.streams.items():
-        labels = ((purpose, ids[i], disinfo.content_id) for i in rows)
-        streams.words[rows] = rngmod.substream_states(seed, labels)
     draws = activation_draws(seed, [ids[i] for i in rows], params.total_steps)
     probs = np.array([members[i].activation_probs for i in rows], dtype=float)
     probs = probs.reshape(len(rows), HOURS_PER_DAY)

@@ -2,9 +2,8 @@
 
 All judgment calls the simulation delegates to a language model flow through
 one contract: build an :class:`EvaluationRequest`, call ``evaluate``, read
-its scores dict back, each passed through :func:`_check_score`;
-``evaluate_many`` does the same for a list of requests, in order, one
-``evaluate`` call each. Two backends implement it:
+its scores dict back, each passed through :func:`_check_score`. Two
+backends implement it:
 
 * ``SyntheticEvaluator`` - the default. Every response is a pure function of
   (request bytes, scenario seed), drawn from fixed per-kind
@@ -25,7 +24,6 @@ import os
 import threading
 import time
 from collections import defaultdict
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
 
@@ -187,8 +185,7 @@ def _check_score(kind: str, key: str, value) -> float:
 class Evaluator:
     """Backend-independent surface the rest of the package talks to.
 
-    Subclasses implement ``evaluate``; ``evaluate_many`` serves a list of
-    requests through it, in order.
+    Subclasses implement ``evaluate``.
     """
 
     def __init__(self):
@@ -197,15 +194,6 @@ class Evaluator:
     def evaluate(self, request: EvaluationRequest) -> dict:
         """The request's checked scores; every call is metered."""
         raise NotImplementedError
-
-    def evaluate_many(self, requests) -> Iterator[dict]:
-        """``self.evaluate`` of each request, in request order.
-
-        Each request is evaluated when its result is read, so a failure
-        surfaces at its own request, after the requests before it have been
-        scored and metered.
-        """
-        return map(self.evaluate, requests)
 
     def ledger_snapshot(self) -> dict:
         return self.ledger.snapshot()

@@ -215,7 +215,11 @@ def main(argv=None) -> int:
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    save_scenario(scenario, out)
+    try:
+        save_scenario(scenario, out)
+    except OSError as exc:
+        print(f"error: cannot write --out {out}: {exc.strerror}", file=sys.stderr)
+        return 1
     print(f"wrote {out} ({len(scenario.users)} users, {len(scenario.communities)} communities)")
     return 0
 

@@ -1,13 +1,17 @@
+import json
 import math
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from madd import evaluator as evaluator_module
 from madd.attributes import (
     KIND_MBOT,
     KIND_REGULAR,
     AgentProfile,
+    _profile_requests,
     activation_probability,
     derive_profiles,
     dissemination_tendency,
@@ -16,7 +20,7 @@ from madd.attributes import (
     social_influence,
 )
 from madd.errors import EvaluatorFailure
-from madd.evaluator import SyntheticEvaluator, make_evaluator
+from madd.evaluator import EvaluatorConfig, RemoteEvaluator, SyntheticEvaluator, make_evaluator
 from madd.network import assign_communities
 from madd.scenario import SimulationParams
 from madd.synthdata import build_synthetic_scenario
@@ -209,6 +213,87 @@ class TestDeriveProfiles:
 
         with pytest.raises(EvaluatorFailure, match="user_00000"):
             derive_profiles(scenario, Failing(seed=9))
+
+
+SCORED_COMMUNITIES = ("alpha", "beta")
+
+
+def score_rows(key, score):
+    """A remote reply scoring both of SCORED_COMMUNITIES at ``score``."""
+    rows = [{"Community": c, "Score": score} for c in SCORED_COMMUNITIES]
+    return {"choices": [{"message": {"content": json.dumps({key: rows})}}]}
+
+
+class TestProfileScoring:
+    """derive_profiles makes one ``evaluate`` call per request, in order, on
+    both backends."""
+
+    @pytest.fixture(scope="class")
+    def scenario(self):
+        return build_synthetic_scenario(n_users=6, communities=SCORED_COMMUNITIES, seed=9)
+
+    @pytest.fixture(params=["synthetic", "remote"])
+    def make(self, request, monkeypatch, scenario):
+        """make(fail_at=None) -> a fresh evaluator; with ``fail_at``, user
+        ``fail_at``'s interest scores come back out of range."""
+        if request.param == "synthetic":
+            def make(fail_at=None):
+                evaluator = SyntheticEvaluator(seed=2**32 + 7)
+                if fail_at is not None:
+                    failing = scenario.users[fail_at].user_id
+                    handler = evaluator._eval_interest_community
+
+                    def out_of_range(req, rng):
+                        scores = handler(req, rng)
+                        if req.context["user_id"] == failing:
+                            return {c: 11.0 for c in scores}
+                        return scores
+
+                    monkeypatch.setattr(evaluator, "_eval_interest_community", out_of_range)
+                return evaluator
+
+            return make
+
+        # a fixed clock, so every ledger meters the same latency
+        monkeypatch.setattr(evaluator_module, "time", SimpleNamespace(monotonic=lambda: 0.0))
+
+        def make(fail_at=None):
+            # user k scores interest 1 + k and trust k / 10 everywhere
+            replies = [reply for k in range(len(scenario.users)) for reply in (
+                score_rows("Interest Community Scores", 1 + k),
+                score_rows("Trust Threshold Scores", k / 10),
+            )]
+            if fail_at is not None:  # one retry, then the failure
+                replies[2 * fail_at:] = [score_rows("Interest Community Scores", 11)] * 2
+            evaluator = RemoteEvaluator(EvaluatorConfig(
+                backend="remote", endpoint="https://example.invalid/v1/chat", model="m"))
+            monkeypatch.setattr(evaluator, "_post", lambda prompt: replies.pop(0))
+            return evaluator
+
+        return make
+
+    def test_scores_match_one_evaluate_per_request(self, make, scenario):
+        one, profiled = make(), make()
+        expected = {}
+        for user in scenario.users:
+            ic, tt = map(one.evaluate, _profile_requests(user, list(scenario.communities)))
+            expected[user.user_id] = (ic, tt)
+        profiles = derive_profiles(scenario, profiled)
+        scored = {p.agent_id: (p.interest_scores, p.trust_thresholds)
+                  for p in profiles if p.kind == KIND_REGULAR}
+        assert scored == expected
+        assert profiled.ledger_snapshot() == one.ledger_snapshot()
+
+    def test_failure_names_its_user_and_meters_only_earlier_requests(self, make, scenario):
+        fail_at = 2
+        before = make()
+        for user in scenario.users[:fail_at]:
+            for request in _profile_requests(user, list(scenario.communities)):
+                before.evaluate(request)
+        failing = make(fail_at)
+        with pytest.raises(EvaluatorFailure, match=scenario.users[fail_at].user_id):
+            derive_profiles(scenario, failing)
+        assert failing.ledger_snapshot() == before.ledger_snapshot()
 
 
 def test_paper_world_setup_ledger_pinned(paper_scenario):

@@ -215,6 +215,17 @@ def test_synthdata_reports_a_parameter_error_in_one_line(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("where", ["missing-dir", "a-dir"])
+def test_synthdata_reports_an_unwritable_out_in_one_line(tmp_path, capsys, where):
+    out = tmp_path / "missing" / "cli.json" if where == "missing-dir" else tmp_path
+    assert synthdata_main(["--users", "5", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    reason = "No such file or directory" if where == "missing-dir" else "Is a directory"
+    assert captured.err == f"error: cannot write --out {out}: {reason}\n"
+    assert captured.out == ""
+    assert not (tmp_path / "missing").exists()
+
+
 def test_synthdata_rejects_a_community_name_with_a_comma(tmp_path, capsys):
     out = tmp_path / "cli.json"
     assert synthdata_main(["--communities", "a,b", "--out", str(out)]) == 1

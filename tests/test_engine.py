@@ -336,15 +336,13 @@ class TestDeliver:
     def test_judgment_stream_reads_blocks_in_scalar_order(self):
         n = 3 * engine.JUDGMENT_BLOCK + 5
         labels = ("belief", "u1", "claim_alpha")
-        (words,) = rngmod.substream_states(13, [labels])
-        stream = engine.judgment_draws(words)
+        stream = engine.judgment_draws(13, *labels)
         scalar = rngmod.substream(13, *labels)
         assert [next(stream) for _ in range(n)] == [scalar.random() for _ in range(n)]
 
     def test_unread_judgment_streams_hold_no_generator(self, paper_world):
-        """Every regular agent's belief and accept streams are keyed at run
-        start, but a generator object is made only for a stream a judgment
-        reads, and every one made has been advanced."""
+        """A generator object is made only for a stream a judgment reads, and
+        every one made has been advanced."""
         scenario, profiles, _, network, fit = paper_world
         states = []
         engine.run(scenario, network, profiles, CONTROL_PLAN,
@@ -353,8 +351,27 @@ class TestDeliver:
         state = states[0]
         generators = [s for kind in state.streams.values() for s in kind.values()]
         assert all(inspect.getgeneratorstate(s) == inspect.GEN_SUSPENDED for s in generators)
-        keyed = sum(int(s.words[state.rows].any(axis=1).sum()) for s in state.streams.values())
-        assert (len(generators), keyed) == (244, 2 * 689)
+        assert len(generators) == 244
+
+    def test_run_builds_each_stream_once_through_substream(self, paper_world, monkeypatch):
+        """Every stream a run reads is one ``rng.substream`` call: an act
+        block per regular agent, a schedule per topic bot, a belief or
+        accept stream only where a judgment reads one (the 244 generators
+        above), and one evaluator stream per question."""
+        built = {}
+        substream = rngmod.substream
+
+        def counted(seed, *labels):
+            built[labels[0]] = built.get(labels[0], 0) + 1
+            return substream(seed, *labels)
+
+        monkeypatch.setattr(rngmod, "substream", counted)
+        scenario, profiles, _, network, fit = paper_world
+        engine.run(scenario, network, profiles, CONTROL_PLAN,
+                   make_evaluator(scenario.evaluator_config, 3), seed=3, fit=fit,
+                   topic="politics")
+        assert built == {"act": 689, "schedule": 18, "belief": 214, "accept": 30,
+                         "evaluator": 166}
 
 
 def reference_deliver(state, outgoing, plausibility) -> None:
@@ -431,9 +448,8 @@ def delivery_state(case) -> engine.SimulationState:
     state.believes[:] = case["believes"]
     state.pending[:] = [dict(p) for p in case["pending"]]
     for k, purpose in enumerate(("belief", "accept")):
-        labels = [(purpose, agent_id, "claim") for agent_id in ids]
-        streams = state.streams[purpose]
-        streams.words[:] = rngmod.substream_states(case["seed"], labels)
+        streams = engine.JudgmentStreams(case["seed"], purpose, ids, "claim")
+        state.streams[purpose] = streams
         for r, drawn in enumerate(case["drawn"]):
             if drawn[k]:
                 stream = streams[r]
@@ -894,34 +910,6 @@ class TestGoldenDigests:
             if content_id == claim_id and stance == engine.STANCE_ENDORSE:
                 endorsed[receiver] = endorsed.get(receiver, 0) + 1
         assert max(endorsed.values()) > engine.JUDGMENT_BLOCK
-
-    def test_dense_world_builds_no_single_judgment_stream(self, dense_world, monkeypatch):
-        # every belief and accept stream comes from the run-start batch, and
-        # the early_fact pin above still holds
-        single = rngmod.substream
-
-        def no_judgment_stream(seed, *labels):
-            if labels and labels[0] in ("belief", "accept"):
-                raise AssertionError(f"judgment stream {labels} built one at a time")
-            return single(seed, *labels)
-
-        monkeypatch.setattr(rngmod, "substream", no_judgment_stream)
-        scenario, profiles, _, network, fit = dense_world
-        report = engine.run(
-            scenario,
-            network,
-            profiles,
-            make_plan(scenario.params, "early", "fact_based"),
-            make_evaluator(scenario.evaluator_config, scenario.params.rng_seed),
-            seed=13,
-            fit=fit,
-            collect_trajectories=True,
-        )
-        assert report.complete
-        assert self.digests(report) == (
-            "17c074dda5e0debe18a48d9f894874ca69f5eee2660c008c8601e551f57adcef",
-            "bb03536649241165b0e7e57932cad730111ae6383ad5e4e9e07d1f5aae6395af",
-        )
 
 
 class TestActivationKeying:

@@ -390,83 +390,42 @@ class TestRemote:
         assert only_exact.ledger_snapshot()["approximate"] is False
 
 
-def batch_requests():
-    """One request of every kind, across ledger buckets, one of them twice,
-    then one user's two profile requests, which share one texts tuple and
-    one context dict."""
-    persuasion = dict(content_kind="correction", strategy="fact_based", stance="endorse",
-                      history="h", community="politics")
-    user = UserRecord(user_id="c", follower_count=40, following_count=7, description="d",
-                      historical_texts=(("t1", "first post"), ("t2", "the 2021 report")))
-    return [
-        ic_request("a"),
-        tt_request("a"),
-        EvaluationRequest(kind="plausibility", subject_texts=("a claim",), context={}),
-        EvaluationRequest(kind="persuasiveness", subject_texts=("the 2020 data",),
-                          context=persuasion),
-        EvaluationRequest(kind="persuasiveness", subject_texts=("",),
-                          context={**persuasion, "community": "sports"}),
-        ic_request("b"),
-        ic_request("a"),
-        *_profile_requests(user, COMMUNITIES),
-    ]
-
-
-def remote_replies():
-    def rows(key, score):
-        return reply({key: [{"Community": c, "Score": score} for c in COMMUNITIES]},
-                     usage={"prompt_tokens": 10, "completion_tokens": 3})
-
-    return [
-        rows("Interest Community Scores", 6),
-        rows("Trust Threshold Scores", 0.4),
-        reply({"PlausibilityScore": 0.7}),
-        {"choices": [{"message": {"content": "not json"}}]},  # retried
-        reply({"Score": 0.55}),
-        reply({"Score": 0.1}),
-        rows("Interest Community Scores", 2),
-        rows("Interest Community Scores", 3),
-        rows("Interest Community Scores", 8),
-        rows("Trust Threshold Scores", 0.7),
-    ]
-
-
 class TestEvaluateMany:
+    """Many requests served in order, one ``evaluate`` call each."""
+
     @pytest.fixture(params=["synthetic", "remote"])
     def make(self, request, monkeypatch):
         if request.param == "synthetic":
-            return lambda: SyntheticEvaluator(seed=2**32 + 7)
+            return lambda replies: SyntheticEvaluator(seed=2**32 + 7)
         # a fixed clock, so both ledgers meter the same latency
         monkeypatch.setattr(evaluator_module, "time", SimpleNamespace(monotonic=lambda: 0.0))
-        return lambda: remote(monkeypatch, remote_replies())
-
-    def test_matches_one_at_a_time(self, make):
-        requests = batch_requests()
-        interest, trust = requests[-2:]
-        assert interest.subject_texts is trust.subject_texts and interest.context is trust.context
-        one, batch = make(), make()
-        expected = [one.evaluate(request) for request in requests]
-        assert list(batch.evaluate_many(requests)) == expected
-        assert batch.ledger_snapshot() == one.ledger_snapshot()
+        return lambda replies: remote(monkeypatch, replies)
 
     def test_failure_keeps_earlier_ledger_entries(self, make, monkeypatch):
-        # the fourth request scores out of range; the three before it stay metered
-        requests = batch_requests()[:3]
+        # the fourth request scores out of range; the three before it stay
+        # metered and the failing one adds nothing to the ledger
+        requests = [
+            ic_request("a"),
+            tt_request("a"),
+            EvaluationRequest(kind="plausibility", subject_texts=("a claim",), context={}),
+        ]
+        replies = [
+            reply({"Interest Community Scores": [{"Community": c, "Score": 6} for c in COMMUNITIES]},
+                  usage={"prompt_tokens": 10, "completion_tokens": 3}),
+            reply({"Trust Threshold Scores": [{"Community": c, "Score": 0.4} for c in COMMUNITIES]},
+                  usage={"prompt_tokens": 10, "completion_tokens": 3}),
+            reply({"PlausibilityScore": 0.7}),
+        ]
         failing = EvaluationRequest(kind="persuasiveness", subject_texts=("t",), context={})
-        before = make()
-        for request in requests:
-            before.evaluate(request)
-        batch = make()
-        if isinstance(batch, SyntheticEvaluator):
-            monkeypatch.setattr(batch, "_eval_persuasiveness", lambda request, rng: {"score": 1.5})
-        else:
-            batch = remote(monkeypatch, remote_replies()[:3] + [reply({"Score": 1.5})] * 2)
-        scores = batch.evaluate_many(requests + [failing] + batch_requests())
-        for _ in requests:
-            next(scores)
+        before = make(list(replies))
+        expected = [before.evaluate(request) for request in requests]
+        many = make(replies + [reply({"Score": 1.5})] * 2)
+        if isinstance(many, SyntheticEvaluator):
+            monkeypatch.setattr(many, "_eval_persuasiveness", lambda request, rng: {"score": 1.5})
+        assert [many.evaluate(request) for request in requests] == expected
         with pytest.raises(MalformedEvaluatorResponse):
-            next(scores)
-        assert batch.ledger_snapshot() == before.ledger_snapshot()
+            many.evaluate(failing)
+        assert many.ledger_snapshot() == before.ledger_snapshot()
 
 
 class TestBackendSelection:
