@@ -13,6 +13,8 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import asdict, dataclass, field
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -218,8 +220,8 @@ def derive_profiles(scenario: Scenario, evaluator: Evaluator, *, trust: bool = T
             by_id[bot.agent_id] = bot
             profiles.append(bot)
         # bots changed the community total: renormalize influence to sum 1,
-        # summing in member-id order
-        total = sum(influence[a] for a in sorted(influence))
+        # added left to right in member-id order (3.12's sum() compensates)
+        total = reduce(add, [influence[a] for a in sorted(influence)], 0.0)
         for agent_id, share in influence.items():
             by_id[agent_id].social_influence[community] = share / total
 

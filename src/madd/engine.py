@@ -275,9 +275,7 @@ def _sender_influence(profile: AgentProfile, community: str) -> float:
     si = profile.social_influence.get(community)
     if si is not None:
         return si
-    if profile.social_influence:
-        return sum(profile.social_influence.values()) / len(profile.social_influence)
-    return 0.0
+    return population_stats(profile.social_influence.values())[0]  # 0.0 when empty
 
 
 def run(

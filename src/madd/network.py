@@ -21,8 +21,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import rng as rngmod
-from .errors import CommunityTooSmall, DegenerateSamples, InsufficientData
-from .powerlaw import PowerLawFit, fit_truncated_power_law
+from .errors import CommunityTooSmall
 from .scenario import SimulationParams
 
 
@@ -58,9 +57,6 @@ class PropagationNetwork:
 
     def neighbors(self, agent_id: str) -> list:
         return sorted(self.adjacency.get(agent_id, ()))
-
-    def degree(self, agent_id: str) -> int:
-        return len(self.adjacency.get(agent_id, ()))
 
     def json_text(self) -> str:
         """The ``network.json`` text, laid out as ``json.dumps(indent=2,
@@ -190,36 +186,3 @@ def _draw_without_replacement(
                     position += 1
         picks.append(position)
     return picks
-
-
-def degree_distribution(network: PropagationNetwork, min_degree: int = 1):
-    """Degree histogram plus the fitted tail exponent.
-
-    The tail fit reuses the truncated power-law MLE on degrees >= min_degree
-    (pass the construction parameter m to study only attachment-grown mass);
-    it returns None when the degree sample can't support a fit.
-    """
-    degrees = [network.degree(agent_id) for agent_id in network.nodes]
-    histogram: dict[int, int] = {}
-    for d in degrees:
-        histogram[d] = histogram.get(d, 0) + 1
-    tail = [d for d in degrees if d >= max(1, min_degree)]
-    try:
-        fit: PowerLawFit | None = fit_truncated_power_law(tail)
-    except (InsufficientData, DegenerateSamples):
-        fit = None
-    return dict(sorted(histogram.items())), fit
-
-
-def community_overlap_matrix(community_index: dict) -> np.ndarray:
-    """Symmetric JxJ membership-overlap counts; diagonal = community sizes."""
-    communities = list(community_index)
-    sets = [set(community_index[c]) for c in communities]
-    n = len(communities)
-    matrix = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(i, n):
-            overlap = len(sets[i] & sets[j])
-            matrix[i, j] = overlap
-            matrix[j, i] = overlap
-    return matrix

@@ -144,13 +144,20 @@ class RunReport:
 
 
 def population_stats(values) -> tuple:
-    """Mean and population (not sample) standard deviation."""
+    """Mean and population (not sample) standard deviation. Both totals add
+    left to right from 0.0: from Python 3.12 on, the builtin ``sum``
+    compensates float rounding, which would move their bits."""
     values = list(values)
     if not values:
         return 0.0, 0.0
-    mean = sum(values) / len(values)
-    var = sum((v - mean) ** 2 for v in values) / len(values)
-    return mean, math.sqrt(var)
+    total = 0.0
+    for v in values:
+        total += v
+    mean = total / len(values)
+    total = 0.0
+    for v in values:
+        total += (v - mean) ** 2
+    return mean, math.sqrt(total / len(values))
 
 
 @dataclass

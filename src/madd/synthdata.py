@@ -198,9 +198,14 @@ def _users(text: str) -> int:
     return int(text)
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # argparse would print its usage and exit 2
+        raise ScenarioError(message)
+
+
 def main(argv=None) -> int:
     # flags left out take build_synthetic_scenario's defaults
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         description="Write a synthetic scenario file.", argument_default=argparse.SUPPRESS
     )
     parser.add_argument("--users", type=_users, dest="n_users")
@@ -208,9 +213,9 @@ def main(argv=None) -> int:
     parser.add_argument("--communities", nargs="+")
     parser.add_argument("--total-steps", type=int)
     parser.add_argument("--out", required=True)
-    kwargs = vars(parser.parse_args(argv))
-    out = kwargs.pop("out")
     try:
+        kwargs = vars(parser.parse_args(argv))
+        out = kwargs.pop("out")
         scenario = build_synthetic_scenario(**kwargs)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)

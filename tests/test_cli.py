@@ -196,14 +196,22 @@ def test_synthdata_main_defaults_are_the_builders(tmp_path):
     assert out.read_bytes() == reference.read_bytes()
 
 
-@pytest.mark.parametrize("users", ["-5", "0"])
-def test_synthdata_rejects_users_below_one(tmp_path, capsys, users):
+@pytest.mark.parametrize("args, message", [
+    (["--users", "-5"], "argument --users: users = -5 violates >= 1"),
+    (["--users", "0"], "argument --users: users = 0 violates >= 1"),
+    (["--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
+], ids=["-5", "0", "seed-abc"])
+def test_synthdata_rejects_users_below_one(tmp_path, capsys, args, message):
+    # a usage error is a validation failure: one error line, exit 1
     out = tmp_path / "cli.json"
-    with pytest.raises(SystemExit) as exit_info:
-        synthdata_main(["--users", users, "--out", str(out)])
-    assert exit_info.value.code == 2
-    assert f"error: argument --users: users = {users} violates >= 1" in capsys.readouterr().err
+    assert synthdata_main([*args, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+def test_synthdata_without_out_fails_in_one_line(capsys):
+    assert synthdata_main(["--users", "5"]) == 1
+    assert capsys.readouterr().err == "error: the following arguments are required: --out\n"
 
 
 def test_synthdata_reports_a_parameter_error_in_one_line(tmp_path, capsys):
@@ -652,6 +660,31 @@ def test_experiment_produces_three_runs_and_comparison(scenario_path, tmp_path):
     }
     manifest = json.loads((out / "manifest.json").read_text())
     assert "comparison.json" in manifest["files"]
+
+
+def test_staged_run_writes_the_experiment_arm_bytes(scenario_path, tmp_path, capsys):
+    common = ["--scenario", str(scenario_path), "--seed", "13", "--stage", "early",
+              "--strategy", "fact"]
+    assert main(["run", *common, "--out", str(tmp_path / "run")]) == 0
+    assert main(["experiment", *common, "--out", str(tmp_path / "exp")]) == 0
+    for name in ("report.json", "report.csv"):
+        arm = (tmp_path / "exp" / "fact_based" / name).read_bytes()
+        assert (tmp_path / "run" / name).read_bytes() == arm
+
+
+def test_experiment_with_one_strategy_runs_control_and_that_arm(scenario_path, tmp_path, capsys):
+    out = tmp_path / "exp"
+    assert main([
+        "experiment", "--scenario", str(scenario_path), "--seed", "13", "--stage", "early",
+        "--strategy", "narrative", "--out", str(out),
+    ]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "comparison.json", "control", "manifest.json", "narrative_based"]
+    for sub in ("control", "narrative_based"):
+        assert sorted(p.name for p in (out / sub).iterdir()) == ["report.csv", "report.json"]
+    comparison = json.loads((out / "comparison.json").read_text())
+    for key in ("deltas", "final_step_deltas", "peak_ir_deltas"):
+        assert list(comparison[key]) == ["early:narrative_based"]
 
 
 def test_network_subcommand(scenario_path, tmp_path, capsys):

@@ -1,7 +1,9 @@
 import hashlib
 import inspect
 import json
+import math
 import re
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -26,6 +28,9 @@ from madd.network import PropagationNetwork
 from madd.powerlaw import PowerLawFit
 from madd.scenario import Scenario, SimulationParams, UserRecord
 from madd.synthdata import build_catalog
+
+import test_network as network_tests
+from conftest import build_world
 
 
 def tiny_scenario(user_ids, total_steps=4, **params):
@@ -910,6 +915,43 @@ class TestGoldenDigests:
             if content_id == claim_id and stance == engine.STANCE_ENDORSE:
                 endorsed[receiver] = endorsed.get(receiver, 0) + 1
         assert max(endorsed.values()) > engine.JUDGMENT_BLOCK
+
+
+def compensated_sum(iterable, /, start=0):
+    """A model of the builtin ``sum`` from Python 3.12 on (CPython gh-100425):
+    while the total is a float, float items are added with Neumaier
+    compensation, and the compensation is added back at the end."""
+    total, compensation = start, 0.0
+    for item in iterable:
+        if type(total) is float and type(item) is float:
+            added = total + item
+            if abs(total) >= abs(item):
+                compensation += (total - added) + item
+            else:
+                compensation += (item - added) + total
+            total = added
+        else:
+            total = total + item
+    if type(total) is float and compensation and math.isfinite(compensation):
+        total += compensation
+    return total
+
+
+def test_outputs_do_not_depend_on_how_sum_adds_floats(
+    small_scenario, small_world, paper_scenario, tmp_path, monkeypatch
+):
+    # a seed replays on every supported Python: with 3.12's sum in every
+    # madd module, the small world's control report and the paper world's
+    # setup artifacts keep the bytes they have under this interpreter's sum
+    assert compensated_sum([0.1] * 10) == 1.0  # left to right gives 0.9999999999999999
+    control = TestGoldenDigests.small_world_digests(small_world, CONTROL_PLAN)
+    setup = network_tests.TestGoldenSetupBytes.digests(paper_scenario, tmp_path / "a")[2]
+    for name, module in list(sys.modules.items()):
+        if name == "madd" or name.startswith("madd."):
+            monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
+    rebuilt = build_world(small_scenario)
+    assert TestGoldenDigests.small_world_digests(rebuilt, CONTROL_PLAN) == control
+    assert network_tests.TestGoldenSetupBytes.digests(paper_scenario, tmp_path / "b")[2] == setup
 
 
 class TestActivationKeying:

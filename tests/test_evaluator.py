@@ -296,6 +296,34 @@ class TestRemote:
         assert evaluator.ledger_snapshot()["totals"]["llm_calls"] == 0
 
     @pytest.mark.parametrize(
+        "kind, bad, message",
+        [
+            ("persuasiveness", reply([0.5]), "reply JSON is not an object"),
+            ("interest_community", reply({"Scores": []}),
+             "missing 'Interest Community Scores' list"),
+            ("interest_community", reply({"Interest Community Scores": {"politics": 5}}),
+             "missing 'Interest Community Scores' list"),
+            ("persuasiveness", {}, "no message content in reply"),
+            ("persuasiveness", {"choices": []}, "no message content in reply"),
+        ],
+        ids=["not-an-object", "rows-missing", "rows-not-a-list", "no-choices", "empty-choices"],
+    )
+    def test_malformed_reply_retried_once_then_raised(self, monkeypatch, kind, bad, message):
+        if kind == "persuasiveness":
+            request = EvaluationRequest(kind=kind, subject_texts=("t",), context={})
+            good, expected = reply({"Score": 0.5}), {"score": 0.5}
+        else:
+            request = ic_request()
+            good = reply({"Interest Community Scores": [
+                {"Community": c, "Score": 5} for c in COMMUNITIES]})
+            expected = dict.fromkeys(COMMUNITIES, 5.0)
+        assert remote(monkeypatch, [bad, good]).evaluate(request) == expected
+        evaluator = remote(monkeypatch, [bad, bad])
+        with pytest.raises(MalformedEvaluatorResponse, match=message):
+            evaluator.evaluate(request)
+        assert evaluator.ledger_snapshot()["totals"]["llm_calls"] == 0
+
+    @pytest.mark.parametrize(
         "row, message",
         [
             ({"Community": ["politics"], "Score": 9}, "bad row"),

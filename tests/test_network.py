@@ -1,7 +1,6 @@
 import collections
 import dataclasses
 import hashlib
-import itertools
 import json
 import math
 
@@ -20,8 +19,6 @@ from madd.network import (
     _draw_without_replacement,
     assign_communities,
     build_network,
-    community_overlap_matrix,
-    degree_distribution,
 )
 from madd.rng import substream
 from madd.scenario import SimulationParams, save_scenario
@@ -130,7 +127,7 @@ class TestBuildNetwork:
             members = uniform_profiles(500, seed=seed)
             index = {"only": [p.agent_id for p in members]}
             net = build_network(members, index, SimulationParams(m0=5, m=2), seed=seed)
-            top = max(net.nodes, key=net.degree)
+            top = max(net.nodes, key=lambda a: len(net.adjacency[a]))
             ranked = sorted(
                 members, key=lambda p: p.social_influence["only"], reverse=True
             )
@@ -203,31 +200,6 @@ def _assert_matches_oracle(seed: int, weights: np.ndarray, n: int, count: int) -
     assert rng.random() == expected_rng.random()  # same number of draws used
 
 
-class TestDegreeDistribution:
-    def test_star_graph_histogram(self):
-        leaves = [f"leaf{i}" for i in range(6)]
-        kinds = dict.fromkeys(["hub", *leaves], KIND_REGULAR)
-        net = PropagationNetwork.from_edges(kinds, {}, [("hub", leaf) for leaf in leaves])
-        histogram, fit = degree_distribution(net)
-        assert histogram == {1: 6, 6: 1}
-        assert fit is None  # far too small to fit
-
-    def test_complete_graph_degrees(self):
-        ids = [f"k{i}" for i in range(5)]
-        net = PropagationNetwork.from_edges(
-            dict.fromkeys(ids, KIND_REGULAR), {}, itertools.combinations(ids, 2))
-        histogram, _ = degree_distribution(net)
-        assert histogram == {4: 5}
-
-    def test_grown_network_has_power_law_tail(self):
-        members = uniform_profiles(1000, seed=4)
-        index = {"only": [p.agent_id for p in members]}
-        net = build_network(members, index, SimulationParams(m0=5, m=2), seed=4)
-        _, fit = degree_distribution(net, min_degree=2)
-        assert fit is not None
-        assert 2.2 <= fit.alpha <= 3.5
-
-
 def network_dict(net: PropagationNetwork) -> dict:
     """The object that ``network.json`` encodes, built as a plain dict: the
     reference that ``json_text`` is checked against."""
@@ -257,24 +229,6 @@ def test_to_dict_lists_every_community_of_a_node_sorted():
     )
     nodes = {node["agent_id"]: node["communities"] for node in network_dict(network)["nodes"]}
     assert nodes == {"u1": ["alpha", "zeta"], "u2": ["zeta"], "u3": ["alpha"]}
-
-
-class TestOverlapMatrix:
-    def test_disjoint_communities_diagonal_only(self):
-        index = {"a": ["u1", "u2"], "b": ["u3"]}
-        matrix = community_overlap_matrix(index)
-        assert matrix.tolist() == [[2, 0], [0, 1]]
-
-    def test_single_shared_member(self):
-        index = {"a": ["u1", "u2"], "b": ["u2", "u3", "u4"]}
-        matrix = community_overlap_matrix(index)
-        assert matrix[0, 1] == 1 and matrix[1, 0] == 1
-        assert matrix[0, 0] == 2 and matrix[1, 1] == 3
-
-    def test_symmetric_for_any_input(self, small_world):
-        _, _, index, _, _ = small_world
-        matrix = community_overlap_matrix(index)
-        assert np.array_equal(matrix, matrix.T)
 
 
 def test_intra_density_exceeds_inter_density(paper_world):
@@ -426,7 +380,7 @@ class TestFromEdges:
             dict.fromkeys("abc", KIND_REGULAR), {}, [("b", "c"), ("c", "b"), ("a", "c"), ("b", "c")])
         assert net.edges == [("a", "c"), ("b", "c")]
         assert net.edge_text() == "a\tc\nb\tc\n"
-        assert [net.degree(a) for a in "abc"] == [1, 1, 2]
+        assert [len(net.adjacency[a]) for a in "abc"] == [1, 1, 2]
         assert net.neighbors("c") == ["a", "b"]
 
     def test_built_network_is_frozen(self):

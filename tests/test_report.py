@@ -237,3 +237,20 @@ def test_small_world_comparison_bytes(small_world):
         "810fd135bff50d39bd94fd29c4f03ef8aea5d11dc534e136974d405489dc0bfb"
     )
 
+
+def test_small_world_report_with_trajectories_round_trips(small_world):
+    scenario, profiles, _, network, fit = small_world
+    report = engine.run(
+        scenario,
+        network,
+        profiles,
+        make_plan(scenario.params, "early", "fact_based"),
+        make_evaluator(scenario.evaluator_config, scenario.params.rng_seed),
+        seed=13,
+        fit=fit,
+        record_cadence=1,
+        collect_trajectories=True,
+    )
+    text = report.to_json()
+    assert json.loads(text)["trajectories"]
+    assert RunReport.from_dict(json.loads(text)).to_json() == text
